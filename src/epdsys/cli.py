@@ -45,7 +45,7 @@ def cmd_solve(args):
     spec = bench_mod.grid_spec_for(config)
     grid = build_grid(spec)
     prob, exact = bench_mod.manufactured_problem(config)
-    opset = build_operator_set(grid, prob.lam, prob.gamma)
+    opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy=config.sing_policy)
     ok, guard = cfl_guard(grid, config.alpha, opset)
     if not ok:
         print(f"warning: sufficient stability bound fails, 4*sigma*C_alpha = {guard:.3g}")

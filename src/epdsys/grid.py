@@ -184,13 +184,6 @@ def sample(f: Callable, grid: Grid, level: int = 0) -> Field:
     return Field(np.array(values), level=level)
 
 
-def sample_time(f: Callable, grid: Grid, t: float, level: int = 0) -> Field:
-    """Sample f(x, y, t) at all grid nodes for a fixed time."""
-    X, Y = grid.meshgrid()
-    values = np.broadcast_to(np.asarray(f(X, Y, t), dtype=float), X.shape)
-    return Field(np.array(values), level=level)
-
-
 class ErrorReport(NamedTuple):
     """Discrete error functionals, max over time levels and both components.
 

@@ -43,11 +43,18 @@ class TriDiagMatrix:
     """Banded storage for an N x N tridiagonal matrix.
 
     sub[i] = M[i+1, i], diag[i] = M[i, i], sup[i] = M[i, i+1].
+
+    `M @ X` and `X @ M` are banded O(N^2) products with a dense X; numpy
+    defers both to this class (`__array_ufunc__ = None`).  Code that needs
+    the dense matrix (LAPACK factorizations, np.kron) gets it through
+    `__array__`.
     """
 
     sub: np.ndarray
     diag: np.ndarray
     sup: np.ndarray
+
+    __array_ufunc__ = None
 
     def __post_init__(self):
         n = self.diag.size
@@ -58,21 +65,63 @@ class TriDiagMatrix:
     def size(self):
         return self.diag.size
 
+    @property
+    def shape(self):
+        return (self.size, self.size)
+
     def dense(self) -> np.ndarray:
-        M = np.diag(self.diag)
         n = self.size
-        M[np.arange(1, n), np.arange(n - 1)] = self.sub
-        M[np.arange(n - 1), np.arange(1, n)] = self.sup
+        M = np.zeros((n, n), dtype=self.diag.dtype)
+        flat = M.reshape(-1)  # a view: row i, column k sits at i*n + k
+        flat[:: n + 1] = self.diag
+        flat[1 :: n + 1] = self.sup
+        flat[n :: n + 1] = self.sub
         return M
+
+    def __array__(self, dtype=None, copy=None):
+        return self.dense() if dtype is None else self.dense().astype(dtype)
 
     def transpose(self) -> "TriDiagMatrix":
         return TriDiagMatrix(sub=self.sup.copy(), diag=self.diag.copy(), sup=self.sub.copy())
 
+    T = property(transpose)
+
+    def _operand(self, X, axis):
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[axis] != self.size:
+            raise InvalidSpecError(f"dimension mismatch: {self.size} vs {X.shape}")
+        return X
+
+    def __matmul__(self, X):
+        """M @ X, differencing along the rows of X."""
+        X = self._operand(X, 0)
+        out = self.diag[:, None] * X
+        out[1:, :] += self.sub[:, None] * X[:-1, :]
+        out[:-1, :] += self.sup[:, None] * X[1:, :]
+        return out
+
+    def __rmatmul__(self, X):
+        """X @ M, differencing along the columns of X."""
+        X = self._operand(X, 1)
+        out = X * self.diag[None, :]
+        out[:, 1:] += X[:, :-1] * self.sup[None, :]
+        out[:, :-1] += X[:, 1:] * self.sub[None, :]
+        return out
+
     def __add__(self, other):
+        if not isinstance(other, TriDiagMatrix):
+            return self.dense() + other
         return TriDiagMatrix(self.sub + other.sub, self.diag + other.diag, self.sup + other.sup)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
+        if not isinstance(other, TriDiagMatrix):
+            return self.dense() - other
         return TriDiagMatrix(self.sub - other.sub, self.diag - other.diag, self.sup - other.sup)
+
+    def __rsub__(self, other):
+        return other - self.dense()
 
     def __rmul__(self, c):
         return TriDiagMatrix(c * self.sub, c * self.diag, c * self.sup)
@@ -245,30 +294,15 @@ def assemble_step_operators(
     )
 
 
-def _banded_matmul_left(M: TriDiagMatrix, X: np.ndarray) -> np.ndarray:
-    out = M.diag[:, None] * X
-    out[1:, :] += M.sub[:, None] * X[:-1, :]
-    out[:-1, :] += M.sup[:, None] * X[1:, :]
-    return out
-
-
 def apply_x(M: TriDiagMatrix, X) -> Field:
     """Left product M @ X (x-direction differencing)."""
-    values = X.values if isinstance(X, Field) else np.asarray(X, dtype=float)
-    if values.shape[0] != M.size:
-        raise InvalidSpecError(f"dimension mismatch: {M.size} vs {values.shape}")
-    level = X.level if isinstance(X, Field) else 0
-    return Field(_banded_matmul_left(M, values), level=level)
+    if isinstance(X, Field):
+        return Field(M @ X.values, level=X.level)
+    return Field(M @ X)
 
 
 def apply_y(X, M: TriDiagMatrix) -> Field:
     """Right product X @ M (y-direction differencing, column convention)."""
-    values = X.values if isinstance(X, Field) else np.asarray(X, dtype=float)
-    if values.shape[1] != M.size:
-        raise InvalidSpecError(f"dimension mismatch: {M.size} vs {values.shape}")
-    level = X.level if isinstance(X, Field) else 0
-    # X @ M = (M.T @ X.T).T with the transposed bands
-    out = values * M.diag[None, :]
-    out[:, 1:] += values[:, :-1] * M.sup[None, :]
-    out[:, :-1] += values[:, 1:] * M.sub[None, :]
-    return Field(out, level=level)
+    if isinstance(X, Field):
+        return Field(X.values @ M, level=X.level)
+    return Field(X @ M)

@@ -21,14 +21,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import BlowUpError, InvalidSpecError, SingularTimeError
-from .grid import CoupledState, Field, Grid, GridSpec, build_grid, sample, sample_time
+from .grid import CoupledState, Field, Grid, GridSpec, build_grid, sample
 from .operators import (
-    OperatorSet,
-    StepOperators,
-    apply_x,
-    apply_y,
-    assemble_step_operators,
-    build_operator_set,
+    OperatorSet, StepOperators, TriDiagMatrix, assemble_step_operators, build_operator_set,
 )
 from .sylvester import CoupledProblem, kronecker_solve, residual, solvability_margin, solve_coupled
 
@@ -82,26 +77,34 @@ class StepReport:
     solve_time: float
 
 
+def _power(own: np.ndarray, other: np.ndarray, expo: float) -> np.ndarray:
+    """Entrywise |own|^(expo-1) * other, the power-law coupling term."""
+    return np.abs(own) ** (expo - 1.0) * other
+
+
 def nonlinear_G(X: Field, Y: Field, p: float) -> Field:
     """Entrywise |X|^(p-1) * Y."""
-    return Field(np.abs(X.values) ** (p - 1.0) * Y.values, level=X.level)
+    return Field(_power(X.values, Y.values, p), level=X.level)
 
 
 def nonlinear_H(X: Field, Y: Field, q: float) -> Field:
     """Entrywise |Y|^(q-1) * X."""
-    return Field(np.abs(Y.values) ** (q - 1.0) * X.values, level=X.level)
+    return Field(_power(Y.values, X.values, q), level=X.level)
 
 
-def _laplacian(opset: OperatorSet, F: Field, h: float) -> np.ndarray:
-    AF = apply_x(opset.A, F).values
-    FA = apply_y(F, opset.A.transpose()).values
-    return (AF + FA) / (h * h)
+def _lyap(M: TriDiagMatrix, X: np.ndarray) -> np.ndarray:
+    """M X + X M^T: M differences along both axes."""
+    return M @ X + X @ M.T
 
 
-def _gradient_term(opset: OperatorSet, F: Field, h: float) -> np.ndarray:
-    TF = apply_x(opset.Theta, F).values
-    FL = apply_y(F, opset.Lambda).values
-    return (TF + FL) / h
+def _cross(R: TriDiagMatrix, S: TriDiagMatrix, X: np.ndarray) -> np.ndarray:
+    """R X + X S: R along x, S along y."""
+    return R @ X + X @ S
+
+
+def _sample_at(f: Callable, grid: Grid, t: float) -> np.ndarray:
+    """f(x, y, t) on the grid nodes at a fixed time."""
+    return sample(lambda x, y: f(x, y, t), grid).values
 
 
 def init_levels(prob: ProblemDef, grid: Grid, opset: OperatorSet | None = None):
@@ -137,18 +140,20 @@ def init_levels(prob: ProblemDef, grid: Grid, opset: OperatorSet | None = None):
     if opset is None:
         opset = build_operator_set(grid, prob.lam, prob.gamma)
 
-    def rhs_no_damping(Fu, Fv, own, other, expo, forcing):
-        out = _laplacian(opset, Fu, grid.h) + _gradient_term(opset, Fv, grid.h)
+    h = grid.h
+
+    def rhs_no_damping(own, other, expo, forcing):
+        out = _lyap(opset.A, own) / (h * h) + _cross(opset.Theta, opset.Lambda, other) / h
         if prob.nonlinear:
-            out = out + np.abs(own) ** (expo - 1.0) * other
+            out = out + _power(own, other, expo)
         if forcing is not None:
-            out = out + sample_time(forcing, grid, t0).values
+            out = out + _sample_at(forcing, grid, t0)
         return out
 
     G1 = prob.forcing[0] if prob.forcing else None
     G2 = prob.forcing[1] if prob.forcing else None
-    rhs_u = rhs_no_damping(U0, V0, U0.values, V0.values, prob.p, G1)
-    rhs_v = rhs_no_damping(V0, U0, V0.values, U0.values, prob.q, G2)
+    rhs_u = rhs_no_damping(U0.values, V0.values, prob.p, G1)
+    rhs_v = rhs_no_damping(V0.values, U0.values, prob.q, G2)
 
     if t0 > 0.0:
         gam = 2.0 * prob.a / t0
@@ -196,36 +201,23 @@ def assemble_rhs(
     one_m2a = 1.0 - 2.0 * ops.alpha
     l2 = grid.l * grid.l
 
-    def lyap(M, X):
-        return apply_x(M, X).values + apply_y(X, M.transpose()).values
+    C1 = 2.0 * _lyap(Wh, Un) - _lyap(Wa, Um)
+    C1 += one_m2a * sig_h * _cross(opset.Theta, opset.Lambda, Vn)
+    C1 += _cross(ops.R_neg, ops.S_neg, Vm)
 
-    def grad(X):
-        return apply_x(opset.Theta, X).values + apply_y(X, opset.Lambda).values
-
-    def cross(Rm, Sm, X):
-        return apply_x(Rm, X).values + apply_y(X, Sm).values
-
-    C1 = 2.0 * lyap(Wh, Field(Un)) - lyap(Wa, Field(Um))
-    C1 += one_m2a * sig_h * grad(Field(Vn))
-    C1 += cross(ops.R_neg, ops.S_neg, Field(Vm))
-
-    C2 = 2.0 * lyap(Wh, Field(Vn)) - lyap(Wa, Field(Vm))
-    C2 += one_m2a * sig_h * grad(Field(Un))
-    C2 += cross(ops.R_neg, ops.S_neg, Field(Um))
+    C2 = 2.0 * _lyap(Wh, Vn) - _lyap(Wa, Vm)
+    C2 += one_m2a * sig_h * _cross(opset.Theta, opset.Lambda, Un)
+    C2 += _cross(ops.R_neg, ops.S_neg, Um)
 
     if prob.nonlinear:
-        Gn = np.abs(Un) ** (prob.p - 1.0) * Vn
-        Gm = np.abs(Um) ** (prob.p - 1.0) * Vm
-        Hn = np.abs(Vn) ** (prob.q - 1.0) * Un
-        Hm = np.abs(Vm) ** (prob.q - 1.0) * Um
-        C1 += 0.5 * l2 * (Gn + Gm)
-        C2 += 0.5 * l2 * (Hn + Hm)
+        C1 += 0.5 * l2 * (_power(Un, Vn, prob.p) + _power(Um, Vm, prob.p))
+        C2 += 0.5 * l2 * (_power(Vn, Un, prob.q) + _power(Vm, Um, prob.q))
 
     if prob.forcing is not None:
         G1, G2 = prob.forcing
         t_n, t_m = grid.time(n), grid.time(n - 1)
-        C1 += 0.5 * l2 * (sample_time(G1, grid, t_n).values + sample_time(G1, grid, t_m).values)
-        C2 += 0.5 * l2 * (sample_time(G2, grid, t_n).values + sample_time(G2, grid, t_m).values)
+        C1 += 0.5 * l2 * (_sample_at(G1, grid, t_n) + _sample_at(G1, grid, t_m))
+        C2 += 0.5 * l2 * (_sample_at(G2, grid, t_n) + _sample_at(G2, grid, t_m))
 
     return Field(C1, level=n + 1), Field(C2, level=n + 1)
 
@@ -238,19 +230,20 @@ def step(
     grid: Grid,
     n: int,
     solver: str = SOLVER_SYLVESTER,
-    collect_margin: bool = True,
 ) -> tuple[CoupledState, StepReport]:
-    """Advance one level: assemble the RHS and solve the coupled pair."""
+    """Advance one level: assemble the RHS and solve the coupled pair.
+
+    The banded step operators reach the solver, residual and margin as is.
+    """
     t_start = time.perf_counter()
     C1, C2 = assemble_rhs(history, ops, opset, prob, grid, n)
-    W = ops.W_alpha.dense()
     problem = CoupledProblem(
-        W=W,
-        R=ops.R_pos.dense(),
-        S=ops.S_pos.dense(),
+        W=ops.W_alpha,
+        R=ops.R_pos,
+        S=ops.S_pos,
         C1=C1.values,
         C2=C2.values,
-        W_right=W.T,
+        W_right=ops.W_alpha.T,
     )
     t_solve = time.perf_counter()
     if solver == SOLVER_SYLVESTER:
@@ -262,12 +255,9 @@ def step(
     solve_time = time.perf_counter() - t_solve
 
     res = residual(problem, (X, Y))
-    if collect_margin:
-        try:
-            margin = solvability_margin(problem.W, problem.R, problem.S, problem.W_right)
-        except np.linalg.LinAlgError:  # non-fatal: diagnostics only
-            margin = float("nan")
-    else:
+    try:
+        margin = solvability_margin(problem.W, problem.R, problem.S, problem.W_right)
+    except np.linalg.LinAlgError:  # non-fatal: diagnostics only
         margin = float("nan")
 
     state = CoupledState(Field(X, level=n + 1), Field(Y, level=n + 1))
@@ -287,7 +277,6 @@ def run(
     spec: GridSpec | Grid,
     solver: str = SOLVER_SYLVESTER,
     blowup_cap: float = BLOWUP_CAP,
-    collect_margin: bool = True,
     sing_policy: str = "zero",
 ) -> tuple[list[CoupledState], list[StepReport]]:
     """Run the full simulation: seed two levels, then advance to n_steps.
@@ -307,16 +296,8 @@ def run(
     reports: list[StepReport] = []
     for n in range(1, grid.n_steps):
         ops = assemble_step_operators(opset, grid, n, alpha, prob.a)
-        state, report = step(
-            (trajectory[-1], trajectory[-2]),
-            ops,
-            opset,
-            prob,
-            grid,
-            n,
-            solver=solver,
-            collect_margin=collect_margin,
-        )
+        history = (trajectory[-1], trajectory[-2])
+        state, report = step(history, ops, opset, prob, grid, n, solver=solver)
         state.U.check_finite()
         state.V.check_finite()
         if report.sup_norm > blowup_cap:

@@ -3,10 +3,12 @@
 The production path solves L X + X R = C by one complex Schur decomposition
 of the right coefficient followed by a forward column sweep; every column
 then needs one shifted solve with the left coefficient.  The step operators
-of the scheme are tridiagonal, so those shifted solves are banded and O(n)
-apiece (Hessenberg-Schur flavour: the left coefficient never needs reducing).
-A general dense left coefficient falls back to its own Schur form with
-triangular column solves.
+of the scheme are tridiagonal and reach the solver as TriDiagMatrix objects,
+so those shifted solves are banded and O(n) apiece (Hessenberg-Schur
+flavour: the left coefficient never needs reducing).  The sweep is chosen by
+the type of L: a TriDiagMatrix takes the banded sweep, while a dense array
+always takes the general path (its own Schur form with triangular column
+solves), even when it happens to be tridiagonal.
 
 The coupled pair
 
@@ -29,6 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from .exceptions import InvalidSpecError, SizeGuardError, SolvabilityError
+from .operators import TriDiagMatrix
 
 # A diagonal denominator |lam_i + mu_j| below DENOM_RTOL * norm(inputs) is
 # treated as a solvability failure rather than allowed to produce garbage.
@@ -39,33 +42,37 @@ KRONECKER_MAX_SIZE = 201
 
 
 def _as_square(M, name):
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InvalidSpecError(f"{name} must be square, got shape {M.shape}")
-    if not np.isfinite(M).all():
+    """A finite square coefficient: a TriDiagMatrix as is, else a dense array."""
+    if isinstance(M, TriDiagMatrix):
+        finite = all(np.isfinite(band).all() for band in (M.sub, M.diag, M.sup))
+    else:
+        M = np.asarray(M, dtype=float)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise InvalidSpecError(f"{name} must be square, got shape {M.shape}")
+        finite = np.isfinite(M).all()
+    if not finite:
         raise InvalidSpecError(f"{name} contains NaN/Inf")
     return M
 
 
 @dataclasses.dataclass(frozen=True)
 class SylvesterProblem:
-    """L X + X R = C with all blocks square of the same size."""
+    """L X + X R = C with all blocks square of the same size.
 
-    L: np.ndarray
-    R: np.ndarray
+    L and R may be TriDiagMatrix objects; C is dense.
+    """
+
+    L: np.ndarray | TriDiagMatrix
+    R: np.ndarray | TriDiagMatrix
     C: np.ndarray
 
     def __post_init__(self):
-        L = _as_square(self.L, "L")
-        R = _as_square(self.R, "R")
-        C = _as_square(self.C, "C")
-        if not (L.shape == R.shape == C.shape):
+        for name in ("L", "R", "C"):
+            object.__setattr__(self, name, _as_square(getattr(self, name), name))
+        if not (self.L.shape == self.R.shape == self.C.shape):
             raise InvalidSpecError(
-                f"inconsistent sizes {L.shape}, {R.shape}, {C.shape}"
+                f"inconsistent sizes {self.L.shape}, {self.R.shape}, {self.C.shape}"
             )
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "C", C)
 
     @property
     def size(self):
@@ -77,43 +84,30 @@ class CoupledProblem:
     """The symmetric cross-coupled pair of Lyapunov-Sylvester equations.
 
     W_right defaults to W itself; the stepper passes W.T because the Neumann
-    rows of the difference matrix break symmetry.
+    rows of the difference matrix break symmetry.  The coefficients W, R, S
+    and W_right may be TriDiagMatrix objects (the stepper passes its step
+    operators unchanged); C1 and C2 are dense.
     """
 
-    W: np.ndarray
-    R: np.ndarray
-    S: np.ndarray
+    W: np.ndarray | TriDiagMatrix
+    R: np.ndarray | TriDiagMatrix
+    S: np.ndarray | TriDiagMatrix
     C1: np.ndarray
     C2: np.ndarray
-    W_right: np.ndarray | None = None
+    W_right: np.ndarray | TriDiagMatrix | None = None
 
     def __post_init__(self):
-        W = _as_square(self.W, "W")
-        R = _as_square(self.R, "R")
-        S = _as_square(self.S, "S")
-        C1 = _as_square(self.C1, "C1")
-        C2 = _as_square(self.C2, "C2")
-        Wr = W if self.W_right is None else _as_square(self.W_right, "W_right")
-        for name, M in (("R", R), ("S", S), ("C1", C1), ("C2", C2), ("W_right", Wr)):
-            if M.shape != W.shape:
-                raise InvalidSpecError(f"{name} shape {M.shape} != W shape {W.shape}")
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "C1", C1)
-        object.__setattr__(self, "C2", C2)
-        object.__setattr__(self, "W_right", Wr)
+        if self.W_right is None:
+            object.__setattr__(self, "W_right", self.W)
+        for name in ("W", "R", "S", "C1", "C2", "W_right"):
+            M = _as_square(getattr(self, name), name)
+            object.__setattr__(self, name, M)
+            if M.shape != self.W.shape:
+                raise InvalidSpecError(f"{name} shape {M.shape} != W shape {self.W.shape}")
 
     @property
     def size(self):
         return self.W.shape[0]
-
-
-def _is_tridiagonal(M):
-    n = M.shape[0]
-    if n <= 2:
-        return True
-    return np.all(M[np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 1] == 0.0)
 
 
 def _min_pair_sum(lams, mus):
@@ -134,31 +128,23 @@ def _check_margin(lams, mus, scale, context):
     return margin
 
 
-def _tridiag_bands(M):
-    """solve_banded layout for M: rows (super, diag, sub)."""
-    n = M.shape[0]
-    ab = np.zeros((3, n), dtype=complex)
-    ab[1, :] = np.diag(M)
-    if n > 1:
-        ab[0, 1:] = M[np.arange(n - 1), np.arange(1, n)]
-        ab[2, :-1] = M[np.arange(1, n), np.arange(n - 1)]
-    return ab
-
-
 def solve_sylvester(p: SylvesterProblem) -> np.ndarray:
     """Solve L X + X R = C; raises SolvabilityError on (near-)common spectra."""
-    L, R, C = p.L, p.R, p.C
+    L, C = p.L, p.C
+    R = np.asarray(p.R)  # the Schur factorization needs R dense
     n = p.size
     scale = max(np.linalg.norm(L), np.linalg.norm(R))
 
     TR, QR = scipy.linalg.schur(R, output="complex")
     mus = np.diag(TR)
 
-    banded = _is_tridiagonal(L)
+    banded = isinstance(L, TriDiagMatrix)
     if banded:
         lams = np.linalg.eigvals(L)
         D = C.astype(complex) @ QR
-        ab0 = _tridiag_bands(L)
+        # solve_banded layout: rows (super, diag, sub)
+        ab0 = np.zeros((3, n), dtype=complex)
+        ab0[0, 1:], ab0[1], ab0[2, :-1] = L.sup, L.diag, L.sub
     else:
         TL, QL = scipy.linalg.schur(L, output="complex")
         lams = np.diag(TL)

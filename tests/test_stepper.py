@@ -299,3 +299,16 @@ def test_problem_def_validation():
             a=1.0, lam=0.0, gamma=0.0, p=2.0, q=2.0,
             data=(ZERO,) * 4, exact=lambda x, y, t: (x, y),
         )
+
+
+@pytest.mark.parametrize("seeding", ["exact", "data"])
+def test_run_raising_forcing_is_invalid_spec(seeding):
+    # forcing is sampled like data: a raising callable names the nodes it failed on
+    def broken(x, y, t):
+        raise ValueError("forcing undefined")
+
+    seed = {"exact": {"exact": lambda x, y, t: (gauss(x, y), gauss(x, y))},
+            "data": {"data": (gauss, ZERO, gauss, ZERO)}}[seeding]
+    prob = ProblemDef(a=1.0, lam=0.25, gamma=0.25, p=2.0, q=2.0, forcing=(broken, broken), **seed)
+    with pytest.raises(InvalidSpecError, match="sampling failed on nodes"):
+        run(prob, GridSpec(L0=-1, L1=1, J=3, t0=1.0, n_steps=3))

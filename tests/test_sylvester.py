@@ -209,3 +209,10 @@ def test_problem_validation():
         SylvesterProblem(np.eye(3), np.eye(3), np.full((3, 3), np.nan))
     with pytest.raises(InvalidSpecError):
         CoupledProblem(np.eye(3), np.eye(2), np.eye(3), np.eye(3), np.eye(3))
+
+
+def test_coupled_problem_accepts_nested_lists():
+    p = CoupledProblem([[2.0]], [[0.0]], [[0.0]], [[8.0]], [[4.0]])
+    assert isinstance(p.W, np.ndarray) and np.array_equal(p.W_right, p.W)
+    X, Y = solve_coupled(p)
+    assert X[0, 0] == pytest.approx(2.0) and Y[0, 0] == pytest.approx(1.0)
