@@ -224,7 +224,7 @@ class BenchRow:
     error: str = ""
 
 
-def _timed_run(prob, spec, solver, repeats, sing_policy="limit"):
+def _timed_run(prob, spec, solver, repeats, sing_policy):
     """(median wall ms, trajectory, reports) over `repeats` identical runs."""
     times = []
     trajectory = reports = None

@@ -25,7 +25,7 @@ from .grid import CoupledState, Field, Grid, GridSpec, build_grid, sample
 from .operators import (
     OperatorSet, StepOperators, TriDiagMatrix, assemble_step_operators, build_operator_set,
 )
-from .sylvester import CoupledProblem, kronecker_solve, residual, solvability_margin, solve_coupled
+from .sylvester import CoupledProblem, _solve_coupled, kronecker_solve, residual, solvability_margin
 
 SOLVER_SYLVESTER = "sylvester"
 SOLVER_KRONECKER = "kronecker"
@@ -233,7 +233,8 @@ def step(
 ) -> tuple[CoupledState, StepReport]:
     """Advance one level: assemble the RHS and solve the coupled pair.
 
-    The banded step operators reach the solver, residual and margin as is.
+    The banded step operators reach the solver and the residual as is; the
+    Sylvester solve returns the margin, the Kronecker path computes it.
     """
     t_start = time.perf_counter()
     C1, C2 = assemble_rhs(history, ops, opset, prob, grid, n)
@@ -247,18 +248,18 @@ def step(
     )
     t_solve = time.perf_counter()
     if solver == SOLVER_SYLVESTER:
-        X, Y = solve_coupled(problem)
+        X, Y, margin = _solve_coupled(problem)
     elif solver == SOLVER_KRONECKER:
         X, Y = kronecker_solve(problem)
+        try:
+            margin = solvability_margin(problem.W, problem.R, problem.S, problem.W_right)
+        except np.linalg.LinAlgError:  # non-fatal: diagnostics only
+            margin = float("nan")
     else:
         raise InvalidSpecError(f"unknown solver {solver!r}")
     solve_time = time.perf_counter() - t_solve
 
     res = residual(problem, (X, Y))
-    try:
-        margin = solvability_margin(problem.W, problem.R, problem.S, problem.W_right)
-    except np.linalg.LinAlgError:  # non-fatal: diagnostics only
-        margin = float("nan")
 
     state = CoupledState(Field(X, level=n + 1), Field(Y, level=n + 1))
     report = StepReport(

@@ -1,14 +1,13 @@
 """Standard and coupled Sylvester solvers with a Kronecker baseline.
 
-The production path solves L X + X R = C by one complex Schur decomposition
-of the right coefficient followed by a forward column sweep; every column
-then needs one shifted solve with the left coefficient.  The step operators
-of the scheme are tridiagonal and reach the solver as TriDiagMatrix objects,
-so those shifted solves are banded and O(n) apiece (Hessenberg-Schur
-flavour: the left coefficient never needs reducing).  The sweep is chosen by
-the type of L: a TriDiagMatrix takes the banded sweep, while a dense array
-always takes the general path (its own Schur form with triangular column
-solves), even when it happens to be tridiagonal.
+The production path solves L X + X R = C by Bartels-Stewart: the real Schur
+forms L = QL TL QL^T and R = QR TR QR^T reduce the equation to
+TL Z + Z TR = QL^T C QR, which LAPACK trsyl solves on the quasi-triangular
+factors (2 x 2 blocks carry complex-conjugate eigenvalue pairs), and
+X = QL Z QR^T.  Both coefficients are densified once for the Schur step;
+TriDiagMatrix and dense coefficients take the same path.  The solvability
+margin min |lam_i + mu_j| is read off the spectra of TL and TR, so a solve
+returns it at no extra factorization.
 
 The coupled pair
 
@@ -26,6 +25,7 @@ benchmarks and as the brute-force oracle for the decoupled path.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import scipy.linalg
@@ -37,8 +37,11 @@ from .operators import TriDiagMatrix
 # treated as a solvability failure rather than allowed to produce garbage.
 DENOM_RTOL = 1e-12
 
-# Default dense-path guard: J <= 199, i.e. matrices up to 201 x 201.
-KRONECKER_MAX_SIZE = 201
+# Byte budget for the dense Kronecker system matrix, 8 (2 n^2)^2 = 32 n^4
+# bytes (the kron temporaries and LAPACK's copy come on top), and the largest
+# size within it: 76, i.e. J <= 74.
+KRONECKER_MAX_BYTES = 2**30
+KRONECKER_MAX_SIZE = math.isqrt(math.isqrt(KRONECKER_MAX_BYTES // 32))
 
 
 def _as_square(M, name):
@@ -117,73 +120,48 @@ def _min_pair_sum(lams, mus):
     return float(sums[i, j]), (complex(lams[i]), complex(mus[j]))
 
 
-def _check_margin(lams, mus, scale, context):
+def _check_margin(lams, mus, scale, context, branch=None):
     margin, pair = _min_pair_sum(lams, mus)
     if margin < DENOM_RTOL * max(scale, 1.0):
         raise SolvabilityError(
             f"{context}: eigenvalue pair lam={pair[0]:.6g}, mu={pair[1]:.6g} "
             f"gives denominator |lam+mu| = {margin:.3e}",
             pair=pair,
+            branch=branch,
         )
     return margin
 
 
+def _bartels_stewart(L, R, C, context, branch=None):
+    """X solving L X + X R = C, and the margin min |lam_i + mu_j| of the pair."""
+    L, R = np.asarray(L), np.asarray(R)
+    TL, QL = scipy.linalg.schur(L)
+    TR, QR = scipy.linalg.schur(R)
+    scale = max(np.linalg.norm(L), np.linalg.norm(R))
+    lams, mus = np.linalg.eigvals(TL), np.linalg.eigvals(TR)
+    margin = _check_margin(lams, mus, scale, context, branch)
+    Z, factor, info = scipy.linalg.lapack.dtrsyl(TL, TR, QL.T @ C @ QR)
+    if info < 0:
+        raise SolvabilityError(f"{context}: trsyl rejected argument {-info}", branch=branch)
+    return QL @ (Z / factor) @ QR.T, margin
+
+
 def solve_sylvester(p: SylvesterProblem) -> np.ndarray:
     """Solve L X + X R = C; raises SolvabilityError on (near-)common spectra."""
-    L, C = p.L, p.C
-    R = np.asarray(p.R)  # the Schur factorization needs R dense
-    n = p.size
-    scale = max(np.linalg.norm(L), np.linalg.norm(R))
+    return _bartels_stewart(p.L, p.R, p.C, "Sylvester problem not solvable")[0]
 
-    TR, QR = scipy.linalg.schur(R, output="complex")
-    mus = np.diag(TR)
 
-    banded = isinstance(L, TriDiagMatrix)
-    if banded:
-        lams = np.linalg.eigvals(L)
-        D = C.astype(complex) @ QR
-        # solve_banded layout: rows (super, diag, sub)
-        ab0 = np.zeros((3, n), dtype=complex)
-        ab0[0, 1:], ab0[1], ab0[2, :-1] = L.sup, L.diag, L.sub
-    else:
-        TL, QL = scipy.linalg.schur(L, output="complex")
-        lams = np.diag(TL)
-        D = QL.conj().T @ C @ QR
-
-    _check_margin(lams, mus, scale, "Sylvester problem not solvable")
-
-    Z = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        rhs = D[:, k] - Z[:, :k] @ TR[:k, k]
-        if banded:
-            ab = ab0.copy()
-            ab[1, :] += mus[k]
-            Z[:, k] = scipy.linalg.solve_banded((1, 1), ab, rhs)
-        else:
-            shifted = TL + mus[k] * np.eye(n)
-            Z[:, k] = scipy.linalg.solve_triangular(shifted, rhs)
-
-    X = Z @ QR.conj().T
-    if not banded:
-        X = QL @ X
-    return np.ascontiguousarray(X.real)
+def _solve_coupled(p: CoupledProblem):
+    """X, Y and the smaller margin of the two decoupled branches."""
+    W, R, S, Wr = p.W, p.R, p.S, p.W_right
+    P, m_sum = _bartels_stewart(W + R, Wr + S, p.C1 + p.C2, "sum branch failed", "sum")
+    Q, m_diff = _bartels_stewart(W - R, Wr - S, p.C1 - p.C2, "difference branch failed", "diff")
+    return 0.5 * (P + Q), 0.5 * (P - Q), min(m_sum, m_diff)
 
 
 def solve_coupled(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
     """Solve the coupled pair by sum/difference decoupling."""
-    W, R, S, Wr = p.W, p.R, p.S, p.W_right
-    try:
-        P = solve_sylvester(SylvesterProblem(W + R, Wr + S, p.C1 + p.C2))
-    except SolvabilityError as exc:
-        raise SolvabilityError(f"sum branch failed: {exc}", pair=exc.pair, branch="sum") from exc
-    try:
-        Q = solve_sylvester(SylvesterProblem(W - R, Wr - S, p.C1 - p.C2))
-    except SolvabilityError as exc:
-        raise SolvabilityError(
-            f"difference branch failed: {exc}", pair=exc.pair, branch="diff"
-        ) from exc
-    X = 0.5 * (P + Q)
-    Y = 0.5 * (P - Q)
+    X, Y, _ = _solve_coupled(p)
     return X, Y
 
 
@@ -199,7 +177,8 @@ def kronecker_solve(
     if n > max_size:
         raise SizeGuardError(
             f"Kronecker path refused: size {n} > guard {max_size} "
-            f"(dense system would be {2 * n * n} x {2 * n * n})"
+            f"(dense system would be {2 * n * n} x {2 * n * n}, "
+            f"{8 * (2 * n * n) ** 2:,} bytes; budget {KRONECKER_MAX_BYTES:,})"
         )
     I = np.eye(n)
     A_W = np.kron(I, p.W) + np.kron(p.W_right.T, I)

@@ -17,6 +17,7 @@ from epdsys.stepper import (
     run,
     step,
 )
+from epdsys.sylvester import solvability_margin
 
 ZERO = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
 
@@ -198,6 +199,19 @@ def test_single_step_reference_error(ref_config, ref_grid24, ref_problem):
     rep = discrete_errors(traj, exact, ref_grid24)
     assert rep.er < 0.1
     assert rep.er == pytest.approx(6.0935e-3, rel=1e-3)
+
+
+def test_step_margins_match_solvability_margin(ref_grid24, ref_problem):
+    # the Sylvester path reads each margin off its own Schur spectra
+    prob, _ = ref_problem
+    _, reports = run(prob, ref_grid24.spec, sing_policy="limit")
+    opset = build_operator_set(ref_grid24, prob.lam, prob.gamma, sing_policy="limit")
+    alpha = ref_grid24.spec.alpha if prob.alpha is None else prob.alpha
+    assert reports
+    for report in reports:
+        ops = assemble_step_operators(opset, ref_grid24, report.n, alpha, prob.a)
+        expected = solvability_margin(ops.W_alpha, ops.R_pos, ops.S_pos, ops.W_alpha.T)
+        assert report.margin == pytest.approx(expected, rel=1e-10)
 
 
 def test_linear_step_matches_kronecker():

@@ -3,6 +3,8 @@ import pytest
 
 from epdsys.exceptions import InvalidSpecError, SizeGuardError, SolvabilityError
 from epdsys.sylvester import (
+    KRONECKER_MAX_BYTES,
+    KRONECKER_MAX_SIZE,
     CoupledProblem,
     SylvesterProblem,
     kronecker_solve,
@@ -96,6 +98,21 @@ def test_kronecker_size_guard():
     p = CoupledProblem(np.eye(n), Z, Z, Z, Z)
     with pytest.raises(SizeGuardError):
         kronecker_solve(p, max_size=5)
+
+
+def test_kronecker_byte_budget(monkeypatch):
+    # arithmetic only: the largest admitted size fits the budget, one more does not
+    n = KRONECKER_MAX_SIZE
+    assert 8 * (2 * n * n) ** 2 <= KRONECKER_MAX_BYTES
+    assert 8 * (2 * (n + 1) ** 2) ** 2 > KRONECKER_MAX_BYTES
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the guard must refuse before building the system")
+
+    monkeypatch.setattr(np, "kron", no_allocation)
+    I = np.eye(n + 1)
+    with pytest.raises(SizeGuardError, match="bytes"):
+        kronecker_solve(CoupledProblem(I, I, I, I, I))
 
 
 def test_oracle_equivalence_random(rng):
