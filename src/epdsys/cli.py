@@ -22,7 +22,7 @@ from .exact import frobenius_coefficients, ode_residual, stationary_additive
 from .exceptions import EpdError
 from .grid import build_grid, discrete_errors
 from .operators import build_operator_set
-from .stepper import SOLVER_SYLVESTER, ProblemDef, cfl_guard, run
+from .stepper import SOLVER_SYLVESTER, ProblemDef, cfl_guard, run, run_plan
 from .sylvester import CoupledProblem, kronecker_solve, solve_coupled
 
 EXIT_OK = 0
@@ -139,6 +139,14 @@ def cmd_validate(args):
         if err > 1e-10 * max(1.0, np.abs(X2).max()):
             raise EpdError(f"solver mismatch {err:.3e}")
 
+    def solvability_schedule():
+        # the run's preflight alone: factor once, check every step, no stepping
+        grid = build_grid(bench_mod.grid_spec_for(config))
+        prob, _ = bench_mod.manufactured_problem(config)
+        opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy=config.sing_policy)
+        margin, n, branch = run_plan(prob, grid, opset, config.alpha).min_margin()
+        print(f"     min margin = {margin:.3e} at step {n}, {branch} branch")
+
     def zero_trajectory():
         zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
         prob = ProblemDef(
@@ -156,6 +164,7 @@ def cmd_validate(args):
     check("closed-form residuals", closed_form)
     check("series engine residual", series_engine)
     check("solver cross-check", solver_oracle)
+    check("solvability schedule", solvability_schedule)
     check("trivial zero trajectory", zero_trajectory)
 
     if failures:

@@ -19,12 +19,15 @@ class SolvabilityError(EpdError):
     Attributes:
         pair: the offending eigenvalue pair (lam, mu) with lam + mu ~ 0, if known.
         branch: 'sum' or 'diff' when raised from the decoupled solver.
+        step: the time index n of the failing step (as in StepReport.n) when
+            raised by the stepper's solvability check.
     """
 
-    def __init__(self, message, pair=None, branch=None):
+    def __init__(self, message, pair=None, branch=None, step=None):
         super().__init__(message)
         self.pair = pair
         self.branch = branch
+        self.step = step
 
 
 class SizeGuardError(EpdError):

@@ -169,6 +169,7 @@ class StepOperators:
     W_alpha_minus_half = (1/2) I - (alpha - 1/2) * sigma * A
     R_pos / S_pos     = (l a_n / 2) I -/- alpha sigma h Theta / Lambda
     R_neg / S_neg     = same with alpha -> -alpha (the level n-1 composites)
+    shift             = c_n = l a_n / 2; R_pos - c_n I and S_pos - c_n I do not depend on n
     """
 
     W_alpha: TriDiagMatrix
@@ -180,6 +181,7 @@ class StepOperators:
     n: int
     a_n: float
     alpha: float
+    shift: float
 
 
 def neumann_second_difference(n: int) -> TriDiagMatrix:
@@ -260,14 +262,20 @@ def build_operator_set(
     )
 
 
+def step_shift(grid: Grid, n: int, a: float) -> float:
+    """c_n = l a_n / 2 with a_n = a / t_n, the scalar part of R_pos and S_pos."""
+    t_n = grid.time(n)
+    if t_n <= 0.0:
+        raise SingularTimeError(f"a_n = a/t_n undefined at t_{n} = {t_n}")
+    return 0.5 * grid.l * (a / t_n)
+
+
 def assemble_step_operators(
     ops: OperatorSet, grid: Grid, n: int, alpha: float, a: float
 ) -> StepOperators:
     """Build W_alpha, W_{alpha-1/2} and R/S composites for time index n >= 1."""
-    t_n = grid.time(n)
-    if t_n <= 0.0:
-        raise SingularTimeError(f"a_n = a/t_n undefined at t_{n} = {t_n}")
-    a_n = a / t_n
+    c = step_shift(grid, n, a)
+    a_n = a / grid.time(n)
     sigma = grid.sigma
     N = grid.size
     I = TriDiagMatrix.identity(N)
@@ -275,7 +283,6 @@ def assemble_step_operators(
     W_alpha = 0.5 * I - (alpha * sigma) * ops.A
     W_half = 0.5 * I - ((alpha - 0.5) * sigma) * ops.A
 
-    c = 0.5 * grid.l * a_n
     R_pos = c * I - (alpha * sigma * grid.h) * ops.Theta
     S_pos = c * I - (alpha * sigma * grid.h) * ops.Lambda
     R_neg = c * I + (alpha * sigma * grid.h) * ops.Theta
@@ -291,6 +298,7 @@ def assemble_step_operators(
         n=n,
         a_n=a_n,
         alpha=alpha,
+        shift=c,
     )
 
 

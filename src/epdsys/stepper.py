@@ -15,6 +15,7 @@ l^2/2 per level and the gradient history with weight (1-2 alpha) sigma h.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from typing import Callable, Sequence
 
@@ -24,8 +25,12 @@ from .exceptions import BlowUpError, InvalidSpecError, SingularTimeError
 from .grid import CoupledState, Field, Grid, GridSpec, build_grid, sample
 from .operators import (
     OperatorSet, StepOperators, TriDiagMatrix, assemble_step_operators, build_operator_set,
+    step_shift,
 )
-from .sylvester import CoupledProblem, _solve_coupled, kronecker_solve, residual, solvability_margin
+from .sylvester import (
+    CoupledProblem, _coupled_margins, _factor_coupled, _solve_coupled_shifted, kronecker_solve,
+    residual, solvability_margin,
+)
 
 SOLVER_SYLVESTER = "sylvester"
 SOLVER_KRONECKER = "kronecker"
@@ -107,6 +112,54 @@ def _sample_at(f: Callable, grid: Grid, t: float) -> np.ndarray:
     return sample(lambda x, y: f(x, y, t), grid).values
 
 
+def _forcing_at(prob: ProblemDef, grid: Grid, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The forcing pair (G1, G2) on the grid nodes at time level n."""
+    t = grid.time(n)
+    return tuple(_sample_at(G, grid, t) for G in prob.forcing)
+
+
+@dataclasses.dataclass(frozen=True)
+class SolvePlan:
+    """Branch factors shared by the steps of a run, and their checked margins.
+
+    `factors` are the real Schur factors of the shift-free sum pair
+    (W_alpha - k Theta, W_alpha^T - k Lambda) and difference pair
+    (W_alpha + k Theta, W_alpha^T + k Lambda), k = alpha sigma h; step n
+    solves them shifted by +c_n and -c_n.  `schedule` maps each planned step
+    n to its (sum, diff) margins, all of them above the solvability floor.
+    """
+
+    factors: tuple
+    schedule: dict[int, tuple[float, float]]
+
+    def min_margin(self) -> tuple[float, int, str]:
+        """The smallest margin of the schedule, with its step and branch."""
+        return min(
+            (m, n, branch)
+            for n, margins in self.schedule.items()
+            for branch, m in zip(("sum", "diff"), margins)
+        )
+
+
+def plan_solves(ops: StepOperators, shifts: dict[int, float]) -> SolvePlan:
+    """Factor the branch pairs of `ops` once and check the margin at every shift.
+
+    `shifts` maps step n to c_n.  Raises SolvabilityError naming the first
+    failing step, its branch and its eigenvalue pair before any solve.
+    """
+    I = TriDiagMatrix.identity(ops.W_alpha.size, ops.shift)
+    factors = _factor_coupled(ops.W_alpha, ops.R_pos - I, ops.S_pos - I, ops.W_alpha.T)
+    schedule = {n: _coupled_margins(factors, c, step=n) for n, c in shifts.items()}
+    return SolvePlan(factors, schedule)
+
+
+def run_plan(prob: ProblemDef, grid: Grid, opset: OperatorSet, alpha: float) -> SolvePlan:
+    """The solve plan of every step of a run on `grid`, factored at step 1."""
+    ops = assemble_step_operators(opset, grid, 1, alpha, prob.a)
+    shifts = {n: step_shift(grid, n, prob.a) for n in range(1, grid.n_steps)}
+    return plan_solves(ops, shifts)
+
+
 def init_levels(prob: ProblemDef, grid: Grid, opset: OperatorSet | None = None):
     """Seed levels 0 and 1, either from an exact solution or a Taylor expansion.
 
@@ -185,8 +238,13 @@ def assemble_rhs(
     prob: ProblemDef,
     grid: Grid,
     n: int,
+    forcing_at: Callable[[int], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[Field, Field]:
-    """Right-hand sides (C1, C2) of the coupled solve for level n+1."""
+    """Right-hand sides (C1, C2) of the coupled solve for level n+1.
+
+    `forcing_at(k)` returns the forcing pair at level k; run() passes one
+    that keeps the last two levels, so each level is sampled once.
+    """
     state_n, state_nm1 = history
     if state_n.level != n or state_nm1.level != n - 1:
         raise InvalidSpecError(
@@ -214,10 +272,12 @@ def assemble_rhs(
         C2 += 0.5 * l2 * (_power(Vn, Un, prob.q) + _power(Vm, Um, prob.q))
 
     if prob.forcing is not None:
-        G1, G2 = prob.forcing
-        t_n, t_m = grid.time(n), grid.time(n - 1)
-        C1 += 0.5 * l2 * (_sample_at(G1, grid, t_n) + _sample_at(G1, grid, t_m))
-        C2 += 0.5 * l2 * (_sample_at(G2, grid, t_n) + _sample_at(G2, grid, t_m))
+        if forcing_at is None:
+            forcing_at = functools.partial(_forcing_at, prob, grid)
+        # level n-1 first: asking for n first would evict n-1 from a two-level cache
+        (G1_m, G2_m), (G1_n, G2_n) = forcing_at(n - 1), forcing_at(n)
+        C1 += 0.5 * l2 * (G1_n + G1_m)
+        C2 += 0.5 * l2 * (G2_n + G2_m)
 
     return Field(C1, level=n + 1), Field(C2, level=n + 1)
 
@@ -230,14 +290,19 @@ def step(
     grid: Grid,
     n: int,
     solver: str = SOLVER_SYLVESTER,
+    plan: SolvePlan | None = None,
+    forcing_at: Callable[[int], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[CoupledState, StepReport]:
     """Advance one level: assemble the RHS and solve the coupled pair.
 
-    The banded step operators reach the solver and the residual as is; the
-    Sylvester solve returns the margin, the Kronecker path computes it.
+    The Sylvester path solves with the branch factors of `plan` shifted by
+    +-c_n and reports the plan's margin for step n; without a plan it
+    factors and checks this step's operators.  The Kronecker path computes
+    the margin separately.  The residual uses the assembled operators, so it
+    cross-checks the shift.
     """
     t_start = time.perf_counter()
-    C1, C2 = assemble_rhs(history, ops, opset, prob, grid, n)
+    C1, C2 = assemble_rhs(history, ops, opset, prob, grid, n, forcing_at)
     problem = CoupledProblem(
         W=ops.W_alpha,
         R=ops.R_pos,
@@ -248,7 +313,10 @@ def step(
     )
     t_solve = time.perf_counter()
     if solver == SOLVER_SYLVESTER:
-        X, Y, margin = _solve_coupled(problem)
+        if plan is None:
+            plan = plan_solves(ops, {n: ops.shift})
+        X, Y = _solve_coupled_shifted(plan.factors, problem.C1, problem.C2, ops.shift)
+        margin = min(plan.schedule[n])
     elif solver == SOLVER_KRONECKER:
         X, Y = kronecker_solve(problem)
         try:
@@ -284,7 +352,9 @@ def run(
 
     sing_policy selects the axis-node treatment of the gradient operators
     ('zero' drops the singular coefficient, 'limit' uses its L'Hopital
-    stencil; see operators.build_operator_set).  Raises BlowUpError when the
+    stencil; see operators.build_operator_set).  The Sylvester path factors
+    the branch pairs once and checks every step's margin before the first
+    solve (SolvabilityError names the step).  Raises BlowUpError when the
     combined norm exceeds blowup_cap.
     """
     grid = spec if isinstance(spec, Grid) else build_grid(spec)
@@ -292,13 +362,17 @@ def run(
         raise InvalidSpecError("run needs n_steps >= 2")
     alpha = prob.alpha if prob.alpha is not None else grid.spec.alpha
     opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy=sing_policy)
+    plan = run_plan(prob, grid, opset, alpha) if solver == SOLVER_SYLVESTER else None
+    forcing_at = functools.lru_cache(maxsize=2)(functools.partial(_forcing_at, prob, grid))
     s0, s1 = init_levels(prob, grid, opset)
     trajectory = [s0, s1]
     reports: list[StepReport] = []
     for n in range(1, grid.n_steps):
         ops = assemble_step_operators(opset, grid, n, alpha, prob.a)
         history = (trajectory[-1], trajectory[-2])
-        state, report = step(history, ops, opset, prob, grid, n, solver=solver)
+        state, report = step(
+            history, ops, opset, prob, grid, n, solver=solver, plan=plan, forcing_at=forcing_at
+        )
         state.U.check_finite()
         state.V.check_finite()
         if report.sup_norm > blowup_cap:

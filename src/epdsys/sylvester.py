@@ -1,13 +1,18 @@
 """Standard and coupled Sylvester solvers with a Kronecker baseline.
 
-The production path solves L X + X R = C by Bartels-Stewart: the real Schur
-forms L = QL TL QL^T and R = QR TR QR^T reduce the equation to
-TL Z + Z TR = QL^T C QR, which LAPACK trsyl solves on the quasi-triangular
-factors (2 x 2 blocks carry complex-conjugate eigenvalue pairs), and
-X = QL Z QR^T.  Both coefficients are densified once for the Schur step;
-TriDiagMatrix and dense coefficients take the same path.  The solvability
-margin min |lam_i + mu_j| is read off the spectra of TL and TR, so a solve
-returns it at no extra factorization.
+The production path solves L X + X R = C by Bartels-Stewart in two parts.
+`_factor` takes the real Schur forms L = QL TL QL^T and R = QR TR QR^T once
+(both coefficients densified; TriDiagMatrix and dense take the same path),
+with the spectra of the quasi-triangular factors and the Frobenius norm
+data of L and R.  `_solve_shifted` then solves the shifted pair
+(L + s I) X + X (R + s I) = C for any scalar s: the Schur vectors do not
+move, so LAPACK trsyl runs on TL + s I and TR + s I (2 x 2 blocks carry
+complex-conjugate eigenvalue pairs) with the right-hand side QL^T C QR, and
+X = QL Z QR^T.  The solvability margin min |lam_i + mu_j + 2 s| is read off
+the cached spectra in O(n^2) and checked against DENOM_RTOL before a solve,
+never inside it.  The stepper factors the shift-free branch pairs once per
+run and checks every step's shift before the first solve; the standalone
+solvers below factor, check and solve at s = 0.
 
 The coupled pair
 
@@ -120,43 +125,128 @@ def _min_pair_sum(lams, mus):
     return float(sums[i, j]), (complex(lams[i]), complex(mus[j]))
 
 
-def _check_margin(lams, mus, scale, context, branch=None):
+def _check_margin(lams, mus, scale, context, branch=None, step=None):
     margin, pair = _min_pair_sum(lams, mus)
     if margin < DENOM_RTOL * max(scale, 1.0):
+        where = context if step is None else f"step {step}: {context}"
         raise SolvabilityError(
-            f"{context}: eigenvalue pair lam={pair[0]:.6g}, mu={pair[1]:.6g} "
+            f"{where}: eigenvalue pair lam={pair[0]:.6g}, mu={pair[1]:.6g} "
             f"gives denominator |lam+mu| = {margin:.3e}",
             pair=pair,
             branch=branch,
+            step=step,
         )
     return margin
 
 
-def _bartels_stewart(L, R, C, context, branch=None):
-    """X solving L X + X R = C, and the margin min |lam_i + mu_j| of the pair."""
+_CONTEXT = {
+    None: "Sylvester problem not solvable",
+    "sum": "sum branch failed",
+    "diff": "difference branch failed",
+}
+
+
+@dataclasses.dataclass(frozen=True)
+class _Factors:
+    """Real Schur factors of a pair (L, R), reusable for every shift s.
+
+    L + s I = QL (TL + s I) QL^T (likewise R), so the spectra move by s and
+    ||L + s I||_F^2 = ||L||_F^2 + 2 s tr L + n s^2.
+    """
+
+    TL: np.ndarray
+    QL: np.ndarray
+    TR: np.ndarray
+    QR: np.ndarray
+    lams: np.ndarray
+    mus: np.ndarray
+    norms2: tuple[float, float]
+    traces: tuple[float, float]
+    branch: str | None
+
+
+def _factor(L, R, branch=None) -> _Factors:
+    """Schur forms of L and R, the spectra of their quasi-triangular factors
+    and the norm data of the shifted-margin scale."""
     L, R = np.asarray(L), np.asarray(R)
     TL, QL = scipy.linalg.schur(L)
     TR, QR = scipy.linalg.schur(R)
-    scale = max(np.linalg.norm(L), np.linalg.norm(R))
-    lams, mus = np.linalg.eigvals(TL), np.linalg.eigvals(TR)
-    margin = _check_margin(lams, mus, scale, context, branch)
-    Z, factor, info = scipy.linalg.lapack.dtrsyl(TL, TR, QL.T @ C @ QR)
+    return _Factors(
+        TL, QL, TR, QR,
+        lams=np.linalg.eigvals(TL),
+        mus=np.linalg.eigvals(TR),
+        norms2=(float(np.vdot(L, L)), float(np.vdot(R, R))),
+        traces=(float(np.trace(L)), float(np.trace(R))),
+        branch=branch,
+    )
+
+
+def _margin(f: _Factors, s: float, step=None) -> float:
+    """min |lam_i + mu_j| of the pair shifted by s; raises SolvabilityError
+    (naming the pair, the branch and the step) below DENOM_RTOL."""
+    n = f.TL.shape[0]
+    scale2 = max(nn + 2.0 * s * tr + n * s * s for nn, tr in zip(f.norms2, f.traces))
+    scale = math.sqrt(max(scale2, 0.0))
+    return _check_margin(f.lams + s, f.mus + s, scale, _CONTEXT[f.branch], f.branch, step)
+
+
+def _solve_shifted(f: _Factors, C, s: float) -> np.ndarray:
+    """X solving (L + s I) X + X (R + s I) = C from the factors of (L, R).
+
+    It does not check the margin: callers do that once, before solving.
+    """
+    TL, TR = f.TL.copy(order="F"), f.TR.copy(order="F")
+    TL[np.diag_indices_from(TL)] += s
+    TR[np.diag_indices_from(TR)] += s
+    Z, factor, info = scipy.linalg.lapack.dtrsyl(TL, TR, f.QL.T @ C @ f.QR)
     if info < 0:
-        raise SolvabilityError(f"{context}: trsyl rejected argument {-info}", branch=branch)
-    return QL @ (Z / factor) @ QR.T, margin
+        raise SolvabilityError(
+            f"{_CONTEXT[f.branch]}: trsyl rejected argument {-info}", branch=f.branch
+        )
+    return f.QL @ (Z / factor) @ f.QR.T
+
+
+def _bartels_stewart(L, R, C, branch=None):
+    """X solving L X + X R = C, and the margin min |lam_i + mu_j| of the pair."""
+    f = _factor(L, R, branch)
+    margin = _margin(f, 0.0)
+    return _solve_shifted(f, C, 0.0), margin
 
 
 def solve_sylvester(p: SylvesterProblem) -> np.ndarray:
     """Solve L X + X R = C; raises SolvabilityError on (near-)common spectra."""
-    return _bartels_stewart(p.L, p.R, p.C, "Sylvester problem not solvable")[0]
+    return _bartels_stewart(p.L, p.R, p.C)[0]
+
+
+def _factor_coupled(W, R, S, W_right):
+    """Factors of the sum pair (W+R, Wr+S) and the difference pair (W-R, Wr-S).
+
+    Shifting R and S by c I shifts the sum pair by +c and the difference
+    pair by -c.
+    """
+    return _factor(W + R, W_right + S, "sum"), _factor(W - R, W_right - S, "diff")
+
+
+def _coupled_margins(factors, c: float, step=None) -> tuple[float, float]:
+    """Checked margins (sum, diff) of the coupled pair with R and S shifted by c I."""
+    sum_f, diff_f = factors
+    return _margin(sum_f, c, step), _margin(diff_f, -c, step)
+
+
+def _solve_coupled_shifted(factors, C1, C2, c: float):
+    """X, Y of the coupled pair with R and S shifted by c I; margins unchecked."""
+    sum_f, diff_f = factors
+    P = _solve_shifted(sum_f, C1 + C2, c)
+    Q = _solve_shifted(diff_f, C1 - C2, -c)
+    return 0.5 * (P + Q), 0.5 * (P - Q)
 
 
 def _solve_coupled(p: CoupledProblem):
     """X, Y and the smaller margin of the two decoupled branches."""
-    W, R, S, Wr = p.W, p.R, p.S, p.W_right
-    P, m_sum = _bartels_stewart(W + R, Wr + S, p.C1 + p.C2, "sum branch failed", "sum")
-    Q, m_diff = _bartels_stewart(W - R, Wr - S, p.C1 - p.C2, "difference branch failed", "diff")
-    return 0.5 * (P + Q), 0.5 * (P - Q), min(m_sum, m_diff)
+    factors = _factor_coupled(p.W, p.R, p.S, p.W_right)
+    margin = min(_coupled_margins(factors, 0.0))
+    X, Y = _solve_coupled_shifted(factors, p.C1, p.C2, 0.0)
+    return X, Y, margin
 
 
 def solve_coupled(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:

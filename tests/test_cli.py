@@ -79,7 +79,8 @@ def test_validate_subcommand(config_file, capsys):
     assert main(["validate", path]) == EXIT_OK
     out = capsys.readouterr().out
     assert "all validations passed" in out
-    assert out.count("ok ") >= 5
+    assert out.count("ok ") >= 6
+    assert "ok   solvability schedule" in out and "min margin = " in out
 
 
 def test_missing_config_file_is_error(capsys):

@@ -3,7 +3,9 @@
 The coefficients carry complex-conjugate eigenvalue pairs, so their real
 Schur forms contain 2 x 2 diagonal blocks; the kernel must solve through
 them, report the same margin as solvability_margin and name a pair that
-sits on a common spectrum.
+sits on a common spectrum.  The factor-once solver, shifted by a random s,
+must agree with factoring the shifted pair afresh and with the Kronecker
+oracle, and a shift that puts a pair on a common spectrum must raise.
 """
 
 import numpy as np
@@ -15,7 +17,13 @@ from hypothesis import strategies as st
 from epdsys.exceptions import SolvabilityError
 from epdsys.sylvester import (
     CoupledProblem,
+    _bartels_stewart,
+    _coupled_margins,
+    _factor,
+    _factor_coupled,
+    _margin,
     _solve_coupled,
+    _solve_shifted,
     kronecker_solve,
     residual,
     solvability_margin,
@@ -24,6 +32,7 @@ from epdsys.sylvester import (
 
 sizes = st.integers(min_value=2, max_value=10)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+shifts = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
 
 def with_complex_pairs(rng, n, shift=0.0, first_pair=None):
@@ -93,4 +102,67 @@ def test_complex_pair_on_common_spectrum_is_named(n, seed):
     assert err.value.branch == "diff"
     lam, mu = err.value.pair
     assert abs(lam + mu) <= 1e-12 * max(1.0, abs(lam))
+    assert abs(lam.imag) == pytest.approx(im, rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=sizes, seed=seeds, s=shifts)
+def test_shifted_factors_match_fresh_factorization_and_kronecker(n, seed, s):
+    rng = np.random.default_rng(seed)
+    L0 = with_complex_pairs(rng, n, shift=rng.standard_normal())
+    R0 = with_complex_pairs(rng, n, shift=rng.standard_normal())
+    C = rng.standard_normal((n, n))
+    I = np.eye(n)
+    Z = np.zeros((n, n))
+    # the single equation as a coupled pair with R = S = 0
+    p = CoupledProblem(W=L0 + s * I, R=Z, S=Z, C1=C, C2=C, W_right=R0 + s * I)
+    assume(solvability_margin(p.W, p.R, p.S, p.W_right) > 1e-6)
+
+    f = _factor(L0, R0)
+    X = _solve_shifted(f, C, s)
+    X_fresh, margin_fresh = _bartels_stewart(L0 + s * I, R0 + s * I, C)
+    X_kron, _ = kronecker_solve(p)
+    scale = max(np.abs(X_kron).max(), 1.0)
+    assert np.abs(X - X_fresh).max() / scale <= 1e-10
+    assert np.abs(X - X_kron).max() / scale <= 1e-10
+    assert _margin(f, s) == pytest.approx(margin_fresh, rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=sizes, seed=seeds, c=shifts)
+def test_shifted_coupled_margins_match_fresh_factorization(n, seed, c):
+    rng = np.random.default_rng(seed)
+    W, Wr, R0, S0 = (with_complex_pairs(rng, n, shift=1.0) for _ in range(4))
+    I = np.eye(n)
+    R, S = R0 + c * I, S0 + c * I
+    reference = (
+        solvability_margin(W + R, np.zeros((n, n)), np.zeros((n, n)), Wr + S),
+        solvability_margin(W - R, np.zeros((n, n)), np.zeros((n, n)), Wr - S),
+    )
+    assume(min(reference) > 1e-6)
+    shifted = _coupled_margins(_factor_coupled(W, R0, S0, Wr), c)
+    assert shifted == pytest.approx(reference, rel=1e-10)
+    _, _, margin = _solve_coupled(CoupledProblem(W, R, S, np.eye(n), np.eye(n), W_right=Wr))
+    assert margin == pytest.approx(min(reference), rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=sizes, seed=seeds, step=st.integers(min_value=1, max_value=500))
+def test_shift_onto_a_pair_is_named(n, seed, step):
+    # L0 carries re1 +- i im and R0 re2 -+ i im: their sum re1 + re2 is real,
+    # so the shift s = -(re1 + re2) / 2 puts that pair on a common spectrum
+    rng = np.random.default_rng(seed)
+    re1, re2, im = rng.standard_normal(), rng.standard_normal(), 0.5 + rng.random()
+    L0 = with_complex_pairs(rng, n, first_pair=(re1, im))
+    R0 = with_complex_pairs(rng, n, first_pair=(re2, im))
+    f = _factor(L0, R0, "diff")
+    s = -0.5 * (re1 + re2)
+    with pytest.raises(SolvabilityError) as err:
+        _margin(f, s, step=step)
+    assert err.value.branch == "diff"
+    assert err.value.step == step
+    # the pair is named as eigenvalues of the shifted coefficients
+    lam, mu = err.value.pair
+    assert abs(lam + mu) <= 1e-12 * max(1.0, abs(lam))
+    assert lam.real - s == pytest.approx(re1, abs=1e-10)
     assert abs(lam.imag) == pytest.approx(im, rel=1e-10)

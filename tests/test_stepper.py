@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from epdsys.exceptions import BlowUpError, InvalidSpecError, SingularTimeError
+import epdsys.stepper
+from epdsys.bench import RunConfig, manufactured_problem
+from epdsys.exceptions import BlowUpError, InvalidSpecError, SingularTimeError, SolvabilityError
 from epdsys.grid import CoupledState, Field, GridSpec, build_grid, discrete_errors
 from epdsys.operators import assemble_step_operators, build_operator_set
 from epdsys.stepper import (
@@ -326,3 +329,66 @@ def test_run_raising_forcing_is_invalid_spec(seeding):
     prob = ProblemDef(a=1.0, lam=0.25, gamma=0.25, p=2.0, q=2.0, forcing=(broken, broken), **seed)
     with pytest.raises(InvalidSpecError, match="sampling failed on nodes"):
         run(prob, GridSpec(L0=-1, L1=1, J=3, t0=1.0, n_steps=3))
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_run_factors_once_per_run(monkeypatch):
+    # four Schur forms per run (two branches, two sides), not four per step
+    spec = GridSpec(L0=-10, L1=10, J=9, t0=0.5, n_steps=12, step_rule="independent", l=0.05)
+    prob, _ = manufactured_problem(RunConfig(J=9))
+    schur_calls = _counting(monkeypatch, scipy.linalg, "schur")
+    trsyl_calls = _counting(monkeypatch, scipy.linalg.lapack, "dtrsyl")
+    _, reports = run(prob, spec, sing_policy="limit")
+    assert len(reports) == 11
+    assert len(schur_calls) == 4
+    assert len(trsyl_calls) == 2 * len(reports)
+    assert max(r.residual_coupled for r in reports) <= 1e-13
+
+
+def test_forcing_sampled_once_per_level(monkeypatch):
+    # level n's forcing is reused as the previous level of step n+1
+    spec = GridSpec(L0=-10, L1=10, J=4, t0=0.5, n_steps=8, step_rule="independent", l=0.05)
+    prob, _ = manufactured_problem(RunConfig(J=4))
+    sample_calls = _counting(monkeypatch, epdsys.stepper, "sample")
+    run(prob, spec, sing_policy="limit")
+    assert len(sample_calls) == 2 * 8  # G1 and G2 at levels 0..7
+
+
+def test_preflight_names_the_failing_step_before_any_solve(monkeypatch):
+    # choose a so that 2 c_k equals the largest real eigenvalue sum of the
+    # shift-free difference pair (W + k Theta, W^T + k Lambda) at step k = 3
+    k_step = 3
+    config = RunConfig(J=9)
+    spec = GridSpec(L0=-10, L1=10, J=9, t0=0.0, n_steps=6, alpha=config.alpha)
+    grid = build_grid(spec)
+    opset = build_operator_set(grid, config.lam, config.gamma, sing_policy="limit")
+    W = assemble_step_operators(opset, grid, 1, config.alpha, 1.0).W_alpha
+    kappa = config.alpha * grid.sigma * grid.h
+    lams = np.linalg.eigvals((W + kappa * opset.Theta).dense())
+    mus = np.linalg.eigvals((W.T + kappa * opset.Lambda).dense())
+    sums = (lams[:, None] + mus[None, :]).ravel()
+    target = sums[sums.imag == 0.0].real.max()
+    a = target * grid.time(k_step) / grid.l
+    prob, _ = manufactured_problem(RunConfig(J=9, a=a))
+
+    trsyl_calls = _counting(monkeypatch, scipy.linalg.lapack, "dtrsyl")
+    with pytest.raises(SolvabilityError) as err:
+        run(prob, spec, sing_policy="limit")
+    assert err.value.step == k_step
+    assert err.value.branch == "diff"
+    lam, mu = err.value.pair
+    assert abs(lam + mu) <= 1e-12 * abs(target)
+    assert f"step {k_step}" in str(err.value)
+    assert trsyl_calls == []
