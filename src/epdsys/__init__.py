@@ -28,8 +28,6 @@ from .operators import (
     OperatorSet,
     StepOperators,
     TriDiagMatrix,
-    apply_x,
-    apply_y,
     assemble_step_operators,
     build_operator_set,
 )

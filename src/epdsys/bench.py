@@ -25,6 +25,7 @@ import numpy as np
 from .exceptions import ConfigError, EpdError, InvalidSpecError
 from .exact import frobenius_coefficients, pde_residual, sample_box
 from .grid import GridSpec, build_grid, discrete_errors
+from .operators import SING_LIMIT, SING_ZERO
 from .stepper import (
     SOLVER_KRONECKER,
     SOLVER_SYLVESTER,
@@ -59,7 +60,7 @@ class RunConfig:
     solver: str = "both"
     sing_eps: float | None = None
     seed_mode: str = "exact"
-    sing_policy: str = "limit"
+    sing_policy: str = SING_LIMIT
     out_csv: str = "table1.csv"
     seed: int = 12345  # rng seed for property tests only; solver is deterministic
 
@@ -112,7 +113,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unknown solver {config.solver!r}")
     if config.seed_mode not in ("exact", "taylor"):
         raise ConfigError(f"unknown seed_mode {config.seed_mode!r}")
-    if config.sing_policy not in ("limit", "zero"):
+    if config.sing_policy not in (SING_ZERO, SING_LIMIT):
         raise ConfigError(f"unknown sing_policy {config.sing_policy!r}")
     return config
 

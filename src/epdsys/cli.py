@@ -21,8 +21,8 @@ from . import bench as bench_mod
 from .exact import frobenius_coefficients, ode_residual, stationary_additive
 from .exceptions import EpdError
 from .grid import build_grid, discrete_errors
-from .operators import build_operator_set
-from .stepper import SOLVER_SYLVESTER, ProblemDef, cfl_guard, run, run_plan
+from .operators import assemble_step_operators, build_operator_set
+from .stepper import SOLVER_SYLVESTER, ProblemDef, cfl_guard, plan_solves, run
 from .sylvester import CoupledProblem, kronecker_solve, solve_coupled
 
 EXIT_OK = 0
@@ -144,7 +144,8 @@ def cmd_validate(args):
         grid = build_grid(bench_mod.grid_spec_for(config))
         prob, _ = bench_mod.manufactured_problem(config)
         opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy=config.sing_policy)
-        margin, n, branch = run_plan(prob, grid, opset, config.alpha).min_margin()
+        ops = assemble_step_operators(opset, grid, config.alpha)
+        margin, n, branch = plan_solves(ops, grid, prob.a).min_margin()
         print(f"     min margin = {margin:.3e} at step {n}, {branch} branch")
 
     def zero_trajectory():

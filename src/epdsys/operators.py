@@ -1,4 +1,4 @@
-"""Tridiagonal difference operators and the per-step composites.
+"""Tridiagonal difference operators and the step operators of a run.
 
 Conventions (size N = J+2 throughout):
 
@@ -13,7 +13,8 @@ Conventions (size N = J+2 throughout):
           multiplication: (X @ Lambda)[:, m] = gam_m * (X[:, m+1] - X[:, m-1]);
           boundary columns zero.
 
-Nodes with |x_j| <= sing_eps are singular for the gradient coefficient
+The grid's singular nodes (|x_j| <= sing_eps, `Grid.singular_x` and
+`Grid.singular_y`) are singular for the gradient coefficient
 lam_j = lam / x_j.  Two policies are available:
 
   'zero'   drop the term (lam_j = 0 at the axis row);
@@ -24,8 +25,10 @@ lam_j = lam / x_j.  Two policies are available:
 
 'zero' keeps the gradient matrices strictly zero-diagonal but commits an
 O(1) local error on axis rows for solutions with nonzero curvature there;
-'limit' restores second-order accuracy and is what the benchmark experiment
-uses.
+'limit' restores second-order accuracy and is the default everywhere.
+
+The step operators do not depend on the time index: step n adds only the
+damping shift c_n I (`step_shift`) to k Theta and k Lambda.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import dataclasses
 import numpy as np
 
 from .exceptions import InvalidSpecError, SingularTimeError
-from .grid import Field, Grid
+from .grid import Grid
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,33 +158,28 @@ class OperatorSet:
     A: TriDiagMatrix
     Theta: TriDiagMatrix
     Lambda: TriDiagMatrix
-    lam_j: np.ndarray      # lam / x_j with the singular-node policy applied
+    lam_j: np.ndarray  # lam / x_j, zero at the grid's singular nodes
     gam_m: np.ndarray
-    singular_x: np.ndarray  # node indices where lam_j was forced to 0
-    singular_y: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
 class StepOperators:
-    """Per-step composites of the quasi-linear scheme at time index n.
+    """The composites of the quasi-linear scheme, shared by every step of a run.
 
-    W_alpha           = (1/2) I - alpha * sigma * A
-    W_alpha_minus_half = (1/2) I - (alpha - 1/2) * sigma * A
-    R_pos / S_pos     = (l a_n / 2) I -/- alpha sigma h Theta / Lambda
-    R_neg / S_neg     = same with alpha -> -alpha (the level n-1 composites)
-    shift             = c_n = l a_n / 2; R_pos - c_n I and S_pos - c_n I do not depend on n
+    W_alpha            = (1/2) I - alpha sigma A
+    W_alpha_minus_half = (1/2) I - (alpha - 1/2) sigma A
+    kTheta / kLambda   = k Theta / k Lambda, k = alpha sigma h
+
+    Step n adds only the damping c_n = l a / (2 t_n) (`step_shift`): its
+    coefficients are R = c_n I -+ kTheta and S = c_n I -+ kLambda at the
+    levels n+1 and n-1.
     """
 
     W_alpha: TriDiagMatrix
     W_alpha_minus_half: TriDiagMatrix
-    R_pos: TriDiagMatrix
-    S_pos: TriDiagMatrix
-    R_neg: TriDiagMatrix
-    S_neg: TriDiagMatrix
-    n: int
-    a_n: float
+    kTheta: TriDiagMatrix
+    kLambda: TriDiagMatrix
     alpha: float
-    shift: float
 
 
 def neumann_second_difference(n: int) -> TriDiagMatrix:
@@ -194,12 +192,13 @@ def neumann_second_difference(n: int) -> TriDiagMatrix:
     return TriDiagMatrix(sub=sub, diag=diag, sup=sup)
 
 
-def _axis_weights(coef: float, nodes: np.ndarray, sing_eps: float):
-    """coef / node with nodes inside the singular band zeroed."""
-    weights = np.zeros_like(nodes)
-    mask = np.abs(nodes) > sing_eps
-    weights[mask] = coef / nodes[mask]
-    return weights, np.flatnonzero(~mask)
+def _axis_weights(coef: float, nodes: np.ndarray, singular: np.ndarray) -> np.ndarray:
+    """coef / node, zero at the singular nodes."""
+    safe = nodes.copy()
+    safe[singular] = 1.0
+    weights = coef / safe
+    weights[singular] = 0.0
+    return weights
 
 
 SING_ZERO = "zero"
@@ -207,7 +206,7 @@ SING_LIMIT = "limit"
 
 
 def build_operator_set(
-    grid: Grid, lam: float, gamma: float, sing_policy: str = SING_ZERO
+    grid: Grid, lam: float, gamma: float, sing_policy: str = SING_LIMIT
 ) -> OperatorSet:
     """Assemble A, Theta, Lambda on the given grid."""
     if not (np.isfinite(lam) and np.isfinite(gamma)):
@@ -217,8 +216,8 @@ def build_operator_set(
     n = grid.size
     A = neumann_second_difference(n)
 
-    lam_j, sing_x = _axis_weights(lam, grid.nodes_x, grid.sing_eps)
-    gam_m, sing_y = _axis_weights(gamma, grid.nodes_y, grid.sing_eps)
+    lam_j = _axis_weights(lam, grid.nodes_x, grid.singular_x)
+    gam_m = _axis_weights(gamma, grid.nodes_y, grid.singular_y)
 
     # Theta row j: +lam_j above, -lam_j below; boundary rows stay zero.
     theta_sup = np.zeros(n - 1)
@@ -236,13 +235,13 @@ def build_operator_set(
 
     if sing_policy == SING_LIMIT:
         c_x = 2.0 * lam / grid.h
-        for j in sing_x:
+        for j in grid.singular_x:
             if 0 < j < n - 1:
                 theta_sup[j] = c_x
                 theta_sub[j - 1] = c_x
                 theta_diag[j] = -2.0 * c_x
         c_y = 2.0 * gamma / grid.h
-        for m in sing_y:
+        for m in grid.singular_y:
             if 0 < m < n - 1:
                 lam_sub[m] = c_y
                 lam_sup[m - 1] = c_y
@@ -251,66 +250,26 @@ def build_operator_set(
     Theta = TriDiagMatrix(sub=theta_sub, diag=theta_diag, sup=theta_sup)
     Lam = TriDiagMatrix(sub=lam_sub, diag=lam_diag, sup=lam_sup)
 
-    return OperatorSet(
-        A=A,
-        Theta=Theta,
-        Lambda=Lam,
-        lam_j=lam_j,
-        gam_m=gam_m,
-        singular_x=sing_x,
-        singular_y=sing_y,
-    )
+    return OperatorSet(A=A, Theta=Theta, Lambda=Lam, lam_j=lam_j, gam_m=gam_m)
 
 
 def step_shift(grid: Grid, n: int, a: float) -> float:
-    """c_n = l a_n / 2 with a_n = a / t_n, the scalar part of R_pos and S_pos."""
+    """c_n = l a_n / 2 with a_n = a / t_n, the only step-dependent coefficient."""
     t_n = grid.time(n)
     if t_n <= 0.0:
         raise SingularTimeError(f"a_n = a/t_n undefined at t_{n} = {t_n}")
     return 0.5 * grid.l * (a / t_n)
 
 
-def assemble_step_operators(
-    ops: OperatorSet, grid: Grid, n: int, alpha: float, a: float
-) -> StepOperators:
-    """Build W_alpha, W_{alpha-1/2} and R/S composites for time index n >= 1."""
-    c = step_shift(grid, n, a)
-    a_n = a / grid.time(n)
+def assemble_step_operators(ops: OperatorSet, grid: Grid, alpha: float) -> StepOperators:
+    """Build W_alpha, W_{alpha-1/2}, k Theta and k Lambda once per run."""
     sigma = grid.sigma
-    N = grid.size
-    I = TriDiagMatrix.identity(N)
-
-    W_alpha = 0.5 * I - (alpha * sigma) * ops.A
-    W_half = 0.5 * I - ((alpha - 0.5) * sigma) * ops.A
-
-    R_pos = c * I - (alpha * sigma * grid.h) * ops.Theta
-    S_pos = c * I - (alpha * sigma * grid.h) * ops.Lambda
-    R_neg = c * I + (alpha * sigma * grid.h) * ops.Theta
-    S_neg = c * I + (alpha * sigma * grid.h) * ops.Lambda
-
+    k = alpha * sigma * grid.h
+    I = TriDiagMatrix.identity(grid.size)
     return StepOperators(
-        W_alpha=W_alpha,
-        W_alpha_minus_half=W_half,
-        R_pos=R_pos,
-        S_pos=S_pos,
-        R_neg=R_neg,
-        S_neg=S_neg,
-        n=n,
-        a_n=a_n,
+        W_alpha=0.5 * I - (alpha * sigma) * ops.A,
+        W_alpha_minus_half=0.5 * I - ((alpha - 0.5) * sigma) * ops.A,
+        kTheta=k * ops.Theta,
+        kLambda=k * ops.Lambda,
         alpha=alpha,
-        shift=c,
     )
-
-
-def apply_x(M: TriDiagMatrix, X) -> Field:
-    """Left product M @ X (x-direction differencing)."""
-    if isinstance(X, Field):
-        return Field(M @ X.values, level=X.level)
-    return Field(M @ X)
-
-
-def apply_y(X, M: TriDiagMatrix) -> Field:
-    """Right product X @ M (y-direction differencing, column convention)."""
-    if isinstance(X, Field):
-        return Field(X.values @ M, level=X.level)
-    return Field(X @ M)

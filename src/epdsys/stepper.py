@@ -5,11 +5,15 @@ Every step advances (U, V) by solving the coupled Lyapunov-Sylvester pair
     W X + X W' + R Y + Y S = C1
     W Y + Y W' + R X + X S = C2
 
-where W = W_alpha, W' = W_alpha^T, R = R_{n,alpha}, S = S_{n,alpha} and the
-right-hand sides collect the two known levels, the explicit nonlinearities
-and the forcing.  All scalings come from the pointwise difference equation
-(the l^2-multiplied form), so the nonlinearity and forcing enter with weight
-l^2/2 per level and the gradient history with weight (1-2 alpha) sigma h.
+where W = W_alpha, W' = W_alpha^T, R = c_n I - k Theta, S = c_n I - k Lambda
+(k = alpha sigma h) and the right-hand sides collect the two known levels,
+the explicit nonlinearities and the forcing.  All scalings come from the
+pointwise difference equation (the l^2-multiplied form), so the nonlinearity
+and forcing enter with weight l^2/2 per level and the gradient history with
+weight (1-2 alpha) sigma h.
+
+`run` builds the step operators and the solve plan once; the damping shift
+c_n = l a / (2 t_n) is the only value computed per step.
 """
 
 from __future__ import annotations
@@ -24,12 +28,12 @@ import numpy as np
 from .exceptions import BlowUpError, InvalidSpecError, SingularTimeError
 from .grid import CoupledState, Field, Grid, GridSpec, build_grid, sample
 from .operators import (
-    OperatorSet, StepOperators, TriDiagMatrix, assemble_step_operators, build_operator_set,
-    step_shift,
+    SING_LIMIT, OperatorSet, StepOperators, TriDiagMatrix, assemble_step_operators,
+    build_operator_set, step_shift,
 )
 from .sylvester import (
     CoupledProblem, _coupled_margins, _factor_coupled, _solve_coupled_shifted, kronecker_solve,
-    residual, solvability_margin,
+    residual,
 )
 
 SOLVER_SYLVESTER = "sylvester"
@@ -124,9 +128,10 @@ class SolvePlan:
 
     `factors` are the real Schur factors of the shift-free sum pair
     (W_alpha - k Theta, W_alpha^T - k Lambda) and difference pair
-    (W_alpha + k Theta, W_alpha^T + k Lambda), k = alpha sigma h; step n
-    solves them shifted by +c_n and -c_n.  `schedule` maps each planned step
-    n to its (sum, diff) margins, all of them above the solvability floor.
+    (W_alpha + k Theta, W_alpha^T + k Lambda), k = alpha sigma h; the
+    Sylvester path solves step n with them shifted by +c_n and -c_n.
+    `schedule` maps each step n to its (sum, diff) margins, all of them above
+    the solvability floor; both solvers report these.
     """
 
     factors: tuple
@@ -141,23 +146,18 @@ class SolvePlan:
         )
 
 
-def plan_solves(ops: StepOperators, shifts: dict[int, float]) -> SolvePlan:
-    """Factor the branch pairs of `ops` once and check the margin at every shift.
+def plan_solves(ops: StepOperators, grid: Grid, a: float) -> SolvePlan:
+    """Factor the shift-free branch pairs once and check every step's margin.
 
-    `shifts` maps step n to c_n.  Raises SolvabilityError naming the first
-    failing step, its branch and its eigenvalue pair before any solve.
+    Raises SolvabilityError naming the first failing step, its branch and
+    its eigenvalue pair before any solve.
     """
-    I = TriDiagMatrix.identity(ops.W_alpha.size, ops.shift)
-    factors = _factor_coupled(ops.W_alpha, ops.R_pos - I, ops.S_pos - I, ops.W_alpha.T)
-    schedule = {n: _coupled_margins(factors, c, step=n) for n, c in shifts.items()}
+    factors = _factor_coupled(ops.W_alpha, -1.0 * ops.kTheta, -1.0 * ops.kLambda, ops.W_alpha.T)
+    schedule = {
+        n: _coupled_margins(factors, step_shift(grid, n, a), step=n)
+        for n in range(1, grid.n_steps)
+    }
     return SolvePlan(factors, schedule)
-
-
-def run_plan(prob: ProblemDef, grid: Grid, opset: OperatorSet, alpha: float) -> SolvePlan:
-    """The solve plan of every step of a run on `grid`, factored at step 1."""
-    ops = assemble_step_operators(opset, grid, 1, alpha, prob.a)
-    shifts = {n: step_shift(grid, n, prob.a) for n in range(1, grid.n_steps)}
-    return plan_solves(ops, shifts)
 
 
 def init_levels(prob: ProblemDef, grid: Grid, opset: OperatorSet | None = None):
@@ -258,14 +258,16 @@ def assemble_rhs(
     sig_h = grid.sigma * grid.h
     one_m2a = 1.0 - 2.0 * ops.alpha
     l2 = grid.l * grid.l
+    two_c = 2.0 * step_shift(grid, n, prob.a)
 
+    # level n-1 coupling: (c_n I + k Theta) X + X (c_n I + k Lambda)
     C1 = 2.0 * _lyap(Wh, Un) - _lyap(Wa, Um)
     C1 += one_m2a * sig_h * _cross(opset.Theta, opset.Lambda, Vn)
-    C1 += _cross(ops.R_neg, ops.S_neg, Vm)
+    C1 += two_c * Vm + _cross(ops.kTheta, ops.kLambda, Vm)
 
     C2 = 2.0 * _lyap(Wh, Vn) - _lyap(Wa, Vm)
     C2 += one_m2a * sig_h * _cross(opset.Theta, opset.Lambda, Un)
-    C2 += _cross(ops.R_neg, ops.S_neg, Um)
+    C2 += two_c * Um + _cross(ops.kTheta, ops.kLambda, Um)
 
     if prob.nonlinear:
         C1 += 0.5 * l2 * (_power(Un, Vn, prob.p) + _power(Um, Vm, prob.p))
@@ -289,40 +291,34 @@ def step(
     prob: ProblemDef,
     grid: Grid,
     n: int,
+    plan: SolvePlan,
     solver: str = SOLVER_SYLVESTER,
-    plan: SolvePlan | None = None,
     forcing_at: Callable[[int], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[CoupledState, StepReport]:
     """Advance one level: assemble the RHS and solve the coupled pair.
 
     The Sylvester path solves with the branch factors of `plan` shifted by
-    +-c_n and reports the plan's margin for step n; without a plan it
-    factors and checks this step's operators.  The Kronecker path computes
-    the margin separately.  The residual uses the assembled operators, so it
-    cross-checks the shift.
+    +-c_n; the Kronecker path solves the dense system.  Both report the
+    plan's margin for step n.  The residual is evaluated with
+    R = c_n I - k Theta and S = c_n I - k Lambda, so it cross-checks the shift.
     """
     t_start = time.perf_counter()
     C1, C2 = assemble_rhs(history, ops, opset, prob, grid, n, forcing_at)
+    c = step_shift(grid, n, prob.a)
+    I_c = TriDiagMatrix.identity(grid.size, c)
     problem = CoupledProblem(
         W=ops.W_alpha,
-        R=ops.R_pos,
-        S=ops.S_pos,
+        R=I_c - ops.kTheta,
+        S=I_c - ops.kLambda,
         C1=C1.values,
         C2=C2.values,
         W_right=ops.W_alpha.T,
     )
     t_solve = time.perf_counter()
     if solver == SOLVER_SYLVESTER:
-        if plan is None:
-            plan = plan_solves(ops, {n: ops.shift})
-        X, Y = _solve_coupled_shifted(plan.factors, problem.C1, problem.C2, ops.shift)
-        margin = min(plan.schedule[n])
+        X, Y = _solve_coupled_shifted(plan.factors, problem.C1, problem.C2, c)
     elif solver == SOLVER_KRONECKER:
         X, Y = kronecker_solve(problem)
-        try:
-            margin = solvability_margin(problem.W, problem.R, problem.S, problem.W_right)
-        except np.linalg.LinAlgError:  # non-fatal: diagnostics only
-            margin = float("nan")
     else:
         raise InvalidSpecError(f"unknown solver {solver!r}")
     solve_time = time.perf_counter() - t_solve
@@ -334,7 +330,7 @@ def step(
         n=n,
         sup_norm=state.sup_norm(),
         residual_coupled=res,
-        margin=margin,
+        margin=min(plan.schedule[n]),
         wall_time=time.perf_counter() - t_start,
         solve_time=solve_time,
     )
@@ -346,15 +342,16 @@ def run(
     spec: GridSpec | Grid,
     solver: str = SOLVER_SYLVESTER,
     blowup_cap: float = BLOWUP_CAP,
-    sing_policy: str = "zero",
+    sing_policy: str = SING_LIMIT,
 ) -> tuple[list[CoupledState], list[StepReport]]:
     """Run the full simulation: seed two levels, then advance to n_steps.
 
     sing_policy selects the axis-node treatment of the gradient operators
     ('zero' drops the singular coefficient, 'limit' uses its L'Hopital
-    stencil; see operators.build_operator_set).  The Sylvester path factors
-    the branch pairs once and checks every step's margin before the first
-    solve (SolvabilityError names the step).  Raises BlowUpError when the
+    stencil; see operators.build_operator_set).  The step operators are
+    built once; the solve plan factors the branch pairs once and checks
+    every step's margin before the first solve on either solver
+    (SolvabilityError names the step).  Raises BlowUpError when the
     combined norm exceeds blowup_cap.
     """
     grid = spec if isinstance(spec, Grid) else build_grid(spec)
@@ -362,16 +359,16 @@ def run(
         raise InvalidSpecError("run needs n_steps >= 2")
     alpha = prob.alpha if prob.alpha is not None else grid.spec.alpha
     opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy=sing_policy)
-    plan = run_plan(prob, grid, opset, alpha) if solver == SOLVER_SYLVESTER else None
+    ops = assemble_step_operators(opset, grid, alpha)
+    plan = plan_solves(ops, grid, prob.a)
     forcing_at = functools.lru_cache(maxsize=2)(functools.partial(_forcing_at, prob, grid))
     s0, s1 = init_levels(prob, grid, opset)
     trajectory = [s0, s1]
     reports: list[StepReport] = []
     for n in range(1, grid.n_steps):
-        ops = assemble_step_operators(opset, grid, n, alpha, prob.a)
         history = (trajectory[-1], trajectory[-2])
         state, report = step(
-            history, ops, opset, prob, grid, n, solver=solver, plan=plan, forcing_at=forcing_at
+            history, ops, opset, prob, grid, n, plan, solver=solver, forcing_at=forcing_at
         )
         state.U.check_finite()
         state.V.check_finite()

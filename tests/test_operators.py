@@ -5,12 +5,12 @@ from epdsys.exceptions import InvalidSpecError, SingularTimeError
 from epdsys.grid import Field, GridSpec, build_grid, sample
 from epdsys.operators import (
     SING_LIMIT,
+    SING_ZERO,
     TriDiagMatrix,
-    apply_x,
-    apply_y,
     assemble_step_operators,
     build_operator_set,
     neumann_second_difference,
+    step_shift,
 )
 
 
@@ -60,8 +60,8 @@ def test_theta_lambda_structure():
 
 def test_axis_node_zero_policy():
     grid = build_grid(GridSpec(L0=-10, L1=10, J=49))
-    ops = build_operator_set(grid, 0.25, 0.25)  # default policy: zero
-    assert list(ops.singular_x) == [25]
+    ops = build_operator_set(grid, 0.25, 0.25, sing_policy=SING_ZERO)
+    assert list(grid.singular_x) == [25]
     assert ops.lam_j[25] == 0.0
     assert np.all(ops.Theta.dense()[25, :] == 0.0)
     # neighbours keep lam / x
@@ -79,7 +79,7 @@ def test_axis_node_limit_policy():
     # the limit row applied to a sampled even function approximates 2 lam f_xx
     # to O(h^2) (second-difference truncation ~ 2 lam h^2 f_xxxx / 12 ~ 0.08)
     f = sample(lambda x, y: np.exp(-(x * x + y * y)), grid)
-    row = apply_x(ops.Theta, f).values[25, :] * grid.sigma * grid.h / grid.l**2
+    row = (ops.Theta @ f.values)[25, :] * grid.sigma * grid.h / grid.l**2
     exact = 2.0 * 0.25 * (4 * 0.0**2 - 2.0) * np.exp(-(grid.nodes_y**2))
     assert np.allclose(row, exact, atol=0.1)
 
@@ -87,7 +87,7 @@ def test_axis_node_limit_policy():
 def test_w_alpha_degenerate_alpha_zero():
     grid = build_grid(GridSpec(L0=0, L1=3, J=2, step_rule="independent", l=1.0))
     opset = build_operator_set(grid, 0.0, 0.0)
-    ops = assemble_step_operators(opset, grid, 1, 0.0, 1.0)
+    ops = assemble_step_operators(opset, grid, 0.0)
     assert np.array_equal(ops.W_alpha.dense(), 0.5 * np.eye(4))
 
 
@@ -95,7 +95,7 @@ def test_w_alpha_interior_diagonal():
     # h = 1, l = 1 so sigma = 1; alpha = 1/4: diag = 1/2 - (1/4)(-2) = 1.0
     grid = build_grid(GridSpec(L0=0, L1=3, J=2, step_rule="independent", l=1.0))
     opset = build_operator_set(grid, 0.0, 0.0)
-    ops = assemble_step_operators(opset, grid, 1, 0.25, 1.0)
+    ops = assemble_step_operators(opset, grid, 0.25)
     W = ops.W_alpha.dense()
     assert W[1, 1] == pytest.approx(1.0)
     assert W[2, 2] == pytest.approx(1.0)
@@ -104,8 +104,9 @@ def test_w_alpha_interior_diagonal():
 def test_r_pos_zero_diagonal_when_a_zero():
     grid = build_grid(GridSpec(L0=1, L1=8, J=6, step_rule="independent", l=0.5))
     opset = build_operator_set(grid, 0.25, 0.25)
-    ops = assemble_step_operators(opset, grid, 1, 0.25, 0.0)
-    R = ops.R_pos.dense()
+    ops = assemble_step_operators(opset, grid, 0.25)
+    c = step_shift(grid, 1, 0.0)
+    R = (TriDiagMatrix.identity(grid.size, c) - ops.kTheta).dense()
     assert np.all(np.diag(R) == 0.0)
     assert np.allclose(R, -0.25 * grid.sigma * grid.h * opset.Theta.dense())
 
@@ -113,9 +114,12 @@ def test_r_pos_zero_diagonal_when_a_zero():
 def test_step_operators_are_tridiagonal():
     grid = build_grid(GridSpec(L0=-10, L1=10, J=9))
     opset = build_operator_set(grid, 0.25, 0.25)
-    ops = assemble_step_operators(opset, grid, 2, 0.25, 2.5)
+    ops = assemble_step_operators(opset, grid, 0.25)
     n = grid.size
-    for M in (ops.W_alpha, ops.W_alpha_minus_half, ops.R_pos, ops.S_pos, ops.R_neg, ops.S_neg):
+    I_c = TriDiagMatrix.identity(n, step_shift(grid, 2, 2.5))
+    R_pos, S_pos = I_c - ops.kTheta, I_c - ops.kLambda
+    R_neg, S_neg = I_c + ops.kTheta, I_c + ops.kLambda
+    for M in (ops.W_alpha, ops.W_alpha_minus_half, R_pos, S_pos, R_neg, S_neg):
         D = M.dense()
         mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 1
         assert np.all(D[mask] == 0.0)
@@ -123,23 +127,22 @@ def test_step_operators_are_tridiagonal():
 
 def test_singular_time_rejected():
     grid = build_grid(GridSpec(L0=-1, L1=1, J=3, t0=0.0))
-    opset = build_operator_set(grid, 0.0, 0.0)
     with pytest.raises(SingularTimeError):
-        assemble_step_operators(opset, grid, 0, 0.25, 1.0)
+        step_shift(grid, 0, 1.0)
 
 
 def test_apply_identity_is_noop(rng):
     X = Field(rng.standard_normal((5, 5)))
     I = TriDiagMatrix.identity(5)
-    assert np.array_equal(apply_x(I, X).values, X.values)
-    assert np.array_equal(apply_y(X, I).values, X.values)
+    assert np.array_equal(I @ X.values, X.values)
+    assert np.array_equal(X.values @ I, X.values)
 
 
 def test_apply_neumann_annihilates_constants():
     A = neumann_second_difference(6)
     X = Field(np.full((6, 6), 3.7))
-    assert np.allclose(apply_x(A, X).values, 0.0, atol=1e-14)
-    assert np.allclose(apply_y(X, A.transpose()).values, 0.0, atol=1e-14)
+    assert np.allclose(A @ X.values, 0.0, atol=1e-14)
+    assert np.allclose(X.values @ A.transpose(), 0.0, atol=1e-14)
 
 
 def test_apply_second_difference_of_squares():
@@ -147,7 +150,7 @@ def test_apply_second_difference_of_squares():
     A = neumann_second_difference(4)
     j = np.arange(4.0)
     X = Field(np.broadcast_to((j * j)[:, None], (4, 4)).copy())
-    out = apply_x(A, X).values
+    out = A @ X.values
     assert np.allclose(out[1:3, :], 2.0)
 
 
@@ -155,16 +158,16 @@ def test_apply_matches_dense_product(rng):
     grid = build_grid(GridSpec(L0=1, L1=8, J=6))
     ops = build_operator_set(grid, 0.3, -0.7)
     X = rng.standard_normal((grid.size, grid.size))
-    assert np.allclose(apply_x(ops.Theta, X).values, ops.Theta.dense() @ X, atol=1e-13)
-    assert np.allclose(apply_y(X, ops.Lambda).values, X @ ops.Lambda.dense(), atol=1e-13)
+    assert np.allclose(ops.Theta @ X, ops.Theta.dense() @ X, atol=1e-13)
+    assert np.allclose(X @ ops.Lambda, X @ ops.Lambda.dense(), atol=1e-13)
 
 
 def test_quadratic_laplacian_scaled():
-    # apply_x(A, sample(x^2)) / h^2 equals 2 at interior nodes, exactly for quadratics
+    # A @ sample(x^2) / h^2 equals 2 at interior nodes, exactly for quadratics
     grid = build_grid(GridSpec(L0=-2, L1=2, J=7))
     f = sample(lambda x, y: x * x, grid)
     A = neumann_second_difference(grid.size)
-    out = apply_x(A, f).values / grid.h**2
+    out = (A @ f.values) / grid.h**2
     assert np.allclose(out[1:-1, :], 2.0, atol=1e-10)
 
 

@@ -8,7 +8,7 @@ import epdsys.stepper
 from epdsys.bench import RunConfig, manufactured_problem
 from epdsys.exceptions import BlowUpError, InvalidSpecError, SingularTimeError, SolvabilityError
 from epdsys.grid import CoupledState, Field, GridSpec, build_grid, discrete_errors
-from epdsys.operators import assemble_step_operators, build_operator_set
+from epdsys.operators import TriDiagMatrix, assemble_step_operators, build_operator_set, step_shift
 from epdsys.stepper import (
     ProblemDef,
     assemble_rhs,
@@ -17,6 +17,7 @@ from epdsys.stepper import (
     init_levels,
     nonlinear_G,
     nonlinear_H,
+    plan_solves,
     run,
     step,
 )
@@ -144,7 +145,7 @@ def test_assemble_rhs_zero_history():
     grid = build_grid(GridSpec(L0=-1, L1=1, J=3, t0=1.0))
     prob = ProblemDef(a=1.0, lam=0.25, gamma=0.25, p=2.0, q=2.0, data=(ZERO,) * 4)
     opset = build_operator_set(grid, 0.25, 0.25)
-    ops = assemble_step_operators(opset, grid, 1, 0.25, 1.0)
+    ops = assemble_step_operators(opset, grid, 0.25)
     C1, C2 = assemble_rhs(_zero_history(grid, 1), ops, opset, prob, grid, 1)
     assert np.all(C1.values == 0.0) and np.all(C2.values == 0.0)
 
@@ -153,7 +154,7 @@ def test_assemble_rhs_alpha_half_kills_gradient_history(rng):
     grid = build_grid(GridSpec(L0=1, L1=8, J=6, t0=1.0, step_rule="independent", l=0.3))
     prob = ProblemDef(a=0.0, lam=0.5, gamma=0.5, p=2.0, q=2.0, data=(ZERO,) * 4, nonlinear=False)
     opset = build_operator_set(grid, 0.5, 0.5)
-    ops = assemble_step_operators(opset, grid, 1, 0.5, 0.0)
+    ops = assemble_step_operators(opset, grid, 0.5)
     n = grid.size
     # only V^n nonzero: C1 reduces to the (1 - 2 alpha) gradient-history term
     Vn = rng.standard_normal((n, n))
@@ -171,7 +172,7 @@ def test_assemble_rhs_constant_fields_reduce_to_time_terms():
     grid = build_grid(GridSpec(L0=0, L1=2, J=1, t0=1.0, step_rule="independent", l=0.5))
     prob = ProblemDef(a=0.0, lam=0.0, gamma=0.0, p=2.0, q=2.0, data=(ZERO,) * 4, nonlinear=False)
     opset = build_operator_set(grid, 0.0, 0.0)
-    ops = assemble_step_operators(opset, grid, 1, 0.0, 0.0)
+    ops = assemble_step_operators(opset, grid, 0.0)
     n = grid.size
     Un = np.full((n, n), 3.0)
     Um = np.full((n, n), 2.0)
@@ -188,8 +189,9 @@ def test_step_zero_state_stays_zero():
     grid = build_grid(GridSpec(L0=-1, L1=1, J=3, t0=1.0))
     prob = ProblemDef(a=1.0, lam=0.25, gamma=0.25, p=2.0, q=2.0, data=(ZERO,) * 4)
     opset = build_operator_set(grid, 0.25, 0.25)
-    ops = assemble_step_operators(opset, grid, 1, 0.25, 1.0)
-    state, report = step(_zero_history(grid, 1), ops, opset, prob, grid, 1)
+    ops = assemble_step_operators(opset, grid, 0.25)
+    plan = plan_solves(ops, grid, prob.a)
+    state, report = step(_zero_history(grid, 1), ops, opset, prob, grid, 1, plan)
     assert np.all(state.U.values == 0.0) and np.all(state.V.values == 0.0)
     assert report.residual_coupled == 0.0
     assert state.level == 2
@@ -204,16 +206,19 @@ def test_single_step_reference_error(ref_config, ref_grid24, ref_problem):
     assert rep.er == pytest.approx(6.0935e-3, rel=1e-3)
 
 
-def test_step_margins_match_solvability_margin(ref_grid24, ref_problem):
-    # the Sylvester path reads each margin off its own Schur spectra
+@pytest.mark.parametrize("solver", ["sylvester", "kronecker"])
+def test_step_margins_match_solvability_margin(ref_grid24, ref_problem, solver):
+    # both solvers read each margin off the plan's Schur spectra
     prob, _ = ref_problem
-    _, reports = run(prob, ref_grid24.spec, sing_policy="limit")
+    _, reports = run(prob, ref_grid24.spec, solver=solver, sing_policy="limit")
     opset = build_operator_set(ref_grid24, prob.lam, prob.gamma, sing_policy="limit")
     alpha = ref_grid24.spec.alpha if prob.alpha is None else prob.alpha
+    ops = assemble_step_operators(opset, ref_grid24, alpha)
     assert reports
     for report in reports:
-        ops = assemble_step_operators(opset, ref_grid24, report.n, alpha, prob.a)
-        expected = solvability_margin(ops.W_alpha, ops.R_pos, ops.S_pos, ops.W_alpha.T)
+        I_c = TriDiagMatrix.identity(ref_grid24.size, step_shift(ref_grid24, report.n, prob.a))
+        R, S = I_c - ops.kTheta, I_c - ops.kLambda
+        expected = solvability_margin(ops.W_alpha, R, S, ops.W_alpha.T)
         assert report.margin == pytest.approx(expected, rel=1e-10)
 
 
@@ -366,7 +371,8 @@ def test_forcing_sampled_once_per_level(monkeypatch):
     assert len(sample_calls) == 2 * 8  # G1 and G2 at levels 0..7
 
 
-def test_preflight_names_the_failing_step_before_any_solve(monkeypatch):
+@pytest.mark.parametrize("solver", ["sylvester", "kronecker"])
+def test_preflight_names_the_failing_step_before_any_solve(monkeypatch, solver):
     # choose a so that 2 c_k equals the largest real eigenvalue sum of the
     # shift-free difference pair (W + k Theta, W^T + k Lambda) at step k = 3
     k_step = 3
@@ -374,7 +380,7 @@ def test_preflight_names_the_failing_step_before_any_solve(monkeypatch):
     spec = GridSpec(L0=-10, L1=10, J=9, t0=0.0, n_steps=6, alpha=config.alpha)
     grid = build_grid(spec)
     opset = build_operator_set(grid, config.lam, config.gamma, sing_policy="limit")
-    W = assemble_step_operators(opset, grid, 1, config.alpha, 1.0).W_alpha
+    W = assemble_step_operators(opset, grid, config.alpha).W_alpha
     kappa = config.alpha * grid.sigma * grid.h
     lams = np.linalg.eigvals((W + kappa * opset.Theta).dense())
     mus = np.linalg.eigvals((W.T + kappa * opset.Lambda).dense())
@@ -384,11 +390,24 @@ def test_preflight_names_the_failing_step_before_any_solve(monkeypatch):
     prob, _ = manufactured_problem(RunConfig(J=9, a=a))
 
     trsyl_calls = _counting(monkeypatch, scipy.linalg.lapack, "dtrsyl")
+    dense_calls = _counting(monkeypatch, np.linalg, "solve")
     with pytest.raises(SolvabilityError) as err:
-        run(prob, spec, sing_policy="limit")
+        run(prob, spec, solver=solver, sing_policy="limit")
     assert err.value.step == k_step
     assert err.value.branch == "diff"
     lam, mu = err.value.pair
     assert abs(lam + mu) <= 1e-12 * abs(target)
     assert f"step {k_step}" in str(err.value)
     assert trsyl_calls == []
+    assert dense_calls == []
+
+
+@pytest.mark.parametrize("solver", ["sylvester", "kronecker"])
+def test_run_assembles_step_operators_once(monkeypatch, solver):
+    # the step operators do not depend on n: one assembly serves every step
+    spec = GridSpec(L0=-10, L1=10, J=4, t0=0.5, n_steps=6, step_rule="independent", l=0.05)
+    prob, _ = manufactured_problem(RunConfig(J=4))
+    assembly_calls = _counting(monkeypatch, epdsys.stepper, "assemble_step_operators")
+    _, reports = run(prob, spec, solver=solver, sing_policy="limit")
+    assert len(reports) == 5
+    assert len(assembly_calls) == 1

@@ -209,12 +209,16 @@ def test_margin_singular_difference_branch():
 
 def test_margin_reference_operators_regression(ref_grid24):
     # frozen: margin of the reference operators at J=24, n=1, alpha=1/4
-    from epdsys.operators import assemble_step_operators, build_operator_set
+    from epdsys.operators import (
+        TriDiagMatrix, assemble_step_operators, build_operator_set, step_shift,
+    )
 
     opset = build_operator_set(ref_grid24, 0.25, 0.25)
-    ops = assemble_step_operators(opset, ref_grid24, 1, 0.25, 2.5)
+    ops = assemble_step_operators(opset, ref_grid24, 0.25)
+    I_c = TriDiagMatrix.identity(ref_grid24.size, step_shift(ref_grid24, 1, 2.5))
     W = ops.W_alpha.dense()
-    margin = solvability_margin(W, ops.R_pos.dense(), ops.S_pos.dense(), W.T)
+    R, S = (I_c - ops.kTheta).dense(), (I_c - ops.kLambda).dense()
+    margin = solvability_margin(W, R, S, W.T)
     assert margin > 0.0
     assert margin == pytest.approx(1.3408191866e-4, rel=1e-6)
 
