@@ -145,8 +145,10 @@ def cmd_validate(args):
         prob, _ = bench_mod.manufactured_problem(config)
         opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy=config.sing_policy)
         ops = assemble_step_operators(opset, grid, config.alpha)
-        margin, n, branch = plan_solves(ops, grid, prob.a).min_margin()
-        print(f"     min margin = {margin:.3e} at step {n}, {branch} branch")
+        plan = plan_solves(ops, grid, prob.a)
+        margin, n, branch = plan.min_margin()
+        kernels = ", ".join(f"{b} {k}" for b, k in zip(("sum", "diff"), plan.kernels))
+        print(f"     min margin = {margin:.3e} at step {n}, {branch} branch; kernels: {kernels}")
 
     def zero_trajectory():
         zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))

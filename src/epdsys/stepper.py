@@ -126,16 +126,27 @@ def _forcing_at(prob: ProblemDef, grid: Grid, n: int) -> tuple[np.ndarray, np.nd
 class SolvePlan:
     """Branch factors shared by the steps of a run, and their checked margins.
 
-    `factors` are the real Schur factors of the shift-free sum pair
-    (W_alpha - k Theta, W_alpha^T - k Lambda) and difference pair
-    (W_alpha + k Theta, W_alpha^T + k Lambda), k = alpha sigma h; the
-    Sylvester path solves step n with them shifted by +c_n and -c_n.
-    `schedule` maps each step n to its (sum, diff) margins, all of them above
-    the solvability floor; both solvers report these.
+    `factors` factor the shift-free sum pair (W_alpha - k Theta,
+    W_alpha^T - k Lambda) and difference pair (W_alpha + k Theta,
+    W_alpha^T + k Lambda), k = alpha sigma h; the Sylvester path solves step
+    n with them shifted by +c_n and -c_n.  A branch whose two coefficients
+    are diagonally similar to symmetric tridiagonals takes the "diagonal"
+    kernel (one eigendecomposition per side, then four GEMMs and an
+    entrywise division per step); any other branch takes the "schur" kernel
+    (real Schur forms, trsyl per step).  `kernels` names them; on the
+    reference grid (axis node, limit policy) the sum branch is diagonal for
+    lam, gamma < 1 and the difference branch for lam, gamma < 1/2.
+    `schedule` maps each step n to its (sum, diff) margins, all of them
+    above the solvability floor; both solvers report these.
     """
 
     factors: tuple
     schedule: dict[int, tuple[float, float]]
+
+    @property
+    def kernels(self) -> tuple[str, str]:
+        """The (sum, diff) solve kernels: "diagonal" or "schur"."""
+        return tuple(f.kernel for f in self.factors)
 
     def min_margin(self) -> tuple[float, int, str]:
         """The smallest margin of the schedule, with its step and branch."""

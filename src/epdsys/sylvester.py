@@ -1,18 +1,28 @@
 """Standard and coupled Sylvester solvers with a Kronecker baseline.
 
-The production path solves L X + X R = C by Bartels-Stewart in two parts.
-`_factor` takes the real Schur forms L = QL TL QL^T and R = QR TR QR^T once
-(both coefficients densified; TriDiagMatrix and dense take the same path),
-with the spectra of the quasi-triangular factors and the Frobenius norm
-data of L and R.  `_solve_shifted` then solves the shifted pair
-(L + s I) X + X (R + s I) = C for any scalar s: the Schur vectors do not
-move, so LAPACK trsyl runs on TL + s I and TR + s I (2 x 2 blocks carry
-complex-conjugate eigenvalue pairs) with the right-hand side QL^T C QR, and
-X = QL Z QR^T.  The solvability margin min |lam_i + mu_j + 2 s| is read off
-the cached spectra in O(n^2) and checked against DENOM_RTOL before a solve,
-never inside it.  The stepper factors the shift-free branch pairs once per
-run and checks every step's shift before the first solve; the standalone
-solvers below factor, check and solve at s = 0.
+The production path solves L X + X R = C in two parts.  `_factor` writes
+L = VL TL VL^-1 and R = VR TR VR^-1 once, with the spectra of the cores and
+the Frobenius norm data of L and R.  `_solve_shifted` then solves the
+shifted pair (L + s I) X + X (R + s I) = C for any scalar s: the factors do
+not move, so it transforms C to VL^-1 C VR, solves the core equation with
+TL + s I and TR + s I, and transforms back.  There are two kernels:
+
+  diagonal  when L and R are both TriDiagMatrix objects diagonally similar
+            to a symmetric tridiagonal (every off-diagonal pair has
+            sub * sup > 0, or sub = sup = 0): TL, TR are the real diagonals
+            from `scipy.linalg.eigh_tridiagonal` of the symmetrized bands,
+            V = D^-1 Q and V^-1 = Q^T D with no inverse taken, and the core
+            solve is one entrywise division by lam_i + mu_j + 2 s (the fast
+            diagonalization method of Lynch, Rice and Thomas, 1964);
+  schur     for every other pair, dense or not symmetrizable: real Schur
+            forms (V orthogonal, TL, TR quasi-triangular with 2 x 2 blocks
+            for complex-conjugate pairs) and LAPACK trsyl.
+
+The solvability margin min |lam_i + mu_j + 2 s| is read off the cached
+spectra in O(n^2) and checked against DENOM_RTOL before a solve, never
+inside it.  The stepper factors the shift-free branch pairs once per run and
+checks every step's shift before the first solve; the standalone solvers
+below factor, check and solve at s = 0.
 
 The coupled pair
 
@@ -148,43 +158,97 @@ _CONTEXT = {
 
 @dataclasses.dataclass(frozen=True)
 class _Factors:
-    """Real Schur factors of a pair (L, R), reusable for every shift s.
+    """Factors L = VL TL VL^-1 and R = VR TR VR^-1 of a pair, reusable for every shift s.
 
-    L + s I = QL (TL + s I) QL^T (likewise R), so the spectra move by s and
-    ||L + s I||_F^2 = ||L||_F^2 + 2 s tr L + n s^2.
+    The "diagonal" kernel has real diagonal cores (TL and TR are None, `sums`
+    holds lam_i + mu_j); the "schur" kernel has quasi-triangular cores TL, TR
+    and orthogonal V (V^-1 = V^T).  L + s I = VL (TL + s I) VL^-1 (likewise
+    R), so the spectra move by s and ||L + s I||_F^2 = ||L||_F^2 + 2 s tr L
+    + n s^2.
     """
 
-    TL: np.ndarray
-    QL: np.ndarray
-    TR: np.ndarray
-    QR: np.ndarray
+    VL: np.ndarray
+    VL_inv: np.ndarray
+    VR: np.ndarray
+    VR_inv: np.ndarray
+    TL: np.ndarray | None
+    TR: np.ndarray | None
+    sums: np.ndarray | None
     lams: np.ndarray
     mus: np.ndarray
     norms2: tuple[float, float]
     traces: tuple[float, float]
     branch: str | None
 
+    @property
+    def kernel(self) -> str:
+        return "diagonal" if self.sums is not None else "schur"
+
+
+def _norm2_trace(M) -> tuple[float, float]:
+    """||M||_F^2 and tr M."""
+    if isinstance(M, TriDiagMatrix):
+        return sum(float(np.dot(b, b)) for b in (M.sub, M.diag, M.sup)), float(M.diag.sum())
+    return float(np.vdot(M, M)), float(np.trace(M))
+
+
+def _symmetrizer(M):
+    """(d, e) with diag(d) M diag(d)^-1 symmetric with off-diagonal e, for a
+    TriDiagMatrix whose rows all have sub * sup > 0 or sub = sup = 0; else None.
+
+    d_0 = 1 and d_{i+1} = d_i sqrt(sup_i / sub_i); e = sign(sup) sqrt(sub sup).
+    """
+    if not isinstance(M, TriDiagMatrix):
+        return None
+    with np.errstate(over="ignore"):
+        prod = M.sub * M.sup
+        zero = (M.sub == 0.0) & (M.sup == 0.0)
+        if not (np.all((prod > 0.0) | zero) and np.isfinite(prod).all()):
+            return None
+        ratio = np.divide(M.sup, M.sub, out=np.ones_like(prod), where=~zero)
+        d = np.concatenate(([1.0], np.cumprod(np.sqrt(ratio))))
+    if not (np.isfinite(d).all() and np.all(d > 0.0)):
+        return None
+    return d, np.sign(M.sup) * np.sqrt(prod)
+
+
+def _symmetric_eig(M, d, e):
+    """(lams, V, V^-1) with M = V diag(lams) V^-1 from the symmetrizer (d, e):
+    T = Q diag(lams) Q^T gives V = D^-1 Q and V^-1 = Q^T D, no inverse taken."""
+    lams, Q = scipy.linalg.eigh_tridiagonal(M.diag, e)
+    return lams, Q / d[:, None], Q.T * d[None, :]
+
 
 def _factor(L, R, branch=None) -> _Factors:
-    """Schur forms of L and R, the spectra of their quasi-triangular factors
-    and the norm data of the shifted-margin scale."""
-    L, R = np.asarray(L), np.asarray(R)
-    TL, QL = scipy.linalg.schur(L)
-    TR, QR = scipy.linalg.schur(R)
+    """Eigen- or Schur factors of L and R, their spectra and the norm data of
+    the shifted-margin scale.
+
+    A pair of TriDiagMatrix coefficients that are both diagonally similar to
+    a symmetric tridiagonal takes the diagonal kernel; any other pair (dense,
+    or a row with sub * sup < 0, or sub = 0 != sup) takes the real Schur forms.
+    """
+    (nL, tL), (nR, tR) = _norm2_trace(L), _norm2_trace(R)
+    norm_data = dict(norms2=(nL, nR), traces=(tL, tR), branch=branch)
+    syms = _symmetrizer(L), _symmetrizer(R)
+    if all(sym is not None for sym in syms):
+        lams, VL, VL_inv = _symmetric_eig(L, *syms[0])
+        mus, VR, VR_inv = _symmetric_eig(R, *syms[1])
+        return _Factors(
+            VL=VL, VL_inv=VL_inv, VR=VR, VR_inv=VR_inv, TL=None, TR=None,
+            sums=lams[:, None] + mus[None, :], lams=lams, mus=mus, **norm_data,
+        )
+    TL, QL = scipy.linalg.schur(np.asarray(L))
+    TR, QR = scipy.linalg.schur(np.asarray(R))
     return _Factors(
-        TL, QL, TR, QR,
-        lams=np.linalg.eigvals(TL),
-        mus=np.linalg.eigvals(TR),
-        norms2=(float(np.vdot(L, L)), float(np.vdot(R, R))),
-        traces=(float(np.trace(L)), float(np.trace(R))),
-        branch=branch,
+        VL=QL, VL_inv=QL.T, VR=QR, VR_inv=QR.T, TL=TL, TR=TR, sums=None,
+        lams=np.linalg.eigvals(TL), mus=np.linalg.eigvals(TR), **norm_data,
     )
 
 
 def _margin(f: _Factors, s: float, step=None) -> float:
     """min |lam_i + mu_j| of the pair shifted by s; raises SolvabilityError
     (naming the pair, the branch and the step) below DENOM_RTOL."""
-    n = f.TL.shape[0]
+    n = f.lams.size
     scale2 = max(nn + 2.0 * s * tr + n * s * s for nn, tr in zip(f.norms2, f.traces))
     scale = math.sqrt(max(scale2, 0.0))
     return _check_margin(f.lams + s, f.mus + s, scale, _CONTEXT[f.branch], f.branch, step)
@@ -193,17 +257,25 @@ def _margin(f: _Factors, s: float, step=None) -> float:
 def _solve_shifted(f: _Factors, C, s: float) -> np.ndarray:
     """X solving (L + s I) X + X (R + s I) = C from the factors of (L, R).
 
-    It does not check the margin: callers do that once, before solving.
+    With Z = VL^-1 X VR the equation becomes (TL + s I) Z + Z (TR + s I) =
+    VL^-1 C VR: an entrywise division by lam_i + mu_j + 2 s on the diagonal
+    kernel, LAPACK trsyl on the Schur kernel.  It does not check the margin:
+    callers do that once, before solving.
     """
-    TL, TR = f.TL.copy(order="F"), f.TR.copy(order="F")
-    TL[np.diag_indices_from(TL)] += s
-    TR[np.diag_indices_from(TR)] += s
-    Z, factor, info = scipy.linalg.lapack.dtrsyl(TL, TR, f.QL.T @ C @ f.QR)
-    if info < 0:
-        raise SolvabilityError(
-            f"{_CONTEXT[f.branch]}: trsyl rejected argument {-info}", branch=f.branch
-        )
-    return f.QL @ (Z / factor) @ f.QR.T
+    Z = f.VL_inv @ C @ f.VR
+    if f.sums is not None:
+        Z /= f.sums + 2.0 * s
+    else:
+        TL, TR = f.TL.copy(order="F"), f.TR.copy(order="F")
+        TL[np.diag_indices_from(TL)] += s
+        TR[np.diag_indices_from(TR)] += s
+        Z, factor, info = scipy.linalg.lapack.dtrsyl(TL, TR, Z)
+        if info < 0:
+            raise SolvabilityError(
+                f"{_CONTEXT[f.branch]}: trsyl rejected argument {-info}", branch=f.branch
+            )
+        Z /= factor
+    return f.VL @ Z @ f.VR_inv
 
 
 def _bartels_stewart(L, R, C, branch=None):

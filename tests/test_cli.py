@@ -81,6 +81,9 @@ def test_validate_subcommand(config_file, capsys):
     assert "all validations passed" in out
     assert out.count("ok ") >= 6
     assert "ok   solvability schedule" in out and "min margin = " in out
+    # J = 4 has h max |lam_j| = 1/2 and no axis node: both branches diagonalize
+    schedule = next(line for line in out.splitlines() if "min margin = " in line)
+    assert schedule.endswith("kernels: sum diagonal, diff diagonal")
 
 
 def test_missing_config_file_is_error(capsys):

@@ -1,0 +1,136 @@
+"""Property tests for the diagonal (fast diagonalization) kernel.
+
+A tridiagonal coefficient whose off-diagonal products sub * sup are all
+positive (or whose sub and sup vanish together) is diagonally similar to a
+symmetric tridiagonal, so the factor-once solver diagonalizes it with one
+`eigh_tridiagonal`.  Shifted by a random s, that kernel must agree with the
+Schur kernel and the Kronecker oracle and report the same margin as
+`solvability_margin`; a pair with one row off that condition, and the
+step operators of a run with h max |lam_j| >= 1, must take the Schur kernel.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from epdsys.bench import RunConfig, grid_spec_for, manufactured_problem
+from epdsys.grid import build_grid
+from epdsys.operators import TriDiagMatrix, assemble_step_operators, build_operator_set
+from epdsys.stepper import plan_solves, run
+from epdsys.sylvester import (
+    CoupledProblem,
+    _bartels_stewart,
+    _factor,
+    _margin,
+    _solve_shifted,
+    kronecker_solve,
+    solvability_margin,
+)
+
+sizes = st.integers(min_value=2, max_value=10)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+shifts = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
+
+
+def symmetrizable(rng, n, shift=0.0, zero_rows=0):
+    """A random tridiagonal with sub * sup > 0 except `zero_rows` rows with sub = sup = 0."""
+    signs = rng.choice([-1.0, 1.0], n - 1)
+    sub = signs * rng.uniform(0.5, 2.0, n - 1)
+    sup = signs * rng.uniform(0.5, 2.0, n - 1)
+    zero = rng.choice(n - 1, size=min(zero_rows, n - 1), replace=False)
+    sub[zero] = sup[zero] = 0.0
+    return TriDiagMatrix(sub=sub, diag=shift + rng.standard_normal(n), sup=sup)
+
+
+def shifted_problem(L, R, C, s):
+    """L X + X R = C shifted by s, as a coupled pair with R = S = 0."""
+    n = L.size
+    Z = np.zeros((n, n))
+    I = np.eye(n)
+    return CoupledProblem(W=L.dense() + s * I, R=Z, S=Z, C1=C, C2=C, W_right=R.dense() + s * I)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=sizes, seed=seeds, s=shifts, zero_rows=st.integers(min_value=0, max_value=2))
+def test_diagonal_kernel_matches_schur_and_kronecker(n, seed, s, zero_rows):
+    rng = np.random.default_rng(seed)
+    L = symmetrizable(rng, n, rng.standard_normal(), zero_rows)
+    R = symmetrizable(rng, n, rng.standard_normal())
+    C = rng.standard_normal((n, n))
+    p = shifted_problem(L, R, C, s)
+    assume(solvability_margin(p.W, p.R, p.S, p.W_right) > 1e-6)
+
+    f = _factor(L, R)
+    assert f.kernel == "diagonal"
+    X = _solve_shifted(f, C, s)
+    X_schur, _ = _bartels_stewart(p.W, p.W_right, C)
+    X_kron, _ = kronecker_solve(p)
+    scale = max(np.abs(X_kron).max(), 1.0)
+    assert np.abs(X - X_schur).max() / scale <= 1e-10
+    assert np.abs(X - X_kron).max() / scale <= 1e-10
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=sizes, seed=seeds, s=shifts)
+def test_diagonal_margin_matches_solvability_margin(n, seed, s):
+    rng = np.random.default_rng(seed)
+    L, R = (symmetrizable(rng, n, rng.standard_normal()) for _ in range(2))
+    p = shifted_problem(L, R, np.eye(n), s)
+    reference = solvability_margin(p.W, p.R, p.S, p.W_right)
+    assume(reference > 1e-6)
+    f = _factor(L, R)
+    assert f.kernel == "diagonal"
+    assert _margin(f, s) == pytest.approx(reference, rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=sizes, seed=seeds, row=st.integers(min_value=0, max_value=8), s=shifts,
+    flaw=st.sampled_from([-1.0, 0.0]),
+)
+def test_one_row_off_the_condition_takes_the_schur_kernel(n, seed, row, s, flaw):
+    # flaw -1: sub * sup < 0 on one row; flaw 0: sub = 0 but sup != 0 there
+    rng = np.random.default_rng(seed)
+    L = symmetrizable(rng, n, rng.standard_normal())
+    R = symmetrizable(rng, n, rng.standard_normal())
+    L.sub[row % (n - 1)] *= flaw
+    C = rng.standard_normal((n, n))
+    p = shifted_problem(L, R, C, s)
+    assume(solvability_margin(p.W, p.R, p.S, p.W_right) > 1e-6)
+
+    f = _factor(L, R)
+    assert f.kernel == "schur"
+    X_kron, _ = kronecker_solve(p)
+    scale = max(np.abs(X_kron).max(), 1.0)
+    assert np.abs(_solve_shifted(f, C, s) - X_kron).max() / scale <= 1e-10
+
+
+def test_dense_coefficients_take_the_schur_kernel(rng):
+    L = symmetrizable(rng, 6, 3.0)
+    assert _factor(L.dense(), L.T).kernel == "schur"
+    assert _factor(L, L.T).kernel == "diagonal"
+
+
+def test_run_past_the_cell_peclet_bound_takes_the_schur_kernel(monkeypatch):
+    # lam = gamma = 1.5 at J = 9 gives h max |lam_j| = 1.5: off-diagonal
+    # products of both branch pairs change sign, so neither is symmetrizable
+    config = RunConfig(J=9, lam=1.5, gamma=1.5)
+    spec = grid_spec_for(config)
+    grid = build_grid(spec)
+    opset = build_operator_set(grid, config.lam, config.gamma, sing_policy="limit")
+    assert grid.h * np.abs(opset.lam_j).max() >= 1.0
+    ops = assemble_step_operators(opset, grid, config.alpha)
+    assert plan_solves(ops, grid, config.a).kernels == ("schur", "schur")
+
+    eigh_calls = []
+    original = scipy.linalg.eigh_tridiagonal
+    monkeypatch.setattr(
+        scipy.linalg, "eigh_tridiagonal",
+        lambda *args, **kwargs: eigh_calls.append(1) or original(*args, **kwargs),
+    )
+    prob, _ = manufactured_problem(config)
+    _, reports = run(prob, spec, sing_policy="limit")
+    assert eigh_calls == []
+    assert max(r.residual_coupled for r in reports) <= 1e-13

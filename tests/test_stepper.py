@@ -350,15 +350,18 @@ def _counting(monkeypatch, module, name):
 
 
 def test_run_factors_once_per_run(monkeypatch):
-    # four Schur forms per run (two branches, two sides), not four per step
+    # four tridiagonal eigendecompositions per run (two branches, two sides),
+    # not four per step; the symmetrizable pairs need no Schur form or trsyl
     spec = GridSpec(L0=-10, L1=10, J=9, t0=0.5, n_steps=12, step_rule="independent", l=0.05)
     prob, _ = manufactured_problem(RunConfig(J=9))
+    eigh_calls = _counting(monkeypatch, scipy.linalg, "eigh_tridiagonal")
     schur_calls = _counting(monkeypatch, scipy.linalg, "schur")
     trsyl_calls = _counting(monkeypatch, scipy.linalg.lapack, "dtrsyl")
     _, reports = run(prob, spec, sing_policy="limit")
     assert len(reports) == 11
-    assert len(schur_calls) == 4
-    assert len(trsyl_calls) == 2 * len(reports)
+    assert len(eigh_calls) == 4
+    assert schur_calls == []
+    assert trsyl_calls == []
     assert max(r.residual_coupled for r in reports) <= 1e-13
 
 
@@ -400,6 +403,26 @@ def test_preflight_names_the_failing_step_before_any_solve(monkeypatch, solver):
     assert f"step {k_step}" in str(err.value)
     assert trsyl_calls == []
     assert dense_calls == []
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_integer_damping_from_rest_is_singular_at_step_a(monkeypatch, a):
+    # at t0 = 0, c_n = a / (2n); the constant mode is an eigenvector of both
+    # difference-pair coefficients with eigenvalue 1/2, so that pair's
+    # denominator 1 - a/n vanishes at n = a and the preflight must catch it.
+    # A small l keeps every other eigenvalue sum near 1, away from a/n, n < a.
+    spec = GridSpec(L0=-10, L1=10, J=9, t0=0.0, n_steps=6, step_rule="independent", l=0.05)
+    prob, _ = manufactured_problem(RunConfig(J=9, a=float(a)))
+    eigh_calls = _counting(monkeypatch, scipy.linalg, "eigh_tridiagonal")
+    solve_calls = _counting(monkeypatch, epdsys.stepper, "_solve_coupled_shifted")
+    with pytest.raises(SolvabilityError) as err:
+        run(prob, spec, sing_policy="limit")
+    assert err.value.step == a
+    assert err.value.branch == "diff"
+    lam, mu = err.value.pair
+    assert abs(lam + mu) <= 1e-12
+    assert len(eigh_calls) == 4
+    assert solve_calls == []
 
 
 @pytest.mark.parametrize("solver", ["sylvester", "kronecker"])
