@@ -9,6 +9,7 @@ column index = y node.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, NamedTuple, Sequence
 
@@ -94,8 +95,17 @@ class Grid:
         return self.spec.t0 + self.l * np.arange(self.spec.n_steps + 1)
 
     def meshgrid(self):
-        """(X, Y) coordinate matrices matching the field convention."""
-        return np.meshgrid(self.nodes_x, self.nodes_y, indexing="ij")
+        """(X, Y) coordinate matrices matching the field convention.
+
+        Built once per grid and shared by every caller, so both are read-only.
+        """
+        return self._coordinates
+
+    @functools.cached_property
+    def _coordinates(self):
+        X, Y = np.meshgrid(self.nodes_x, self.nodes_y, indexing="ij")
+        X.flags.writeable = Y.flags.writeable = False
+        return X, Y
 
 
 def build_grid(spec: GridSpec) -> Grid:
@@ -173,7 +183,11 @@ def l2_norm(X) -> float:
 
 
 def sample(f: Callable, grid: Grid, level: int = 0) -> Field:
-    """Sample f(x, y) at all grid nodes; f must accept array arguments."""
+    """Sample f(x, y) at all grid nodes; f must accept array arguments.
+
+    f receives the grid's read-only coordinate matrices: one that writes into
+    them raises InvalidSpecError.
+    """
     X, Y = grid.meshgrid()
     try:
         values = np.broadcast_to(np.asarray(f(X, Y), dtype=float), X.shape)

@@ -1,0 +1,126 @@
+"""Property tests for the step's right-hand side and residual in branch form.
+
+`assemble_rhs` builds its stencil terms in the branch variables U +- V from
+the stacked operators of `StepOperators`, and `residual` evaluates a coupled
+pair through its sum and difference equations.  Both are checked here
+against the two-equation U/V forms, written out from the scheme's
+coefficients with `_lyap` and `_cross`.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from epdsys.grid import CoupledState, Field, GridSpec, build_grid
+from epdsys.operators import (
+    SING_LIMIT,
+    SING_ZERO,
+    TriDiagMatrix,
+    assemble_step_operators,
+    build_operator_set,
+    step_shift,
+)
+from epdsys.stepper import ProblemDef, _cross, _lyap, _power, assemble_rhs
+from epdsys.sylvester import CoupledProblem, residual
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+unit = st.floats(min_value=0.0, max_value=1.0)
+coefs = st.floats(min_value=-1.0, max_value=1.0)
+
+
+def reference_rhs_terms(hist, opset, grid, alpha, prob, n, forcing):
+    """The terms of C1 and C2 in U/V form, each equation on its own."""
+    (Un, Vn), (Um, Vm) = hist
+    sigma, h, l2 = grid.sigma, grid.h, grid.l * grid.l
+    I = TriDiagMatrix.identity(grid.size)
+    Wa = 0.5 * I - (alpha * sigma) * opset.A
+    Wh = 0.5 * I - ((alpha - 0.5) * sigma) * opset.A
+    k, b = alpha * sigma * h, (1.0 - 2.0 * alpha) * sigma * h
+    two_c = 2.0 * step_shift(grid, n, prob.a)
+
+    def terms(own_n, own_m, other_n, other_m, expo, G):
+        out = [
+            2.0 * _lyap(Wh, own_n),
+            -_lyap(Wa, own_m),
+            b * _cross(opset.Theta, opset.Lambda, other_n),
+            two_c * other_m,
+            _cross(k * opset.Theta, k * opset.Lambda, other_m),
+        ]
+        if G:
+            out.append(0.5 * l2 * (G[n] + G[n - 1]))
+        if prob.nonlinear:
+            out.append(0.5 * l2 * (_power(own_n, other_n, expo) + _power(own_m, other_m, expo)))
+        return out
+
+    G1, G2 = ({level: pair[i] for level, pair in forcing.items()} for i in (0, 1))
+    return terms(Un, Um, Vn, Vm, prob.p, G1), terms(Vn, Vm, Un, Um, prob.q, G2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=seeds, J=st.integers(min_value=1, max_value=9), alpha=unit, lam=coefs, gamma=coefs,
+    a=st.floats(min_value=-3.0, max_value=3.0), t0=st.floats(min_value=0.1, max_value=2.0),
+    n=st.integers(min_value=1, max_value=4), sing_policy=st.sampled_from([SING_ZERO, SING_LIMIT]),
+    nonlinear=st.booleans(), forced=st.booleans(),
+)
+def test_assemble_rhs_equals_the_uv_form(
+    seed, J, alpha, lam, gamma, a, t0, n, sing_policy, nonlinear, forced
+):
+    rng = np.random.default_rng(seed)
+    # L0 = -1 puts a node on the axis for odd J, so both policies matter there
+    grid = build_grid(
+        GridSpec(L0=-1.0, L1=1.0, J=J, t0=t0, step_rule="independent", l=0.1 * rng.uniform(0.1, 1))
+    )
+    prob = ProblemDef(
+        a=a, lam=lam, gamma=gamma, p=1.0 + rng.uniform(0.1, 2.0), q=1.0 + rng.uniform(0.1, 2.0),
+        data=(None,) * 4, nonlinear=nonlinear,
+        # the forcing samples come from `forcing` below, through forcing_at
+        forcing=(None, None) if forced else None,
+    )
+    opset = build_operator_set(grid, lam, gamma, sing_policy=sing_policy)
+    ops = assemble_step_operators(opset, grid, alpha)
+    size = (grid.size, grid.size)
+    hist = [tuple(rng.standard_normal(size) for _ in range(2)) for _ in range(2)]
+    forcing = {
+        level: (rng.standard_normal(size), rng.standard_normal(size))
+        for level in ((n - 1, n) if forced else ())
+    }
+    history = tuple(
+        CoupledState(Field(U, level), Field(V, level))
+        for (U, V), level in zip(hist, (n, n - 1))
+    )
+
+    C1, C2 = assemble_rhs(history, ops, opset, prob, grid, n, forcing.__getitem__)
+
+    for C, terms in zip((C1, C2), reference_rhs_terms(hist, opset, grid, alpha, prob, n, forcing)):
+        scale = sum(np.linalg.norm(t) for t in terms)
+        assert np.linalg.norm(C.values - sum(terms)) <= 1e-12 * scale
+        assert C.level == n + 1
+
+
+def direct_residual(p, X, Y):
+    """The coupled residual from the two equations, all coefficients dense."""
+    W, R, S, Wr = (np.asarray(M) for M in (p.W, p.R, p.S, p.W_right))
+    r1 = W @ X + X @ Wr + R @ Y + Y @ S - p.C1
+    r2 = W @ Y + Y @ Wr + R @ X + X @ S - p.C2
+    return np.hypot(np.linalg.norm(r1), np.linalg.norm(r2)) / np.hypot(
+        np.linalg.norm(p.C1), np.linalg.norm(p.C2)
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=2, max_value=12), scale=st.floats(1e-3, 1e3))
+def test_residual_equals_the_two_equation_form(seed, n, scale):
+    rng = np.random.default_rng(seed)
+    W, R, S, Wr = (
+        TriDiagMatrix(*(scale * rng.standard_normal(m) for m in (n - 1, n, n - 1)))
+        for _ in range(4)
+    )
+    C1, C2, X, Y = (rng.standard_normal((n, n)) for _ in range(4))
+    banded = CoupledProblem(W=W, R=R, S=S, C1=C1, C2=C2, W_right=Wr)
+    dense = CoupledProblem(
+        W=W.dense(), R=R.dense(), S=S.dense(), C1=C1, C2=C2, W_right=Wr.dense()
+    )
+    expected = direct_residual(dense, X, Y)
+    for p in (banded, dense):
+        assert abs(residual(p, (X, Y)) - expected) <= 1e-12 * expected

@@ -118,6 +118,24 @@ def test_sample_failure_carries_coordinates():
         sample(bad, grid)
 
 
+def test_sample_rejects_writes_into_the_shared_coordinates():
+    # the coordinate matrices are built once per grid; a sampled function
+    # that writes into them fails by name instead of corrupting later samples
+    grid = build_grid(GridSpec(L0=0.0, L1=1.0, J=3))
+    X, Y = grid.meshgrid()
+    assert grid.meshgrid()[0] is X
+    X0 = X.copy()
+
+    def scribble(x, y):
+        x *= 2.0
+        return x
+
+    with pytest.raises(InvalidSpecError, match="read-only"):
+        sample(scribble, grid)
+    assert np.array_equal(X, X0)
+    assert np.array_equal(sample(lambda x, y: x, grid).values, X0)
+
+
 def _traj_from(exact, grid, levels):
     X, Y = grid.meshgrid()
     out = []

@@ -119,7 +119,12 @@ def test_step_operators_are_tridiagonal():
     I_c = TriDiagMatrix.identity(n, step_shift(grid, 2, 2.5))
     R_pos, S_pos = I_c - ops.kTheta, I_c - ops.kLambda
     R_neg, S_neg = I_c + ops.kTheta, I_c + ops.kLambda
-    for M in (ops.W_alpha, ops.W_alpha_minus_half, R_pos, S_pos, R_neg, S_neg):
+    rhs = [
+        TriDiagMatrix(S.sub[k], S.diag[k], S.sup[k])
+        for S in (ops.rhs_left, ops.rhs_right)
+        for k in range(4)
+    ]
+    for M in (ops.W_alpha, *rhs, R_pos, S_pos, R_neg, S_neg):
         D = M.dense()
         mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 1
         assert np.all(D[mask] == 0.0)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -434,3 +435,41 @@ def test_run_assembles_step_operators_once(monkeypatch, solver):
     _, reports = run(prob, spec, solver=solver, sing_policy="limit")
     assert len(reports) == 5
     assert len(assembly_calls) == 1
+
+
+def test_step_reports_phase_times():
+    spec = GridSpec(L0=-10, L1=10, J=9, t0=0.5, n_steps=6, step_rule="independent", l=0.05)
+    prob, _ = manufactured_problem(RunConfig(J=9))
+    _, reports = run(prob, spec, sing_policy="limit")
+    for r in reports:
+        assert min(r.rhs_time, r.solve_time, r.residual_time) >= 0.0
+        assert r.rhs_time + r.solve_time + r.residual_time <= r.wall_time
+
+
+def test_step_makes_twelve_tridiagonal_products(monkeypatch):
+    # the right-hand side is one left and one right pass over a stack of
+    # four branch fields (8 products), the residual 4 single products
+    spec = GridSpec(L0=-10, L1=10, J=9, t0=0.5, n_steps=12, step_rule="independent", l=0.05)
+    prob, _ = manufactured_problem(RunConfig(J=9))
+    phase = [None]
+    products = Counter()  # (phase, stack depth of the operator) -> calls
+    for name in ("__matmul__", "__rmatmul__"):
+        def counted(self, X, original=getattr(TriDiagMatrix, name)):
+            depth = self.diag.shape[0] if self.diag.ndim == 2 else 1
+            products[phase[0], depth] += 1
+            return original(self, X)
+
+        monkeypatch.setattr(TriDiagMatrix, name, counted)
+    for name in ("assemble_rhs", "residual"):
+        def scoped(*args, original=getattr(epdsys.stepper, name), name=name, **kwargs):
+            phase[0] = name
+            try:
+                return original(*args, **kwargs)
+            finally:
+                phase[0] = None
+
+        monkeypatch.setattr(epdsys.stepper, name, scoped)
+    _, reports = run(prob, spec, sing_policy="limit")
+    steps = len(reports)
+    assert steps == 11
+    assert products == {("assemble_rhs", 4): 2 * steps, ("residual", 1): 4 * steps}
