@@ -41,13 +41,6 @@ from .exceptions import InvalidSpecError, SingularTimeError
 from .grid import Grid
 
 
-# A product with a stack adds its off-diagonal terms in blocks of whole
-# slices, no temporary larger than this.  On a 2-vCPU Xeon VM (2 MiB L2 per
-# core) the whole four-slice stack at once ran up to 2x slower per entry
-# than four single products at J >= 99, and as fast at J = 49.
-_BLOCK_BYTES = 2**17
-
-
 @dataclasses.dataclass(frozen=True)
 class TriDiagMatrix:
     """Banded storage for an N x N tridiagonal matrix, or a stack of them.
@@ -105,32 +98,20 @@ class TriDiagMatrix:
             raise InvalidSpecError(f"dimension mismatch: {self.shape} vs {X.shape}")
         return X
 
-    def _blocks(self, out, X):
-        """(out, X, sub, sup) in blocks of whole slices of at most _BLOCK_BYTES each."""
-        if X.ndim == 2 or X.nbytes <= _BLOCK_BYTES:
-            return ((out, X, self.sub, self.sup),)
-        step = max(1, _BLOCK_BYTES // X[0].nbytes)
-        return (
-            (out[k : k + step], X[k : k + step], self.sub[k : k + step], self.sup[k : k + step])
-            for k in range(0, len(X), step)
-        )
-
     def __matmul__(self, X):
         """M @ X, differencing along the rows of X."""
         X = self._operand(X, -2)
         out = self.diag[..., :, None] * X
-        for o, x, sub, sup in self._blocks(out, X):
-            o[..., 1:, :] += sub[..., :, None] * x[..., :-1, :]
-            o[..., :-1, :] += sup[..., :, None] * x[..., 1:, :]
+        out[..., 1:, :] += self.sub[..., :, None] * X[..., :-1, :]
+        out[..., :-1, :] += self.sup[..., :, None] * X[..., 1:, :]
         return out
 
     def __rmatmul__(self, X):
         """X @ M, differencing along the columns of X."""
         X = self._operand(X, -1)
         out = X * self.diag[..., None, :]
-        for o, x, sub, sup in self._blocks(out, X):
-            o[..., :, 1:] += x[..., :, :-1] * sup[..., None, :]
-            o[..., :, :-1] += x[..., :, 1:] * sub[..., None, :]
+        out[..., :, 1:] += X[..., :, :-1] * self.sup[..., None, :]
+        out[..., :, :-1] += X[..., :, 1:] * self.sub[..., None, :]
         return out
 
     @staticmethod

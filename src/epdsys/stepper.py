@@ -251,7 +251,7 @@ def init_levels(prob: ProblemDef, grid: Grid, opset: OperatorSet | None = None):
 def assemble_rhs(
     history: tuple[CoupledState, CoupledState],
     ops: StepOperators,
-    opset: OperatorSet,
+    opset: OperatorSet | None,
     prob: ProblemDef,
     grid: Grid,
     n: int,
@@ -269,7 +269,7 @@ def assemble_rhs(
     of `ops.rhs_right`: one left and one right pass over the stack (Z+^n,
     Z-^n, Z+^(n-1), Z-^(n-1)).  Then C1 = (C+ + C-)/2 and C2 = (C+ - C-)/2
     take the nonlinearity and the forcing, weight l^2/2 per level.
-    `opset` is not read; the stencils come from `ops`.
+    `opset` is not read (step passes None); the stencils come from `ops`.
 
     `forcing_at(k)` returns the forcing pair at level k; run() passes one
     that keeps the last two levels, so each level is sampled once.
@@ -287,11 +287,13 @@ def assemble_rhs(
     Z = np.stack((Un + Vn, Un - Vn, Um + Vm, Um - Vm))
     T = ops.rhs_left @ Z
     T += Z @ ops.rhs_right
-    C = T[:2] + T[2:]
-    C[0] += two_c * Z[2]
-    C[1] -= two_c * Z[3]
-    C1 = 0.5 * (C[0] + C[1])
-    C2 = 0.5 * (C[0] - C[1])
+    T[2] += two_c * Z[2]
+    T[3] -= two_c * Z[3]
+    # U/V parts of each level first, then the sum over the two levels
+    twice_u = T[0::2] + T[1::2]
+    twice_v = T[0::2] - T[1::2]
+    C1 = 0.5 * (twice_u[0] + twice_u[1])
+    C2 = 0.5 * (twice_v[0] + twice_v[1])
 
     if prob.nonlinear:
         C1 += 0.5 * l2 * (_power(Un, Vn, prob.p) + _power(Um, Vm, prob.p))
@@ -311,7 +313,6 @@ def assemble_rhs(
 def step(
     history: tuple[CoupledState, CoupledState],
     ops: StepOperators,
-    opset: OperatorSet,
     prob: ProblemDef,
     grid: Grid,
     n: int,
@@ -327,7 +328,7 @@ def step(
     R = c_n I - k Theta and S = c_n I - k Lambda, so it cross-checks the shift.
     """
     t_start = time.perf_counter()
-    C1, C2 = assemble_rhs(history, ops, opset, prob, grid, n, forcing_at)
+    C1, C2 = assemble_rhs(history, ops, None, prob, grid, n, forcing_at)
     rhs_time = time.perf_counter() - t_start
     c = step_shift(grid, n, prob.a)
     I_c = TriDiagMatrix.identity(grid.size, c)
@@ -397,7 +398,7 @@ def run(
     for n in range(1, grid.n_steps):
         history = (trajectory[-1], trajectory[-2])
         state, report = step(
-            history, ops, opset, prob, grid, n, plan, solver=solver, forcing_at=forcing_at
+            history, ops, prob, grid, n, plan, solver=solver, forcing_at=forcing_at
         )
         state.U.check_finite()
         state.V.check_finite()

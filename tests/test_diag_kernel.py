@@ -12,7 +12,7 @@ step operators of a run with h max |lam_j| >= 1, must take the Schur kernel.
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epdsys.bench import RunConfig, grid_spec_for, manufactured_problem
@@ -52,6 +52,18 @@ def shifted_problem(L, R, C, s):
     return CoupledProblem(W=L.dense() + s * I, R=Z, S=Z, C1=C, C2=C, W_right=R.dense() + s * I)
 
 
+def agreement_bound(p):
+    """How far two backward-stable solves of the shifted pair `p` may part, relative.
+
+    1e-10, or 100 eps cond(K) when the Kronecker matrix K of the pair is so
+    ill-conditioned that forward errors of order eps cond(K) exceed that
+    (err / (eps cond(K)) stayed below 8 over 7,000 random draws).
+    """
+    I = np.eye(p.size)
+    K = np.kron(I, p.W) + np.kron(p.W_right.T, I)
+    return max(1e-10, 100 * np.finfo(float).eps * np.linalg.cond(K))
+
+
 @settings(max_examples=80, deadline=None)
 @given(n=sizes, seed=seeds, s=shifts, zero_rows=st.integers(min_value=0, max_value=2))
 def test_diagonal_kernel_matches_schur_and_kronecker(n, seed, s, zero_rows):
@@ -68,8 +80,9 @@ def test_diagonal_kernel_matches_schur_and_kronecker(n, seed, s, zero_rows):
     X_schur, _ = _bartels_stewart(p.W, p.W_right, C)
     X_kron, _ = kronecker_solve(p)
     scale = max(np.abs(X_kron).max(), 1.0)
-    assert np.abs(X - X_schur).max() / scale <= 1e-10
-    assert np.abs(X - X_kron).max() / scale <= 1e-10
+    bound = agreement_bound(p)
+    assert np.abs(X - X_schur).max() / scale <= bound
+    assert np.abs(X - X_kron).max() / scale <= bound
 
 
 @settings(max_examples=80, deadline=None)
@@ -90,6 +103,8 @@ def test_diagonal_margin_matches_solvability_margin(n, seed, s):
     n=sizes, seed=seeds, row=st.integers(min_value=0, max_value=8), s=shifts,
     flaw=st.sampled_from([-1.0, 0.0]),
 )
+# cond(K) = 2.6e6: the kernels part by 7.2e-10, above a fixed 1e-10
+@example(n=7, seed=208, row=0, s=-0.15526895132308116, flaw=0.0)
 def test_one_row_off_the_condition_takes_the_schur_kernel(n, seed, row, s, flaw):
     # flaw -1: sub * sup < 0 on one row; flaw 0: sub = 0 but sup != 0 there
     rng = np.random.default_rng(seed)
@@ -104,7 +119,7 @@ def test_one_row_off_the_condition_takes_the_schur_kernel(n, seed, row, s, flaw)
     assert f.kernel == "schur"
     X_kron, _ = kronecker_solve(p)
     scale = max(np.abs(X_kron).max(), 1.0)
-    assert np.abs(_solve_shifted(f, C, s) - X_kron).max() / scale <= 1e-10
+    assert np.abs(_solve_shifted(f, C, s) - X_kron).max() / scale <= agreement_bound(p)
 
 
 def test_dense_coefficients_take_the_schur_kernel(rng):

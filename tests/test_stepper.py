@@ -192,7 +192,7 @@ def test_step_zero_state_stays_zero():
     opset = build_operator_set(grid, 0.25, 0.25)
     ops = assemble_step_operators(opset, grid, 0.25)
     plan = plan_solves(ops, grid, prob.a)
-    state, report = step(_zero_history(grid, 1), ops, opset, prob, grid, 1, plan)
+    state, report = step(_zero_history(grid, 1), ops, prob, grid, 1, plan)
     assert np.all(state.U.values == 0.0) and np.all(state.V.values == 0.0)
     assert report.residual_coupled == 0.0
     assert state.level == 2

@@ -65,18 +65,6 @@ def test_stacked_products_act_slice_by_slice(n, seed, depth):
         mats[0] @ Z
 
 
-@pytest.mark.parametrize("n", [60, 90, 130])
-def test_large_stacked_products_act_slice_by_slice(rng, n):
-    # stacks this large add their off-diagonal terms in blocks of slices
-    mats = [random_tridiag(rng, n) for _ in range(4)]
-    stack = TriDiagMatrix.stack(mats)
-    Z = rng.standard_normal((4, n, n))
-    left, right = stack @ Z, Z @ stack
-    for k, M in enumerate(mats):
-        assert np.array_equal(left[k], M @ Z[k])
-        assert np.array_equal(right[k], Z[k] @ M)
-
-
 @settings(max_examples=60, deadline=None)
 @given(n=sizes, seed=seeds)
 def test_banded_coupled_solve_matches_kronecker(n, seed):
