@@ -56,7 +56,6 @@ class RunConfig:
     gamma: float = 0.25
     p: float = 1.5
     q: float = 4.0 / 3.0
-    step_rule: str = "coupled"
     solver: str = "both"
     sing_eps: float | None = None
     seed_mode: str = "exact"
@@ -77,7 +76,6 @@ _KEY_TYPES = {
     "gamma": float,
     "p": float,
     "q": float,
-    "step_rule": str,
     "solver": str,
     "sing_eps": float,
     "seed_mode": str,
@@ -182,7 +180,6 @@ def grid_spec_for(config: RunConfig, J: int | None = None) -> GridSpec:
         t0=config.t0,
         n_steps=n_steps,
         alpha=config.alpha,
-        step_rule=config.step_rule,
         sing_eps=config.sing_eps,
     )
 

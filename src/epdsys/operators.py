@@ -145,21 +145,6 @@ class TriDiagMatrix:
             sub=np.zeros(n - 1), diag=np.full(n, float(scale)), sup=np.zeros(n - 1)
         )
 
-    @staticmethod
-    def from_dense(M) -> "TriDiagMatrix":
-        M = np.asarray(M, dtype=float)
-        n = M.shape[0]
-        off = M - np.diag(np.diag(M))
-        off[np.arange(1, n), np.arange(n - 1)] = 0.0
-        off[np.arange(n - 1), np.arange(1, n)] = 0.0
-        if np.any(off != 0.0):
-            raise InvalidSpecError("matrix has entries outside the three diagonals")
-        return TriDiagMatrix(
-            sub=M[np.arange(1, n), np.arange(n - 1)].copy(),
-            diag=np.diag(M).copy(),
-            sup=M[np.arange(n - 1), np.arange(1, n)].copy(),
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class OperatorSet:

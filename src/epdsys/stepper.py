@@ -32,8 +32,8 @@ from .operators import (
     build_operator_set, step_shift,
 )
 from .sylvester import (
-    CoupledProblem, _coupled_margins, _factor_coupled, _solve_coupled_shifted, kronecker_solve,
-    residual,
+    BRANCH_SIGNS, CoupledProblem, _branch_residual, _coupled_margins, _factor_coupled,
+    _solve_branches, kronecker_solve,
 )
 
 SOLVER_SYLVESTER = "sylvester"
@@ -123,9 +123,13 @@ def _sample_at(f: Callable, grid: Grid, t: float) -> np.ndarray:
 
 
 def _forcing_at(prob: ProblemDef, grid: Grid, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The forcing pair (G1, G2) on the grid nodes at time level n."""
+    """The forcing pair (G1, G2) on the grid nodes at time level n; a sample
+    that is not finite raises InvalidSpecError naming the level and t_n."""
     t = grid.time(n)
-    return tuple(_sample_at(G, grid, t) for G in prob.forcing)
+    pair = tuple(_sample_at(G, grid, t) for G in prob.forcing)
+    if not all(np.isfinite(G).all() for G in pair):
+        raise InvalidSpecError(f"forcing at level {n} (t_{n} = {t:.6g}) contains NaN/Inf")
+    return pair
 
 
 @dataclasses.dataclass(frozen=True)
@@ -251,25 +255,24 @@ def init_levels(prob: ProblemDef, grid: Grid, opset: OperatorSet | None = None):
 def assemble_rhs(
     history: tuple[CoupledState, CoupledState],
     ops: StepOperators,
-    opset: OperatorSet | None,
     prob: ProblemDef,
     grid: Grid,
     n: int,
     forcing_at: Callable[[int], tuple[np.ndarray, np.ndarray]] | None = None,
-) -> tuple[Field, Field]:
-    """Right-hand sides (C1, C2) of the coupled solve for level n+1.
+) -> np.ndarray:
+    """The branch right-hand sides, stacked (C+, C-), of the solve for level n+1.
 
-    The stencil terms are built in the branch variables Z+- = U +- V, in
-    which the scheme decouples:
+    C+- = C1 +- C2 in the branch variables Z+- = U +- V, in which the scheme
+    decouples:
 
         C+- = Ln+- Z+-^n + Z+-^n Rn+- + Lm+- Z+-^(n-1) + Z+-^(n-1) Rm+-
-              +- 2 c_n Z+-^(n-1)
+              +- 2 c_n Z+-^(n-1) + (l^2/2) (F_u +- F_v)
 
     where Ln+-, Lm+- are the slices of `ops.rhs_left` and Rn+-, Rm+- those
     of `ops.rhs_right`: one left and one right pass over the stack (Z+^n,
-    Z-^n, Z+^(n-1), Z-^(n-1)).  Then C1 = (C+ + C-)/2 and C2 = (C+ - C-)/2
-    take the nonlinearity and the forcing, weight l^2/2 per level.
-    `opset` is not read (step passes None); the stencils come from `ops`.
+    Z-^n, Z+^(n-1), Z-^(n-1)); 2 c_n takes the branch's sign in
+    `BRANCH_SIGNS`.  F_u and F_v sum the nonlinearity and the forcing of
+    the u and v equations over levels n and n-1.
 
     `forcing_at(k)` returns the forcing pair at level k; run() passes one
     that keeps the last two levels, so each level is sampled once.
@@ -281,33 +284,30 @@ def assemble_rhs(
         )
     Un, Vn = state_n.U.values, state_n.V.values
     Um, Vm = state_nm1.U.values, state_nm1.V.values
-    l2 = grid.l * grid.l
-    two_c = 2.0 * step_shift(grid, n, prob.a)
+    c = step_shift(grid, n, prob.a)
 
     Z = np.stack((Un + Vn, Un - Vn, Um + Vm, Um - Vm))
     T = ops.rhs_left @ Z
     T += Z @ ops.rhs_right
-    T[2] += two_c * Z[2]
-    T[3] -= two_c * Z[3]
-    # U/V parts of each level first, then the sum over the two levels
-    twice_u = T[0::2] + T[1::2]
-    twice_v = T[0::2] - T[1::2]
-    C1 = 0.5 * (twice_u[0] + twice_u[1])
-    C2 = 0.5 * (twice_v[0] + twice_v[1])
+    for T_m, Z_m, s in zip(T[2:], Z[2:], BRANCH_SIGNS.values()):
+        T_m += (2.0 * s * c) * Z_m
+    C = T[:2] + T[2:]
 
+    F_u = F_v = 0.0
     if prob.nonlinear:
-        C1 += 0.5 * l2 * (_power(Un, Vn, prob.p) + _power(Um, Vm, prob.p))
-        C2 += 0.5 * l2 * (_power(Vn, Un, prob.q) + _power(Vm, Um, prob.q))
-
+        F_u = _power(Un, Vn, prob.p) + _power(Um, Vm, prob.p)
+        F_v = _power(Vn, Un, prob.q) + _power(Vm, Um, prob.q)
     if prob.forcing is not None:
         if forcing_at is None:
             forcing_at = functools.partial(_forcing_at, prob, grid)
         # level n-1 first: asking for n first would evict n-1 from a two-level cache
         (G1_m, G2_m), (G1_n, G2_n) = forcing_at(n - 1), forcing_at(n)
-        C1 += 0.5 * l2 * (G1_n + G1_m)
-        C2 += 0.5 * l2 * (G2_n + G2_m)
-
-    return Field(C1, level=n + 1), Field(C2, level=n + 1)
+        F_u = F_u + (G1_n + G1_m)
+        F_v = F_v + (G2_n + G2_m)
+    half_l2 = 0.5 * grid.l * grid.l
+    C[0] += half_l2 * (F_u + F_v)
+    C[1] += half_l2 * (F_u - F_v)
+    return C
 
 
 def step(
@@ -320,37 +320,39 @@ def step(
     solver: str = SOLVER_SYLVESTER,
     forcing_at: Callable[[int], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[CoupledState, StepReport]:
-    """Advance one level: assemble the RHS and solve the coupled pair.
+    """Advance one level in the branch variables; store U and V once, at the end.
 
-    The Sylvester path solves with the branch factors of `plan` shifted by
-    +-c_n; the Kronecker path solves the dense system.  Both report the
-    plan's margin for step n.  The residual is evaluated with
-    R = c_n I - k Theta and S = c_n I - k Lambda, so it cross-checks the shift.
+    The Sylvester path solves the branches with the factors of `plan`
+    shifted by +-c_n; the Kronecker path solves the dense U/V system with
+    R = c_n I - k Theta and S = c_n I - k Lambda.  Both report the plan's
+    margin for step n and the residual of the branch equations on the
+    plan's banded pairs, which on the Kronecker path checks BRANCH_SIGNS.
     """
     t_start = time.perf_counter()
-    C1, C2 = assemble_rhs(history, ops, None, prob, grid, n, forcing_at)
+    C = assemble_rhs(history, ops, prob, grid, n, forcing_at)
     rhs_time = time.perf_counter() - t_start
     c = step_shift(grid, n, prob.a)
-    I_c = TriDiagMatrix.identity(grid.size, c)
-    problem = CoupledProblem(
-        W=ops.W_alpha,
-        R=I_c - ops.kTheta,
-        S=I_c - ops.kLambda,
-        C1=C1.values,
-        C2=C2.values,
-        W_right=ops.W_alpha.T,
-    )
     t_solve = time.perf_counter()
     if solver == SOLVER_SYLVESTER:
-        X, Y = _solve_coupled_shifted(plan.factors, problem.C1, problem.C2, c)
+        P, Q = _solve_branches(plan.factors, C, c)
+        X, Y = 0.5 * (P + Q), 0.5 * (P - Q)
     elif solver == SOLVER_KRONECKER:
-        X, Y = kronecker_solve(problem)
+        I_c = TriDiagMatrix.identity(grid.size, c)
+        X, Y = kronecker_solve(CoupledProblem(
+            W=ops.W_alpha,
+            R=I_c - ops.kTheta,
+            S=I_c - ops.kLambda,
+            C1=0.5 * (C[0] + C[1]),
+            C2=0.5 * (C[0] - C[1]),
+            W_right=ops.W_alpha.T,
+        ))
+        P, Q = X + Y, X - Y
     else:
         raise InvalidSpecError(f"unknown solver {solver!r}")
     solve_time = time.perf_counter() - t_solve
 
     t_residual = time.perf_counter()
-    res = residual(problem, (X, Y))
+    res = _branch_residual([(f.L, f.R) for f in plan.factors], (P, Q), C, c)
     residual_time = time.perf_counter() - t_residual
 
     state = CoupledState(Field(X, level=n + 1), Field(Y, level=n + 1))
@@ -393,6 +395,9 @@ def run(
     plan = plan_solves(ops, grid, prob.a)
     forcing_at = functools.lru_cache(maxsize=2)(functools.partial(_forcing_at, prob, grid))
     s0, s1 = init_levels(prob, grid, opset)
+    for seed in (s0, s1):
+        seed.U.check_finite()
+        seed.V.check_finite()
     trajectory = [s0, s1]
     reports: list[StepReport] = []
     for n in range(1, grid.n_steps):

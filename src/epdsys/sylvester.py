@@ -58,6 +58,10 @@ DENOM_RTOL = 1e-12
 KRONECKER_MAX_BYTES = 2**30
 KRONECKER_MAX_SIZE = math.isqrt(math.isqrt(KRONECKER_MAX_BYTES // 32))
 
+# Branch s has the pair (W + s R, Wr + s S), so R, S shifted by c I shift it by
+# s c.  Branch pairs, margins, solves, residuals and the stepper's RHS read this.
+BRANCH_SIGNS = {"sum": 1.0, "diff": -1.0}
+
 
 def _as_square(M, name):
     """A finite square coefficient: a TriDiagMatrix as is, else a dense array."""
@@ -167,6 +171,8 @@ class _Factors:
     + n s^2.
     """
 
+    L: np.ndarray | TriDiagMatrix  # the pair as given, banded or not, for residuals
+    R: np.ndarray | TriDiagMatrix
     VL: np.ndarray
     VL_inv: np.ndarray
     VR: np.ndarray
@@ -228,7 +234,7 @@ def _factor(L, R, branch=None) -> _Factors:
     or a row with sub * sup < 0, or sub = 0 != sup) takes the real Schur forms.
     """
     (nL, tL), (nR, tR) = _norm2_trace(L), _norm2_trace(R)
-    norm_data = dict(norms2=(nL, nR), traces=(tL, tR), branch=branch)
+    norm_data = dict(L=L, R=R, norms2=(nL, nR), traces=(tL, tR), branch=branch)
     syms = _symmetrizer(L), _symmetrizer(R)
     if all(sym is not None for sym in syms):
         lams, VL, VL_inv = _symmetric_eig(L, *syms[0])
@@ -290,35 +296,36 @@ def solve_sylvester(p: SylvesterProblem) -> np.ndarray:
     return _bartels_stewart(p.L, p.R, p.C)[0]
 
 
-def _factor_coupled(W, R, S, W_right):
-    """Factors of the sum pair (W+R, Wr+S) and the difference pair (W-R, Wr-S).
+def _branch_pairs(W, R, S, W_right) -> tuple:
+    """The coefficient pairs (sum, diff) of the branches, (W + s R, Wr + s S)."""
+    return tuple((W + s * R, W_right + s * S) for s in BRANCH_SIGNS.values())
 
-    Shifting R and S by c I shifts the sum pair by +c and the difference
-    pair by -c.
-    """
-    return _factor(W + R, W_right + S, "sum"), _factor(W - R, W_right - S, "diff")
+
+def _factor_coupled(W, R, S, W_right):
+    """Factors of the sum pair (W+R, Wr+S) and the difference pair (W-R, Wr-S)."""
+    pairs = _branch_pairs(W, R, S, W_right)
+    return tuple(_factor(L, Rb, branch) for (L, Rb), branch in zip(pairs, BRANCH_SIGNS))
 
 
 def _coupled_margins(factors, c: float, step=None) -> tuple[float, float]:
     """Checked margins (sum, diff) of the coupled pair with R and S shifted by c I."""
-    sum_f, diff_f = factors
-    return _margin(sum_f, c, step), _margin(diff_f, -c, step)
+    return tuple(_margin(f, s * c, step) for f, s in zip(factors, BRANCH_SIGNS.values()))
 
 
-def _solve_coupled_shifted(factors, C1, C2, c: float):
-    """X, Y of the coupled pair with R and S shifted by c I; margins unchecked."""
-    sum_f, diff_f = factors
-    P = _solve_shifted(sum_f, C1 + C2, c)
-    Q = _solve_shifted(diff_f, C1 - C2, -c)
-    return 0.5 * (P + Q), 0.5 * (P - Q)
+def _solve_branches(factors, C, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Branch unknowns (X+Y, X-Y) from branch right-hand sides (C1+C2, C1-C2),
+    with R and S shifted by c I; margins unchecked."""
+    return tuple(
+        _solve_shifted(f, Cb, s * c) for f, Cb, s in zip(factors, C, BRANCH_SIGNS.values())
+    )
 
 
 def _solve_coupled(p: CoupledProblem):
     """X, Y and the smaller margin of the two decoupled branches."""
     factors = _factor_coupled(p.W, p.R, p.S, p.W_right)
     margin = min(_coupled_margins(factors, 0.0))
-    X, Y = _solve_coupled_shifted(factors, p.C1, p.C2, 0.0)
-    return X, Y, margin
+    P, Q = _solve_branches(factors, (p.C1 + p.C2, p.C1 - p.C2), 0.0)
+    return 0.5 * (P + Q), 0.5 * (P - Q), margin
 
 
 def solve_coupled(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -356,35 +363,38 @@ def kronecker_solve(
     return X, Y
 
 
-def residual(p, solution) -> float:
-    """Relative residual in the Frobenius norm; 0/0 counts as 0.
+def _branch_residual(pairs, Z, C, c: float = 0.0) -> float:
+    """Relative Frobenius residual of the equations (L + s c I) Z + Z (R + s c I)
+    = C, one per branch of `pairs`, with s its sign; 0/0 counts as 0.
 
-    A coupled pair is evaluated in its branches: with P = X+Y and Q = X-Y,
-    r+- = (W +- R) P + P (Wr +- S) - (C1 +- C2) are the sum and difference
-    of the two equations' residuals r1, r2, and by the parallelogram identity
-    ||r+||^2 + ||r-||^2 = 2 (||r1||^2 + ||r2||^2) (likewise for C1, C2), so
-    the ratio is that of the two equations from four products instead of
-    eight.
+    For a coupled pair, Z = (X+Y, X-Y) and C = (C1+C2, C1-C2): the branch
+    residuals r+- = r1 +- r2 are the sum and difference of the two
+    equations' residuals, and by the parallelogram identity ||r+||^2 +
+    ||r-||^2 = 2 (||r1||^2 + ||r2||^2) (likewise for C1, C2), so the ratio
+    is that of the two equations from four products instead of eight.
     """
-    if isinstance(p, SylvesterProblem):
-        X = np.asarray(solution)
-        num = np.linalg.norm(p.L @ X + X @ p.R - p.C)
-        den = np.linalg.norm(p.C)
-    elif isinstance(p, CoupledProblem):
-        X, Y = (np.asarray(s) for s in solution)
-        P, Q = X + Y, X - Y
-        C_sum, C_diff = p.C1 + p.C2, p.C1 - p.C2
-        r_sum = (p.W + p.R) @ P + P @ (p.W_right + p.S) - C_sum
-        r_diff = (p.W - p.R) @ Q + Q @ (p.W_right - p.S) - C_diff
-        num = np.hypot(np.linalg.norm(r_sum), np.linalg.norm(r_diff))
-        den = np.hypot(np.linalg.norm(C_sum), np.linalg.norm(C_diff))
-    else:
-        raise InvalidSpecError(f"unsupported problem type {type(p).__name__}")
+    num = np.linalg.norm([
+        np.linalg.norm(L @ Zb + Zb @ R + (2.0 * s * c) * Zb - Cb)
+        for (L, R), Zb, Cb, s in zip(pairs, Z, C, BRANCH_SIGNS.values())
+    ])
+    den = np.linalg.norm([np.linalg.norm(Cb) for Cb in C])
     if num == 0.0:
         return 0.0
     if den == 0.0:
         return float("inf")
     return float(num / den)
+
+
+def residual(p, solution) -> float:
+    """Relative residual in the Frobenius norm; 0/0 counts as 0.  A coupled
+    pair is evaluated in its branches, with the ratio of its two equations."""
+    if isinstance(p, SylvesterProblem):
+        return _branch_residual([(p.L, p.R)], [np.asarray(solution)], [p.C])
+    if isinstance(p, CoupledProblem):
+        X, Y = (np.asarray(s) for s in solution)
+        pairs = _branch_pairs(p.W, p.R, p.S, p.W_right)
+        return _branch_residual(pairs, (X + Y, X - Y), (p.C1 + p.C2, p.C1 - p.C2))
+    raise InvalidSpecError(f"unsupported problem type {type(p).__name__}")
 
 
 def solvability_margin(W, R, S, W_right=None) -> float:
@@ -397,7 +407,7 @@ def solvability_margin(W, R, S, W_right=None) -> float:
     S = _as_square(S, "S")
     Wr = W if W_right is None else _as_square(W_right, "W_right")
     margin = np.inf
-    for Lb, Rb in ((W + R, Wr + S), (W - R, Wr - S)):
+    for Lb, Rb in _branch_pairs(W, R, S, Wr):
         lams = np.linalg.eigvals(Lb)
         mus = np.linalg.eigvals(Rb)
         value, _ = _min_pair_sum(lams, mus)

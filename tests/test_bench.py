@@ -25,7 +25,6 @@ def test_parse_config_minimal_defaults():
     assert config.a == 2.5
     assert config.lam == 0.25 and config.gamma == 0.25
     assert config.p == 1.5 and config.q == pytest.approx(4 / 3)
-    assert config.step_rule == "coupled"
     assert config.solver == "both"
     assert config.seed_mode == "exact"
     assert config.t0 == 0.0 and config.T == 1.0
@@ -39,6 +38,13 @@ def test_parse_config_missing_key():
 def test_parse_config_unknown_key_line_number():
     with pytest.raises(ConfigError) as err:
         parse_config("J = 24\nsolverr = x\n")
+    assert err.value.line == 2
+
+
+def test_parse_config_rejects_step_rule():
+    # the time step always follows l = h^(3/2); a config cannot set l
+    with pytest.raises(ConfigError, match="unknown key 'step_rule'") as err:
+        parse_config("J = 9\nstep_rule = coupled\n")
     assert err.value.line == 2
 
 

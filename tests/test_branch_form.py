@@ -1,10 +1,12 @@
 """Property tests for the step's right-hand side and residual in branch form.
 
-`assemble_rhs` builds its stencil terms in the branch variables U +- V from
-the stacked operators of `StepOperators`, and `residual` evaluates a coupled
-pair through its sum and difference equations.  Both are checked here
-against the two-equation U/V forms, written out from the scheme's
-coefficients with `_lyap` and `_cross`.
+`assemble_rhs` builds the branch right-hand sides C1 +- C2 in the branch
+variables U +- V from the stacked operators of `StepOperators`, and
+`residual` evaluates a coupled pair through its sum and difference
+equations.  Both are checked here against the two-equation U/V forms,
+written out from the scheme's coefficients with `_lyap` and `_cross`.  The
+step's own residual, on the plan's shift-free pairs shifted by +-c_n, is
+checked against `residual` of the U/V problem.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ from epdsys.operators import (
     step_shift,
 )
 from epdsys.stepper import ProblemDef, _cross, _lyap, _power, assemble_rhs
-from epdsys.sylvester import CoupledProblem, residual
+from epdsys.sylvester import CoupledProblem, _branch_residual, _factor_coupled, residual
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -90,12 +92,14 @@ def test_assemble_rhs_equals_the_uv_form(
         for (U, V), level in zip(hist, (n, n - 1))
     )
 
-    C1, C2 = assemble_rhs(history, ops, opset, prob, grid, n, forcing.__getitem__)
+    C = assemble_rhs(history, ops, prob, grid, n, forcing.__getitem__)
 
-    for C, terms in zip((C1, C2), reference_rhs_terms(hist, opset, grid, alpha, prob, n, forcing)):
-        scale = sum(np.linalg.norm(t) for t in terms)
-        assert np.linalg.norm(C.values - sum(terms)) <= 1e-12 * scale
-        assert C.level == n + 1
+    terms1, terms2 = reference_rhs_terms(hist, opset, grid, alpha, prob, n, forcing)
+    C1, C2 = sum(terms1), sum(terms2)
+    scale = sum(np.linalg.norm(t) for t in terms1 + terms2)
+    assert C.shape == (2, grid.size, grid.size)
+    for C_branch, reference in zip(C, (C1 + C2, C1 - C2)):
+        assert np.linalg.norm(C_branch - reference) <= 1e-12 * scale
 
 
 def direct_residual(p, X, Y):
@@ -124,3 +128,28 @@ def test_residual_equals_the_two_equation_form(seed, n, scale):
     expected = direct_residual(dense, X, Y)
     for p in (banded, dense):
         assert abs(residual(p, (X, Y)) - expected) <= 1e-12 * expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=seeds, J=st.integers(min_value=1, max_value=9), alpha=unit, lam=coefs, gamma=coefs,
+    c=st.floats(min_value=-3.0, max_value=3.0), sing_policy=st.sampled_from([SING_ZERO, SING_LIMIT]),
+)
+def test_step_residual_equals_the_uv_residual(seed, J, alpha, lam, gamma, c, sing_policy):
+    rng = np.random.default_rng(seed)
+    grid = build_grid(
+        GridSpec(L0=-1.0, L1=1.0, J=J, step_rule="independent", l=0.1 * rng.uniform(0.1, 1))
+    )
+    ops = assemble_step_operators(build_operator_set(grid, lam, gamma, sing_policy), grid, alpha)
+    W, kTheta, kLambda = ops.W_alpha, ops.kTheta, ops.kLambda
+    # the pairs the step's plan factors (R and S at c = 0), as the factors keep them
+    factors = _factor_coupled(W, -1.0 * kTheta, -1.0 * kLambda, W.T)
+    P, Q, C_sum, C_diff = (rng.standard_normal((grid.size, grid.size)) for _ in range(4))
+    I_c = TriDiagMatrix.identity(grid.size, c)
+    uv = CoupledProblem(
+        W=W, R=I_c - kTheta, S=I_c - kLambda,
+        C1=0.5 * (C_sum + C_diff), C2=0.5 * (C_sum - C_diff), W_right=W.T,
+    )
+    expected = residual(uv, (0.5 * (P + Q), 0.5 * (P - Q)))
+    got = _branch_residual([(f.L, f.R) for f in factors], (P, Q), (C_sum, C_diff), c)
+    assert abs(got - expected) <= 1e-12 * expected

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epdsys.exceptions import InvalidSpecError, SingularTimeError
+from epdsys.exceptions import SingularTimeError
 from epdsys.grid import Field, GridSpec, build_grid, sample
 from epdsys.operators import (
     SING_LIMIT,
@@ -175,12 +175,3 @@ def test_quadratic_laplacian_scaled():
     out = (A @ f.values) / grid.h**2
     assert np.allclose(out[1:-1, :], 2.0, atol=1e-10)
 
-
-def test_tridiag_from_dense_round_trip(rng):
-    M = np.diag(rng.standard_normal(5))
-    M[np.arange(1, 5), np.arange(4)] = rng.standard_normal(4)
-    M[np.arange(4), np.arange(1, 5)] = rng.standard_normal(4)
-    T = TriDiagMatrix.from_dense(M)
-    assert np.array_equal(T.dense(), M)
-    with pytest.raises(InvalidSpecError):
-        TriDiagMatrix.from_dense(np.ones((4, 4)))

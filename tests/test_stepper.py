@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -6,6 +7,7 @@ import pytest
 import scipy.linalg
 
 import epdsys.stepper
+import epdsys.sylvester
 from epdsys.bench import RunConfig, manufactured_problem
 from epdsys.exceptions import BlowUpError, InvalidSpecError, SingularTimeError, SolvabilityError
 from epdsys.grid import CoupledState, Field, GridSpec, build_grid, discrete_errors
@@ -22,7 +24,7 @@ from epdsys.stepper import (
     run,
     step,
 )
-from epdsys.sylvester import solvability_margin
+from epdsys.sylvester import CoupledProblem, solvability_margin
 
 ZERO = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
 
@@ -147,8 +149,9 @@ def test_assemble_rhs_zero_history():
     prob = ProblemDef(a=1.0, lam=0.25, gamma=0.25, p=2.0, q=2.0, data=(ZERO,) * 4)
     opset = build_operator_set(grid, 0.25, 0.25)
     ops = assemble_step_operators(opset, grid, 0.25)
-    C1, C2 = assemble_rhs(_zero_history(grid, 1), ops, opset, prob, grid, 1)
-    assert np.all(C1.values == 0.0) and np.all(C2.values == 0.0)
+    C = assemble_rhs(_zero_history(grid, 1), ops, prob, grid, 1)
+    assert C.shape == (2, grid.size, grid.size)
+    assert np.all(C == 0.0)
 
 
 def test_assemble_rhs_alpha_half_kills_gradient_history(rng):
@@ -163,8 +166,8 @@ def test_assemble_rhs_alpha_half_kills_gradient_history(rng):
         CoupledState(Field(np.zeros((n, n)), 1), Field(Vn, 1)),
         CoupledState(Field(np.zeros((n, n)), 0), Field(np.zeros((n, n)), 0)),
     )
-    C1, _ = assemble_rhs(hist, ops, opset, prob, grid, 1)
-    assert np.allclose(C1.values, 0.0, atol=1e-14)
+    C_sum, C_diff = assemble_rhs(hist, ops, prob, grid, 1)
+    assert np.allclose(0.5 * (C_sum + C_diff), 0.0, atol=1e-14)
 
 
 def test_assemble_rhs_constant_fields_reduce_to_time_terms():
@@ -181,9 +184,9 @@ def test_assemble_rhs_constant_fields_reduce_to_time_terms():
         CoupledState(Field(Un, 1), Field(Un.copy(), 1)),
         CoupledState(Field(Um, 0), Field(Um.copy(), 0)),
     )
-    C1, C2 = assemble_rhs(hist, ops, opset, prob, grid, 1)
-    assert np.allclose(C1.values, 2 * Un - Um, atol=1e-13)
-    assert np.allclose(C2.values, 2 * Un - Um, atol=1e-13)
+    C_sum, C_diff = assemble_rhs(hist, ops, prob, grid, 1)
+    assert np.allclose(0.5 * (C_sum + C_diff), 2 * Un - Um, atol=1e-13)
+    assert np.allclose(0.5 * (C_sum - C_diff), 2 * Un - Um, atol=1e-13)
 
 
 def test_step_zero_state_stays_zero():
@@ -415,7 +418,7 @@ def test_integer_damping_from_rest_is_singular_at_step_a(monkeypatch, a):
     spec = GridSpec(L0=-10, L1=10, J=9, t0=0.0, n_steps=6, step_rule="independent", l=0.05)
     prob, _ = manufactured_problem(RunConfig(J=9, a=float(a)))
     eigh_calls = _counting(monkeypatch, scipy.linalg, "eigh_tridiagonal")
-    solve_calls = _counting(monkeypatch, epdsys.stepper, "_solve_coupled_shifted")
+    solve_calls = _counting(monkeypatch, epdsys.stepper, "_solve_branches")
     with pytest.raises(SolvabilityError) as err:
         run(prob, spec, sing_policy="limit")
     assert err.value.step == a
@@ -424,6 +427,10 @@ def test_integer_damping_from_rest_is_singular_at_step_a(monkeypatch, a):
     assert abs(lam + mu) <= 1e-12
     assert len(eigh_calls) == 4
     assert solve_calls == []
+    # the counter sees the step's solves: a + 1/2 passes the preflight
+    prob_ok, _ = manufactured_problem(RunConfig(J=9, a=a + 0.5))
+    _, reports = run(prob_ok, spec, sing_policy="limit")
+    assert len(solve_calls) == len(reports) == 5
 
 
 @pytest.mark.parametrize("solver", ["sylvester", "kronecker"])
@@ -460,7 +467,7 @@ def test_step_makes_twelve_tridiagonal_products(monkeypatch):
             return original(self, X)
 
         monkeypatch.setattr(TriDiagMatrix, name, counted)
-    for name in ("assemble_rhs", "residual"):
+    for name in ("assemble_rhs", "_branch_residual"):
         def scoped(*args, original=getattr(epdsys.stepper, name), name=name, **kwargs):
             phase[0] = name
             try:
@@ -472,4 +479,65 @@ def test_step_makes_twelve_tridiagonal_products(monkeypatch):
     _, reports = run(prob, spec, sing_policy="limit")
     steps = len(reports)
     assert steps == 11
-    assert products == {("assemble_rhs", 4): 2 * steps, ("residual", 1): 4 * steps}
+    assert products == {("assemble_rhs", 4): 2 * steps, ("_branch_residual", 1): 4 * steps}
+
+
+@pytest.mark.parametrize("solver, problems_per_step", [("sylvester", 0), ("kronecker", 1)])
+def test_only_the_kronecker_path_builds_coupled_problems(monkeypatch, solver, problems_per_step):
+    # the Sylvester path runs in branch variables from the plan; Method I
+    # assembles its dense U/V system from a CoupledProblem every step
+    spec = GridSpec(L0=-10, L1=10, J=9, t0=0.5, n_steps=8, step_rule="independent", l=0.05)
+    prob, _ = manufactured_problem(RunConfig(J=9))
+    built = _counting(monkeypatch, CoupledProblem, "__post_init__")
+    _, reports = run(prob, spec, solver=solver, sing_policy="limit")
+    assert len(reports) == 7
+    assert len(built) == problems_per_step * len(reports)
+
+
+def test_flipped_branch_signs_fail_the_kronecker_residual(monkeypatch):
+    # Method I solves the U/V system with R = c_n I - k Theta; its residual
+    # is read in branch form with the shifts of BRANCH_SIGNS, so a wrong
+    # sign table shows there
+    spec = GridSpec(L0=-10, L1=10, J=9, t0=0.5, n_steps=6, step_rule="independent", l=0.05)
+    prob, _ = manufactured_problem(RunConfig(J=9))
+    _, reports = run(prob, spec, solver="kronecker", sing_policy="limit")
+    assert max(r.residual_coupled for r in reports) <= 1e-13
+    monkeypatch.setitem(epdsys.sylvester.BRANCH_SIGNS, "sum", -1.0)
+    monkeypatch.setitem(epdsys.sylvester.BRANCH_SIGNS, "diff", 1.0)
+    _, reports = run(prob, spec, solver="kronecker", sing_policy="limit")
+    assert max(r.residual_coupled for r in reports) > 1e-6
+
+
+def test_non_finite_forcing_names_its_level_before_the_solve(monkeypatch):
+    # level k is first sampled by step k, so steps 1 .. k-1 are solved
+    k = 4
+    spec = GridSpec(L0=-10, L1=10, J=9, t0=0.5, n_steps=8, step_rule="independent", l=0.05)
+    t_k = build_grid(spec).time(k)
+    prob, _ = manufactured_problem(RunConfig(J=9))
+    G1, G2 = prob.forcing
+
+    def G1_nan_at_k(x, y, t):
+        return G1(x, y, t) + (np.nan if abs(t - t_k) < 1e-9 else 0.0)
+
+    prob = dataclasses.replace(prob, forcing=(G1_nan_at_k, G2))
+    solve_calls = _counting(monkeypatch, epdsys.stepper, "_solve_branches")
+    with pytest.raises(InvalidSpecError, match=rf"forcing at level {k} \(t_{k} = 0\.7\)"):
+        run(prob, spec, sing_policy="limit")
+    assert len(solve_calls) == k - 1
+
+
+@pytest.mark.parametrize("bad_level", [0, 1])
+def test_non_finite_seed_level_is_named_before_any_solve(monkeypatch, bad_level):
+    spec = GridSpec(L0=-10, L1=10, J=9, t0=0.5, n_steps=4, step_rule="independent", l=0.05)
+    t_bad = build_grid(spec).time(bad_level)
+    prob, exact = manufactured_problem(RunConfig(J=9))
+
+    def exact_nan(x, y, t):
+        u, v = exact(x, y, t)
+        return u, v + (np.nan if t == t_bad else 0.0)
+
+    prob = dataclasses.replace(prob, exact=exact_nan)
+    solve_calls = _counting(monkeypatch, epdsys.stepper, "_solve_branches")
+    with pytest.raises(InvalidSpecError, match=f"field at level {bad_level} contains NaN"):
+        run(prob, spec, sing_policy="limit")
+    assert solve_calls == []
