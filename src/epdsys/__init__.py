@@ -46,6 +46,7 @@ from .stepper import (
     cfl_guard,
     convergence_order,
     init_levels,
+    level_source,
     nonlinear_G,
     nonlinear_H,
     run,

@@ -120,26 +120,16 @@ def parse_config(text: str) -> RunConfig:
 # the manufactured reference problem
 
 
-def gaussian_profile(s: float):
-    """g_s(x, y, t) = exp(-s (t^2/2 + x^2 + y^2))."""
-
-    def g(x, y, t):
-        return np.exp(-s * (0.5 * t * t + x * x + y * y))
-
-    return g
-
-
 def manufactured_problem(config: RunConfig) -> tuple[ProblemDef, "callable"]:
     """ProblemDef for the reference experiment plus its exact solution pair."""
-    g1 = gaussian_profile(1.0)
-    gp = gaussian_profile(config.p)
-    gq = gaussian_profile(config.q)
 
-    def G1(x, y, t):
-        return (t * t - 4.0 * (x * x + y * y)) * g1(x, y, t) - gp(x, y, t)
+    def g1(x, y, t):
+        return np.exp(-(0.5 * t * t + x * x + y * y))
 
-    def G2(x, y, t):
-        return (t * t - 4.0 * (x * x + y * y)) * g1(x, y, t) - gq(x, y, t)
+    def forcing(x, y, t):
+        e = 0.5 * t * t + x * x + y * y
+        shared = (t * t - 4.0 * (x * x + y * y)) * np.exp(-e)
+        return shared - np.exp(-config.p * e), shared - np.exp(-config.q * e)
 
     def exact(x, y, t):
         val = g1(x, y, t)
@@ -160,8 +150,7 @@ def manufactured_problem(config: RunConfig) -> tuple[ProblemDef, "callable"]:
         gamma=config.gamma,
         p=config.p,
         q=config.q,
-        alpha=config.alpha,
-        forcing=(G1, G2),
+        forcing=forcing,
         **seeding,
     )
     return prob, exact
@@ -218,7 +207,6 @@ class BenchRow:
     time_II_ms: float
     time_I_ms: float
     ratio: float
-    order_estimate: float = float("nan")
     error: str = ""
 
 
@@ -237,22 +225,19 @@ def run_table1(
     config: RunConfig,
     J_list: Sequence[int] = DEFAULT_BENCH_J,
     repeats: int = 3,
-    kronecker: bool | None = None,
     csv_path: str | None = None,
 ) -> list[BenchRow]:
-    """Run the manufactured experiment per J, timing both solver paths.
+    """Run the manufactured experiment per J, timing the paths config.solver names.
 
     The forcing certificate is checked before any row is produced.  Solver
     failures are recorded on their row and the run continues.  A CSV is
     written to csv_path (default config.out_csv) with header CSV_HEADER.
     """
     check_forcing_certificate(config)
-    if kronecker is None:
-        kronecker = config.solver in ("both", SOLVER_KRONECKER)
+    want_kronecker = config.solver in ("both", SOLVER_KRONECKER)
     want_sylvester = config.solver in ("both", SOLVER_SYLVESTER)
 
     rows: list[BenchRow] = []
-    history: list[tuple[float, float]] = []
     for J in J_list:
         spec = grid_spec_for(config, J)
         grid = build_grid(spec)
@@ -266,16 +251,13 @@ def run_table1(
                 er2, rel2 = report.er, report.rel_er
             except EpdError as exc:
                 note.append(f"sylvester: {exc}")
-        if kronecker:
+        if want_kronecker:
             try:
                 t1, traj, _ = _timed_run(prob, spec, SOLVER_KRONECKER, repeats, config.sing_policy)
                 report = discrete_errors(traj, exact, grid)
                 er1, rel1 = report.er, report.rel_er
             except EpdError as exc:
                 note.append(f"kronecker: {exc}")
-        if math.isfinite(er2):
-            history.append((grid.h, er2))
-        order = convergence_order(history) if len(history) >= 2 else float("nan")
         rows.append(
             BenchRow(
                 J=J,
@@ -288,7 +270,6 @@ def run_table1(
                 time_II_ms=t2,
                 time_I_ms=t1,
                 ratio=t1 / t2 if (math.isfinite(t1) and math.isfinite(t2)) else float("nan"),
-                order_estimate=order,
                 error="; ".join(note),
             )
         )

@@ -154,7 +154,7 @@ def cmd_validate(args):
         zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
         prob = ProblemDef(
             a=config.a, lam=0.0, gamma=0.0, p=config.p, q=config.q,
-            alpha=config.alpha, data=(zero, zero, zero, zero),
+            data=(zero, zero, zero, zero),
             nonlinear=False, allow_singular_t0=True,
         )
         spec = bench_mod.grid_spec_for(config, 4)

@@ -531,7 +531,7 @@ def pde_residual(u, v, prob, samples) -> float:
         res1 -= np.abs(u_val) ** (prob.p - 1.0) * v_val
         res2 -= np.abs(v_val) ** (prob.q - 1.0) * u_val
     if prob.forcing is not None:
-        G1, G2 = prob.forcing
-        res1 -= G1(x, y, t)
-        res2 -= G2(x, y, t)
+        G1, G2 = prob.forcing(x, y, t)
+        res1 -= G1
+        res2 -= G2
     return float(max(np.max(np.abs(res1)), np.max(np.abs(res2))))

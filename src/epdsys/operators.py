@@ -40,6 +40,12 @@ import numpy as np
 from .exceptions import InvalidSpecError, SingularTimeError
 from .grid import Grid
 
+# Branch s of the coupled pair has the coefficients (W + s R, Wr + s S), so
+# R, S shifted by c I shift it by s c.  The branch pairs, margins, solves and
+# residuals, both right-hand-side stacks below and the step's damping term
+# read this table.
+BRANCH_SIGNS = {"sum": 1.0, "diff": -1.0}
+
 
 @dataclasses.dataclass(frozen=True)
 class TriDiagMatrix:
@@ -163,15 +169,15 @@ class StepOperators:
 
     W_alpha          = (1/2) I - alpha sigma A
     kTheta / kLambda = k Theta / k Lambda, k = alpha sigma h
-    rhs_left         = the stack (2 W_h + b Theta, 2 W_h - b Theta,
-                                  -W_alpha + kTheta, -W_alpha - kTheta)
-    rhs_right        = the stack (2 W_h^T + b Lambda, 2 W_h^T - b Lambda,
-                                  -W_alpha^T + kLambda, -W_alpha^T - kLambda)
+    rhs_left         = the stack (2 W_h + s b Theta, s kTheta - W_alpha)
+    rhs_right        = the stack (2 W_h^T + s b Lambda, s kLambda - W_alpha^T)
 
-    with W_h = (1/2) I - (alpha - 1/2) sigma A and b = (1 - 2 alpha) sigma h.
-    The stacks carry the known levels of the right-hand side in the branch
-    variables Z+- = U +- V: slice k acts on slice k of (Z+^n, Z-^n,
-    Z+^(n-1), Z-^(n-1)).
+    with W_h = (1/2) I - (alpha - 1/2) sigma A, b = (1 - 2 alpha) sigma h and
+    s running over BRANCH_SIGNS (sum, diff) in each half.  The stacks carry
+    the known levels of the right-hand side in the branch variables
+    Z+- = U +- V: slice k acts on slice k of (Z+^n, Z-^n, Z+^(n-1),
+    Z-^(n-1)).  The level-(n-1) slices are the branch pairs the solve
+    factors, negated.
 
     Step n adds only the damping c_n = l a / (2 t_n) (`step_shift`): its
     coefficients are R = c_n I -+ kTheta and S = c_n I -+ kLambda at the
@@ -274,14 +280,15 @@ def assemble_step_operators(ops: OperatorSet, grid: Grid, alpha: float) -> StepO
     W_h2 = 2.0 * (0.5 * I - ((alpha - 0.5) * sigma) * ops.A)
     kTheta, kLambda = k * ops.Theta, k * ops.Lambda
     bTheta, bLambda = b * ops.Theta, b * ops.Lambda
+    signs = BRANCH_SIGNS.values()
     return StepOperators(
         W_alpha=W_alpha,
         kTheta=kTheta,
         kLambda=kLambda,
         rhs_left=TriDiagMatrix.stack(
-            [W_h2 + bTheta, W_h2 - bTheta, kTheta - W_alpha, -1.0 * kTheta - W_alpha]
+            [W_h2 + s * bTheta for s in signs] + [s * kTheta - W_alpha for s in signs]
         ),
         rhs_right=TriDiagMatrix.stack(
-            [W_h2.T + bLambda, W_h2.T - bLambda, kLambda - W_alpha.T, -1.0 * kLambda - W_alpha.T]
+            [W_h2.T + s * bLambda for s in signs] + [s * kLambda - W_alpha.T for s in signs]
         ),
     )

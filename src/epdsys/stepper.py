@@ -13,13 +13,14 @@ and forcing enter with weight l^2/2 per level and the gradient history with
 weight (1-2 alpha) sigma h.
 
 `run` builds the step operators and the solve plan once; the damping shift
-c_n = l a / (2 t_n) is the only value computed per step.
+c_n = l a / (2 t_n) is the only coefficient computed per step, and the
+source of each level (nonlinearity and forcing) is computed once and used by
+both steps it enters.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import time
 from typing import Callable, Sequence
 
@@ -28,12 +29,12 @@ import numpy as np
 from .exceptions import BlowUpError, InvalidSpecError, SingularTimeError
 from .grid import CoupledState, Field, Grid, GridSpec, build_grid, sample
 from .operators import (
-    SING_LIMIT, OperatorSet, StepOperators, TriDiagMatrix, assemble_step_operators,
-    build_operator_set, step_shift,
+    BRANCH_SIGNS, SING_LIMIT, OperatorSet, StepOperators, TriDiagMatrix,
+    assemble_step_operators, build_operator_set, step_shift,
 )
 from .sylvester import (
-    BRANCH_SIGNS, CoupledProblem, _branch_residual, _coupled_margins, _factor_coupled,
-    _solve_branches, kronecker_solve,
+    CoupledProblem, _branch_residual, _coupled_margins, _factor_coupled, _solve_branches,
+    kronecker_solve,
 )
 
 SOLVER_SYLVESTER = "sylvester"
@@ -46,10 +47,14 @@ BLOWUP_CAP = 1e8
 class ProblemDef:
     """Continuous problem data: coefficients, nonlinearity, forcing, seeding.
 
-    Exactly one of `exact` (a callable (X, Y, t) -> (u, v) used to sample the
-    two seed levels) and `data` (the tuple (u0, u1, v0, v1) of callables
-    (x, y) -> value for Taylor seeding) must be set.  `nonlinear=False` drops
-    the power-law terms, giving the linear system.
+    `forcing` is None or one callable (x, y, t) -> (G1, G2), the forcing of
+    the u and v equations, called once per time level with the grid's
+    coordinate matrices.  Exactly one of `exact` (a callable
+    (x, y, t) -> (u, v) used to sample the two seed levels) and `data` (the
+    tuple (u0, u1, v0, v1) of callables (x, y) -> value for Taylor seeding)
+    must be set.  Each value of a pair may be an array or a constant.
+    `nonlinear=False` drops the power-law terms, giving the linear system.
+    The weight alpha of the scheme is a mesh parameter (`GridSpec.alpha`).
     """
 
     a: float
@@ -57,8 +62,7 @@ class ProblemDef:
     gamma: float
     p: float
     q: float
-    alpha: float | None = None
-    forcing: tuple[Callable, Callable] | None = None
+    forcing: Callable | None = None
     exact: Callable | None = None
     data: tuple[Callable, Callable, Callable, Callable] | None = None
     nonlinear: bool = True
@@ -117,18 +121,22 @@ def _cross(R: TriDiagMatrix, S: TriDiagMatrix, X: np.ndarray) -> np.ndarray:
     return R @ X + X @ S
 
 
-def _sample_at(f: Callable, grid: Grid, t: float) -> np.ndarray:
-    """f(x, y, t) on the grid nodes at a fixed time."""
-    return sample(lambda x, y: f(x, y, t), grid).values
+def _sample_pair(f: Callable, grid: Grid, level: int, name: str) -> np.ndarray:
+    """The pair f(X, Y, t_level) on the grid nodes, stacked and grid-shaped.
 
-
-def _forcing_at(prob: ProblemDef, grid: Grid, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The forcing pair (G1, G2) on the grid nodes at time level n; a sample
-    that is not finite raises InvalidSpecError naming the level and t_n."""
-    t = grid.time(n)
-    pair = tuple(_sample_at(G, grid, t) for G in prob.forcing)
-    if not all(np.isfinite(G).all() for G in pair):
-        raise InvalidSpecError(f"forcing at level {n} (t_{n} = {t:.6g}) contains NaN/Inf")
+    Raises InvalidSpecError naming the nodes when f raises, and naming `name`,
+    the level and t when a sample is not finite.
+    """
+    X, Y = grid.meshgrid()
+    t = grid.time(level)
+    try:
+        pair = np.stack([np.broadcast_to(np.asarray(v, dtype=float), X.shape) for v in f(X, Y, t)])
+    except Exception as exc:
+        raise InvalidSpecError(
+            f"sampling failed on nodes x in [{grid.nodes_x[0]}, {grid.nodes_x[-1]}]: {exc}"
+        ) from exc
+    if not np.isfinite(pair).all():
+        raise InvalidSpecError(f"{name} at level {level} (t_{level} = {t:.6g}) contains NaN/Inf")
     return pair
 
 
@@ -192,12 +200,11 @@ def init_levels(prob: ProblemDef, grid: Grid, opset: OperatorSet | None = None):
     """
     t0 = grid.t0
     if prob.exact is not None:
-        X, Y = grid.meshgrid()
-        u0, v0 = prob.exact(X, Y, t0)
-        u1, v1 = prob.exact(X, Y, t0 + grid.l)
-        s0 = CoupledState(Field(np.array(u0, dtype=float), 0), Field(np.array(v0, dtype=float), 0))
-        s1 = CoupledState(Field(np.array(u1, dtype=float), 1), Field(np.array(v1, dtype=float), 1))
-        return s0, s1
+        def seed(level):
+            u, v = _sample_pair(prob.exact, grid, level, "exact solution")
+            return CoupledState(Field(u, level), Field(v, level))
+
+        return seed(0), seed(1)
 
     u0f, u1f, v0f, v1f = prob.data
     U0 = sample(u0f, grid, level=0)
@@ -215,19 +222,10 @@ def init_levels(prob: ProblemDef, grid: Grid, opset: OperatorSet | None = None):
         opset = build_operator_set(grid, prob.lam, prob.gamma)
 
     h = grid.h
-
-    def rhs_no_damping(own, other, expo, forcing):
-        out = _lyap(opset.A, own) / (h * h) + _cross(opset.Theta, opset.Lambda, other) / h
-        if prob.nonlinear:
-            out = out + _power(own, other, expo)
-        if forcing is not None:
-            out = out + _sample_at(forcing, grid, t0)
-        return out
-
-    G1 = prob.forcing[0] if prob.forcing else None
-    G2 = prob.forcing[1] if prob.forcing else None
-    rhs_u = rhs_no_damping(U0.values, V0.values, prob.p, G1)
-    rhs_v = rhs_no_damping(V0.values, U0.values, prob.q, G2)
+    A, Theta, Lam = opset.A, opset.Theta, opset.Lambda
+    F_u, F_v = _explicit_terms(prob, grid, CoupledState(U0, V0))
+    rhs_u = _lyap(A, U0.values) / (h * h) + _cross(Theta, Lam, V0.values) / h + F_u
+    rhs_v = _lyap(A, V0.values) / (h * h) + _cross(Theta, Lam, U0.values) / h + F_v
 
     if t0 > 0.0:
         gam = 2.0 * prob.a / t0
@@ -252,13 +250,35 @@ def init_levels(prob: ProblemDef, grid: Grid, opset: OperatorSet | None = None):
     return CoupledState(U0, V0), CoupledState(U1, V1)
 
 
+def _explicit_terms(prob: ProblemDef, grid: Grid, state: CoupledState) -> np.ndarray:
+    """(F_u, F_v) = (|U|^(p-1) V + G1, |V|^(q-1) U + G2) at the level of `state`, stacked."""
+    U, V = state.U.values, state.V.values
+    if prob.forcing is None:
+        F = np.zeros((2,) + U.shape)
+    else:
+        F = _sample_pair(prob.forcing, grid, state.level, "forcing")
+    if prob.nonlinear:
+        F[0] += _power(U, V, prob.p)
+        F[1] += _power(V, U, prob.q)
+    return F
+
+
+def level_source(prob: ProblemDef, grid: Grid, state: CoupledState) -> np.ndarray:
+    """The explicit source of one time level, stacked (S+, S-) = (l^2/2) (F_u +- F_v).
+
+    The source of level n enters the steps n and n+1 with the same weight,
+    so `run` computes it once and carries it.  A forcing sample that is not
+    finite raises InvalidSpecError naming the level and t_n.
+    """
+    F_u, F_v = _explicit_terms(prob, grid, state)
+    return (0.5 * grid.l * grid.l) * np.stack((F_u + F_v, F_u - F_v))
+
+
 def assemble_rhs(
     history: tuple[CoupledState, CoupledState],
+    sources: tuple[np.ndarray, np.ndarray],
     ops: StepOperators,
-    prob: ProblemDef,
-    grid: Grid,
-    n: int,
-    forcing_at: Callable[[int], tuple[np.ndarray, np.ndarray]] | None = None,
+    c: float,
 ) -> np.ndarray:
     """The branch right-hand sides, stacked (C+, C-), of the solve for level n+1.
 
@@ -266,25 +286,21 @@ def assemble_rhs(
     decouples:
 
         C+- = Ln+- Z+-^n + Z+-^n Rn+- + Lm+- Z+-^(n-1) + Z+-^(n-1) Rm+-
-              +- 2 c_n Z+-^(n-1) + (l^2/2) (F_u +- F_v)
+              +- 2 c_n Z+-^(n-1) + S+-^n + S+-^(n-1)
 
     where Ln+-, Lm+- are the slices of `ops.rhs_left` and Rn+-, Rm+- those
     of `ops.rhs_right`: one left and one right pass over the stack (Z+^n,
     Z-^n, Z+^(n-1), Z-^(n-1)); 2 c_n takes the branch's sign in
-    `BRANCH_SIGNS`.  F_u and F_v sum the nonlinearity and the forcing of
-    the u and v equations over levels n and n-1.
-
-    `forcing_at(k)` returns the forcing pair at level k; run() passes one
-    that keeps the last two levels, so each level is sampled once.
+    `BRANCH_SIGNS`.  `history` holds the levels (n, n-1), `sources` their
+    `level_source` and c the step's shift c_n.
     """
     state_n, state_nm1 = history
-    if state_n.level != n or state_nm1.level != n - 1:
+    if state_nm1.level != state_n.level - 1:
         raise InvalidSpecError(
-            f"history levels ({state_n.level}, {state_nm1.level}) do not match n={n}"
+            f"history levels ({state_n.level}, {state_nm1.level}) are not consecutive"
         )
     Un, Vn = state_n.U.values, state_n.V.values
     Um, Vm = state_nm1.U.values, state_nm1.V.values
-    c = step_shift(grid, n, prob.a)
 
     Z = np.stack((Un + Vn, Un - Vn, Um + Vm, Um - Vm))
     T = ops.rhs_left @ Z
@@ -292,46 +308,37 @@ def assemble_rhs(
     for T_m, Z_m, s in zip(T[2:], Z[2:], BRANCH_SIGNS.values()):
         T_m += (2.0 * s * c) * Z_m
     C = T[:2] + T[2:]
-
-    F_u = F_v = 0.0
-    if prob.nonlinear:
-        F_u = _power(Un, Vn, prob.p) + _power(Um, Vm, prob.p)
-        F_v = _power(Vn, Un, prob.q) + _power(Vm, Um, prob.q)
-    if prob.forcing is not None:
-        if forcing_at is None:
-            forcing_at = functools.partial(_forcing_at, prob, grid)
-        # level n-1 first: asking for n first would evict n-1 from a two-level cache
-        (G1_m, G2_m), (G1_n, G2_n) = forcing_at(n - 1), forcing_at(n)
-        F_u = F_u + (G1_n + G1_m)
-        F_v = F_v + (G2_n + G2_m)
-    half_l2 = 0.5 * grid.l * grid.l
-    C[0] += half_l2 * (F_u + F_v)
-    C[1] += half_l2 * (F_u - F_v)
+    source_n, source_m = sources
+    C += source_n + source_m
     return C
 
 
 def step(
     history: tuple[CoupledState, CoupledState],
+    source_m: np.ndarray,
     ops: StepOperators,
     prob: ProblemDef,
     grid: Grid,
     n: int,
     plan: SolvePlan,
     solver: str = SOLVER_SYLVESTER,
-    forcing_at: Callable[[int], tuple[np.ndarray, np.ndarray]] | None = None,
-) -> tuple[CoupledState, StepReport]:
+) -> tuple[CoupledState, StepReport, np.ndarray]:
     """Advance one level in the branch variables; store U and V once, at the end.
 
-    The Sylvester path solves the branches with the factors of `plan`
-    shifted by +-c_n; the Kronecker path solves the dense U/V system with
-    R = c_n I - k Theta and S = c_n I - k Lambda.  Both report the plan's
-    margin for step n and the residual of the branch equations on the
-    plan's banded pairs, which on the Kronecker path checks BRANCH_SIGNS.
+    `history` holds the levels (n, n-1) and `source_m` the `level_source` of
+    level n-1.  The step computes the source of level n and returns it with
+    the new level, for step n+1.  The Sylvester path solves the branches
+    with the factors of `plan` shifted by +-c_n; the Kronecker path solves
+    the dense U/V system with R = c_n I - k Theta and S = c_n I - k Lambda.
+    Both report the plan's margin for step n and the residual of the branch
+    equations on the plan's banded pairs, which on the Kronecker path checks
+    BRANCH_SIGNS.
     """
     t_start = time.perf_counter()
-    C = assemble_rhs(history, ops, prob, grid, n, forcing_at)
-    rhs_time = time.perf_counter() - t_start
     c = step_shift(grid, n, prob.a)
+    source = level_source(prob, grid, history[0])
+    C = assemble_rhs(history, (source, source_m), ops, c)
+    rhs_time = time.perf_counter() - t_start
     t_solve = time.perf_counter()
     if solver == SOLVER_SYLVESTER:
         P, Q = _solve_branches(plan.factors, C, c)
@@ -366,7 +373,7 @@ def step(
         solve_time=solve_time,
         residual_time=residual_time,
     )
-    return state, report
+    return state, report, source
 
 
 def run(
@@ -383,28 +390,26 @@ def run(
     stencil; see operators.build_operator_set).  The step operators are
     built once; the solve plan factors the branch pairs once and checks
     every step's margin before the first solve on either solver
-    (SolvabilityError names the step).  Raises BlowUpError when the
-    combined norm exceeds blowup_cap.
+    (SolvabilityError names the step).  Each level's source (nonlinearity
+    and forcing, `level_source`) is computed once and used by the two steps
+    it enters.  Raises BlowUpError when the combined norm exceeds blowup_cap.
     """
     grid = spec if isinstance(spec, Grid) else build_grid(spec)
     if grid.n_steps < 2:
         raise InvalidSpecError("run needs n_steps >= 2")
-    alpha = prob.alpha if prob.alpha is not None else grid.spec.alpha
     opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy=sing_policy)
-    ops = assemble_step_operators(opset, grid, alpha)
+    ops = assemble_step_operators(opset, grid, grid.spec.alpha)
     plan = plan_solves(ops, grid, prob.a)
-    forcing_at = functools.lru_cache(maxsize=2)(functools.partial(_forcing_at, prob, grid))
     s0, s1 = init_levels(prob, grid, opset)
     for seed in (s0, s1):
         seed.U.check_finite()
         seed.V.check_finite()
     trajectory = [s0, s1]
     reports: list[StepReport] = []
+    source = level_source(prob, grid, s0)
     for n in range(1, grid.n_steps):
         history = (trajectory[-1], trajectory[-2])
-        state, report = step(
-            history, ops, prob, grid, n, plan, solver=solver, forcing_at=forcing_at
-        )
+        state, report, source = step(history, source, ops, prob, grid, n, plan, solver=solver)
         state.U.check_finite()
         state.V.check_finite()
         if report.sup_norm > blowup_cap:

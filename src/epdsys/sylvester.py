@@ -46,7 +46,7 @@ import numpy as np
 import scipy.linalg
 
 from .exceptions import InvalidSpecError, SizeGuardError, SolvabilityError
-from .operators import TriDiagMatrix
+from .operators import BRANCH_SIGNS, TriDiagMatrix
 
 # A diagonal denominator |lam_i + mu_j| below DENOM_RTOL * norm(inputs) is
 # treated as a solvability failure rather than allowed to produce garbage.
@@ -57,10 +57,6 @@ DENOM_RTOL = 1e-12
 # size within it: 76, i.e. J <= 74.
 KRONECKER_MAX_BYTES = 2**30
 KRONECKER_MAX_SIZE = math.isqrt(math.isqrt(KRONECKER_MAX_BYTES // 32))
-
-# Branch s has the pair (W + s R, Wr + s S), so R, S shifted by c I shift it by
-# s c.  Branch pairs, margins, solves, residuals and the stepper's RHS read this.
-BRANCH_SIGNS = {"sum": 1.0, "diff": -1.0}
 
 
 def _as_square(M, name):

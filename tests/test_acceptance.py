@@ -9,19 +9,15 @@ exp(-(t^2/2 + r^2)) on [-10, 10]^2 with (a, lam, gamma, p, q) =
 exact seeding, axis policy "limit" (see the RunConfig default).
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 
 from epdsys.bench import (
     RunConfig,
-    check_forcing_certificate,
     grid_spec_for,
     manufactured_problem,
     run_convergence,
-    run_table1,
 )
 from epdsys.exact import frobenius_coefficients, ode_residual, pde_residual, sample_box
 from epdsys.grid import GridSpec, build_grid, discrete_errors

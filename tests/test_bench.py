@@ -162,7 +162,7 @@ def test_run_table1_solver_failure_recorded_not_raised(monkeypatch):
         raise SizeGuardError("refused for the test")
 
     monkeypatch.setattr(stepper_mod, "kronecker_solve", refuse)
-    rows = run_table1(RunConfig(J=4), J_list=(4,), repeats=1, csv_path="", kronecker=True)
+    rows = run_table1(RunConfig(J=4), J_list=(4,), repeats=1, csv_path="")
     assert "kronecker" in rows[0].error
     assert math.isnan(rows[0].Er_I)
     assert math.isfinite(rows[0].Er_II)

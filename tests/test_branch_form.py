@@ -1,7 +1,8 @@
 """Property tests for the step's right-hand side and residual in branch form.
 
 `assemble_rhs` builds the branch right-hand sides C1 +- C2 in the branch
-variables U +- V from the stacked operators of `StepOperators`, and
+variables U +- V from the stacked operators of `StepOperators` and the
+levels' sources from `level_source`, and
 `residual` evaluates a coupled pair through its sum and difference
 equations.  Both are checked here against the two-equation U/V forms,
 written out from the scheme's coefficients with `_lyap` and `_cross`.  The
@@ -22,7 +23,7 @@ from epdsys.operators import (
     build_operator_set,
     step_shift,
 )
-from epdsys.stepper import ProblemDef, _cross, _lyap, _power, assemble_rhs
+from epdsys.stepper import ProblemDef, _cross, _lyap, _power, assemble_rhs, level_source
 from epdsys.sylvester import CoupledProblem, _branch_residual, _factor_coupled, residual
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -73,26 +74,27 @@ def test_assemble_rhs_equals_the_uv_form(
     grid = build_grid(
         GridSpec(L0=-1.0, L1=1.0, J=J, t0=t0, step_rule="independent", l=0.1 * rng.uniform(0.1, 1))
     )
-    prob = ProblemDef(
-        a=a, lam=lam, gamma=gamma, p=1.0 + rng.uniform(0.1, 2.0), q=1.0 + rng.uniform(0.1, 2.0),
-        data=(None,) * 4, nonlinear=nonlinear,
-        # the forcing samples come from `forcing` below, through forcing_at
-        forcing=(None, None) if forced else None,
-    )
-    opset = build_operator_set(grid, lam, gamma, sing_policy=sing_policy)
-    ops = assemble_step_operators(opset, grid, alpha)
     size = (grid.size, grid.size)
-    hist = [tuple(rng.standard_normal(size) for _ in range(2)) for _ in range(2)]
     forcing = {
         level: (rng.standard_normal(size), rng.standard_normal(size))
         for level in ((n - 1, n) if forced else ())
     }
+    level_at = {grid.time(level): level for level in forcing}
+    prob = ProblemDef(
+        a=a, lam=lam, gamma=gamma, p=1.0 + rng.uniform(0.1, 2.0), q=1.0 + rng.uniform(0.1, 2.0),
+        data=(None,) * 4, nonlinear=nonlinear,
+        forcing=(lambda x, y, t: forcing[level_at[t]]) if forced else None,
+    )
+    opset = build_operator_set(grid, lam, gamma, sing_policy=sing_policy)
+    ops = assemble_step_operators(opset, grid, alpha)
+    hist = [tuple(rng.standard_normal(size) for _ in range(2)) for _ in range(2)]
     history = tuple(
         CoupledState(Field(U, level), Field(V, level))
         for (U, V), level in zip(hist, (n, n - 1))
     )
 
-    C = assemble_rhs(history, ops, prob, grid, n, forcing.__getitem__)
+    sources = tuple(level_source(prob, grid, state) for state in history)
+    C = assemble_rhs(history, sources, ops, step_shift(grid, n, a))
 
     terms1, terms2 = reference_rhs_terms(hist, opset, grid, alpha, prob, n, forcing)
     C1, C2 = sum(terms1), sum(terms2)

@@ -279,7 +279,8 @@ def _manufactured_pair():
 
     prob = ProblemDef(
         a=2.5, lam=0.25, gamma=0.25, p=1.5, q=4 / 3,
-        forcing=(G1, G2), exact=lambda x, y, t: (g1(x, y, t), g1(x, y, t)),
+        forcing=lambda x, y, t: (G1(x, y, t), G2(x, y, t)),
+        exact=lambda x, y, t: (g1(x, y, t), g1(x, y, t)),
     )
     return g1, prob
 

@@ -18,6 +18,7 @@ from epdsys.stepper import (
     cfl_guard,
     convergence_order,
     init_levels,
+    level_source,
     nonlinear_G,
     nonlinear_H,
     plan_solves,
@@ -115,7 +116,7 @@ def test_init_levels_taylor_matches_exact_expansion():
     u1 = lambda x, y: -0.5 * np.exp(-(0.125 + x * x + y * y))
     prob = ProblemDef(
         a=2.5, lam=0.25, gamma=0.25, p=1.5, q=4 / 3,
-        forcing=(G1, G2), data=(u0, u1, u0, u1),
+        forcing=lambda x, y, t: (G1(x, y, t), G2(x, y, t)), data=(u0, u1, u0, u1),
     )
     opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy="limit")
     _, s1 = init_levels(prob, grid, opset)
@@ -136,6 +137,12 @@ def test_init_levels_taylor_one_term():
     assert np.allclose(s1.U.values, s0.U.values + 0.25, atol=1e-14)
 
 
+def _rhs(history, ops, prob, grid, n):
+    """assemble_rhs for step n, with the sources and shift its step computes."""
+    sources = tuple(level_source(prob, grid, state) for state in history)
+    return assemble_rhs(history, sources, ops, step_shift(grid, n, prob.a))
+
+
 def _zero_history(grid, n):
     Z = np.zeros((grid.size, grid.size))
     return (
@@ -149,7 +156,7 @@ def test_assemble_rhs_zero_history():
     prob = ProblemDef(a=1.0, lam=0.25, gamma=0.25, p=2.0, q=2.0, data=(ZERO,) * 4)
     opset = build_operator_set(grid, 0.25, 0.25)
     ops = assemble_step_operators(opset, grid, 0.25)
-    C = assemble_rhs(_zero_history(grid, 1), ops, prob, grid, 1)
+    C = _rhs(_zero_history(grid, 1), ops, prob, grid, 1)
     assert C.shape == (2, grid.size, grid.size)
     assert np.all(C == 0.0)
 
@@ -166,7 +173,7 @@ def test_assemble_rhs_alpha_half_kills_gradient_history(rng):
         CoupledState(Field(np.zeros((n, n)), 1), Field(Vn, 1)),
         CoupledState(Field(np.zeros((n, n)), 0), Field(np.zeros((n, n)), 0)),
     )
-    C_sum, C_diff = assemble_rhs(hist, ops, prob, grid, 1)
+    C_sum, C_diff = _rhs(hist, ops, prob, grid, 1)
     assert np.allclose(0.5 * (C_sum + C_diff), 0.0, atol=1e-14)
 
 
@@ -184,7 +191,7 @@ def test_assemble_rhs_constant_fields_reduce_to_time_terms():
         CoupledState(Field(Un, 1), Field(Un.copy(), 1)),
         CoupledState(Field(Um, 0), Field(Um.copy(), 0)),
     )
-    C_sum, C_diff = assemble_rhs(hist, ops, prob, grid, 1)
+    C_sum, C_diff = _rhs(hist, ops, prob, grid, 1)
     assert np.allclose(0.5 * (C_sum + C_diff), 2 * Un - Um, atol=1e-13)
     assert np.allclose(0.5 * (C_sum - C_diff), 2 * Un - Um, atol=1e-13)
 
@@ -195,8 +202,12 @@ def test_step_zero_state_stays_zero():
     opset = build_operator_set(grid, 0.25, 0.25)
     ops = assemble_step_operators(opset, grid, 0.25)
     plan = plan_solves(ops, grid, prob.a)
-    state, report = step(_zero_history(grid, 1), ops, prob, grid, 1, plan)
+    history = _zero_history(grid, 1)
+    state, report, source = step(
+        history, level_source(prob, grid, history[1]), ops, prob, grid, 1, plan
+    )
     assert np.all(state.U.values == 0.0) and np.all(state.V.values == 0.0)
+    assert np.all(source == 0.0)
     assert report.residual_coupled == 0.0
     assert state.level == 2
 
@@ -216,8 +227,7 @@ def test_step_margins_match_solvability_margin(ref_grid24, ref_problem, solver):
     prob, _ = ref_problem
     _, reports = run(prob, ref_grid24.spec, solver=solver, sing_policy="limit")
     opset = build_operator_set(ref_grid24, prob.lam, prob.gamma, sing_policy="limit")
-    alpha = ref_grid24.spec.alpha if prob.alpha is None else prob.alpha
-    ops = assemble_step_operators(opset, ref_grid24, alpha)
+    ops = assemble_step_operators(opset, ref_grid24, ref_grid24.spec.alpha)
     assert reports
     for report in reports:
         I_c = TriDiagMatrix.identity(ref_grid24.size, step_shift(ref_grid24, report.n, prob.a))
@@ -309,7 +319,10 @@ def test_symmetric_problem_keeps_u_equal_v():
         g1 = np.exp(-(0.5 * t * t + x * x + y * y))
         return (t * t - 4 * (x * x + y * y)) * g1 - np.exp(-1.5 * (0.5 * t * t + x * x + y * y))
 
-    prob = ProblemDef(a=2.5, lam=0.25, gamma=0.25, p=1.5, q=1.5, forcing=(G, G), exact=exact)
+    prob = ProblemDef(
+        a=2.5, lam=0.25, gamma=0.25, p=1.5, q=1.5, forcing=lambda x, y, t: (G(x, y, t),) * 2,
+        exact=exact,
+    )
     traj, _ = run(prob, spec)
     worst = max(np.abs(s.U.values - s.V.values).max() for s in traj)
     assert worst <= 1e-9
@@ -335,7 +348,7 @@ def test_run_raising_forcing_is_invalid_spec(seeding):
 
     seed = {"exact": {"exact": lambda x, y, t: (gauss(x, y), gauss(x, y))},
             "data": {"data": (gauss, ZERO, gauss, ZERO)}}[seeding]
-    prob = ProblemDef(a=1.0, lam=0.25, gamma=0.25, p=2.0, q=2.0, forcing=(broken, broken), **seed)
+    prob = ProblemDef(a=1.0, lam=0.25, gamma=0.25, p=2.0, q=2.0, forcing=broken, **seed)
     with pytest.raises(InvalidSpecError, match="sampling failed on nodes"):
         run(prob, GridSpec(L0=-1, L1=1, J=3, t0=1.0, n_steps=3))
 
@@ -370,12 +383,21 @@ def test_run_factors_once_per_run(monkeypatch):
 
 
 def test_forcing_sampled_once_per_level(monkeypatch):
-    # level n's forcing is reused as the previous level of step n+1
+    # level n's source is reused as the previous level of step n+1
     spec = GridSpec(L0=-10, L1=10, J=4, t0=0.5, n_steps=8, step_rule="independent", l=0.05)
     prob, _ = manufactured_problem(RunConfig(J=4))
-    sample_calls = _counting(monkeypatch, epdsys.stepper, "sample")
+    forcing_times = []
+
+    def counted_forcing(x, y, t, forcing=prob.forcing):
+        forcing_times.append(t)
+        return forcing(x, y, t)
+
+    prob = dataclasses.replace(prob, forcing=counted_forcing)
+    power_calls = _counting(monkeypatch, epdsys.stepper, "_power")
     run(prob, spec, sing_policy="limit")
-    assert len(sample_calls) == 2 * 8  # G1 and G2 at levels 0..7
+    grid = build_grid(spec)
+    assert forcing_times == [grid.time(k) for k in range(8)]  # levels 0..7, once each
+    assert len(power_calls) == 2 * 8  # |U|^(p-1) V and |V|^(q-1) U at levels 0..7
 
 
 @pytest.mark.parametrize("solver", ["sylvester", "kronecker"])
@@ -514,12 +536,12 @@ def test_non_finite_forcing_names_its_level_before_the_solve(monkeypatch):
     spec = GridSpec(L0=-10, L1=10, J=9, t0=0.5, n_steps=8, step_rule="independent", l=0.05)
     t_k = build_grid(spec).time(k)
     prob, _ = manufactured_problem(RunConfig(J=9))
-    G1, G2 = prob.forcing
 
-    def G1_nan_at_k(x, y, t):
-        return G1(x, y, t) + (np.nan if abs(t - t_k) < 1e-9 else 0.0)
+    def G1_nan_at_k(x, y, t, forcing=prob.forcing):
+        G1, G2 = forcing(x, y, t)
+        return G1 + (np.nan if abs(t - t_k) < 1e-9 else 0.0), G2
 
-    prob = dataclasses.replace(prob, forcing=(G1_nan_at_k, G2))
+    prob = dataclasses.replace(prob, forcing=G1_nan_at_k)
     solve_calls = _counting(monkeypatch, epdsys.stepper, "_solve_branches")
     with pytest.raises(InvalidSpecError, match=rf"forcing at level {k} \(t_{k} = 0\.7\)"):
         run(prob, spec, sing_policy="limit")
@@ -538,6 +560,44 @@ def test_non_finite_seed_level_is_named_before_any_solve(monkeypatch, bad_level)
 
     prob = dataclasses.replace(prob, exact=exact_nan)
     solve_calls = _counting(monkeypatch, epdsys.stepper, "_solve_branches")
-    with pytest.raises(InvalidSpecError, match=f"field at level {bad_level} contains NaN"):
+    with pytest.raises(
+        InvalidSpecError, match=rf"exact solution at level {bad_level} \(t_{bad_level} = .*\) contains NaN"
+    ):
         run(prob, spec, sing_policy="limit")
     assert solve_calls == []
+
+
+def test_constant_exact_solution_is_broadcast_to_the_grid():
+    # a pair of constants seeds like any other exact solution, as discrete_errors reads it
+    spec = GridSpec(L0=-1, L1=1, J=3, t0=1.0, n_steps=3)
+    grid = build_grid(spec)
+    prob = ProblemDef(a=0.0, lam=0.0, gamma=0.0, p=2.0, q=2.0, exact=lambda x, y, t: (1.0, 1.0),
+                      nonlinear=False)
+    s0, s1 = init_levels(prob, grid)
+    for state in (s0, s1):
+        assert state.U.values.shape == state.V.values.shape == (grid.size, grid.size)
+        assert np.all(state.U.values == 1.0) and np.all(state.V.values == 1.0)
+    trajectory, _ = run(prob, spec)
+    assert discrete_errors(trajectory, prob.exact, grid).er <= 1e-14
+
+
+def test_raising_exact_solution_is_invalid_spec():
+    # the exact seeding is sampled like the forcing and the data
+    def broken(x, y, t):
+        raise ValueError("exact solution undefined")
+
+    prob = ProblemDef(a=1.0, lam=0.25, gamma=0.25, p=2.0, q=2.0, exact=broken)
+    with pytest.raises(InvalidSpecError, match="sampling failed on nodes"):
+        run(prob, GridSpec(L0=-1, L1=1, J=3, t0=1.0, n_steps=3))
+
+
+def test_previous_level_stacks_are_the_negated_branch_pairs():
+    # the level-(n-1) slices of the right-hand-side stacks and the pairs the
+    # plan factors both come from BRANCH_SIGNS, in its order
+    grid = build_grid(GridSpec(L0=-1, L1=1, J=5, t0=0.5, step_rule="independent", l=0.1))
+    ops = assemble_step_operators(build_operator_set(grid, 0.3, -0.2), grid, 0.25)
+    plan = plan_solves(ops, grid, 1.0)
+    for k, factors in enumerate(plan.factors):
+        for stack, shift_free in ((ops.rhs_left, factors.L), (ops.rhs_right, factors.R)):
+            slice_m = TriDiagMatrix(stack.sub[2 + k], stack.diag[2 + k], stack.sup[2 + k])
+            np.testing.assert_array_equal(slice_m.dense(), -shift_free.dense())
