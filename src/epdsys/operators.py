@@ -42,8 +42,8 @@ from .grid import Grid
 
 # Branch s of the coupled pair has the coefficients (W + s R, Wr + s S), so
 # R, S shifted by c I shift it by s c.  The branch pairs, margins, solves and
-# residuals, both right-hand-side stacks below and the step's damping term
-# read this table.
+# residuals, the image stacks below and the step's damping term read this
+# table.
 BRANCH_SIGNS = {"sum": 1.0, "diff": -1.0}
 
 
@@ -169,26 +169,42 @@ class StepOperators:
 
     W_alpha          = (1/2) I - alpha sigma A
     kTheta / kLambda = k Theta / k Lambda, k = alpha sigma h
-    rhs_left         = the stack (2 W_h + s b Theta, s kTheta - W_alpha)
-    rhs_right        = the stack (2 W_h^T + s b Lambda, s kLambda - W_alpha^T)
+    image_left       = the stack (A + s h Theta), s over BRANCH_SIGNS
+    image_right      = the stack (A^T + s h Lambda), s over BRANCH_SIGNS
 
-    with W_h = (1/2) I - (alpha - 1/2) sigma A, b = (1 - 2 alpha) sigma h and
-    s running over BRANCH_SIGNS (sum, diff) in each half.  The stacks carry
-    the known levels of the right-hand side in the branch variables
-    Z+- = U +- V: slice k acts on slice k of (Z+^n, Z-^n, Z+^(n-1),
-    Z-^(n-1)).  The level-(n-1) slices are the branch pairs the solve
-    factors, negated.
+    In the branch variables Z+- = U +- V every tridiagonal operator of a
+    branch is affine in one image, K(Z) = K Z + Z K' with K = A + s h Theta
+    and K' = A^T + s h Lambda (`image`, on the stacked pair (Z+, Z-)):
+
+        pair the plan factors     L Z + Z R   = Z - alpha sigma K(Z)
+        level n of the RHS        Ln Z + Z Rn = 2 Z + (1 - 2 alpha) sigma K(Z)
+        level n-1 of the RHS      Lm Z + Z Rm = -(Z - alpha sigma K(Z))
+
+    `implicit_weight` = alpha sigma and `explicit_weight` = (1 - 2 alpha)
+    sigma are the two weights, and `signs` holds the signs s, shaped to scale
+    the slices of a stack.  W_alpha, kTheta and kLambda form the same pairs
+    for the plan's factorization and for Method I.
 
     Step n adds only the damping c_n = l a / (2 t_n) (`step_shift`): its
     coefficients are R = c_n I -+ kTheta and S = c_n I -+ kLambda at the
-    levels n+1 and n-1.
+    levels n+1 and n-1, which shifts branch s by s c_n I on each side.
     """
 
     W_alpha: TriDiagMatrix
     kTheta: TriDiagMatrix
     kLambda: TriDiagMatrix
-    rhs_left: TriDiagMatrix
-    rhs_right: TriDiagMatrix
+    image_left: TriDiagMatrix
+    image_right: TriDiagMatrix
+    implicit_weight: float
+    explicit_weight: float
+    signs: np.ndarray
+
+    def image(self, Z: np.ndarray) -> np.ndarray:
+        """K(Z) = K Z + Z K' of the stacked branch pair Z = (Z+, Z-): one left
+        and one right banded pass."""
+        KZ = self.image_left @ Z
+        KZ += Z @ self.image_right
+        return KZ
 
 
 def neumann_second_difference(n: int) -> TriDiagMatrix:
@@ -271,24 +287,17 @@ def step_shift(grid: Grid, n: int, a: float) -> float:
 
 
 def assemble_step_operators(ops: OperatorSet, grid: Grid, alpha: float) -> StepOperators:
-    """Build W_alpha, k Theta, k Lambda and the right-hand-side stacks once per run."""
-    sigma = grid.sigma
-    k = alpha * sigma * grid.h
-    b = (1.0 - 2.0 * alpha) * sigma * grid.h
-    I = TriDiagMatrix.identity(grid.size)
-    W_alpha = 0.5 * I - (alpha * sigma) * ops.A
-    W_h2 = 2.0 * (0.5 * I - ((alpha - 0.5) * sigma) * ops.A)
-    kTheta, kLambda = k * ops.Theta, k * ops.Lambda
-    bTheta, bLambda = b * ops.Theta, b * ops.Lambda
-    signs = BRANCH_SIGNS.values()
+    """Build W_alpha, k Theta, k Lambda and the image stacks once per run."""
+    sigma, h = grid.sigma, grid.h
+    k = alpha * sigma * h
+    signs = list(BRANCH_SIGNS.values())
     return StepOperators(
-        W_alpha=W_alpha,
-        kTheta=kTheta,
-        kLambda=kLambda,
-        rhs_left=TriDiagMatrix.stack(
-            [W_h2 + s * bTheta for s in signs] + [s * kTheta - W_alpha for s in signs]
-        ),
-        rhs_right=TriDiagMatrix.stack(
-            [W_h2.T + s * bLambda for s in signs] + [s * kLambda - W_alpha.T for s in signs]
-        ),
+        W_alpha=0.5 * TriDiagMatrix.identity(grid.size) - (alpha * sigma) * ops.A,
+        kTheta=k * ops.Theta,
+        kLambda=k * ops.Lambda,
+        image_left=TriDiagMatrix.stack([ops.A + (s * h) * ops.Theta for s in signs]),
+        image_right=TriDiagMatrix.stack([ops.A.T + (s * h) * ops.Lambda for s in signs]),
+        implicit_weight=alpha * sigma,
+        explicit_weight=(1.0 - 2.0 * alpha) * sigma,
+        signs=np.array(signs)[:, None, None],
     )

@@ -13,9 +13,12 @@ and forcing enter with weight l^2/2 per level and the gradient history with
 weight (1-2 alpha) sigma h.
 
 `run` builds the step operators and the solve plan once; the damping shift
-c_n = l a / (2 t_n) is the only coefficient computed per step, and the
-source of each level (nonlinearity and forcing) is computed once and used by
-both steps it enters.
+c_n = l a / (2 t_n) is the only coefficient computed per step.  Each level
+is carried in the branch variables Z+- = U +- V with its banded image
+K(Z) (`StepOperators.image`), computed once when the level is formed, and
+its source (nonlinearity and forcing) is computed once: every banded
+operator of a step is a combination of these, so a step makes one left and
+one right stacked pass, for the level it solves.
 """
 
 from __future__ import annotations
@@ -29,12 +32,11 @@ import numpy as np
 from .exceptions import BlowUpError, InvalidSpecError, SingularTimeError
 from .grid import CoupledState, Field, Grid, GridSpec, build_grid, sample
 from .operators import (
-    BRANCH_SIGNS, SING_LIMIT, OperatorSet, StepOperators, TriDiagMatrix,
-    assemble_step_operators, build_operator_set, step_shift,
+    SING_LIMIT, OperatorSet, StepOperators, TriDiagMatrix, assemble_step_operators,
+    build_operator_set, step_shift,
 )
 from .sylvester import (
-    CoupledProblem, _branch_residual, _coupled_margins, _factor_coupled, _solve_branches,
-    kronecker_solve,
+    CoupledProblem, _coupled_margins, _factor_coupled, _ratio, _solve_branches, kronecker_solve,
 )
 
 SOLVER_SYLVESTER = "sylvester"
@@ -82,14 +84,19 @@ class ProblemDef:
 class StepReport:
     """Per-step diagnostics; sup_norm is the combined Frobenius norm.
 
-    wall_time covers the whole step; rhs_time, solve_time and residual_time
-    are its right-hand-side assembly, coupled solve and residual check.
+    `margins` are the plan's (sum, diff) margins of step n and `margin` the
+    smaller one; c is the step's shift c_n.  wall_time covers the whole step;
+    rhs_time, solve_time and residual_time are its right-hand-side assembly,
+    coupled solve and residual check, which includes the image of the new
+    level that the next two right-hand sides reuse.
     """
 
     n: int
     sup_norm: float
     residual_coupled: float
     margin: float
+    margins: tuple[float, float]
+    c: float
     wall_time: float
     rhs_time: float
     solve_time: float
@@ -155,11 +162,13 @@ class SolvePlan:
     reference grid (axis node, limit policy) the sum branch is diagonal for
     lam, gamma < 1 and the difference branch for lam, gamma < 1/2.
     `schedule` maps each step n to its (sum, diff) margins, all of them
-    above the solvability floor; both solvers report these.
+    above the solvability floor; both solvers report these.  `factor_time`
+    is the wall time of the factorization.
     """
 
     factors: tuple
     schedule: dict[int, tuple[float, float]]
+    factor_time: float
 
     @property
     def kernels(self) -> tuple[str, str]:
@@ -181,12 +190,14 @@ def plan_solves(ops: StepOperators, grid: Grid, a: float) -> SolvePlan:
     Raises SolvabilityError naming the first failing step, its branch and
     its eigenvalue pair before any solve.
     """
+    t_start = time.perf_counter()
     factors = _factor_coupled(ops.W_alpha, -1.0 * ops.kTheta, -1.0 * ops.kLambda, ops.W_alpha.T)
+    factor_time = time.perf_counter() - t_start
     schedule = {
         n: _coupled_margins(factors, step_shift(grid, n, a), step=n)
         for n in range(1, grid.n_steps)
     }
-    return SolvePlan(factors, schedule)
+    return SolvePlan(factors, schedule, factor_time)
 
 
 def init_levels(prob: ProblemDef, grid: Grid, opset: OperatorSet | None = None):
@@ -198,13 +209,19 @@ def init_levels(prob: ProblemDef, grid: Grid, opset: OperatorSet | None = None):
     (u_tt, v_tt) is recovered from the one-sided limit system
     u_tt + 2a v_tt = RHS_u, v_tt + 2a u_tt = RHS_v (valid for u1 = v1 = 0).
     """
+    return _seed_levels(prob, grid, opset)[:2]
+
+
+def _seed_levels(prob: ProblemDef, grid: Grid, opset: OperatorSet | None):
+    """`init_levels`, and the explicit terms of level 0 when the seeding
+    computed them (two-term Taylor mode), else None."""
     t0 = grid.t0
     if prob.exact is not None:
         def seed(level):
             u, v = _sample_pair(prob.exact, grid, level, "exact solution")
             return CoupledState(Field(u, level), Field(v, level))
 
-        return seed(0), seed(1)
+        return seed(0), seed(1), None
 
     u0f, u1f, v0f, v1f = prob.data
     U0 = sample(u0f, grid, level=0)
@@ -216,14 +233,15 @@ def init_levels(prob: ProblemDef, grid: Grid, opset: OperatorSet | None = None):
     if prob.taylor_terms == 1:
         U1 = Field(U0.values + l * Ut, level=1)
         V1 = Field(V0.values + l * Vt, level=1)
-        return CoupledState(U0, V0), CoupledState(U1, V1)
+        return CoupledState(U0, V0), CoupledState(U1, V1), None
 
     if opset is None:
         opset = build_operator_set(grid, prob.lam, prob.gamma)
 
     h = grid.h
     A, Theta, Lam = opset.A, opset.Theta, opset.Lambda
-    F_u, F_v = _explicit_terms(prob, grid, CoupledState(U0, V0))
+    F0 = _explicit_terms(prob, grid, CoupledState(U0, V0))
+    F_u, F_v = F0
     rhs_u = _lyap(A, U0.values) / (h * h) + _cross(Theta, Lam, V0.values) / h + F_u
     rhs_v = _lyap(A, V0.values) / (h * h) + _cross(Theta, Lam, U0.values) / h + F_v
 
@@ -247,7 +265,7 @@ def init_levels(prob: ProblemDef, grid: Grid, opset: OperatorSet | None = None):
 
     U1 = Field(U0.values + l * Ut + 0.5 * l * l * u_tt, level=1)
     V1 = Field(V0.values + l * Vt + 0.5 * l * l * v_tt, level=1)
-    return CoupledState(U0, V0), CoupledState(U1, V1)
+    return CoupledState(U0, V0), CoupledState(U1, V1), F0
 
 
 def _explicit_terms(prob: ProblemDef, grid: Grid, state: CoupledState) -> np.ndarray:
@@ -270,12 +288,38 @@ def level_source(prob: ProblemDef, grid: Grid, state: CoupledState) -> np.ndarra
     so `run` computes it once and carries it.  A forcing sample that is not
     finite raises InvalidSpecError naming the level and t_n.
     """
-    F_u, F_v = _explicit_terms(prob, grid, state)
+    return _branch_source(grid, _explicit_terms(prob, grid, state))
+
+
+def _branch_source(grid: Grid, F: np.ndarray) -> np.ndarray:
+    """(l^2/2) (F_u +- F_v) from the stacked explicit terms (F_u, F_v)."""
+    F_u, F_v = F
     return (0.5 * grid.l * grid.l) * np.stack((F_u + F_v, F_u - F_v))
 
 
+@dataclasses.dataclass(frozen=True)
+class BranchLevel:
+    """One time level in the branch variables, with its image.
+
+    Z = (U + V, U - V) is stacked in BRANCH_SIGNS order and KZ = K(Z) is its
+    image (`StepOperators.image`).  The step that forms the level checks its
+    residual with KZ, and the right-hand sides of the next two steps reuse it.
+    """
+
+    state: CoupledState
+    Z: np.ndarray
+    KZ: np.ndarray
+
+    @classmethod
+    def of(cls, state: CoupledState, ops: StepOperators) -> "BranchLevel":
+        """The branch pair of `state` and its image: one left and one right pass."""
+        U, V = state.U.values, state.V.values
+        Z = np.stack((U + V, U - V))
+        return cls(state, Z, ops.image(Z))
+
+
 def assemble_rhs(
-    history: tuple[CoupledState, CoupledState],
+    levels: tuple[BranchLevel, BranchLevel],
     sources: tuple[np.ndarray, np.ndarray],
     ops: StepOperators,
     c: float,
@@ -283,38 +327,48 @@ def assemble_rhs(
     """The branch right-hand sides, stacked (C+, C-), of the solve for level n+1.
 
     C+- = C1 +- C2 in the branch variables Z+- = U +- V, in which the scheme
-    decouples:
+    decouples.  Every banded operator of a branch is affine in the image K(Z)
+    (`StepOperators`), so with w_e = (1 - 2 alpha) sigma and w_i = alpha sigma
 
-        C+- = Ln+- Z+-^n + Z+-^n Rn+- + Lm+- Z+-^(n-1) + Z+-^(n-1) Rm+-
+        C+- = 2 Z+-^n + w_e K(Z+-^n) - Z+-^(n-1) + w_i K(Z+-^(n-1))
               +- 2 c_n Z+-^(n-1) + S+-^n + S+-^(n-1)
 
-    where Ln+-, Lm+- are the slices of `ops.rhs_left` and Rn+-, Rm+- those
-    of `ops.rhs_right`: one left and one right pass over the stack (Z+^n,
-    Z-^n, Z+^(n-1), Z-^(n-1)); 2 c_n takes the branch's sign in
-    `BRANCH_SIGNS`.  `history` holds the levels (n, n-1), `sources` their
-    `level_source` and c the step's shift c_n.
+    is formed entrywise from the carried images, with no banded product;
+    2 c_n takes the branch's sign in `BRANCH_SIGNS`.  `levels` holds the
+    levels (n, n-1), `sources` their `level_source` and c the step's shift
+    c_n.
     """
-    state_n, state_nm1 = history
-    if state_nm1.level != state_n.level - 1:
+    level_n, level_m = levels
+    if level_m.state.level != level_n.state.level - 1:
         raise InvalidSpecError(
-            f"history levels ({state_n.level}, {state_nm1.level}) are not consecutive"
+            f"history levels ({level_n.state.level}, {level_m.state.level}) are not consecutive"
         )
-    Un, Vn = state_n.U.values, state_n.V.values
-    Um, Vm = state_nm1.U.values, state_nm1.V.values
-
-    Z = np.stack((Un + Vn, Un - Vn, Um + Vm, Um - Vm))
-    T = ops.rhs_left @ Z
-    T += Z @ ops.rhs_right
-    for T_m, Z_m, s in zip(T[2:], Z[2:], BRANCH_SIGNS.values()):
-        T_m += (2.0 * s * c) * Z_m
-    C = T[:2] + T[2:]
+    C = ((2.0 * c) * ops.signs - 1.0) * level_m.Z
+    C += 2.0 * level_n.Z
+    C += ops.explicit_weight * level_n.KZ
+    C += ops.implicit_weight * level_m.KZ
     source_n, source_m = sources
     C += source_n + source_m
     return C
 
 
+def _step_residual(level: BranchLevel, C: np.ndarray, ops: StepOperators, c: float) -> float:
+    """Relative Frobenius residual of both branch equations of a step,
+    Z - alpha sigma K(Z) +- 2 c_n Z = C, from the new level's image.
+
+    This is the plan's pair shifted by +-c_n, evaluated banded in physical
+    space, independent of the solve's eigenbasis.  One norm over the stack
+    gives the ratio of the two U/V equations, by the parallelogram identity
+    (see `sylvester._branch_residual`); 0/0 counts as 0.
+    """
+    r = (1.0 + (2.0 * c) * ops.signs) * level.Z
+    r -= ops.implicit_weight * level.KZ
+    r -= C
+    return _ratio(np.linalg.norm(r), np.linalg.norm(C))
+
+
 def step(
-    history: tuple[CoupledState, CoupledState],
+    levels: tuple[BranchLevel, BranchLevel],
     source_m: np.ndarray,
     ops: StepOperators,
     prob: ProblemDef,
@@ -322,27 +376,27 @@ def step(
     n: int,
     plan: SolvePlan,
     solver: str = SOLVER_SYLVESTER,
-) -> tuple[CoupledState, StepReport, np.ndarray]:
-    """Advance one level in the branch variables; store U and V once, at the end.
+) -> tuple[BranchLevel, StepReport, np.ndarray]:
+    """Advance one level in the branch variables; form U and V once, at the end.
 
-    `history` holds the levels (n, n-1) and `source_m` the `level_source` of
+    `levels` holds the levels (n, n-1) and `source_m` the `level_source` of
     level n-1.  The step computes the source of level n and returns it with
-    the new level, for step n+1.  The Sylvester path solves the branches
-    with the factors of `plan` shifted by +-c_n; the Kronecker path solves
-    the dense U/V system with R = c_n I - k Theta and S = c_n I - k Lambda.
-    Both report the plan's margin for step n and the residual of the branch
-    equations on the plan's banded pairs, which on the Kronecker path checks
-    BRANCH_SIGNS.
+    the new level and its image, for steps n+1 and n+2.  The Sylvester path
+    solves the branches with the factors of `plan` shifted by +-c_n; the
+    Kronecker path solves the dense U/V system with R = c_n I - k Theta and
+    S = c_n I - k Lambda.  Both report the plan's margins for step n and the
+    residual of the branch equations (`_step_residual`), which on the
+    Kronecker path checks BRANCH_SIGNS.
     """
     t_start = time.perf_counter()
     c = step_shift(grid, n, prob.a)
-    source = level_source(prob, grid, history[0])
-    C = assemble_rhs(history, (source, source_m), ops, c)
+    source = level_source(prob, grid, levels[0].state)
+    C = assemble_rhs(levels, (source, source_m), ops, c)
     rhs_time = time.perf_counter() - t_start
     t_solve = time.perf_counter()
     if solver == SOLVER_SYLVESTER:
-        P, Q = _solve_branches(plan.factors, C, c)
-        X, Y = 0.5 * (P + Q), 0.5 * (P - Q)
+        Z = np.stack(_solve_branches(plan.factors, C, c))
+        X, Y = 0.5 * (Z[0] + Z[1]), 0.5 * (Z[0] - Z[1])
     elif solver == SOLVER_KRONECKER:
         I_c = TriDiagMatrix.identity(grid.size, c)
         X, Y = kronecker_solve(CoupledProblem(
@@ -353,27 +407,31 @@ def step(
             C2=0.5 * (C[0] - C[1]),
             W_right=ops.W_alpha.T,
         ))
-        P, Q = X + Y, X - Y
+        Z = np.stack((X + Y, X - Y))
     else:
         raise InvalidSpecError(f"unknown solver {solver!r}")
     solve_time = time.perf_counter() - t_solve
 
     t_residual = time.perf_counter()
-    res = _branch_residual([(f.L, f.R) for f in plan.factors], (P, Q), C, c)
+    state = CoupledState(Field(X, level=n + 1), Field(Y, level=n + 1))
+    level = BranchLevel(state, Z, ops.image(Z))
+    res = _step_residual(level, C, ops, c)
     residual_time = time.perf_counter() - t_residual
 
-    state = CoupledState(Field(X, level=n + 1), Field(Y, level=n + 1))
+    margins = plan.schedule[n]
     report = StepReport(
         n=n,
         sup_norm=state.sup_norm(),
         residual_coupled=res,
-        margin=min(plan.schedule[n]),
+        margin=min(margins),
+        margins=margins,
+        c=c,
         wall_time=time.perf_counter() - t_start,
         rhs_time=rhs_time,
         solve_time=solve_time,
         residual_time=residual_time,
     )
-    return state, report, source
+    return level, report, source
 
 
 def run(
@@ -390,9 +448,10 @@ def run(
     stencil; see operators.build_operator_set).  The step operators are
     built once; the solve plan factors the branch pairs once and checks
     every step's margin before the first solve on either solver
-    (SolvabilityError names the step).  Each level's source (nonlinearity
-    and forcing, `level_source`) is computed once and used by the two steps
-    it enters.  Raises BlowUpError when the combined norm exceeds blowup_cap.
+    (SolvabilityError names the step).  Each level's image (`BranchLevel`)
+    and source (nonlinearity and forcing, `level_source`) are computed once
+    and used by every step they enter.  Raises BlowUpError when the combined
+    norm exceeds blowup_cap.
     """
     grid = spec if isinstance(spec, Grid) else build_grid(spec)
     if grid.n_steps < 2:
@@ -400,16 +459,19 @@ def run(
     opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy=sing_policy)
     ops = assemble_step_operators(opset, grid, grid.spec.alpha)
     plan = plan_solves(ops, grid, prob.a)
-    s0, s1 = init_levels(prob, grid, opset)
+    s0, s1, terms0 = _seed_levels(prob, grid, opset)
     for seed in (s0, s1):
         seed.U.check_finite()
         seed.V.check_finite()
     trajectory = [s0, s1]
     reports: list[StepReport] = []
-    source = level_source(prob, grid, s0)
+    if terms0 is None:
+        terms0 = _explicit_terms(prob, grid, s0)
+    source = _branch_source(grid, terms0)
+    levels = (BranchLevel.of(s1, ops), BranchLevel.of(s0, ops))
     for n in range(1, grid.n_steps):
-        history = (trajectory[-1], trajectory[-2])
-        state, report, source = step(history, source, ops, prob, grid, n, plan, solver=solver)
+        level, report, source = step(levels, source, ops, prob, grid, n, plan, solver=solver)
+        state = level.state
         state.U.check_finite()
         state.V.check_finite()
         if report.sup_norm > blowup_cap:
@@ -420,6 +482,7 @@ def run(
             )
         trajectory.append(state)
         reports.append(report)
+        levels = (level, levels[0])
     return trajectory, reports
 
 

@@ -44,6 +44,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import as_strided
 
 from .exceptions import InvalidSpecError, SizeGuardError, SolvabilityError
 from .operators import BRANCH_SIGNS, TriDiagMatrix
@@ -53,8 +54,9 @@ from .operators import BRANCH_SIGNS, TriDiagMatrix
 DENOM_RTOL = 1e-12
 
 # Byte budget for the dense Kronecker system matrix, 8 (2 n^2)^2 = 32 n^4
-# bytes (the kron temporaries and LAPACK's copy come on top), and the largest
-# size within it: 76, i.e. J <= 74.
+# bytes, and the largest size within it: 76, i.e. J <= 74.  kronecker_solve
+# fills and factors that one buffer in place, so the solve's peak is the
+# budget plus O(n^2) vectors.
 KRONECKER_MAX_BYTES = 2**30
 KRONECKER_MAX_SIZE = math.isqrt(math.isqrt(KRONECKER_MAX_BYTES // 32))
 
@@ -167,7 +169,7 @@ class _Factors:
     + n s^2.
     """
 
-    L: np.ndarray | TriDiagMatrix  # the pair as given, banded or not, for residuals
+    L: np.ndarray | TriDiagMatrix  # the pair as given, banded or not
     R: np.ndarray | TriDiagMatrix
     VL: np.ndarray
     VL_inv: np.ndarray
@@ -336,7 +338,10 @@ def kronecker_solve(
     """Method I: vectorize both unknowns into one dense 2 n^2 linear system.
 
     Column-stacking identities: vec(W X) = (I kron W) vec(X) and
-    vec(X M) = (M.T kron I) vec(X).
+    vec(X M) = (M.T kron I) vec(X).  The system [[A_W, A_RS], [A_RS, A_W]]
+    is written block by block into one zeroed Fortran-ordered buffer and
+    factored there by LAPACK dgesv (Gaussian elimination with partial
+    pivoting), so no n^2 x n^2 temporary and no copy of it is made.
     """
     n = p.size
     if n > max_size:
@@ -345,23 +350,42 @@ def kronecker_solve(
             f"(dense system would be {2 * n * n} x {2 * n * n}, "
             f"{8 * (2 * n * n) ** 2:,} bytes; budget {KRONECKER_MAX_BYTES:,})"
         )
-    I = np.eye(n)
-    A_W = np.kron(I, p.W) + np.kron(p.W_right.T, I)
-    A_RS = np.kron(I, p.R) + np.kron(p.S.T, I)
-    M = np.block([[A_W, A_RS], [A_RS, A_W]])
+    N = n * n
+    M = np.zeros((2 * N, 2 * N), order="F")
+    # row i + n j + N bi, column k + n m + N bj -> M6[i, j, bi, k, m, bj]:
+    # equation (i, j) of block row bi, unknown (k, m) of block column bj
+    M6 = M.reshape((n, n, 2, n, n, 2), order="F")
+    pairs = ((p.W, p.W_right), (p.R, p.S))  # diagonal and off-diagonal blocks
+    for bi in range(2):
+        for bj in range(2):
+            left, right = (np.asarray(A, dtype=float) for A in pairs[bi != bj])
+            block = M6[:, :, bi, :, :, bj]
+            s0, s1, s2, s3 = block.strides
+            # (left X)[i, j] = sum_k left[i, k] X[k, j]: the entries with m = j
+            as_strided(block, (n, n, n), (s0, s1 + s3, s2))[...] += left[:, None, :]
+            # (X right)[i, j] = sum_m X[i, m] right[m, j]: the entries with k = i
+            as_strided(block, (n, n, n), (s0 + s2, s1, s3))[...] += right.T[None, :, :]
     b = np.concatenate([p.C1.ravel(order="F"), p.C2.ravel(order="F")])
-    try:
-        sol = np.linalg.solve(M, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolvabilityError(f"Kronecker system singular: {exc}") from exc
-    X = sol[: n * n].reshape((n, n), order="F")
-    Y = sol[n * n :].reshape((n, n), order="F")
+    _, _, sol, info = scipy.linalg.lapack.dgesv(M, b, overwrite_a=True, overwrite_b=True)
+    if info > 0:
+        raise SolvabilityError(f"Kronecker system singular: U[{info - 1}, {info - 1}] is zero")
+    X = sol[:N].reshape((n, n), order="F")
+    Y = sol[N:].reshape((n, n), order="F")
     return X, Y
 
 
-def _branch_residual(pairs, Z, C, c: float = 0.0) -> float:
-    """Relative Frobenius residual of the equations (L + s c I) Z + Z (R + s c I)
-    = C, one per branch of `pairs`, with s its sign; 0/0 counts as 0.
+def _ratio(num: float, den: float) -> float:
+    """A relative residual num / den; 0/0 counts as 0."""
+    if num == 0.0:
+        return 0.0
+    if den == 0.0:
+        return float("inf")
+    return float(num / den)
+
+
+def _branch_residual(pairs, Z, C) -> float:
+    """Relative Frobenius residual of the equations L Z + Z R = C, one per
+    branch of `pairs`; 0/0 counts as 0.
 
     For a coupled pair, Z = (X+Y, X-Y) and C = (C1+C2, C1-C2): the branch
     residuals r+- = r1 +- r2 are the sum and difference of the two
@@ -370,15 +394,10 @@ def _branch_residual(pairs, Z, C, c: float = 0.0) -> float:
     is that of the two equations from four products instead of eight.
     """
     num = np.linalg.norm([
-        np.linalg.norm(L @ Zb + Zb @ R + (2.0 * s * c) * Zb - Cb)
-        for (L, R), Zb, Cb, s in zip(pairs, Z, C, BRANCH_SIGNS.values())
+        np.linalg.norm(L @ Zb + Zb @ R - Cb) for (L, R), Zb, Cb in zip(pairs, Z, C)
     ])
     den = np.linalg.norm([np.linalg.norm(Cb) for Cb in C])
-    if num == 0.0:
-        return 0.0
-    if den == 0.0:
-        return float("inf")
-    return float(num / den)
+    return _ratio(num, den)
 
 
 def residual(p, solution) -> float:

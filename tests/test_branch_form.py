@@ -1,13 +1,14 @@
 """Property tests for the step's right-hand side and residual in branch form.
 
 `assemble_rhs` builds the branch right-hand sides C1 +- C2 in the branch
-variables U +- V from the stacked operators of `StepOperators` and the
-levels' sources from `level_source`, and
-`residual` evaluates a coupled pair through its sum and difference
-equations.  Both are checked here against the two-equation U/V forms,
-written out from the scheme's coefficients with `_lyap` and `_cross`.  The
-step's own residual, on the plan's shift-free pairs shifted by +-c_n, is
-checked against `residual` of the U/V problem.
+variables U +- V from the levels' images K(Z) (`StepOperators.image`) and
+sources (`level_source`), and `residual` evaluates a coupled pair through
+its sum and difference equations.  Both are checked here against the
+two-equation U/V forms, written out from the scheme's coefficients with
+`_lyap` and `_cross`.  The three operators of a branch are checked against
+their dense matrices as functions of the image, and the step's own
+residual, from the image of the new level, against `residual` of the U/V
+problem.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from epdsys.grid import CoupledState, Field, GridSpec, build_grid
 from epdsys.operators import (
+    BRANCH_SIGNS,
     SING_LIMIT,
     SING_ZERO,
     TriDiagMatrix,
@@ -23,8 +25,10 @@ from epdsys.operators import (
     build_operator_set,
     step_shift,
 )
-from epdsys.stepper import ProblemDef, _cross, _lyap, _power, assemble_rhs, level_source
-from epdsys.sylvester import CoupledProblem, _branch_residual, _factor_coupled, residual
+from epdsys.stepper import (
+    BranchLevel, ProblemDef, _cross, _lyap, _power, _step_residual, assemble_rhs, level_source,
+)
+from epdsys.sylvester import CoupledProblem, residual
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -94,7 +98,8 @@ def test_assemble_rhs_equals_the_uv_form(
     )
 
     sources = tuple(level_source(prob, grid, state) for state in history)
-    C = assemble_rhs(history, sources, ops, step_shift(grid, n, a))
+    levels = tuple(BranchLevel.of(state, ops) for state in history)
+    C = assemble_rhs(levels, sources, ops, step_shift(grid, n, a))
 
     terms1, terms2 = reference_rhs_terms(hist, opset, grid, alpha, prob, n, forcing)
     C1, C2 = sum(terms1), sum(terms2)
@@ -134,6 +139,42 @@ def test_residual_equals_the_two_equation_form(seed, n, scale):
 
 @settings(max_examples=120, deadline=None)
 @given(
+    seed=seeds, J=st.integers(min_value=1, max_value=9), lam=coefs, gamma=coefs,
+    alpha=st.one_of(st.sampled_from([0.0, 0.5]), unit),
+    sing_policy=st.sampled_from([SING_ZERO, SING_LIMIT]),
+)
+def test_branch_operators_are_affine_in_the_image(seed, J, lam, gamma, alpha, sing_policy):
+    # the factored pair, the level-n and the level-(n-1) operators of each
+    # branch, written out as dense matrices, against their image identities
+    rng = np.random.default_rng(seed)
+    grid = build_grid(
+        GridSpec(L0=-1.0, L1=1.0, J=J, step_rule="independent", l=0.1 * rng.uniform(0.1, 1))
+    )
+    opset = build_operator_set(grid, lam, gamma, sing_policy)
+    ops = assemble_step_operators(opset, grid, alpha)
+    sigma, h = grid.sigma, grid.h
+    I = np.eye(grid.size)
+    A, Theta, Lam = (M.dense() for M in (opset.A, opset.Theta, opset.Lambda))
+    W = 0.5 * I - alpha * sigma * A
+    W_h = 0.5 * I - (alpha - 0.5) * sigma * A
+    k, b = alpha * sigma * h, (1.0 - 2.0 * alpha) * sigma * h
+    Z = rng.standard_normal((2, grid.size, grid.size))
+    KZ = ops.image(Z)
+    for Zb, KZb, s in zip(Z, KZ, BRANCH_SIGNS.values()):
+        L, R = W - s * k * Theta, W.T - s * k * Lam
+        pairs = {
+            "factored": ((L, R), Zb - ops.implicit_weight * KZb),
+            "level n": ((2 * W_h + s * b * Theta, 2 * W_h.T + s * b * Lam),
+                        2 * Zb + ops.explicit_weight * KZb),
+            "level n-1": ((-L, -R), -(Zb - ops.implicit_weight * KZb)),
+        }
+        for (left, right), image_form in pairs.values():
+            dense = left @ Zb + Zb @ right
+            assert np.linalg.norm(image_form - dense) <= 1e-13 * max(np.linalg.norm(dense), 1.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
     seed=seeds, J=st.integers(min_value=1, max_value=9), alpha=unit, lam=coefs, gamma=coefs,
     c=st.floats(min_value=-3.0, max_value=3.0), sing_policy=st.sampled_from([SING_ZERO, SING_LIMIT]),
 )
@@ -144,14 +185,16 @@ def test_step_residual_equals_the_uv_residual(seed, J, alpha, lam, gamma, c, sin
     )
     ops = assemble_step_operators(build_operator_set(grid, lam, gamma, sing_policy), grid, alpha)
     W, kTheta, kLambda = ops.W_alpha, ops.kTheta, ops.kLambda
-    # the pairs the step's plan factors (R and S at c = 0), as the factors keep them
-    factors = _factor_coupled(W, -1.0 * kTheta, -1.0 * kLambda, W.T)
     P, Q, C_sum, C_diff = (rng.standard_normal((grid.size, grid.size)) for _ in range(4))
     I_c = TriDiagMatrix.identity(grid.size, c)
+    X, Y = 0.5 * (P + Q), 0.5 * (P - Q)
     uv = CoupledProblem(
         W=W, R=I_c - kTheta, S=I_c - kLambda,
         C1=0.5 * (C_sum + C_diff), C2=0.5 * (C_sum - C_diff), W_right=W.T,
     )
-    expected = residual(uv, (0.5 * (P + Q), 0.5 * (P - Q)))
-    got = _branch_residual([(f.L, f.R) for f in factors], (P, Q), (C_sum, C_diff), c)
+    expected = residual(uv, (X, Y))
+    # the step checks the new level (P, Q) through its image
+    Z = np.stack((P, Q))
+    level = BranchLevel(CoupledState(Field(X, 2), Field(Y, 2)), Z, ops.image(Z))
+    got = _step_residual(level, np.stack((C_sum, C_diff)), ops, c)
     assert abs(got - expected) <= 1e-12 * expected

@@ -119,12 +119,12 @@ def test_step_operators_are_tridiagonal():
     I_c = TriDiagMatrix.identity(n, step_shift(grid, 2, 2.5))
     R_pos, S_pos = I_c - ops.kTheta, I_c - ops.kLambda
     R_neg, S_neg = I_c + ops.kTheta, I_c + ops.kLambda
-    rhs = [
+    images = [
         TriDiagMatrix(S.sub[k], S.diag[k], S.sup[k])
-        for S in (ops.rhs_left, ops.rhs_right)
-        for k in range(4)
+        for S in (ops.image_left, ops.image_right)
+        for k in range(2)
     ]
-    for M in (ops.W_alpha, *rhs, R_pos, S_pos, R_neg, S_neg):
+    for M in (ops.W_alpha, *images, R_pos, S_pos, R_neg, S_neg):
         D = M.dense()
         mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 1
         assert np.all(D[mask] == 0.0)

@@ -11,8 +11,11 @@ import epdsys.sylvester
 from epdsys.bench import RunConfig, manufactured_problem
 from epdsys.exceptions import BlowUpError, InvalidSpecError, SingularTimeError, SolvabilityError
 from epdsys.grid import CoupledState, Field, GridSpec, build_grid, discrete_errors
-from epdsys.operators import TriDiagMatrix, assemble_step_operators, build_operator_set, step_shift
+from epdsys.operators import (
+    BRANCH_SIGNS, TriDiagMatrix, assemble_step_operators, build_operator_set, step_shift,
+)
 from epdsys.stepper import (
+    BranchLevel,
     ProblemDef,
     assemble_rhs,
     cfl_guard,
@@ -138,9 +141,10 @@ def test_init_levels_taylor_one_term():
 
 
 def _rhs(history, ops, prob, grid, n):
-    """assemble_rhs for step n, with the sources and shift its step computes."""
+    """assemble_rhs for step n, with the images, sources and shift its step computes."""
+    levels = tuple(BranchLevel.of(state, ops) for state in history)
     sources = tuple(level_source(prob, grid, state) for state in history)
-    return assemble_rhs(history, sources, ops, step_shift(grid, n, prob.a))
+    return assemble_rhs(levels, sources, ops, step_shift(grid, n, prob.a))
 
 
 def _zero_history(grid, n):
@@ -203,10 +207,13 @@ def test_step_zero_state_stays_zero():
     ops = assemble_step_operators(opset, grid, 0.25)
     plan = plan_solves(ops, grid, prob.a)
     history = _zero_history(grid, 1)
-    state, report, source = step(
-        history, level_source(prob, grid, history[1]), ops, prob, grid, 1, plan
+    levels = tuple(BranchLevel.of(state, ops) for state in history)
+    level, report, source = step(
+        levels, level_source(prob, grid, history[1]), ops, prob, grid, 1, plan
     )
+    state = level.state
     assert np.all(state.U.values == 0.0) and np.all(state.V.values == 0.0)
+    assert np.all(level.Z == 0.0) and np.all(level.KZ == 0.0)
     assert np.all(source == 0.0)
     assert report.residual_coupled == 0.0
     assert state.level == 2
@@ -400,6 +407,23 @@ def test_forcing_sampled_once_per_level(monkeypatch):
     assert len(power_calls) == 2 * 8  # |U|^(p-1) V and |V|^(q-1) U at levels 0..7
 
 
+def test_taylor_seeding_samples_level_0_once(monkeypatch):
+    # the level-0 terms of u_tt are the level-0 source of step 1
+    spec = GridSpec(L0=-10, L1=10, J=4, t0=0.5, n_steps=8, step_rule="independent", l=0.05)
+    prob, _ = manufactured_problem(RunConfig(J=4, seed_mode="taylor"))
+    forcing_times = []
+
+    def counted_forcing(x, y, t, forcing=prob.forcing):
+        forcing_times.append(t)
+        return forcing(x, y, t)
+
+    power_calls = _counting(monkeypatch, epdsys.stepper, "_power")
+    run(dataclasses.replace(prob, forcing=counted_forcing), spec)
+    grid = build_grid(spec)
+    assert forcing_times == [grid.time(k) for k in range(8)]
+    assert len(power_calls) == 2 * 8
+
+
 @pytest.mark.parametrize("solver", ["sylvester", "kronecker"])
 def test_preflight_names_the_failing_step_before_any_solve(monkeypatch, solver):
     # choose a so that 2 c_k equals the largest real eigenvalue sum of the
@@ -419,7 +443,7 @@ def test_preflight_names_the_failing_step_before_any_solve(monkeypatch, solver):
     prob, _ = manufactured_problem(RunConfig(J=9, a=a))
 
     trsyl_calls = _counting(monkeypatch, scipy.linalg.lapack, "dtrsyl")
-    dense_calls = _counting(monkeypatch, np.linalg, "solve")
+    dense_calls = _counting(monkeypatch, scipy.linalg.lapack, "dgesv")
     with pytest.raises(SolvabilityError) as err:
         run(prob, spec, solver=solver, sing_policy="limit")
     assert err.value.step == k_step
@@ -475,9 +499,27 @@ def test_step_reports_phase_times():
         assert r.rhs_time + r.solve_time + r.residual_time <= r.wall_time
 
 
-def test_step_makes_twelve_tridiagonal_products(monkeypatch):
-    # the right-hand side is one left and one right pass over a stack of
-    # four branch fields (8 products), the residual 4 single products
+@pytest.mark.parametrize("solver", ["sylvester", "kronecker"])
+def test_reports_carry_the_shift_and_both_margins(solver):
+    spec = GridSpec(L0=-10, L1=10, J=9, t0=0.5, n_steps=6, step_rule="independent", l=0.05)
+    grid = build_grid(spec)
+    prob, _ = manufactured_problem(RunConfig(J=9))
+    _, reports = run(prob, spec, solver=solver, sing_policy="limit")
+    opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy="limit")
+    plan = plan_solves(assemble_step_operators(opset, grid, spec.alpha), grid, prob.a)
+    assert 0.0 < plan.factor_time
+    assert [r.n for r in reports] == list(plan.schedule) == [1, 2, 3, 4, 5]
+    for r in reports:
+        assert r.c == step_shift(grid, r.n, prob.a)
+        assert r.margins == plan.schedule[r.n]
+        assert r.margin == min(r.margins)
+
+
+@pytest.mark.parametrize("solver", ["sylvester", "kronecker"])
+def test_step_makes_four_tridiagonal_products(monkeypatch, solver):
+    # a step forms one image, of the level it solves, in one left and one
+    # right pass over the two-slice branch stack; its right-hand side and
+    # residual reuse images.  run forms the two seed levels' images once.
     spec = GridSpec(L0=-10, L1=10, J=9, t0=0.5, n_steps=12, step_rule="independent", l=0.05)
     prob, _ = manufactured_problem(RunConfig(J=9))
     phase = [None]
@@ -489,19 +531,19 @@ def test_step_makes_twelve_tridiagonal_products(monkeypatch):
             return original(self, X)
 
         monkeypatch.setattr(TriDiagMatrix, name, counted)
-    for name in ("assemble_rhs", "_branch_residual"):
-        def scoped(*args, original=getattr(epdsys.stepper, name), name=name, **kwargs):
-            phase[0] = name
-            try:
-                return original(*args, **kwargs)
-            finally:
-                phase[0] = None
 
-        monkeypatch.setattr(epdsys.stepper, name, scoped)
-    _, reports = run(prob, spec, sing_policy="limit")
+    def scoped(*args, original=epdsys.stepper.step, **kwargs):
+        phase[0] = "step"
+        try:
+            return original(*args, **kwargs)
+        finally:
+            phase[0] = None
+
+    monkeypatch.setattr(epdsys.stepper, "step", scoped)
+    _, reports = run(prob, spec, solver=solver, sing_policy="limit")
     steps = len(reports)
     assert steps == 11
-    assert products == {("assemble_rhs", 4): 2 * steps, ("_branch_residual", 1): 4 * steps}
+    assert products == {("step", 2): 2 * steps, (None, 2): 2 * 2}
 
 
 @pytest.mark.parametrize("solver, problems_per_step", [("sylvester", 0), ("kronecker", 1)])
@@ -591,13 +633,15 @@ def test_raising_exact_solution_is_invalid_spec():
         run(prob, GridSpec(L0=-1, L1=1, J=3, t0=1.0, n_steps=3))
 
 
-def test_previous_level_stacks_are_the_negated_branch_pairs():
-    # the level-(n-1) slices of the right-hand-side stacks and the pairs the
-    # plan factors both come from BRANCH_SIGNS, in its order
+def test_factored_pairs_are_the_identity_minus_the_image():
+    # the pairs the plan factors and the image stacks both come from
+    # BRANCH_SIGNS, in its order: f.L Z + Z f.R = Z - alpha sigma K(Z)
     grid = build_grid(GridSpec(L0=-1, L1=1, J=5, t0=0.5, step_rule="independent", l=0.1))
     ops = assemble_step_operators(build_operator_set(grid, 0.3, -0.2), grid, 0.25)
     plan = plan_solves(ops, grid, 1.0)
-    for k, factors in enumerate(plan.factors):
-        for stack, shift_free in ((ops.rhs_left, factors.L), (ops.rhs_right, factors.R)):
-            slice_m = TriDiagMatrix(stack.sub[2 + k], stack.diag[2 + k], stack.sup[2 + k])
-            np.testing.assert_array_equal(slice_m.dense(), -shift_free.dense())
+    Z = np.random.default_rng(5).standard_normal((2, grid.size, grid.size))
+    KZ = ops.image(Z)
+    assert tuple(f.branch for f in plan.factors) == tuple(BRANCH_SIGNS)
+    for f, Zb, KZb in zip(plan.factors, Z, KZ):
+        expected = f.L @ Zb + Zb @ f.R
+        np.testing.assert_allclose(Zb - ops.implicit_weight * KZb, expected, rtol=0, atol=1e-14)

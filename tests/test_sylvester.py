@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from epdsys.exceptions import InvalidSpecError, SizeGuardError, SolvabilityError
+from epdsys.operators import TriDiagMatrix
 from epdsys.sylvester import (
     KRONECKER_MAX_BYTES,
     KRONECKER_MAX_SIZE,
@@ -109,10 +112,33 @@ def test_kronecker_byte_budget(monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("the guard must refuse before building the system")
 
-    monkeypatch.setattr(np, "kron", no_allocation)
+    monkeypatch.setattr(np, "zeros", no_allocation)
     I = np.eye(n + 1)
     with pytest.raises(SizeGuardError, match="bytes"):
         kronecker_solve(CoupledProblem(I, I, I, I, I))
+
+
+def test_kronecker_peak_memory_is_the_system_matrix(rng):
+    # the system is filled and factored in one 32 n^4-byte buffer: no kron
+    # temporaries, no block copy and no copy for LAPACK
+    n = 20
+    T = TriDiagMatrix(rng.standard_normal(n - 1), 4.0 + rng.standard_normal(n), rng.standard_normal(n - 1))
+    p = CoupledProblem(T, 0.1 * T, 0.1 * T.T, rng.standard_normal((n, n)), rng.standard_normal((n, n)), T.T)
+    tracemalloc.start()
+    try:
+        X, Y = kronecker_solve(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 32 * n**4
+    assert residual(p, (X, Y)) <= 1e-13
+
+
+def test_singular_kronecker_system_is_named():
+    n = 3
+    Z = np.zeros((n, n))
+    with pytest.raises(SolvabilityError, match="Kronecker system singular"):
+        kronecker_solve(CoupledProblem(Z, Z, Z, np.ones((n, n)), np.ones((n, n))))
 
 
 def test_oracle_equivalence_random(rng):
