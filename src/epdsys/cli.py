@@ -147,8 +147,12 @@ def cmd_validate(args):
         ops = assemble_step_operators(opset, grid, config.alpha)
         plan = plan_solves(ops, grid, prob.a)
         margin, n, branch = plan.min_margin()
+        lam, mu = plan.margin_pairs[n][("sum", "diff").index(branch)]
         kernels = ", ".join(f"{b} {k}" for b, k in zip(("sum", "diff"), plan.kernels))
-        print(f"     min margin = {margin:.3e} at step {n}, {branch} branch; kernels: {kernels}")
+        print(
+            f"     min margin = {margin:.3e} at step {n}, {branch} branch, pair lam={lam:.6g}, "
+            f"mu={mu:.6g}; kernels: {kernels}"
+        )
 
     def zero_trajectory():
         zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))

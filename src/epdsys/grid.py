@@ -218,6 +218,12 @@ class ErrorReport(NamedTuple):
     fro_v: float
 
 
+def _grid_values(w, shape) -> np.ndarray:
+    """w as a float array of the grid's shape, broadcast only when it is not."""
+    w = np.asarray(w, dtype=float)
+    return w if w.shape == shape else np.broadcast_to(w, shape)
+
+
 def discrete_errors(
     traj_numeric: Sequence[CoupledState],
     exact: Callable,
@@ -225,20 +231,20 @@ def discrete_errors(
 ) -> ErrorReport:
     """Per-component max_n ||X^n - x^n|| and max_n ||X^n - x^n|| / ||x^n||.
 
-    `exact` is called as exact(X, Y, t) with coordinate matrices and must
-    return the pair (u, v).  All J+2 nodes per axis enter the norm, boundary
-    included.  Raises DegenerateExactError if a nonzero trajectory is
-    compared against an exact level of zero norm.
+    `traj_numeric` may be any iterable of levels, a generator included: the
+    maxima are folded level by level.  `exact` is called as exact(X, Y, t)
+    with coordinate matrices and must return the pair (u, v).  All J+2 nodes
+    per axis enter the norm, boundary included.  Raises InvalidSpecError on
+    no levels, and DegenerateExactError if a nonzero trajectory is compared
+    against an exact level of zero norm.
     """
-    if not traj_numeric:
-        raise InvalidSpecError("empty trajectory")
     X, Y = grid.meshgrid()
+    levels = 0
     fro_u = fro_v = rel_u = rel_v = 0.0
     for state in traj_numeric:
+        levels += 1
         t = grid.time(state.level)
-        u_ex, v_ex = exact(X, Y, t)
-        u_ex = np.broadcast_to(np.asarray(u_ex, dtype=float), X.shape)
-        v_ex = np.broadcast_to(np.asarray(v_ex, dtype=float), X.shape)
+        u_ex, v_ex = (_grid_values(w, X.shape) for w in exact(X, Y, t))
         du = float(np.linalg.norm(state.U.values - u_ex))
         dv = float(np.linalg.norm(state.V.values - v_ex))
         nu = float(np.linalg.norm(u_ex))
@@ -253,6 +259,8 @@ def discrete_errors(
             continue  # 0/0 convention: an exactly reproduced zero level
         rel_u = max(rel_u, du / nu)
         rel_v = max(rel_v, dv / nv)
+    if not levels:
+        raise InvalidSpecError("empty trajectory")
     scale = grid.size
     return ErrorReport(
         er=max(fro_u, fro_v) / scale,

@@ -198,13 +198,41 @@ class StepOperators:
     implicit_weight: float
     explicit_weight: float
     signs: np.ndarray
+    image_planes: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # (K Z + Z K')[i, j] = (K_ii + K'_jj) Z[i, j] + K_i,i-1 Z[i-1, j]
+        #   + K_i,i+1 Z[i+1, j] + K'_j-1,j Z[i, j-1] + K'_j+1,j Z[i, j+1]:
+        # one plane per term, zero where the neighbour lies outside the slice
+        K, Kr = self.image_left, self.image_right
+        planes = np.zeros((5,) + K.diag.shape + (K.size,))
+        planes[0] = K.diag[:, :, None] + Kr.diag[:, None, :]
+        planes[1, :, 1:, :] = K.sub[:, :, None]
+        planes[2, :, :-1, :] = K.sup[:, :, None]
+        planes[3, :, :, 1:] = Kr.sup[:, None, :]
+        planes[4, :, :, :-1] = Kr.sub[:, None, :]
+        object.__setattr__(self, "image_planes", planes)
 
     def image(self, Z: np.ndarray) -> np.ndarray:
-        """K(Z) = K Z + Z K' of the stacked branch pair Z = (Z+, Z-): one left
-        and one right banded pass."""
-        KZ = self.image_left @ Z
-        KZ += Z @ self.image_right
-        return KZ
+        """K(Z) = K Z + Z K' of the stacked branch pair Z = (Z+, Z-).
+
+        In the flattened stack the neighbours (i -+ 1, j) and (i, j -+ 1)
+        sit n and 1 places away, so the image is the combined diagonal plane
+        times Z plus four shifted neighbour updates, each over one contiguous
+        run; the planes are zero where a shift would cross a row or a slice.
+        """
+        shape = self.image_planes.shape[1:]
+        if Z.shape != shape:
+            raise InvalidSpecError(f"dimension mismatch: {shape} vs {Z.shape}")
+        n = Z.shape[-1]
+        diagonal, up, down, left, right = self.image_planes.reshape(5, -1)
+        z = Z.ravel()
+        KZ = diagonal * z
+        KZ[n:] += up[n:] * z[:-n]
+        KZ[:-n] += down[:-n] * z[n:]
+        KZ[1:] += left[1:] * z[:-1]
+        KZ[:-1] += right[:-1] * z[1:]
+        return KZ.reshape(Z.shape)
 
 
 def neumann_second_difference(n: int) -> TriDiagMatrix:

@@ -17,13 +17,16 @@ c_n = l a / (2 t_n) is the only coefficient computed per step.  Each level
 is carried in the branch variables Z+- = U +- V with its banded image
 K(Z) (`StepOperators.image`), computed once when the level is formed, and
 its source (nonlinearity and forcing) is computed once: every banded
-operator of a step is a combination of these, so a step makes one left and
-one right stacked pass, for the level it solves.
+operator of a step is a combination of these, so a step forms one image,
+of the level it solves.  The stacked pair (Z+, Z-) is the unit of every
+per-step operation: the right-hand side, the batched branch solve
+(`sylvester._solve`), the image, the residual and the reported norm.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from typing import Callable, Sequence
 
@@ -36,7 +39,7 @@ from .operators import (
     build_operator_set, step_shift,
 )
 from .sylvester import (
-    CoupledProblem, _coupled_margins, _factor_coupled, _ratio, _solve_branches, kronecker_solve,
+    CoupledProblem, _Factors, _factor_coupled, _margins, _ratio, _solve, kronecker_solve,
 )
 
 SOLVER_SYLVESTER = "sylvester"
@@ -82,7 +85,8 @@ class ProblemDef:
 
 @dataclasses.dataclass(frozen=True)
 class StepReport:
-    """Per-step diagnostics; sup_norm is the combined Frobenius norm.
+    """Per-step diagnostics; sup_norm is the combined Frobenius norm
+    ||(U, V)|| = ||(Z+, Z-)|| / sqrt(2) of the new level.
 
     `margins` are the plan's (sum, diff) margins of step n and `margin` the
     smaller one; c is the step's shift c_n.  wall_time covers the whole step;
@@ -129,15 +133,17 @@ def _cross(R: TriDiagMatrix, S: TriDiagMatrix, X: np.ndarray) -> np.ndarray:
 
 
 def _sample_pair(f: Callable, grid: Grid, level: int, name: str) -> np.ndarray:
-    """The pair f(X, Y, t_level) on the grid nodes, stacked and grid-shaped.
+    """The pair f(X, Y, t_level) on the grid nodes, written into one (2, n, n) array.
 
-    Raises InvalidSpecError naming the nodes when f raises, and naming `name`,
-    the level and t when a sample is not finite.
+    Raises InvalidSpecError naming the nodes when f raises or does not return
+    a pair of grid-shaped or broadcastable values, and naming `name`, the
+    level and t when a sample is not finite.
     """
     X, Y = grid.meshgrid()
     t = grid.time(level)
+    pair = np.empty((2,) + X.shape)
     try:
-        pair = np.stack([np.broadcast_to(np.asarray(v, dtype=float), X.shape) for v in f(X, Y, t)])
+        pair[0], pair[1] = f(X, Y, t)
     except Exception as exc:
         raise InvalidSpecError(
             f"sampling failed on nodes x in [{grid.nodes_x[0]}, {grid.nodes_x[-1]}]: {exc}"
@@ -153,27 +159,30 @@ class SolvePlan:
 
     `factors` factor the shift-free sum pair (W_alpha - k Theta,
     W_alpha^T - k Lambda) and difference pair (W_alpha + k Theta,
-    W_alpha^T + k Lambda), k = alpha sigma h; the Sylvester path solves step
-    n with them shifted by +c_n and -c_n.  A branch whose two coefficients
-    are diagonally similar to symmetric tridiagonals takes the "diagonal"
-    kernel (one eigendecomposition per side, then four GEMMs and an
-    entrywise division per step); any other branch takes the "schur" kernel
-    (real Schur forms, trsyl per step).  `kernels` names them; on the
-    reference grid (axis node, limit policy) the sum branch is diagonal for
+    W_alpha^T + k Lambda), k = alpha sigma h, as one two-slice stack; the
+    Sylvester path solves step n with them shifted by +c_n and -c_n.  A
+    branch whose two coefficients are diagonally similar to symmetric
+    tridiagonals takes the "diagonal" kernel (one eigendecomposition per
+    side, then four batched GEMMs and an entrywise division per step for
+    the stack); any other branch takes the "schur" kernel (real Schur forms,
+    trsyl per step on its slice).  `kernels` names them; on the reference
+    grid (axis node, limit policy) the sum branch is diagonal for
     lam, gamma < 1 and the difference branch for lam, gamma < 1/2.
     `schedule` maps each step n to its (sum, diff) margins, all of them
-    above the solvability floor; both solvers report these.  `factor_time`
-    is the wall time of the factorization.
+    above the solvability floor; both solvers report these.  `margin_pairs`
+    maps each step to the shifted eigenvalue pairs (lam, mu) that attain them.
+    `factor_time` is the wall time of the factorization.
     """
 
-    factors: tuple
+    factors: _Factors
     schedule: dict[int, tuple[float, float]]
+    margin_pairs: dict[int, tuple[tuple[complex, complex], tuple[complex, complex]]]
     factor_time: float
 
     @property
     def kernels(self) -> tuple[str, str]:
         """The (sum, diff) solve kernels: "diagonal" or "schur"."""
-        return tuple(f.kernel for f in self.factors)
+        return self.factors.kernels
 
     def min_margin(self) -> tuple[float, int, str]:
         """The smallest margin of the schedule, with its step and branch."""
@@ -193,11 +202,11 @@ def plan_solves(ops: StepOperators, grid: Grid, a: float) -> SolvePlan:
     t_start = time.perf_counter()
     factors = _factor_coupled(ops.W_alpha, -1.0 * ops.kTheta, -1.0 * ops.kLambda, ops.W_alpha.T)
     factor_time = time.perf_counter() - t_start
-    schedule = {
-        n: _coupled_margins(factors, step_shift(grid, n, a), step=n)
-        for n in range(1, grid.n_steps)
-    }
-    return SolvePlan(factors, schedule, factor_time)
+    steps = range(1, grid.n_steps)
+    margins, attaining = _margins(factors, [step_shift(grid, n, a) for n in steps], steps)
+    schedule = dict(zip(steps, map(tuple, margins.tolist())))
+    margin_pairs = {n: tuple(map(tuple, p)) for n, p in zip(steps, attaining.tolist())}
+    return SolvePlan(factors, schedule, margin_pairs, factor_time)
 
 
 def init_levels(prob: ProblemDef, grid: Grid, opset: OperatorSet | None = None):
@@ -293,8 +302,16 @@ def level_source(prob: ProblemDef, grid: Grid, state: CoupledState) -> np.ndarra
 
 def _branch_source(grid: Grid, F: np.ndarray) -> np.ndarray:
     """(l^2/2) (F_u +- F_v) from the stacked explicit terms (F_u, F_v)."""
-    F_u, F_v = F
-    return (0.5 * grid.l * grid.l) * np.stack((F_u + F_v, F_u - F_v))
+    return _sum_diff(F, 0.5 * grid.l * grid.l)
+
+
+def _sum_diff(P, scale: float = 1.0) -> np.ndarray:
+    """scale (P0 + P1, P0 - P1), written into one (2, n, n) array."""
+    out = np.empty((2,) + P[0].shape)
+    np.add(P[0], P[1], out=out[0])
+    np.subtract(P[0], P[1], out=out[1])
+    out *= scale
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -312,9 +329,8 @@ class BranchLevel:
 
     @classmethod
     def of(cls, state: CoupledState, ops: StepOperators) -> "BranchLevel":
-        """The branch pair of `state` and its image: one left and one right pass."""
-        U, V = state.U.values, state.V.values
-        Z = np.stack((U + V, U - V))
+        """The branch pair of `state` and its image."""
+        Z = _sum_diff((state.U.values, state.V.values))
         return cls(state, Z, ops.image(Z))
 
 
@@ -395,19 +411,20 @@ def step(
     rhs_time = time.perf_counter() - t_start
     t_solve = time.perf_counter()
     if solver == SOLVER_SYLVESTER:
-        Z = np.stack(_solve_branches(plan.factors, C, c))
-        X, Y = 0.5 * (Z[0] + Z[1]), 0.5 * (Z[0] - Z[1])
+        Z = _solve(plan.factors, C, c)
+        X, Y = _sum_diff(Z, 0.5)
     elif solver == SOLVER_KRONECKER:
         I_c = TriDiagMatrix.identity(grid.size, c)
+        C1, C2 = _sum_diff(C, 0.5)
         X, Y = kronecker_solve(CoupledProblem(
             W=ops.W_alpha,
             R=I_c - ops.kTheta,
             S=I_c - ops.kLambda,
-            C1=0.5 * (C[0] + C[1]),
-            C2=0.5 * (C[0] - C[1]),
+            C1=C1,
+            C2=C2,
             W_right=ops.W_alpha.T,
         ))
-        Z = np.stack((X + Y, X - Y))
+        Z = _sum_diff((X, Y))
     else:
         raise InvalidSpecError(f"unknown solver {solver!r}")
     solve_time = time.perf_counter() - t_solve
@@ -421,7 +438,7 @@ def step(
     margins = plan.schedule[n]
     report = StepReport(
         n=n,
-        sup_norm=state.sup_norm(),
+        sup_norm=math.sqrt(0.5) * float(np.linalg.norm(Z)),
         residual_coupled=res,
         margin=min(margins),
         margins=margins,
@@ -472,8 +489,9 @@ def run(
     for n in range(1, grid.n_steps):
         level, report, source = step(levels, source, ops, prob, grid, n, plan, solver=solver)
         state = level.state
-        state.U.check_finite()
-        state.V.check_finite()
+        if not math.isfinite(report.sup_norm):  # names the field that is not finite
+            state.U.check_finite()
+            state.V.check_finite()
         if report.sup_norm > blowup_cap:
             raise BlowUpError(
                 f"blow-up at step {n + 1}: ||(U,V)|| = {report.sup_norm:.3e} > {blowup_cap:.1e}",

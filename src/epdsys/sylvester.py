@@ -1,28 +1,34 @@
 """Standard and coupled Sylvester solvers with a Kronecker baseline.
 
-The production path solves L X + X R = C in two parts.  `_factor` writes
-L = VL TL VL^-1 and R = VR TR VR^-1 once, with the spectra of the cores and
-the Frobenius norm data of L and R.  `_solve_shifted` then solves the
-shifted pair (L + s I) X + X (R + s I) = C for any scalar s: the factors do
-not move, so it transforms C to VL^-1 C VR, solves the core equation with
-TL + s I and TR + s I, and transforms back.  There are two kernels:
+The production path solves stacks of equations L_b X_b + X_b R_b = C_b,
+b over a stack of one (a single equation) or two (the branches of a coupled
+pair), in two parts.  `_factor` writes L_b = VL_b TL_b VL_b^-1 and R_b =
+VR_b TR_b VR_b^-1 once, keeping the transforms as (B, n, n) stacks, with the
+spectra of the cores and the Frobenius norm data of L_b and R_b.  `_solve`
+then solves the stack shifted by s_b = signs[b] c, (L_b + s_b I) X_b + X_b
+(R_b + s_b I) = C_b, for any scalar c: the factors do not move, so it
+transforms the whole stack to VL^-1 C VR in two batched products, solves
+the core equations with TL_b + s_b I and TR_b + s_b I, and transforms back
+in two more.  There are two kernels, chosen per pair:
 
   diagonal  when L and R are both TriDiagMatrix objects diagonally similar
             to a symmetric tridiagonal (every off-diagonal pair has
             sub * sup > 0, or sub = sup = 0): TL, TR are the real diagonals
             from `scipy.linalg.eigh_tridiagonal` of the symmetrized bands,
             V = D^-1 Q and V^-1 = Q^T D with no inverse taken, and the core
-            solve is one entrywise division by lam_i + mu_j + 2 s (the fast
-            diagonalization method of Lynch, Rice and Thomas, 1964);
+            solve is one entrywise division by lam_i + mu_j + 2 s_b over
+            every diagonal slice of the stack (the fast diagonalization
+            method of Lynch, Rice and Thomas, 1964);
   schur     for every other pair, dense or not symmetrizable: real Schur
             forms (V orthogonal, TL, TR quasi-triangular with 2 x 2 blocks
-            for complex-conjugate pairs) and LAPACK trsyl.
+            for complex-conjugate pairs) and LAPACK trsyl on its own slice.
 
-The solvability margin min |lam_i + mu_j + 2 s| is read off the cached
-spectra in O(n^2) and checked against DENOM_RTOL before a solve, never
-inside it.  The stepper factors the shift-free branch pairs once per run and
-checks every step's shift before the first solve; the standalone solvers
-below factor, check and solve at s = 0.
+The solvability margin min |lam_i + mu_j + 2 s_b| is read off the cached
+spectra and checked against DENOM_RTOL before a solve, never inside it;
+`_margins` does so for every shift of a schedule at once, in O(n log n) per
+shift on the diagonal kernel.  The stepper factors the shift-free branch
+pairs once per run and checks every step's shift before the first solve;
+the standalone solvers below factor, check and solve at shift 0.
 
 The coupled pair
 
@@ -137,20 +143,6 @@ def _min_pair_sum(lams, mus):
     return float(sums[i, j]), (complex(lams[i]), complex(mus[j]))
 
 
-def _check_margin(lams, mus, scale, context, branch=None, step=None):
-    margin, pair = _min_pair_sum(lams, mus)
-    if margin < DENOM_RTOL * max(scale, 1.0):
-        where = context if step is None else f"step {step}: {context}"
-        raise SolvabilityError(
-            f"{where}: eigenvalue pair lam={pair[0]:.6g}, mu={pair[1]:.6g} "
-            f"gives denominator |lam+mu| = {margin:.3e}",
-            pair=pair,
-            branch=branch,
-            step=step,
-        )
-    return margin
-
-
 _CONTEXT = {
     None: "Sylvester problem not solvable",
     "sum": "sum branch failed",
@@ -159,25 +151,20 @@ _CONTEXT = {
 
 
 @dataclasses.dataclass(frozen=True)
-class _Factors:
-    """Factors L = VL TL VL^-1 and R = VR TR VR^-1 of a pair, reusable for every shift s.
+class _Pair:
+    """One factored pair L = VL TL VL^-1, R = VR TR VR^-1 of a stack.
 
-    The "diagonal" kernel has real diagonal cores (TL and TR are None, `sums`
-    holds lam_i + mu_j); the "schur" kernel has quasi-triangular cores TL, TR
-    and orthogonal V (V^-1 = V^T).  L + s I = VL (TL + s I) VL^-1 (likewise
-    R), so the spectra move by s and ||L + s I||_F^2 = ||L||_F^2 + 2 s tr L
-    + n s^2.
+    The "diagonal" kernel has real diagonal cores, kept as their ascending
+    spectra (TL and TR are None); the "schur" kernel keeps the
+    quasi-triangular cores for trsyl.  L + s I = VL (TL + s I) VL^-1
+    (likewise R), so the spectra move by s and ||L + s I||_F^2 = ||L||_F^2
+    + 2 s tr L + n s^2.  The transforms live in the stack (`_Factors`).
     """
 
     L: np.ndarray | TriDiagMatrix  # the pair as given, banded or not
     R: np.ndarray | TriDiagMatrix
-    VL: np.ndarray
-    VL_inv: np.ndarray
-    VR: np.ndarray
-    VR_inv: np.ndarray
     TL: np.ndarray | None
     TR: np.ndarray | None
-    sums: np.ndarray | None
     lams: np.ndarray
     mus: np.ndarray
     norms2: tuple[float, float]
@@ -186,7 +173,34 @@ class _Factors:
 
     @property
     def kernel(self) -> str:
-        return "diagonal" if self.sums is not None else "schur"
+        return "diagonal" if self.TL is None else "schur"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Factors:
+    """A stack of factored pairs (L_b, R_b), reusable for every shift c.
+
+    Pair b is solved shifted by signs[b] c on both sides: +1 for a single
+    equation and for the sum branch, -1 for the difference branch
+    (`BRANCH_SIGNS`).  VL, VL_inv, VR and VR_inv are (B, n, n) stacks, and
+    `sums` holds lam_i + mu_j of the diagonal pairs (zero on a Schur pair's
+    slice).  `diagonal` indexes the diagonal slices (all of them as one
+    slice when no pair is Schur) and `schur` lists the others.
+    """
+
+    pairs: tuple[_Pair, ...]
+    signs: np.ndarray  # (B, 1, 1), to scale the slices of a stack
+    VL: np.ndarray
+    VL_inv: np.ndarray
+    VR: np.ndarray
+    VR_inv: np.ndarray
+    sums: np.ndarray
+    diagonal: slice | list[int]
+    schur: tuple[int, ...]
+
+    @property
+    def kernels(self) -> tuple[str, ...]:
+        return tuple(pair.kernel for pair in self.pairs)
 
 
 def _norm2_trace(M) -> tuple[float, float]:
@@ -223,75 +237,168 @@ def _symmetric_eig(M, d, e):
     return lams, Q / d[:, None], Q.T * d[None, :]
 
 
-def _factor(L, R, branch=None) -> _Factors:
-    """Eigen- or Schur factors of L and R, their spectra and the norm data of
-    the shifted-margin scale.
+def _factor_pair(L, R, branch):
+    """The `_Pair` of (L, R) and its transforms (VL, VL^-1, VR, VR^-1).
 
     A pair of TriDiagMatrix coefficients that are both diagonally similar to
     a symmetric tridiagonal takes the diagonal kernel; any other pair (dense,
     or a row with sub * sup < 0, or sub = 0 != sup) takes the real Schur forms.
     """
     (nL, tL), (nR, tR) = _norm2_trace(L), _norm2_trace(R)
-    norm_data = dict(L=L, R=R, norms2=(nL, nR), traces=(tL, tR), branch=branch)
+    data = dict(L=L, R=R, norms2=(nL, nR), traces=(tL, tR), branch=branch)
     syms = _symmetrizer(L), _symmetrizer(R)
     if all(sym is not None for sym in syms):
         lams, VL, VL_inv = _symmetric_eig(L, *syms[0])
         mus, VR, VR_inv = _symmetric_eig(R, *syms[1])
-        return _Factors(
-            VL=VL, VL_inv=VL_inv, VR=VR, VR_inv=VR_inv, TL=None, TR=None,
-            sums=lams[:, None] + mus[None, :], lams=lams, mus=mus, **norm_data,
-        )
+        return _Pair(TL=None, TR=None, lams=lams, mus=mus, **data), (VL, VL_inv, VR, VR_inv)
     TL, QL = scipy.linalg.schur(np.asarray(L))
     TR, QR = scipy.linalg.schur(np.asarray(R))
+    pair = _Pair(TL=TL, TR=TR, lams=np.linalg.eigvals(TL), mus=np.linalg.eigvals(TR), **data)
+    return pair, (QL, QL.T, QR, QR.T)
+
+
+def _factor(pairs, branches=(None,)) -> _Factors:
+    """Factor the pairs ((L, R), ...) once, as one stack, for every shift.
+
+    A named branch is shifted with its sign in `BRANCH_SIGNS`, an unnamed
+    pair (a single equation) by +1.
+    """
+    factored = [_factor_pair(L, R, branch) for (L, R), branch in zip(pairs, branches)]
+    records = tuple(pair for pair, _ in factored)
+    VL, VL_inv, VR, VR_inv = (np.stack(V) for V in zip(*(V for _, V in factored)))
+    sums = np.zeros_like(VL)
+    for b, pair in enumerate(records):
+        if pair.kernel == "diagonal":
+            np.add(pair.lams[:, None], pair.mus[None, :], out=sums[b])
+    schur = tuple(b for b, pair in enumerate(records) if pair.kernel == "schur")
+    signs = np.array([BRANCH_SIGNS.get(branch, 1.0) for branch in branches])
     return _Factors(
-        VL=QL, VL_inv=QL.T, VR=QR, VR_inv=QR.T, TL=TL, TR=TR, sums=None,
-        lams=np.linalg.eigvals(TL), mus=np.linalg.eigvals(TR), **norm_data,
+        pairs=records, signs=signs[:, None, None], VL=VL, VL_inv=VL_inv, VR=VR,
+        VR_inv=VR_inv, sums=sums,
+        diagonal=[b for b in range(len(records)) if b not in schur] if schur else slice(None),
+        schur=schur,
     )
 
 
-def _margin(f: _Factors, s: float, step=None) -> float:
-    """min |lam_i + mu_j| of the pair shifted by s; raises SolvabilityError
-    (naming the pair, the branch and the step) below DENOM_RTOL."""
-    n = f.lams.size
-    scale2 = max(nn + 2.0 * s * tr + n * s * s for nn, tr in zip(f.norms2, f.traces))
-    scale = math.sqrt(max(scale2, 0.0))
-    return _check_margin(f.lams + s, f.mus + s, scale, _CONTEXT[f.branch], f.branch, step)
+# Offsets around the searchsorted position that `_shifted_minima` evaluates.
+_WINDOW = np.arange(-2, 2)
 
 
-def _solve_shifted(f: _Factors, C, s: float) -> np.ndarray:
-    """X solving (L + s I) X + X (R + s I) = C from the factors of (L, R).
+def _shifted_minima(pair: _Pair, s: np.ndarray):
+    """For each shift s_k: min_{i,j} |(lam_i + s_k) + (mu_j + s_k)| and the
+    attaining shifted pair (lam_i + s_k, mu_j + s_k).
 
-    With Z = VL^-1 X VR the equation becomes (TL + s I) Z + Z (TR + s I) =
-    VL^-1 C VR: an entrywise division by lam_i + mu_j + 2 s on the diagonal
-    kernel, LAPACK trsyl on the Schur kernel.  It does not check the margin:
+    On the diagonal kernel both spectra are real and ascending, so for each
+    i the sum is monotone in j: `searchsorted` finds where it changes sign
+    and only the entries around that place are evaluated, with the same
+    expression as the full table, for all shifts at once.  A row whose
+    window does not bracket the sign change is evaluated in full, as is
+    every shift of a Schur pair (complex spectra).
+    """
+    K = s.size
+    rows = np.arange(K)
+    margin = np.empty(K)
+    attaining = np.empty((K, 2), dtype=complex)
+    lams, mus = pair.lams, pair.mus
+    if pair.kernel == "diagonal":
+        A = lams + s[:, None]
+        B = mus + s[:, None]
+        j = np.searchsorted(mus, -(lams + 2.0 * s[:, None]))[..., None] + _WINDOW
+        np.clip(j, 0, mus.size - 1, out=j)
+        g = A[..., None] + B[rows[:, None, None], j]
+        bracketed = ((j[..., 0] == 0) | (g[..., 0] <= 0.0)) & (
+            (j[..., -1] == mus.size - 1) | (g[..., -1] >= 0.0)
+        )
+        flat = np.abs(g).reshape(K, -1)
+        best = flat.argmin(axis=1)
+        i, w = np.divmod(best, _WINDOW.size)
+        margin[:] = flat[rows, best]
+        attaining[:, 0] = A[rows, i]
+        attaining[:, 1] = B[rows, j[rows, i, w]]
+        full = np.flatnonzero(~bracketed.all(axis=1))
+    else:
+        full = rows
+    for k in full:
+        margin[k], attaining[k] = _min_pair_sum(lams + s[k], mus + s[k])
+    return margin, attaining
+
+
+def _margins(F: _Factors, cs, steps=None):
+    """The margins min |lam_i + mu_j| of every pair of the stack shifted by
+    signs[b] c, for each c of `cs`: a (K, B) array, and the attaining
+    shifted eigenvalue pairs as a (K, B, 2) complex array.
+
+    Raises SolvabilityError for the first shift (then the first pair) whose
+    margin is below DENOM_RTOL times the norm of its shifted coefficients,
+    naming the pair, the branch and, when `steps` labels the shifts, the step.
+    """
+    cs = np.asarray(cs, dtype=float)
+    n = F.VL.shape[-1]
+    margins = np.empty((cs.size, len(F.pairs)))
+    attaining = np.empty((cs.size, len(F.pairs), 2), dtype=complex)
+    floors = np.empty_like(margins)
+    for b, (pair, sign) in enumerate(zip(F.pairs, F.signs.ravel())):
+        s = sign * cs
+        margins[:, b], attaining[:, b] = _shifted_minima(pair, s)
+        scale2 = np.maximum(
+            *(nn + 2.0 * s * tr + n * s * s for nn, tr in zip(pair.norms2, pair.traces))
+        )
+        floors[:, b] = DENOM_RTOL * np.maximum(np.sqrt(np.maximum(scale2, 0.0)), 1.0)
+    failing = np.argwhere(margins < floors)
+    if failing.size:
+        k, b = failing[0]
+        branch = F.pairs[b].branch
+        step = None if steps is None else steps[k]
+        where = _CONTEXT[branch] if step is None else f"step {step}: {_CONTEXT[branch]}"
+        lam, mu = attaining[k, b]
+        raise SolvabilityError(
+            f"{where}: eigenvalue pair lam={lam:.6g}, mu={mu:.6g} "
+            f"gives denominator |lam+mu| = {margins[k, b]:.3e}",
+            pair=(complex(lam), complex(mu)),
+            branch=branch,
+            step=step,
+        )
+    return margins, attaining
+
+
+def _solve(F: _Factors, C: np.ndarray, c: float) -> np.ndarray:
+    """The stack X solving (L_b + s_b I) X_b + X_b (R_b + s_b I) = C_b for
+    every pair b, with s_b = signs[b] c, from the factors of the stack.
+
+    With Z = VL^-1 X VR the equations become (TL + s I) Z + Z (TR + s I) =
+    VL^-1 C VR: two batched products each way over the stack, one
+    entrywise division by lam_i + mu_j + 2 s_b over the diagonal slices and
+    LAPACK trsyl on a Schur pair's slice.  It does not check the margins:
     callers do that once, before solving.
     """
-    Z = f.VL_inv @ C @ f.VR
-    if f.sums is not None:
-        Z /= f.sums + 2.0 * s
-    else:
-        TL, TR = f.TL.copy(order="F"), f.TR.copy(order="F")
+    Z = F.VL_inv @ C @ F.VR
+    d = F.diagonal
+    Z[d] /= F.sums[d] + (2.0 * c) * F.signs[d]
+    for b in F.schur:
+        pair, s = F.pairs[b], c * F.signs[b, 0, 0]
+        TL, TR = pair.TL.copy(order="F"), pair.TR.copy(order="F")
         TL[np.diag_indices_from(TL)] += s
         TR[np.diag_indices_from(TR)] += s
-        Z, factor, info = scipy.linalg.lapack.dtrsyl(TL, TR, Z)
+        Zb, factor, info = scipy.linalg.lapack.dtrsyl(TL, TR, Z[b])
         if info < 0:
             raise SolvabilityError(
-                f"{_CONTEXT[f.branch]}: trsyl rejected argument {-info}", branch=f.branch
+                f"{_CONTEXT[pair.branch]}: trsyl rejected argument {-info}", branch=pair.branch
             )
-        Z /= factor
-    return f.VL @ Z @ f.VR_inv
+        Z[b] = Zb / factor
+    return F.VL @ Z @ F.VR_inv
 
 
-def _bartels_stewart(L, R, C, branch=None):
-    """X solving L X + X R = C, and the margin min |lam_i + mu_j| of the pair."""
-    f = _factor(L, R, branch)
-    margin = _margin(f, 0.0)
-    return _solve_shifted(f, C, 0.0), margin
+def _solve_unshifted(F: _Factors, C: np.ndarray):
+    """Check and solve the factored stack at shift 0: the solution stack and
+    the margins of its pairs."""
+    margins, _ = _margins(F, [0.0])
+    return _solve(F, C, 0.0), tuple(margins[0].tolist())
 
 
 def solve_sylvester(p: SylvesterProblem) -> np.ndarray:
     """Solve L X + X R = C; raises SolvabilityError on (near-)common spectra."""
-    return _bartels_stewart(p.L, p.R, p.C)[0]
+    X, _ = _solve_unshifted(_factor([(p.L, p.R)]), p.C[None])
+    return X[0]
 
 
 def _branch_pairs(W, R, S, W_right) -> tuple:
@@ -299,31 +406,17 @@ def _branch_pairs(W, R, S, W_right) -> tuple:
     return tuple((W + s * R, W_right + s * S) for s in BRANCH_SIGNS.values())
 
 
-def _factor_coupled(W, R, S, W_right):
-    """Factors of the sum pair (W+R, Wr+S) and the difference pair (W-R, Wr-S)."""
-    pairs = _branch_pairs(W, R, S, W_right)
-    return tuple(_factor(L, Rb, branch) for (L, Rb), branch in zip(pairs, BRANCH_SIGNS))
-
-
-def _coupled_margins(factors, c: float, step=None) -> tuple[float, float]:
-    """Checked margins (sum, diff) of the coupled pair with R and S shifted by c I."""
-    return tuple(_margin(f, s * c, step) for f, s in zip(factors, BRANCH_SIGNS.values()))
-
-
-def _solve_branches(factors, C, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Branch unknowns (X+Y, X-Y) from branch right-hand sides (C1+C2, C1-C2),
-    with R and S shifted by c I; margins unchecked."""
-    return tuple(
-        _solve_shifted(f, Cb, s * c) for f, Cb, s in zip(factors, C, BRANCH_SIGNS.values())
-    )
+def _factor_coupled(W, R, S, W_right) -> _Factors:
+    """Factors of the sum pair (W+R, Wr+S) and the difference pair (W-R, Wr-S),
+    stacked in BRANCH_SIGNS order."""
+    return _factor(_branch_pairs(W, R, S, W_right), tuple(BRANCH_SIGNS))
 
 
 def _solve_coupled(p: CoupledProblem):
     """X, Y and the smaller margin of the two decoupled branches."""
-    factors = _factor_coupled(p.W, p.R, p.S, p.W_right)
-    margin = min(_coupled_margins(factors, 0.0))
-    P, Q = _solve_branches(factors, (p.C1 + p.C2, p.C1 - p.C2), 0.0)
-    return 0.5 * (P + Q), 0.5 * (P - Q), margin
+    C = np.stack((p.C1 + p.C2, p.C1 - p.C2))
+    (P, Q), margins = _solve_unshifted(_factor_coupled(p.W, p.R, p.S, p.W_right), C)
+    return 0.5 * (P + Q), 0.5 * (P - Q), min(margins)
 
 
 def solve_coupled(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:

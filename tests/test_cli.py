@@ -84,6 +84,7 @@ def test_validate_subcommand(config_file, capsys):
     # J = 4 has h max |lam_j| = 1/2 and no axis node: both branches diagonalize
     schedule = next(line for line in out.splitlines() if "min margin = " in line)
     assert schedule.endswith("kernels: sum diagonal, diff diagonal")
+    assert ", pair lam=" in schedule
 
 
 def test_missing_config_file_is_error(capsys):

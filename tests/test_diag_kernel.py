@@ -21,10 +21,13 @@ from epdsys.operators import TriDiagMatrix, assemble_step_operators, build_opera
 from epdsys.stepper import plan_solves, run
 from epdsys.sylvester import (
     CoupledProblem,
-    _bartels_stewart,
     _factor,
-    _margin,
-    _solve_shifted,
+    _margins,
+    _min_pair_sum,
+    _Pair,
+    _shifted_minima,
+    _solve,
+    _solve_unshifted,
     kronecker_solve,
     solvability_margin,
 )
@@ -74,10 +77,10 @@ def test_diagonal_kernel_matches_schur_and_kronecker(n, seed, s, zero_rows):
     p = shifted_problem(L, R, C, s)
     assume(solvability_margin(p.W, p.R, p.S, p.W_right) > 1e-6)
 
-    f = _factor(L, R)
-    assert f.kernel == "diagonal"
-    X = _solve_shifted(f, C, s)
-    X_schur, _ = _bartels_stewart(p.W, p.W_right, C)
+    f = _factor([(L, R)])
+    assert f.kernels == ("diagonal",)
+    X = _solve(f, C[None], s)[0]
+    (X_schur,), _ = _solve_unshifted(_factor([(p.W, p.W_right)]), C[None])
     X_kron, _ = kronecker_solve(p)
     scale = max(np.abs(X_kron).max(), 1.0)
     bound = agreement_bound(p)
@@ -93,9 +96,51 @@ def test_diagonal_margin_matches_solvability_margin(n, seed, s):
     p = shifted_problem(L, R, np.eye(n), s)
     reference = solvability_margin(p.W, p.R, p.S, p.W_right)
     assume(reference > 1e-6)
-    f = _factor(L, R)
-    assert f.kernel == "diagonal"
-    assert _margin(f, s) == pytest.approx(reference, rel=1e-10)
+    f = _factor([(L, R)])
+    assert f.kernels == ("diagonal",)
+    assert _margins(f, [s])[0][0, 0] == pytest.approx(reference, rel=1e-10)
+
+
+def clustered_spectrum(rng, size, centres):
+    """Ascending values within a few ulps of `centres`, so that shifted sums tie and round."""
+    v = rng.choice(centres, size)
+    return np.sort(v + rng.integers(-3, 4, size) * np.spacing(v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=sizes, m=sizes, seed=seeds,
+    centres=st.lists(
+        st.sampled_from([-1.5, -1.0, -0.3, 0.0, 0.3, 0.7, 1.0, 2.0]), min_size=1, max_size=3
+    ),
+    s=st.lists(
+        st.one_of(shifts, st.sampled_from([0.0, 2.0**-53, 1e-17, 1 / 3])), min_size=1, max_size=8
+    ),
+)
+# the searchsorted window misses a row's sign change: the full-table path
+@example(n=1, m=4, seed=0, centres=[], s=[2.0**-53])
+def test_margin_schedule_equals_the_full_table(n, m, seed, centres, s):
+    # the schedule evaluates the sums around each row's sign change only;
+    # its margins must be bitwise those of the full n x m table
+    if centres:
+        rng = np.random.default_rng(seed)
+        lams = clustered_spectrum(rng, n, centres)
+        mus = clustered_spectrum(rng, m, [-c for c in centres])
+    else:
+        # the window finds |sum| = 4.4e-16; the exact minimum is 0
+        lams = np.array([3.0000000000000013])
+        mus = np.array(
+            [-3.0000000000000018, -3.0000000000000018, -3.0000000000000013, -2.999999999999998]
+        )
+    pair = _Pair(L=None, R=None, TL=None, TR=None, lams=lams, mus=mus,
+                 norms2=(0.0, 0.0), traces=(0.0, 0.0), branch=None)
+    s = np.array(s)
+    margins, attaining = _shifted_minima(pair, s)
+    for k, sk in enumerate(s):
+        assert margins[k] == _min_pair_sum(lams + sk, mus + sk)[0]
+        lam, mu = attaining[k]
+        assert abs(lam + mu) == margins[k]
+        assert lam.real in lams + sk and mu.real in mus + sk
 
 
 @settings(max_examples=40, deadline=None)
@@ -115,17 +160,17 @@ def test_one_row_off_the_condition_takes_the_schur_kernel(n, seed, row, s, flaw)
     p = shifted_problem(L, R, C, s)
     assume(solvability_margin(p.W, p.R, p.S, p.W_right) > 1e-6)
 
-    f = _factor(L, R)
-    assert f.kernel == "schur"
+    f = _factor([(L, R)])
+    assert f.kernels == ("schur",)
     X_kron, _ = kronecker_solve(p)
     scale = max(np.abs(X_kron).max(), 1.0)
-    assert np.abs(_solve_shifted(f, C, s) - X_kron).max() / scale <= agreement_bound(p)
+    assert np.abs(_solve(f, C[None], s)[0] - X_kron).max() / scale <= agreement_bound(p)
 
 
 def test_dense_coefficients_take_the_schur_kernel(rng):
     L = symmetrizable(rng, 6, 3.0)
-    assert _factor(L.dense(), L.T).kernel == "schur"
-    assert _factor(L, L.T).kernel == "diagonal"
+    assert _factor([(L.dense(), L.T)]).kernels == ("schur",)
+    assert _factor([(L, L.T)]).kernels == ("diagonal",)
 
 
 def test_run_past_the_cell_peclet_bound_takes_the_schur_kernel(monkeypatch):

@@ -153,6 +153,19 @@ def test_discrete_errors_of_itself_is_zero():
     assert rep == (0.0,) * 9
 
 
+def test_discrete_errors_folds_a_generator_of_levels():
+    # an empty stream is refused like an empty list, not reported as error 0
+    grid = build_grid(GridSpec(L0=-2, L1=2, J=5, n_steps=3))
+    exact = lambda x, y, t: (np.exp(-(x * x + y * y)) * (1 + t), 2.0)
+    for empty in ([], iter([]), (state for state in [])):
+        with pytest.raises(InvalidSpecError, match="empty trajectory"):
+            discrete_errors(empty, exact, grid)
+    traj = _traj_from(lambda x, y, t: (np.cos(x * y) + t, x * t), grid, [0, 1, 2, 3])
+    expected = discrete_errors(traj, exact, grid)
+    assert expected.er > 0.0
+    assert discrete_errors((state for state in traj), exact, grid) == expected
+
+
 def test_discrete_errors_degenerate_exact():
     grid = build_grid(GridSpec(L0=-2, L1=2, J=3, n_steps=2))
     zero = lambda x, y, t: (np.zeros_like(x), np.zeros_like(x))

@@ -15,19 +15,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epdsys.exceptions import SolvabilityError
+from epdsys.grid import GridSpec, build_grid
+from epdsys.operators import (
+    BRANCH_SIGNS, SING_LIMIT, TriDiagMatrix, assemble_step_operators, build_operator_set,
+)
 from epdsys.sylvester import (
     CoupledProblem,
-    _bartels_stewart,
-    _coupled_margins,
+    SylvesterProblem,
     _factor,
     _factor_coupled,
-    _margin,
+    _margins,
+    _solve,
     _solve_coupled,
-    _solve_shifted,
+    _solve_unshifted,
     kronecker_solve,
     residual,
     solvability_margin,
     solve_coupled,
+    solve_sylvester,
 )
 
 sizes = st.integers(min_value=2, max_value=10)
@@ -118,14 +123,14 @@ def test_shifted_factors_match_fresh_factorization_and_kronecker(n, seed, s):
     p = CoupledProblem(W=L0 + s * I, R=Z, S=Z, C1=C, C2=C, W_right=R0 + s * I)
     assume(solvability_margin(p.W, p.R, p.S, p.W_right) > 1e-6)
 
-    f = _factor(L0, R0)
-    X = _solve_shifted(f, C, s)
-    X_fresh, margin_fresh = _bartels_stewart(L0 + s * I, R0 + s * I, C)
+    f = _factor([(L0, R0)])
+    X = _solve(f, C[None], s)[0]
+    (X_fresh,), (margin_fresh,) = _solve_unshifted(_factor([(L0 + s * I, R0 + s * I)]), C[None])
     X_kron, _ = kronecker_solve(p)
     scale = max(np.abs(X_kron).max(), 1.0)
     assert np.abs(X - X_fresh).max() / scale <= 1e-10
     assert np.abs(X - X_kron).max() / scale <= 1e-10
-    assert _margin(f, s) == pytest.approx(margin_fresh, rel=1e-10)
+    assert _margins(f, [s])[0][0, 0] == pytest.approx(margin_fresh, rel=1e-10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,7 +145,7 @@ def test_shifted_coupled_margins_match_fresh_factorization(n, seed, c):
         solvability_margin(W - R, np.zeros((n, n)), np.zeros((n, n)), Wr - S),
     )
     assume(min(reference) > 1e-6)
-    shifted = _coupled_margins(_factor_coupled(W, R0, S0, Wr), c)
+    shifted = tuple(_margins(_factor_coupled(W, R0, S0, Wr), [c])[0][0])
     assert shifted == pytest.approx(reference, rel=1e-10)
     _, _, margin = _solve_coupled(CoupledProblem(W, R, S, np.eye(n), np.eye(n), W_right=Wr))
     assert margin == pytest.approx(min(reference), rel=1e-10)
@@ -155,10 +160,10 @@ def test_shift_onto_a_pair_is_named(n, seed, step):
     re1, re2, im = rng.standard_normal(), rng.standard_normal(), 0.5 + rng.random()
     L0 = with_complex_pairs(rng, n, first_pair=(re1, im))
     R0 = with_complex_pairs(rng, n, first_pair=(re2, im))
-    f = _factor(L0, R0, "diff")
+    f = _factor([(L0, R0)], ("diff",))
     s = -0.5 * (re1 + re2)
     with pytest.raises(SolvabilityError) as err:
-        _margin(f, s, step=step)
+        _margins(f, [-s], [step])  # the difference branch is shifted by -c
     assert err.value.branch == "diff"
     assert err.value.step == step
     # the pair is named as eigenvalues of the shifted coefficients
@@ -166,3 +171,43 @@ def test_shift_onto_a_pair_is_named(n, seed, step):
     assert abs(lam + mu) <= 1e-12 * max(1.0, abs(lam))
     assert lam.real - s == pytest.approx(re1, abs=1e-10)
     assert abs(lam.imag) == pytest.approx(im, rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=seeds, J=st.sampled_from([1, 3, 5, 7, 9]),
+    lam=st.floats(min_value=0.51, max_value=0.99), gamma=st.floats(min_value=0.51, max_value=0.99),
+    c=st.floats(min_value=0.0, max_value=0.25),
+)
+def test_mixed_kernel_stack_matches_kronecker_and_single_solves(seed, J, lam, gamma, c):
+    # on a grid with an axis node under `limit`, 1/2 < lam, gamma < 1 gives
+    # a diagonal sum branch and a Schur difference branch in one stack
+    rng = np.random.default_rng(seed)
+    grid = build_grid(
+        GridSpec(L0=-1.0, L1=1.0, J=J, step_rule="independent", l=0.1 * rng.uniform(0.1, 1))
+    )
+    assert grid.singular_x.size == 1
+    ops = assemble_step_operators(build_operator_set(grid, lam, gamma, SING_LIMIT), grid, 0.25)
+    F = _factor_coupled(ops.W_alpha, -1.0 * ops.kTheta, -1.0 * ops.kLambda, ops.W_alpha.T)
+    assert F.kernels == ("diagonal", "schur")
+    n = grid.size
+    I_c = TriDiagMatrix.identity(n, c)
+    C1, C2 = rng.standard_normal((2, n, n))
+    p = CoupledProblem(
+        W=ops.W_alpha, R=I_c - ops.kTheta, S=I_c - ops.kLambda, C1=C1, C2=C2, W_right=ops.W_alpha.T
+    )
+    assume(solvability_margin(p.W, p.R, p.S, p.W_right) > 1e-6)
+
+    C = np.stack((C1 + C2, C1 - C2))
+    Z = _solve(F, C, c)
+    X_kron, Y_kron = kronecker_solve(p)
+    scale = max(np.abs(X_kron).max(), np.abs(Y_kron).max(), 1.0)
+    X, Y = 0.5 * (Z[0] + Z[1]), 0.5 * (Z[0] - Z[1])
+    assert max(np.abs(X - X_kron).max(), np.abs(Y - Y_kron).max()) / scale <= 1e-10
+    # each slice against a stack of one on the same kernel
+    for b, (pair, sign) in enumerate(zip(F.pairs, BRANCH_SIGNS.values())):
+        I_s = TriDiagMatrix.identity(n, sign * c)
+        L, R = pair.L + I_s, pair.R + I_s
+        assert _factor([(L, R)]).kernels == (pair.kernel,)
+        single = solve_sylvester(SylvesterProblem(L, R, C[b]))
+        assert np.abs(Z[b] - single).max() / max(np.abs(single).max(), 1.0) <= 1e-10

@@ -12,7 +12,8 @@ from epdsys.bench import RunConfig, manufactured_problem
 from epdsys.exceptions import BlowUpError, InvalidSpecError, SingularTimeError, SolvabilityError
 from epdsys.grid import CoupledState, Field, GridSpec, build_grid, discrete_errors
 from epdsys.operators import (
-    BRANCH_SIGNS, TriDiagMatrix, assemble_step_operators, build_operator_set, step_shift,
+    BRANCH_SIGNS, StepOperators, TriDiagMatrix, assemble_step_operators, build_operator_set,
+    step_shift,
 )
 from epdsys.stepper import (
     BranchLevel,
@@ -464,7 +465,7 @@ def test_integer_damping_from_rest_is_singular_at_step_a(monkeypatch, a):
     spec = GridSpec(L0=-10, L1=10, J=9, t0=0.0, n_steps=6, step_rule="independent", l=0.05)
     prob, _ = manufactured_problem(RunConfig(J=9, a=float(a)))
     eigh_calls = _counting(monkeypatch, scipy.linalg, "eigh_tridiagonal")
-    solve_calls = _counting(monkeypatch, epdsys.stepper, "_solve_branches")
+    solve_calls = _counting(monkeypatch, epdsys.stepper, "_solve")
     with pytest.raises(SolvabilityError) as err:
         run(prob, spec, sing_policy="limit")
     assert err.value.step == a
@@ -477,6 +478,25 @@ def test_integer_damping_from_rest_is_singular_at_step_a(monkeypatch, a):
     prob_ok, _ = manufactured_problem(RunConfig(J=9, a=a + 0.5))
     _, reports = run(prob_ok, spec, sing_policy="limit")
     assert len(solve_calls) == len(reports) == 5
+
+
+@pytest.mark.parametrize("solver", ["sylvester", "kronecker"])
+def test_p_equal_q_keeps_u_equal_v(solver):
+    # with p = q and u = v data the difference branch starts from zero and
+    # has zero source (F_u = F_v), so Z- stays exactly 0 and U == V at every
+    # level on the Sylvester path; a leak between the slices of the branch
+    # stack (solve, image or source) breaks this.  Method I eliminates X and
+    # Y separately (dgesv), so there U and V agree to rounding only.
+    spec = GridSpec(L0=-10, L1=10, J=24, t0=1.0, n_steps=21, step_rule="independent", l=0.01)
+    prob, _ = manufactured_problem(RunConfig(J=24, p=1.5, q=1.5))
+    trajectory, reports = run(prob, spec, solver=solver, sing_policy="limit")
+    assert len(reports) == 20
+    for state in trajectory:
+        U, V = state.U.values, state.V.values
+        if solver == "sylvester":
+            assert np.array_equal(U, V)
+        else:
+            assert np.abs(U - V).max() <= 1e-12 * np.abs(U).max()
 
 
 @pytest.mark.parametrize("solver", ["sylvester", "kronecker"])
@@ -513,21 +533,30 @@ def test_reports_carry_the_shift_and_both_margins(solver):
         assert r.c == step_shift(grid, r.n, prob.a)
         assert r.margins == plan.schedule[r.n]
         assert r.margin == min(r.margins)
+        # the plan keeps the shifted eigenvalue pair that attains each margin
+        for margin, (lam, mu) in zip(r.margins, plan.margin_pairs[r.n]):
+            assert abs(lam + mu) == margin
 
 
 @pytest.mark.parametrize("solver", ["sylvester", "kronecker"])
 def test_step_makes_four_tridiagonal_products(monkeypatch, solver):
-    # a step forms one image, of the level it solves, in one left and one
-    # right pass over the two-slice branch stack; its right-hand side and
-    # residual reuse images.  run forms the two seed levels' images once.
+    # a step forms one image, of the level it solves: K Z + Z K' over the
+    # two-slice branch stack, a left and a right product per call; its
+    # right-hand side and residual reuse images.  run forms the two seed
+    # levels' images once, and nothing else applies a banded operator.
     spec = GridSpec(L0=-10, L1=10, J=9, t0=0.5, n_steps=12, step_rule="independent", l=0.05)
     prob, _ = manufactured_problem(RunConfig(J=9))
     phase = [None]
     products = Counter()  # (phase, stack depth of the operator) -> calls
+
+    def counted_image(self, Z, original=StepOperators.image):
+        products[phase[0], Z.shape[0]] += 2  # K Z and Z K'
+        return original(self, Z)
+
+    monkeypatch.setattr(StepOperators, "image", counted_image)
     for name in ("__matmul__", "__rmatmul__"):
         def counted(self, X, original=getattr(TriDiagMatrix, name)):
-            depth = self.diag.shape[0] if self.diag.ndim == 2 else 1
-            products[phase[0], depth] += 1
+            products[phase[0], "TriDiagMatrix"] += 1
             return original(self, X)
 
         monkeypatch.setattr(TriDiagMatrix, name, counted)
@@ -584,7 +613,7 @@ def test_non_finite_forcing_names_its_level_before_the_solve(monkeypatch):
         return G1 + (np.nan if abs(t - t_k) < 1e-9 else 0.0), G2
 
     prob = dataclasses.replace(prob, forcing=G1_nan_at_k)
-    solve_calls = _counting(monkeypatch, epdsys.stepper, "_solve_branches")
+    solve_calls = _counting(monkeypatch, epdsys.stepper, "_solve")
     with pytest.raises(InvalidSpecError, match=rf"forcing at level {k} \(t_{k} = 0\.7\)"):
         run(prob, spec, sing_policy="limit")
     assert len(solve_calls) == k - 1
@@ -601,7 +630,7 @@ def test_non_finite_seed_level_is_named_before_any_solve(monkeypatch, bad_level)
         return u, v + (np.nan if t == t_bad else 0.0)
 
     prob = dataclasses.replace(prob, exact=exact_nan)
-    solve_calls = _counting(monkeypatch, epdsys.stepper, "_solve_branches")
+    solve_calls = _counting(monkeypatch, epdsys.stepper, "_solve")
     with pytest.raises(
         InvalidSpecError, match=rf"exact solution at level {bad_level} \(t_{bad_level} = .*\) contains NaN"
     ):
@@ -641,7 +670,7 @@ def test_factored_pairs_are_the_identity_minus_the_image():
     plan = plan_solves(ops, grid, 1.0)
     Z = np.random.default_rng(5).standard_normal((2, grid.size, grid.size))
     KZ = ops.image(Z)
-    assert tuple(f.branch for f in plan.factors) == tuple(BRANCH_SIGNS)
-    for f, Zb, KZb in zip(plan.factors, Z, KZ):
+    assert tuple(f.branch for f in plan.factors.pairs) == tuple(BRANCH_SIGNS)
+    for f, Zb, KZb in zip(plan.factors.pairs, Z, KZ):
         expected = f.L @ Zb + Zb @ f.R
         np.testing.assert_allclose(Zb - ops.implicit_weight * KZb, expected, rtol=0, atol=1e-14)
