@@ -330,17 +330,19 @@ def read_bench_csv(path: str) -> list[BenchRow]:
 # convergence study
 
 
+# The band in which a fitted convergence order passes.
+ORDER_BAND = (1.5, 2.5)
+
+
 @dataclasses.dataclass(frozen=True)
 class ConvergenceReport:
     rows: list[tuple[int, float, float]]  # (J, h, Er)
     order: float
-    ok: bool  # order within [1.5, 2.5]
+    ok: bool  # order within ORDER_BAND
 
 
 def run_convergence(
-    config: RunConfig,
-    J_list: Sequence[int] = DEFAULT_CONVERGENCE_J,
-    order_band: tuple[float, float] = (1.5, 2.5),
+    config: RunConfig, J_list: Sequence[int] = DEFAULT_CONVERGENCE_J
 ) -> ConvergenceReport:
     """Sylvester-path runs over J_list; fits the order of Er against h."""
     if len(J_list) < 2:
@@ -355,7 +357,7 @@ def run_convergence(
         report = discrete_errors(trajectory, exact, grid)
         rows.append((J, grid.h, report.er))
     order = convergence_order([(h, er) for _, h, er in rows])
-    ok = order_band[0] <= order <= order_band[1] or math.isinf(order)
+    ok = ORDER_BAND[0] <= order <= ORDER_BAND[1] or math.isinf(order)
     return ConvergenceReport(rows=rows, order=order, ok=ok)
 
 

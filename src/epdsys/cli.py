@@ -23,7 +23,7 @@ from .exceptions import EpdError
 from .grid import build_grid, discrete_errors
 from .operators import assemble_step_operators, build_operator_set
 from .stepper import SOLVER_SYLVESTER, ProblemDef, cfl_guard, plan_solves, run
-from .sylvester import CoupledProblem, kronecker_solve, solve_coupled
+from .sylvester import CoupledProblem, format_pair, kronecker_solve, solve_coupled
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -82,7 +82,8 @@ def cmd_converge(args):
         print(f"J={J} h={h:.6g} Er={er:.6g}")
     print(f"order={report.order:.4g}")
     if not report.ok:
-        print("validation failure: order outside [1.5, 2.5]")
+        low, high = bench_mod.ORDER_BAND
+        print(f"validation failure: order outside [{low}, {high}]")
         return EXIT_VALIDATION
     return EXIT_OK
 
@@ -147,11 +148,11 @@ def cmd_validate(args):
         ops = assemble_step_operators(opset, grid, config.alpha)
         plan = plan_solves(ops, grid, prob.a)
         margin, n, branch = plan.min_margin()
-        lam, mu = plan.margin_pairs[n][("sum", "diff").index(branch)]
+        pair = format_pair(*plan.margin_pairs[n][("sum", "diff").index(branch)])
         kernels = ", ".join(f"{b} {k}" for b, k in zip(("sum", "diff"), plan.kernels))
         print(
-            f"     min margin = {margin:.3e} at step {n}, {branch} branch, pair lam={lam:.6g}, "
-            f"mu={mu:.6g}; kernels: {kernels}"
+            f"     min margin = {margin:.3e} at step {n}, {branch} branch, pair {pair}; "
+            f"kernels: {kernels}"
         )
 
     def zero_trajectory():

@@ -28,7 +28,7 @@ O(1) local error on axis rows for solutions with nonzero curvature there;
 'limit' restores second-order accuracy and is the default everywhere.
 
 The step operators do not depend on the time index: step n adds only the
-damping shift c_n I (`step_shift`) to k Theta and k Lambda.
+damping shift c_n I (`step_shift`), with the branch's sign.
 """
 
 from __future__ import annotations
@@ -41,24 +41,22 @@ from .exceptions import InvalidSpecError, SingularTimeError
 from .grid import Grid
 
 # Branch s of the coupled pair has the coefficients (W + s R, Wr + s S), so
-# R, S shifted by c I shift it by s c.  The branch pairs, margins, solves and
-# residuals, the image stacks below and the step's damping term read this
-# table.
+# R, S shifted by c I shift it by s c.  The branch bands below, and through
+# them the branch pairs, margins, solves and residuals, and the step's
+# damping term read this table.
 BRANCH_SIGNS = {"sum": 1.0, "diff": -1.0}
 
 
 @dataclasses.dataclass(frozen=True)
 class TriDiagMatrix:
-    """Banded storage for an N x N tridiagonal matrix, or a stack of them.
+    """Banded storage for an N x N tridiagonal matrix.
 
-    sub[..., i] = M[i+1, i], diag[..., i] = M[i, i], sup[..., i] = M[i, i+1].
+    sub[i] = M[i+1, i], diag[i] = M[i, i], sup[i] = M[i, i+1].
 
-    `M @ X` and `X @ M` are banded O(N^2) products with a dense X; numpy
-    defers both to this class (`__array_ufunc__ = None`).  Bands with a
-    leading axis (`TriDiagMatrix.stack`) hold K matrices, and a product with
-    a (K, N, N) stack applies the k-th matrix to the k-th slice in one call.
-    Code that needs the dense matrix of a single one (LAPACK factorizations,
-    np.kron) gets it through `__array__`.
+    `M @ X` and `X @ M` are banded O(N^2) products with a dense matrix X;
+    numpy defers both to this class (`__array_ufunc__ = None`).  Code that
+    needs the dense matrix (LAPACK factorizations, np.kron) gets it through
+    `__array__`.
     """
 
     sub: np.ndarray
@@ -68,17 +66,17 @@ class TriDiagMatrix:
     __array_ufunc__ = None
 
     def __post_init__(self):
-        n = self.diag.shape[-1]
-        if self.sub.shape[-1] != n - 1 or self.sup.shape[-1] != n - 1:
+        n = self.diag.size
+        if self.sub.shape != (n - 1,) or self.sup.shape != (n - 1,):
             raise InvalidSpecError("inconsistent band lengths")
 
     @property
     def size(self):
-        return self.diag.shape[-1]
+        return self.diag.size
 
     @property
     def shape(self):
-        return self.diag.shape + (self.size,)
+        return (self.size, self.size)
 
     def dense(self) -> np.ndarray:
         n = self.size
@@ -99,33 +97,25 @@ class TriDiagMatrix:
 
     def _operand(self, X, axis):
         X = np.asarray(X, dtype=float)
-        stack = self.diag.shape[:-1]
-        if X.ndim != len(stack) + 2 or X.shape[:-2] != stack or X.shape[axis] != self.size:
+        if X.ndim != 2 or X.shape[axis] != self.size:
             raise InvalidSpecError(f"dimension mismatch: {self.shape} vs {X.shape}")
         return X
 
     def __matmul__(self, X):
         """M @ X, differencing along the rows of X."""
-        X = self._operand(X, -2)
-        out = self.diag[..., :, None] * X
-        out[..., 1:, :] += self.sub[..., :, None] * X[..., :-1, :]
-        out[..., :-1, :] += self.sup[..., :, None] * X[..., 1:, :]
+        X = self._operand(X, 0)
+        out = self.diag[:, None] * X
+        out[1:, :] += self.sub[:, None] * X[:-1, :]
+        out[:-1, :] += self.sup[:, None] * X[1:, :]
         return out
 
     def __rmatmul__(self, X):
         """X @ M, differencing along the columns of X."""
-        X = self._operand(X, -1)
-        out = X * self.diag[..., None, :]
-        out[..., :, 1:] += X[..., :, :-1] * self.sup[..., None, :]
-        out[..., :, :-1] += X[..., :, 1:] * self.sub[..., None, :]
+        X = self._operand(X, 1)
+        out = X * self.diag[None, :]
+        out[:, 1:] += X[:, :-1] * self.sup[None, :]
+        out[:, :-1] += X[:, 1:] * self.sub[None, :]
         return out
-
-    @staticmethod
-    def stack(mats) -> "TriDiagMatrix":
-        """The matrices `mats`, all of one size, as one stack."""
-        return TriDiagMatrix(
-            *(np.stack([getattr(M, band) for M in mats]) for band in ("sub", "diag", "sup"))
-        )
 
     def __add__(self, other):
         if not isinstance(other, TriDiagMatrix):
@@ -165,36 +155,32 @@ class OperatorSet:
 
 @dataclasses.dataclass(frozen=True)
 class StepOperators:
-    """The composites of the quasi-linear scheme, shared by every step of a run.
+    """The step operator of the quasi-linear scheme, shared by every step of a run.
 
-    W_alpha          = (1/2) I - alpha sigma A
-    kTheta / kLambda = k Theta / k Lambda, k = alpha sigma h
-    image_left       = the stack (A + s h Theta), s over BRANCH_SIGNS
-    image_right      = the stack (A^T + s h Lambda), s over BRANCH_SIGNS
-
-    In the branch variables Z+- = U +- V every tridiagonal operator of a
-    branch is affine in one image, K(Z) = K Z + Z K' with K = A + s h Theta
-    and K' = A^T + s h Lambda (`image`, on the stacked pair (Z+, Z-)):
+    `bands` is its only stored form: per branch s, in BRANCH_SIGNS order,
+    the tridiagonal pair (K, K') = (A + s h Theta, A^T + s h Lambda).  In
+    the branch variables Z+- = U +- V every tridiagonal operator of a
+    branch is affine in one image, K(Z) = K Z + Z K' (`image`, on the
+    stacked pair (Z+, Z-)):
 
         pair the plan factors     L Z + Z R   = Z - alpha sigma K(Z)
         level n of the RHS        Ln Z + Z Rn = 2 Z + (1 - 2 alpha) sigma K(Z)
         level n-1 of the RHS      Lm Z + Z Rm = -(Z - alpha sigma K(Z))
+        spatial terms of u_tt     (A Z + Z A^T) / h^2 + s (Theta Z + Z Lambda) / h
+                                  = K(Z) / h^2
 
+    so the plan factors (L, R) = (I/2 - alpha sigma K, I/2 - alpha sigma K'),
+    and Method I reads its U/V coefficients off those factored pairs.
     `implicit_weight` = alpha sigma and `explicit_weight` = (1 - 2 alpha)
-    sigma are the two weights, and `signs` holds the signs s, shaped to scale
-    the slices of a stack.  W_alpha, kTheta and kLambda form the same pairs
-    for the plan's factorization and for Method I.
+    sigma are the two weights, `signs` holds the signs s, shaped to scale
+    the slices of a stack, and `image_planes` the five coefficient planes
+    of the image kernel, built from the bands.
 
-    Step n adds only the damping c_n = l a / (2 t_n) (`step_shift`): its
-    coefficients are R = c_n I -+ kTheta and S = c_n I -+ kLambda at the
-    levels n+1 and n-1, which shifts branch s by s c_n I on each side.
+    Step n adds only the damping c_n = l a / (2 t_n) (`step_shift`), which
+    shifts branch s by s c_n I on each side.
     """
 
-    W_alpha: TriDiagMatrix
-    kTheta: TriDiagMatrix
-    kLambda: TriDiagMatrix
-    image_left: TriDiagMatrix
-    image_right: TriDiagMatrix
+    bands: tuple[tuple[TriDiagMatrix, TriDiagMatrix], ...]
     implicit_weight: float
     explicit_weight: float
     signs: np.ndarray
@@ -204,13 +190,14 @@ class StepOperators:
         # (K Z + Z K')[i, j] = (K_ii + K'_jj) Z[i, j] + K_i,i-1 Z[i-1, j]
         #   + K_i,i+1 Z[i+1, j] + K'_j-1,j Z[i, j-1] + K'_j+1,j Z[i, j+1]:
         # one plane per term, zero where the neighbour lies outside the slice
-        K, Kr = self.image_left, self.image_right
-        planes = np.zeros((5,) + K.diag.shape + (K.size,))
-        planes[0] = K.diag[:, :, None] + Kr.diag[:, None, :]
-        planes[1, :, 1:, :] = K.sub[:, :, None]
-        planes[2, :, :-1, :] = K.sup[:, :, None]
-        planes[3, :, :, 1:] = Kr.sup[:, None, :]
-        planes[4, :, :, :-1] = Kr.sub[:, None, :]
+        n = self.bands[0][0].size
+        planes = np.zeros((5, len(self.bands), n, n))
+        for plane, (K, Kr) in zip(planes.swapaxes(0, 1), self.bands):
+            plane[0] = K.diag[:, None] + Kr.diag[None, :]
+            plane[1, 1:, :] = K.sub[:, None]
+            plane[2, :-1, :] = K.sup[:, None]
+            plane[3, :, 1:] = Kr.sup[None, :]
+            plane[4, :, :-1] = Kr.sub[None, :]
         object.__setattr__(self, "image_planes", planes)
 
     def image(self, Z: np.ndarray) -> np.ndarray:
@@ -315,16 +302,11 @@ def step_shift(grid: Grid, n: int, a: float) -> float:
 
 
 def assemble_step_operators(ops: OperatorSet, grid: Grid, alpha: float) -> StepOperators:
-    """Build W_alpha, k Theta, k Lambda and the image stacks once per run."""
+    """Build the branch bands (K, K') and the image planes once per run."""
     sigma, h = grid.sigma, grid.h
-    k = alpha * sigma * h
     signs = list(BRANCH_SIGNS.values())
     return StepOperators(
-        W_alpha=0.5 * TriDiagMatrix.identity(grid.size) - (alpha * sigma) * ops.A,
-        kTheta=k * ops.Theta,
-        kLambda=k * ops.Lambda,
-        image_left=TriDiagMatrix.stack([ops.A + (s * h) * ops.Theta for s in signs]),
-        image_right=TriDiagMatrix.stack([ops.A.T + (s * h) * ops.Lambda for s in signs]),
+        bands=tuple((ops.A + (s * h) * ops.Theta, ops.A.T + (s * h) * ops.Lambda) for s in signs),
         implicit_weight=alpha * sigma,
         explicit_weight=(1.0 - 2.0 * alpha) * sigma,
         signs=np.array(signs)[:, None, None],

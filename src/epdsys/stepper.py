@@ -5,12 +5,16 @@ Every step advances (U, V) by solving the coupled Lyapunov-Sylvester pair
     W X + X W' + R Y + Y S = C1
     W Y + Y W' + R X + X S = C2
 
-where W = W_alpha, W' = W_alpha^T, R = c_n I - k Theta, S = c_n I - k Lambda
-(k = alpha sigma h) and the right-hand sides collect the two known levels,
-the explicit nonlinearities and the forcing.  All scalings come from the
-pointwise difference equation (the l^2-multiplied form), so the nonlinearity
-and forcing enter with weight l^2/2 per level and the gradient history with
-weight (1-2 alpha) sigma h.
+where W = I/2 - alpha sigma A, W' = W^T, R = c_n I - k Theta and
+S = c_n I - k Lambda (k = alpha sigma h), and the right-hand sides collect
+the two known levels, the explicit nonlinearities and the forcing.  All
+scalings come from the pointwise difference equation (the l^2-multiplied
+form), so the nonlinearity and forcing enter with weight l^2/2 per level
+and the gradient history with weight (1-2 alpha) sigma h.  In the branch
+variables Z+- = U +- V the pair decouples into the branches
+(I/2 - alpha sigma K + s c_n I) Z + Z (I/2 - alpha sigma K' + s c_n I) = C
+of the bands (K, K') = (A + s h Theta, A^T + s h Lambda), s = +-1, the one
+stored form of the step operator (`StepOperators.bands`).
 
 `run` builds the step operators and the solve plan once; the damping shift
 c_n = l a / (2 t_n) is the only coefficient computed per step.  Each level
@@ -35,12 +39,10 @@ import numpy as np
 from .exceptions import BlowUpError, InvalidSpecError, SingularTimeError
 from .grid import CoupledState, Field, Grid, GridSpec, build_grid, sample
 from .operators import (
-    SING_LIMIT, OperatorSet, StepOperators, TriDiagMatrix, assemble_step_operators,
-    build_operator_set, step_shift,
+    BRANCH_SIGNS, SING_LIMIT, OperatorSet, StepOperators, TriDiagMatrix,
+    assemble_step_operators, build_operator_set, step_shift,
 )
-from .sylvester import (
-    CoupledProblem, _Factors, _factor_coupled, _margins, _ratio, _solve, kronecker_solve,
-)
+from .sylvester import CoupledProblem, _Factors, _factor, _margins, _ratio, _solve, kronecker_solve
 
 SOLVER_SYLVESTER = "sylvester"
 SOLVER_KRONECKER = "kronecker"
@@ -72,15 +74,12 @@ class ProblemDef:
     data: tuple[Callable, Callable, Callable, Callable] | None = None
     nonlinear: bool = True
     allow_singular_t0: bool = False
-    taylor_terms: int = 2
 
     def __post_init__(self):
         if self.p <= 1 or self.q <= 1:
             raise InvalidSpecError(f"need p, q > 1, got p={self.p}, q={self.q}")
         if (self.exact is None) == (self.data is None):
             raise InvalidSpecError("exactly one seeding source (exact or data) must be set")
-        if self.taylor_terms not in (1, 2):
-            raise InvalidSpecError("taylor_terms must be 1 or 2")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,16 +121,6 @@ def nonlinear_H(X: Field, Y: Field, q: float) -> Field:
     return Field(_power(Y.values, X.values, q), level=X.level)
 
 
-def _lyap(M: TriDiagMatrix, X: np.ndarray) -> np.ndarray:
-    """M X + X M^T: M differences along both axes."""
-    return M @ X + X @ M.T
-
-
-def _cross(R: TriDiagMatrix, S: TriDiagMatrix, X: np.ndarray) -> np.ndarray:
-    """R X + X S: R along x, S along y."""
-    return R @ X + X @ S
-
-
 def _sample_pair(f: Callable, grid: Grid, level: int, name: str) -> np.ndarray:
     """The pair f(X, Y, t_level) on the grid nodes, written into one (2, n, n) array.
 
@@ -157,17 +146,18 @@ def _sample_pair(f: Callable, grid: Grid, level: int, name: str) -> np.ndarray:
 class SolvePlan:
     """Branch factors shared by the steps of a run, and their checked margins.
 
-    `factors` factor the shift-free sum pair (W_alpha - k Theta,
-    W_alpha^T - k Lambda) and difference pair (W_alpha + k Theta,
-    W_alpha^T + k Lambda), k = alpha sigma h, as one two-slice stack; the
-    Sylvester path solves step n with them shifted by +c_n and -c_n.  A
-    branch whose two coefficients are diagonally similar to symmetric
-    tridiagonals takes the "diagonal" kernel (one eigendecomposition per
-    side, then four batched GEMMs and an entrywise division per step for
-    the stack); any other branch takes the "schur" kernel (real Schur forms,
-    trsyl per step on its slice).  `kernels` names them; on the reference
-    grid (axis node, limit policy) the sum branch is diagonal for
-    lam, gamma < 1 and the difference branch for lam, gamma < 1/2.
+    `factors` factor the shift-free pair (I/2 - alpha sigma K,
+    I/2 - alpha sigma K') of each branch's bands (`StepOperators.bands`) as
+    one two-slice stack, in BRANCH_SIGNS order; the Sylvester path solves
+    step n with them shifted by +c_n and -c_n, and Method I reads its U/V
+    coefficients off the same pairs.  A branch whose two coefficients are
+    diagonally similar to symmetric tridiagonals takes the "diagonal" kernel
+    (one eigendecomposition per side, then four batched GEMMs and an
+    entrywise division per step for the stack); any other branch takes the
+    "schur" kernel (real Schur forms, trsyl per step on its slice).
+    `kernels` names them; on the reference grid (axis node, limit policy)
+    the sum branch is diagonal for lam, gamma < 1 and the difference branch
+    for lam, gamma < 1/2.
     `schedule` maps each step n to its (sum, diff) margins, all of them
     above the solvability floor; both solvers report these.  `margin_pairs`
     maps each step to the shifted eigenvalue pairs (lam, mu) that attain them.
@@ -200,7 +190,9 @@ def plan_solves(ops: StepOperators, grid: Grid, a: float) -> SolvePlan:
     its eigenvalue pair before any solve.
     """
     t_start = time.perf_counter()
-    factors = _factor_coupled(ops.W_alpha, -1.0 * ops.kTheta, -1.0 * ops.kLambda, ops.W_alpha.T)
+    half = TriDiagMatrix.identity(grid.size, 0.5)
+    w = ops.implicit_weight
+    factors = _factor([(half - w * K, half - w * Kr) for K, Kr in ops.bands], tuple(BRANCH_SIGNS))
     factor_time = time.perf_counter() - t_start
     steps = range(1, grid.n_steps)
     margins, attaining = _margins(factors, [step_shift(grid, n, a) for n in steps], steps)
@@ -213,68 +205,58 @@ def init_levels(prob: ProblemDef, grid: Grid, opset: OperatorSet | None = None):
     """Seed levels 0 and 1, either from an exact solution or a Taylor expansion.
 
     Taylor mode computes U^1 = u0 + l u1 + (l^2/2) u_tt with u_tt evaluated
-    from the PDE using the discrete spatial operators.  At t0 = 0 with a != 0
-    the damping coefficient is singular; with `allow_singular_t0` the pair
-    (u_tt, v_tt) is recovered from the one-sided limit system
-    u_tt + 2a v_tt = RHS_u, v_tt + 2a u_tt = RHS_v (valid for u1 = v1 = 0).
+    from the PDE using the discrete spatial operators (`_seed_levels`).  At
+    t0 = 0 with a != 0 the damping coefficient is singular; with
+    `allow_singular_t0` the pair (u_tt, v_tt) is recovered from the
+    one-sided limit system u_tt + 2a v_tt = RHS_u, v_tt + 2a u_tt = RHS_v
+    (valid for u1 = v1 = 0), which is singular at a = +-1/2.
     """
-    return _seed_levels(prob, grid, opset)[:2]
+    if opset is None:
+        opset = build_operator_set(grid, prob.lam, prob.gamma)
+    ops = assemble_step_operators(opset, grid, grid.spec.alpha)
+    level0, level1, _ = _seed_levels(prob, grid, ops)
+    return level0.state, level1.state
 
 
-def _seed_levels(prob: ProblemDef, grid: Grid, opset: OperatorSet | None):
-    """`init_levels`, and the explicit terms of level 0 when the seeding
-    computed them (two-term Taylor mode), else None."""
-    t0 = grid.t0
+def _seed_levels(prob: ProblemDef, grid: Grid, ops: StepOperators):
+    """`init_levels` as the two `BranchLevel`s (0, 1), and the source of level 0.
+
+    Taylor mode runs in the branch variables Z+- = U +- V, where the spatial
+    terms of u_tt +- v_tt are the image of level 0 over h^2
+    (`StepOperators`): rhs = K(Z^0) / h^2 + (F_u +- F_v), and
+    Z_tt = rhs -+ (2a / t0) Z_t, or rhs / (1 +- 2a) on the regularized
+    t0 = 0 path, with the sign of the branch.  Level 0's image and explicit
+    terms are computed once and serve the first step as well.
+    """
     if prob.exact is not None:
         def seed(level):
             u, v = _sample_pair(prob.exact, grid, level, "exact solution")
-            return CoupledState(Field(u, level), Field(v, level))
+            return BranchLevel.of(CoupledState(Field(u, level), Field(v, level)), ops)
 
-        return seed(0), seed(1), None
+        level0 = seed(0)
+        return level0, seed(1), level_source(prob, grid, level0.state)
 
     u0f, u1f, v0f, v1f = prob.data
-    U0 = sample(u0f, grid, level=0)
-    V0 = sample(v0f, grid, level=0)
-    Ut = sample(u1f, grid, level=0).values
-    Vt = sample(v1f, grid, level=0).values
-    l = grid.l
-
-    if prob.taylor_terms == 1:
-        U1 = Field(U0.values + l * Ut, level=1)
-        V1 = Field(V0.values + l * Vt, level=1)
-        return CoupledState(U0, V0), CoupledState(U1, V1), None
-
-    if opset is None:
-        opset = build_operator_set(grid, prob.lam, prob.gamma)
-
-    h = grid.h
-    A, Theta, Lam = opset.A, opset.Theta, opset.Lambda
-    F0 = _explicit_terms(prob, grid, CoupledState(U0, V0))
-    F_u, F_v = F0
-    rhs_u = _lyap(A, U0.values) / (h * h) + _cross(Theta, Lam, V0.values) / h + F_u
-    rhs_v = _lyap(A, V0.values) / (h * h) + _cross(Theta, Lam, U0.values) / h + F_v
-
+    state0 = CoupledState(sample(u0f, grid, level=0), sample(v0f, grid, level=0))
+    level0 = BranchLevel.of(state0, ops)
+    Zt = _sum_diff((sample(u1f, grid, level=0).values, sample(v1f, grid, level=0).values))
+    F = _sum_diff(_explicit_terms(prob, grid, state0))
+    rhs = level0.KZ / (grid.h * grid.h) + F
+    t0, a = grid.t0, prob.a
     if t0 > 0.0:
-        gam = 2.0 * prob.a / t0
-        u_tt = rhs_u - gam * Vt
-        v_tt = rhs_v - gam * Ut
-    elif prob.a == 0.0:
-        u_tt = rhs_u
-        v_tt = rhs_v
+        Ztt = rhs - ((2.0 * a / t0) * ops.signs) * Zt
     else:
-        if not prob.allow_singular_t0:
-            raise SingularTimeError(
-                "taylor seeding at t0 = 0 with a != 0 needs allow_singular_t0"
-            )
-        denom = 1.0 - 4.0 * prob.a * prob.a
-        if abs(denom) < 1e-12:
-            raise SingularTimeError("regularized t0 = 0 seeding degenerate at 4a^2 = 1")
-        u_tt = (rhs_u - 2.0 * prob.a * rhs_v) / denom
-        v_tt = (rhs_v - 2.0 * prob.a * rhs_u) / denom
-
-    U1 = Field(U0.values + l * Ut + 0.5 * l * l * u_tt, level=1)
-    V1 = Field(V0.values + l * Vt + 0.5 * l * l * v_tt, level=1)
-    return CoupledState(U0, V0), CoupledState(U1, V1), F0
+        if a != 0.0 and not prob.allow_singular_t0:
+            raise SingularTimeError("taylor seeding at t0 = 0 with a != 0 needs allow_singular_t0")
+        denom = 1.0 + (2.0 * a) * ops.signs
+        if np.any(np.abs(denom) < 1e-12):
+            raise SingularTimeError("regularized t0 = 0 seeding degenerate at a = +-1/2")
+        Ztt = rhs / denom
+    l2 = 0.5 * grid.l * grid.l
+    Z1 = level0.Z + grid.l * Zt + l2 * Ztt
+    U1, V1 = _sum_diff(Z1, 0.5)
+    level1 = BranchLevel(CoupledState(Field(U1, level=1), Field(V1, level=1)), Z1, ops.image(Z1))
+    return level0, level1, l2 * F
 
 
 def _explicit_terms(prob: ProblemDef, grid: Grid, state: CoupledState) -> np.ndarray:
@@ -297,12 +279,7 @@ def level_source(prob: ProblemDef, grid: Grid, state: CoupledState) -> np.ndarra
     so `run` computes it once and carries it.  A forcing sample that is not
     finite raises InvalidSpecError naming the level and t_n.
     """
-    return _branch_source(grid, _explicit_terms(prob, grid, state))
-
-
-def _branch_source(grid: Grid, F: np.ndarray) -> np.ndarray:
-    """(l^2/2) (F_u +- F_v) from the stacked explicit terms (F_u, F_v)."""
-    return _sum_diff(F, 0.5 * grid.l * grid.l)
+    return _sum_diff(_explicit_terms(prob, grid, state), 0.5 * grid.l * grid.l)
 
 
 def _sum_diff(P, scale: float = 1.0) -> np.ndarray:
@@ -398,11 +375,13 @@ def step(
     `levels` holds the levels (n, n-1) and `source_m` the `level_source` of
     level n-1.  The step computes the source of level n and returns it with
     the new level and its image, for steps n+1 and n+2.  The Sylvester path
-    solves the branches with the factors of `plan` shifted by +-c_n; the
-    Kronecker path solves the dense U/V system with R = c_n I - k Theta and
-    S = c_n I - k Lambda.  Both report the plan's margins for step n and the
-    residual of the branch equations (`_step_residual`), which on the
-    Kronecker path checks BRANCH_SIGNS.
+    solves the branches with the factors of `plan` shifted by +-c_n.  The
+    Kronecker path solves the dense U/V system whose coefficients it reads
+    off the same factored pairs (L+-, R+-): W = (L+ + L-)/2,
+    R = c_n I + (L+ - L-)/2, W' = (R+ + R-)/2 and S = c_n I + (R+ - R-)/2.
+    Both report the plan's margins for step n and the residual of the
+    branch equations (`_step_residual`), which on the Kronecker path checks
+    BRANCH_SIGNS.
     """
     t_start = time.perf_counter()
     c = step_shift(grid, n, prob.a)
@@ -414,15 +393,16 @@ def step(
         Z = _solve(plan.factors, C, c)
         X, Y = _sum_diff(Z, 0.5)
     elif solver == SOLVER_KRONECKER:
+        (Ls, Rs), (Ld, Rd) = ((pair.L, pair.R) for pair in plan.factors.pairs)
         I_c = TriDiagMatrix.identity(grid.size, c)
         C1, C2 = _sum_diff(C, 0.5)
         X, Y = kronecker_solve(CoupledProblem(
-            W=ops.W_alpha,
-            R=I_c - ops.kTheta,
-            S=I_c - ops.kLambda,
+            W=0.5 * (Ls + Ld),
+            R=I_c + 0.5 * (Ls - Ld),
+            S=I_c + 0.5 * (Rs - Rd),
             C1=C1,
             C2=C2,
-            W_right=ops.W_alpha.T,
+            W_right=0.5 * (Rs + Rd),
         ))
         Z = _sum_diff((X, Y))
     else:
@@ -476,16 +456,13 @@ def run(
     opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy=sing_policy)
     ops = assemble_step_operators(opset, grid, grid.spec.alpha)
     plan = plan_solves(ops, grid, prob.a)
-    s0, s1, terms0 = _seed_levels(prob, grid, opset)
-    for seed in (s0, s1):
+    level0, level1, source = _seed_levels(prob, grid, ops)
+    trajectory = [level0.state, level1.state]
+    for seed in trajectory:
         seed.U.check_finite()
         seed.V.check_finite()
-    trajectory = [s0, s1]
     reports: list[StepReport] = []
-    if terms0 is None:
-        terms0 = _explicit_terms(prob, grid, s0)
-    source = _branch_source(grid, terms0)
-    levels = (BranchLevel.of(s1, ops), BranchLevel.of(s0, ops))
+    levels = (level1, level0)
     for n in range(1, grid.n_steps):
         level, report, source = step(levels, source, ops, prob, grid, n, plan, solver=solver)
         state = level.state

@@ -143,6 +143,13 @@ def _min_pair_sum(lams, mus):
     return float(sums[i, j]), (complex(lams[i]), complex(mus[j]))
 
 
+def format_pair(lam: complex, mu: complex) -> str:
+    """'lam=..., mu=...' to 6 digits; a value with zero imaginary part prints as a real."""
+    return ", ".join(
+        f"{name}={z.real if z.imag == 0.0 else z:.6g}" for name, z in (("lam", lam), ("mu", mu))
+    )
+
+
 _CONTEXT = {
     None: "Sylvester problem not solvable",
     "sum": "sum branch failed",
@@ -352,7 +359,7 @@ def _margins(F: _Factors, cs, steps=None):
         where = _CONTEXT[branch] if step is None else f"step {step}: {_CONTEXT[branch]}"
         lam, mu = attaining[k, b]
         raise SolvabilityError(
-            f"{where}: eigenvalue pair lam={lam:.6g}, mu={mu:.6g} "
+            f"{where}: eigenvalue pair {format_pair(lam, mu)} "
             f"gives denominator |lam+mu| = {margins[k, b]:.3e}",
             pair=(complex(lam), complex(mu)),
             branch=branch,

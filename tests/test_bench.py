@@ -169,7 +169,7 @@ def test_run_table1_solver_failure_recorded_not_raised(monkeypatch):
 
 
 def test_run_convergence_smoke():
-    report = run_convergence(RunConfig(J=4), J_list=(4, 9), order_band=(-10.0, 10.0))
+    report = run_convergence(RunConfig(J=4), J_list=(4, 9))
     assert len(report.rows) == 2
     assert all(er > 0 for _, _, er in report.rows)
     assert math.isfinite(report.order)

@@ -1,18 +1,18 @@
-"""Property tests for the step's right-hand side and residual in branch form.
+"""Property tests for the step's right-hand side, residual and seeding in branch form.
 
 `assemble_rhs` builds the branch right-hand sides C1 +- C2 in the branch
 variables U +- V from the levels' images K(Z) (`StepOperators.image`) and
-sources (`level_source`), and `residual` evaluates a coupled pair through
-its sum and difference equations.  Both are checked here against the
-two-equation U/V forms, written out from the scheme's coefficients with
-`_lyap` and `_cross`.  The three operators of a branch are checked against
-their dense matrices as functions of the image, and the step's own
-residual, from the image of the new level, against `residual` of the U/V
-problem.
+sources (`level_source`), `residual` evaluates a coupled pair through its
+sum and difference equations, and Taylor seeding forms u_tt +- v_tt from
+level 0's image.  All three are checked here against the two-equation U/V
+forms, written out from the scheme's coefficients with `_lyap` and
+`_cross`.  The three operators of a branch are checked against their dense
+matrices as functions of the image, and the step's own residual, from the
+image of the new level, against `residual` of the U/V problem.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epdsys.grid import CoupledState, Field, GridSpec, build_grid
@@ -26,13 +26,23 @@ from epdsys.operators import (
     step_shift,
 )
 from epdsys.stepper import (
-    BranchLevel, ProblemDef, _cross, _lyap, _power, _step_residual, assemble_rhs, level_source,
+    BranchLevel, ProblemDef, _power, _step_residual, assemble_rhs, init_levels, level_source,
 )
 from epdsys.sylvester import CoupledProblem, residual
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 unit = st.floats(min_value=0.0, max_value=1.0)
 coefs = st.floats(min_value=-1.0, max_value=1.0)
+
+
+def _lyap(M: TriDiagMatrix, X: np.ndarray) -> np.ndarray:
+    """M X + X M^T: M differences along both axes."""
+    return M @ X + X @ M.T
+
+
+def _cross(R: TriDiagMatrix, S: TriDiagMatrix, X: np.ndarray) -> np.ndarray:
+    """R X + X S: R along x, S along y."""
+    return R @ X + X @ S
 
 
 def reference_rhs_terms(hist, opset, grid, alpha, prob, n, forcing):
@@ -183,8 +193,11 @@ def test_step_residual_equals_the_uv_residual(seed, J, alpha, lam, gamma, c, sin
     grid = build_grid(
         GridSpec(L0=-1.0, L1=1.0, J=J, step_rule="independent", l=0.1 * rng.uniform(0.1, 1))
     )
-    ops = assemble_step_operators(build_operator_set(grid, lam, gamma, sing_policy), grid, alpha)
-    W, kTheta, kLambda = ops.W_alpha, ops.kTheta, ops.kLambda
+    opset = build_operator_set(grid, lam, gamma, sing_policy)
+    ops = assemble_step_operators(opset, grid, alpha)
+    k = alpha * grid.sigma * grid.h
+    W = 0.5 * TriDiagMatrix.identity(grid.size) - (alpha * grid.sigma) * opset.A
+    kTheta, kLambda = k * opset.Theta, k * opset.Lambda
     P, Q, C_sum, C_diff = (rng.standard_normal((grid.size, grid.size)) for _ in range(4))
     I_c = TriDiagMatrix.identity(grid.size, c)
     X, Y = 0.5 * (P + Q), 0.5 * (P - Q)
@@ -198,3 +211,62 @@ def test_step_residual_equals_the_uv_residual(seed, J, alpha, lam, gamma, c, sin
     level = BranchLevel(CoupledState(Field(X, 2), Field(Y, 2)), Z, ops.image(Z))
     got = _step_residual(level, np.stack((C_sum, C_diff)), ops, c)
     assert abs(got - expected) <= 1e-12 * expected
+
+
+def reference_taylor_levels(prob, grid, opset, data, forcing):
+    """Levels 0 and 1 of two-term Taylor seeding in U/V form, and the norms
+    of the terms of level 1, each equation on its own.
+
+    u_tt = (A U + U A^T) / h^2 + (Theta V + V Lambda) / h + F_u - (2a/t0) v_t,
+    and likewise v_tt; at t0 = 0 the one-sided limit system
+    u_tt + 2a v_tt = RHS_u, v_tt + 2a u_tt = RHS_v is solved as a 2 x 2 system.
+    """
+    U0, Ut, V0, Vt = data
+    h, l, a, t0 = grid.h, grid.l, prob.a, grid.t0
+    A, Theta, Lam = opset.A, opset.Theta, opset.Lambda
+    G1, G2 = forcing
+    F_u = G1 + _power(U0, V0, prob.p)
+    F_v = G2 + _power(V0, U0, prob.q)
+    rhs_u = _lyap(A, U0) / (h * h) + _cross(Theta, Lam, V0) / h + F_u
+    rhs_v = _lyap(A, V0) / (h * h) + _cross(Theta, Lam, U0) / h + F_v
+    if t0 > 0.0:
+        u_tt = rhs_u - (2.0 * a / t0) * Vt
+        v_tt = rhs_v - (2.0 * a / t0) * Ut
+    else:
+        denom = 1.0 - 4.0 * a * a
+        u_tt = (rhs_u - 2.0 * a * rhs_v) / denom
+        v_tt = (rhs_v - 2.0 * a * rhs_u) / denom
+    terms = [U0, l * Ut, 0.5 * l * l * u_tt, V0, l * Vt, 0.5 * l * l * v_tt]
+    U1, V1 = sum(terms[:3]), sum(terms[3:])
+    return (U0, V0, U1, V1), sum(np.linalg.norm(t) for t in terms)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=seeds, J=st.integers(min_value=1, max_value=9), lam=coefs, gamma=coefs,
+    a=st.floats(min_value=-3.0, max_value=3.0),
+    t0=st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=2.0)),
+    sing_policy=st.sampled_from([SING_ZERO, SING_LIMIT]),
+)
+def test_taylor_seeding_equals_the_uv_form(seed, J, lam, gamma, a, t0, sing_policy):
+    # branch form: Z_tt = K(Z^0) / h^2 + F -+ (2a/t0) Z_t, or divided by
+    # 1 +- 2a at t0 = 0, against the two equations and the 2 x 2 limit system
+    assume(t0 > 0.0 or abs(1.0 - 4.0 * a * a) > 0.1)
+    rng = np.random.default_rng(seed)
+    grid = build_grid(GridSpec(
+        L0=-1.0, L1=1.0, J=J, t0=t0, step_rule="independent", l=0.1 * rng.uniform(0.1, 1)
+    ))
+    size = (grid.size, grid.size)
+    data = tuple(rng.standard_normal(size) for _ in range(4))
+    forcing = tuple(rng.standard_normal(size) for _ in range(2))
+    prob = ProblemDef(
+        a=a, lam=lam, gamma=gamma, p=1.0 + rng.uniform(0.1, 2.0), q=1.0 + rng.uniform(0.1, 2.0),
+        data=tuple((lambda x, y, d=d: d) for d in data),
+        forcing=lambda x, y, t: forcing, allow_singular_t0=True,
+    )
+    opset = build_operator_set(grid, lam, gamma, sing_policy=sing_policy)
+    s0, s1 = init_levels(prob, grid, opset)
+    expected, scale = reference_taylor_levels(prob, grid, opset, data, forcing)
+    assert s0.level == 0 and s1.level == 1
+    for got, reference in zip((s0.U, s0.V, s1.U, s1.V), expected):
+        assert np.linalg.norm(got.values - reference) <= 1e-13 * scale

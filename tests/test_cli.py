@@ -1,6 +1,10 @@
 import pytest
 
+from epdsys.bench import RunConfig, manufactured_problem
 from epdsys.cli import EXIT_ERROR, EXIT_OK, EXIT_VALIDATION, main
+from epdsys.exceptions import SolvabilityError
+from epdsys.grid import GridSpec
+from epdsys.stepper import run
 
 
 @pytest.fixture
@@ -85,6 +89,27 @@ def test_validate_subcommand(config_file, capsys):
     schedule = next(line for line in out.splitlines() if "min margin = " in line)
     assert schedule.endswith("kernels: sum diagonal, diff diagonal")
     assert ", pair lam=" in schedule
+
+
+def test_real_eigenvalue_pairs_print_as_reals(config_file, capsys):
+    # both branches of the J=9 config take the diagonal kernel, whose
+    # spectra are real: the pair prints without an imaginary part
+    assert main(["validate", config_file("J = 9\n")]) == EXIT_OK
+    schedule = next(
+        line for line in capsys.readouterr().out.splitlines() if "min margin = " in line
+    )
+    assert schedule.endswith("kernels: sum diagonal, diff diagonal")
+    pair = schedule.split(" pair ")[1].split(";")[0]
+    assert pair.startswith("lam=") and ", mu=" in pair
+    assert "j" not in pair
+    # a diagonal-kernel solvability failure: a = 1 from rest is singular at step 1
+    spec = GridSpec(L0=-10, L1=10, J=9, t0=0.0, n_steps=6, step_rule="independent", l=0.05)
+    prob, _ = manufactured_problem(RunConfig(J=9, a=1.0))
+    with pytest.raises(SolvabilityError) as err:
+        run(prob, spec, sing_policy="limit")
+    assert "eigenvalue pair lam=" in str(err.value)
+    assert "j" not in str(err.value)
+    assert isinstance(err.value.pair[0], complex)
 
 
 def test_missing_config_file_is_error(capsys):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from epdsys.exceptions import SolvabilityError
 from epdsys.grid import GridSpec, build_grid
 from epdsys.operators import (
-    BRANCH_SIGNS, SING_LIMIT, TriDiagMatrix, assemble_step_operators, build_operator_set,
+    BRANCH_SIGNS, SING_LIMIT, TriDiagMatrix, build_operator_set,
 )
 from epdsys.sylvester import (
     CoupledProblem,
@@ -187,15 +187,15 @@ def test_mixed_kernel_stack_matches_kronecker_and_single_solves(seed, J, lam, ga
         GridSpec(L0=-1.0, L1=1.0, J=J, step_rule="independent", l=0.1 * rng.uniform(0.1, 1))
     )
     assert grid.singular_x.size == 1
-    ops = assemble_step_operators(build_operator_set(grid, lam, gamma, SING_LIMIT), grid, 0.25)
-    F = _factor_coupled(ops.W_alpha, -1.0 * ops.kTheta, -1.0 * ops.kLambda, ops.W_alpha.T)
+    opset = build_operator_set(grid, lam, gamma, SING_LIMIT)
+    n, w = grid.size, 0.25 * grid.sigma
+    W = 0.5 * TriDiagMatrix.identity(n) - w * opset.A
+    kTheta, kLambda = (w * grid.h) * opset.Theta, (w * grid.h) * opset.Lambda
+    F = _factor_coupled(W, -1.0 * kTheta, -1.0 * kLambda, W.T)
     assert F.kernels == ("diagonal", "schur")
-    n = grid.size
     I_c = TriDiagMatrix.identity(n, c)
     C1, C2 = rng.standard_normal((2, n, n))
-    p = CoupledProblem(
-        W=ops.W_alpha, R=I_c - ops.kTheta, S=I_c - ops.kLambda, C1=C1, C2=C2, W_right=ops.W_alpha.T
-    )
+    p = CoupledProblem(W=W, R=I_c - kTheta, S=I_c - kLambda, C1=C1, C2=C2, W_right=W.T)
     assume(solvability_margin(p.W, p.R, p.S, p.W_right) > 1e-6)
 
     C = np.stack((C1 + C2, C1 - C2))

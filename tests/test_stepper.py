@@ -34,6 +34,16 @@ from epdsys.sylvester import CoupledProblem, solvability_margin
 ZERO = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
 
 
+def uv_coefficients(opset, grid, c, alpha=None):
+    """The dense U/V coefficients of step c_n = c, written from the mesh
+    matrices: W = I/2 - alpha sigma A, R = c I - k Theta, S = c I - k Lambda."""
+    alpha = grid.spec.alpha if alpha is None else alpha
+    w, k = alpha * grid.sigma, alpha * grid.sigma * grid.h
+    I = np.eye(grid.size)
+    A, Theta, Lam = (M.dense() for M in (opset.A, opset.Theta, opset.Lambda))
+    return 0.5 * I - w * A, c * I - k * Theta, c * I - k * Lam
+
+
 def gauss(x, y):
     return np.exp(-(x * x + y * y))
 
@@ -103,6 +113,21 @@ def test_init_levels_taylor_rejects_singular_t0():
     assert np.isfinite(s1.U.values).all()
 
 
+@pytest.mark.parametrize("a", [0.5, -0.5])
+def test_regularized_taylor_seeding_is_singular_at_a_half(a):
+    # the one-sided limit system divides branch s by 1 + 2 a s: the
+    # difference branch at a = 1/2, the sum branch at a = -1/2
+    grid = build_grid(GridSpec(L0=-1, L1=1, J=3, t0=0.0))
+    prob = ProblemDef(
+        a=a, lam=0.25, gamma=0.25, p=2.0, q=2.0,
+        data=(gauss, ZERO, gauss, ZERO), allow_singular_t0=True,
+    )
+    with pytest.raises(SingularTimeError, match="degenerate"):
+        init_levels(prob, grid)
+    with pytest.raises(SingularTimeError, match="degenerate"):
+        run(prob, GridSpec(L0=-1, L1=1, J=3, t0=0.0, n_steps=3))
+
+
 def test_init_levels_taylor_matches_exact_expansion():
     # taylor seeding reproduces the exact second level to O(l^3 + l h^2)
     grid = build_grid(GridSpec(L0=-10, L1=10, J=49, t0=0.5, step_rule="independent", l=0.01))
@@ -128,17 +153,6 @@ def test_init_levels_taylor_matches_exact_expansion():
     u_exact = exact(X, Y, grid.time(1))[0]
     # error budget: l^3 u_ttt / 6 plus (l^2/2) x O(h^2) from the discrete RHS
     assert np.abs(s1.U.values - u_exact).max() < 5e-5
-
-
-def test_init_levels_taylor_one_term():
-    grid = build_grid(GridSpec(L0=-1, L1=1, J=3, t0=1.0, step_rule="independent", l=0.25))
-    u1 = lambda x, y: np.ones_like(x)
-    prob = ProblemDef(
-        a=0.0, lam=0.0, gamma=0.0, p=2.0, q=2.0,
-        data=(gauss, u1, gauss, u1), taylor_terms=1,
-    )
-    s0, s1 = init_levels(prob, grid)
-    assert np.allclose(s1.U.values, s0.U.values + 0.25, atol=1e-14)
 
 
 def _rhs(history, ops, prob, grid, n):
@@ -235,12 +249,10 @@ def test_step_margins_match_solvability_margin(ref_grid24, ref_problem, solver):
     prob, _ = ref_problem
     _, reports = run(prob, ref_grid24.spec, solver=solver, sing_policy="limit")
     opset = build_operator_set(ref_grid24, prob.lam, prob.gamma, sing_policy="limit")
-    ops = assemble_step_operators(opset, ref_grid24, ref_grid24.spec.alpha)
     assert reports
     for report in reports:
-        I_c = TriDiagMatrix.identity(ref_grid24.size, step_shift(ref_grid24, report.n, prob.a))
-        R, S = I_c - ops.kTheta, I_c - ops.kLambda
-        expected = solvability_margin(ops.W_alpha, R, S, ops.W_alpha.T)
+        W, R, S = uv_coefficients(opset, ref_grid24, step_shift(ref_grid24, report.n, prob.a))
+        expected = solvability_margin(W, R, S, W.T)
         assert report.margin == pytest.approx(expected, rel=1e-10)
 
 
@@ -434,10 +446,9 @@ def test_preflight_names_the_failing_step_before_any_solve(monkeypatch, solver):
     spec = GridSpec(L0=-10, L1=10, J=9, t0=0.0, n_steps=6, alpha=config.alpha)
     grid = build_grid(spec)
     opset = build_operator_set(grid, config.lam, config.gamma, sing_policy="limit")
-    W = assemble_step_operators(opset, grid, config.alpha).W_alpha
-    kappa = config.alpha * grid.sigma * grid.h
-    lams = np.linalg.eigvals((W + kappa * opset.Theta).dense())
-    mus = np.linalg.eigvals((W.T + kappa * opset.Lambda).dense())
+    W, R, S = uv_coefficients(opset, grid, 0.0, config.alpha)
+    lams = np.linalg.eigvals(W - R)
+    mus = np.linalg.eigvals(W.T - S)
     sums = (lams[:, None] + mus[None, :]).ravel()
     target = sums[sums.imag == 0.0].real.max()
     a = target * grid.time(k_step) / grid.l
@@ -543,9 +554,9 @@ def test_step_makes_four_tridiagonal_products(monkeypatch, solver):
     # a step forms one image, of the level it solves: K Z + Z K' over the
     # two-slice branch stack, a left and a right product per call; its
     # right-hand side and residual reuse images.  run forms the two seed
-    # levels' images once, and nothing else applies a banded operator.
+    # levels' images once (Taylor seeding reads u_tt's spatial terms off
+    # level 0's image), and nothing else applies a banded operator.
     spec = GridSpec(L0=-10, L1=10, J=9, t0=0.5, n_steps=12, step_rule="independent", l=0.05)
-    prob, _ = manufactured_problem(RunConfig(J=9))
     phase = [None]
     products = Counter()  # (phase, stack depth of the operator) -> calls
 
@@ -569,10 +580,13 @@ def test_step_makes_four_tridiagonal_products(monkeypatch, solver):
             phase[0] = None
 
     monkeypatch.setattr(epdsys.stepper, "step", scoped)
-    _, reports = run(prob, spec, solver=solver, sing_policy="limit")
-    steps = len(reports)
-    assert steps == 11
-    assert products == {("step", 2): 2 * steps, (None, 2): 2 * 2}
+    for seed_mode in ("exact", "taylor"):
+        products.clear()
+        prob, _ = manufactured_problem(RunConfig(J=9, t0=0.5, seed_mode=seed_mode))
+        _, reports = run(prob, spec, solver=solver, sing_policy="limit")
+        steps = len(reports)
+        assert steps == 11
+        assert products == {("step", 2): 2 * steps, (None, 2): 2 * 2}, seed_mode
 
 
 @pytest.mark.parametrize("solver, problems_per_step", [("sylvester", 0), ("kronecker", 1)])
@@ -663,8 +677,9 @@ def test_raising_exact_solution_is_invalid_spec():
 
 
 def test_factored_pairs_are_the_identity_minus_the_image():
-    # the pairs the plan factors and the image stacks both come from
-    # BRANCH_SIGNS, in its order: f.L Z + Z f.R = Z - alpha sigma K(Z)
+    # the plan factors (I/2 - alpha sigma K, I/2 - alpha sigma K') of the
+    # bands whose image the steps use, in BRANCH_SIGNS order:
+    # f.L Z + Z f.R = Z - alpha sigma K(Z)
     grid = build_grid(GridSpec(L0=-1, L1=1, J=5, t0=0.5, step_rule="independent", l=0.1))
     ops = assemble_step_operators(build_operator_set(grid, 0.3, -0.2), grid, 0.25)
     plan = plan_solves(ops, grid, 1.0)

@@ -235,15 +235,14 @@ def test_margin_singular_difference_branch():
 
 def test_margin_reference_operators_regression(ref_grid24):
     # frozen: margin of the reference operators at J=24, n=1, alpha=1/4
-    from epdsys.operators import (
-        TriDiagMatrix, assemble_step_operators, build_operator_set, step_shift,
-    )
+    from epdsys.operators import build_operator_set, step_shift
 
     opset = build_operator_set(ref_grid24, 0.25, 0.25)
-    ops = assemble_step_operators(opset, ref_grid24, 0.25)
-    I_c = TriDiagMatrix.identity(ref_grid24.size, step_shift(ref_grid24, 1, 2.5))
-    W = ops.W_alpha.dense()
-    R, S = (I_c - ops.kTheta).dense(), (I_c - ops.kLambda).dense()
+    w, n = 0.25 * ref_grid24.sigma, ref_grid24.size
+    c = step_shift(ref_grid24, 1, 2.5)
+    A, Theta, Lam = (M.dense() for M in (opset.A, opset.Theta, opset.Lambda))
+    W = 0.5 * np.eye(n) - w * A
+    R, S = c * np.eye(n) - (w * ref_grid24.h) * Theta, c * np.eye(n) - (w * ref_grid24.h) * Lam
     margin = solvability_margin(W, R, S, W.T)
     assert margin > 0.0
     assert margin == pytest.approx(1.3408191866e-4, rel=1e-6)
