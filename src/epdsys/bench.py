@@ -38,8 +38,6 @@ DEFAULT_BENCH_J = (4, 9, 24, 49)
 DEFAULT_CONVERGENCE_J = (24, 49, 99)
 FORCING_CERT_TOL = 1e-5
 
-CSV_HEADER = "J,h,l,Er_II,RelEr_II,Er_I,RelEr_I,time_II_ms,time_I_ms,ratio"
-
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
@@ -210,6 +208,11 @@ class BenchRow:
     error: str = ""
 
 
+# the CSV and printed table columns: every BenchRow field but the error note
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(BenchRow) if f.name != "error")
+CSV_HEADER = ",".join(CSV_COLUMNS)
+
+
 def _timed_run(prob, spec, solver, repeats, sing_policy):
     """(median wall ms, trajectory, reports) over `repeats` identical runs."""
     times = []
@@ -234,45 +237,33 @@ def run_table1(
     written to csv_path (default config.out_csv) with header CSV_HEADER.
     """
     check_forcing_certificate(config)
-    want_kronecker = config.solver in ("both", SOLVER_KRONECKER)
-    want_sylvester = config.solver in ("both", SOLVER_SYLVESTER)
+    # Method II before Method I, each with the BenchRow columns it fills
+    methods = {
+        SOLVER_SYLVESTER: ("Er_II", "RelEr_II", "time_II_ms"),
+        SOLVER_KRONECKER: ("Er_I", "RelEr_I", "time_I_ms"),
+    }
 
     rows: list[BenchRow] = []
     for J in J_list:
         spec = grid_spec_for(config, J)
         grid = build_grid(spec)
         prob, exact = manufactured_problem(config)
-        er2 = rel2 = er1 = rel1 = t2 = t1 = float("nan")
+        # every measured column (all but J, h, l) is NaN unless a method fills it
+        values = dict.fromkeys(CSV_COLUMNS[3:], float("nan"))
         note = []
-        if want_sylvester:
+        for solver, (er, rel_er, ms) in methods.items():
+            if config.solver not in ("both", solver):
+                continue
             try:
-                t2, traj, _ = _timed_run(prob, spec, SOLVER_SYLVESTER, repeats, config.sing_policy)
+                values[ms], traj, _ = _timed_run(prob, spec, solver, repeats, config.sing_policy)
                 report = discrete_errors(traj, exact, grid)
-                er2, rel2 = report.er, report.rel_er
+                values[er], values[rel_er] = report.er, report.rel_er
             except EpdError as exc:
-                note.append(f"sylvester: {exc}")
-        if want_kronecker:
-            try:
-                t1, traj, _ = _timed_run(prob, spec, SOLVER_KRONECKER, repeats, config.sing_policy)
-                report = discrete_errors(traj, exact, grid)
-                er1, rel1 = report.er, report.rel_er
-            except EpdError as exc:
-                note.append(f"kronecker: {exc}")
-        rows.append(
-            BenchRow(
-                J=J,
-                h=grid.h,
-                l=grid.l,
-                Er_II=er2,
-                RelEr_II=rel2,
-                Er_I=er1,
-                RelEr_I=rel1,
-                time_II_ms=t2,
-                time_I_ms=t1,
-                ratio=t1 / t2 if (math.isfinite(t1) and math.isfinite(t2)) else float("nan"),
-                error="; ".join(note),
-            )
-        )
+                note.append(f"{solver}: {exc}")
+        t1, t2 = values["time_I_ms"], values["time_II_ms"]
+        if math.isfinite(t1) and math.isfinite(t2):
+            values["ratio"] = t1 / t2
+        rows.append(BenchRow(J=J, h=grid.h, l=grid.l, error="; ".join(note), **values))
     path = csv_path if csv_path is not None else config.out_csv
     if path:
         write_bench_csv(rows, path)
@@ -280,26 +271,18 @@ def run_table1(
 
 
 def write_bench_csv(rows: Sequence[BenchRow], path: str):
+    """CSV_HEADER, then one line per row in CSV_COLUMNS order (floats in
+    their shortest round-trip form)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in rows:
-            fields = [
-                str(r.J),
-                repr(r.h),
-                repr(r.l),
-                repr(r.Er_II),
-                repr(r.RelEr_II),
-                repr(r.Er_I),
-                repr(r.RelEr_I),
-                repr(r.time_II_ms),
-                repr(r.time_I_ms),
-                repr(r.ratio),
-            ]
+            fields = [str(getattr(r, name)) for name in CSV_COLUMNS]
             fh.write(",".join(fields) + "\n")
 
 
 def read_bench_csv(path: str) -> list[BenchRow]:
-    """Round-trip reader for files written by write_bench_csv."""
+    """Reader for files written by write_bench_csv; every column but the
+    `error` note, which the CSV does not hold, round-trips (error reads "")."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -307,22 +290,9 @@ def read_bench_csv(path: str) -> list[BenchRow]:
             raise ConfigError(f"unexpected CSV header {header!r}")
         for line in fh:
             parts = line.strip().split(",")
-            if len(parts) != 10:
+            if len(parts) != len(CSV_COLUMNS):
                 raise ConfigError(f"bad CSV row: {line!r}")
-            rows.append(
-                BenchRow(
-                    J=int(parts[0]),
-                    h=float(parts[1]),
-                    l=float(parts[2]),
-                    Er_II=float(parts[3]),
-                    RelEr_II=float(parts[4]),
-                    Er_I=float(parts[5]),
-                    RelEr_I=float(parts[6]),
-                    time_II_ms=float(parts[7]),
-                    time_I_ms=float(parts[8]),
-                    ratio=float(parts[9]),
-                )
-            )
+            rows.append(BenchRow(int(parts[0]), *(float(part) for part in parts[1:])))
     return rows
 
 

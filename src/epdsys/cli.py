@@ -29,6 +29,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VALIDATION = 2
 
+# printed format of the bench table's columns; every other column is .6g
+_BENCH_FORMATS = {"J": "d", "time_II_ms": ".3f", "time_I_ms": ".3f", "ratio": ".3g"}
+
 
 def _load_config(path):
     with open(path, encoding="utf-8") as fh:
@@ -64,13 +67,14 @@ def cmd_bench(args):
     rows = bench_mod.run_table1(config, J_list=J_list, repeats=args.repeats)
     print(bench_mod.CSV_HEADER)
     for r in rows:
-        print(
-            f"{r.J},{r.h:.6g},{r.l:.6g},{r.Er_II:.6g},{r.RelEr_II:.6g},"
-            f"{r.Er_I:.6g},{r.RelEr_I:.6g},{r.time_II_ms:.3f},{r.time_I_ms:.3f},{r.ratio:.3g}"
-        )
+        print(",".join(
+            format(getattr(r, name), _BENCH_FORMATS.get(name, ".6g"))
+            for name in bench_mod.CSV_COLUMNS
+        ))
         if r.error:
             print(f"  note: {r.error}")
-    print(f"csv written to {config.out_csv}")
+    if config.out_csv:
+        print(f"csv written to {config.out_csv}")
     return EXIT_OK
 
 

@@ -109,26 +109,29 @@ class SeriesSolution:
     parity: str
     coeffs_exact: tuple | None = None
 
-    def value(self, x):
+    def _derivative(self, x, k: int):
+        """k-th derivative: |x|^(nu-k) sign(x)^(k mod 2) sum (n+nu)...(n+nu-k+1) a_n x^n."""
         x = np.asarray(x, dtype=float)
-        out = np.abs(x) ** self.nu * np.polynomial.polynomial.polyval(x, self.coeffs)
+        n = np.arange(self.coeffs.size)
+        c = self.coeffs
+        for j in range(k):
+            c = c * (n + self.nu - j)
+        scale = np.abs(x) ** (self.nu - k)
+        if k % 2:
+            scale = scale * np.sign(x)
+        out = scale * np.polynomial.polynomial.polyval(x, c)
         return out if out.ndim else float(out)
+
+    def value(self, x):
+        return self._derivative(x, 0)
 
     __call__ = value
 
     def deriv1(self, x):
-        x = np.asarray(x, dtype=float)
-        n = np.arange(self.coeffs.size)
-        c = self.coeffs * (n + self.nu)
-        out = np.abs(x) ** (self.nu - 1.0) * np.sign(x) * np.polynomial.polynomial.polyval(x, c)
-        return out if out.ndim else float(out)
+        return self._derivative(x, 1)
 
     def deriv2(self, x):
-        x = np.asarray(x, dtype=float)
-        n = np.arange(self.coeffs.size)
-        c = self.coeffs * (n + self.nu) * (n + self.nu - 1.0)
-        out = np.abs(x) ** (self.nu - 2.0) * np.polynomial.polynomial.polyval(x, c)
-        return out if out.ndim else float(out)
+        return self._derivative(x, 2)
 
     def tail_bound(self, x) -> float:
         """Geometric bound on the dropped tail at x, from the recurrence ratio."""
@@ -242,12 +245,6 @@ class ClosedForm:
     d2g: Callable
     certificate: float
 
-    def phi(self, x, y):
-        """The stationary profile; additive families sum, multiplicative multiply."""
-        if self.family == MULTIPLICATIVE_SINUSOIDAL:
-            return self.f(x) * self.g(y)
-        return self.f(x) + self.g(y)
-
 
 def _additive_component(coef: float, K: float, K_h: float):
     """Solve f'' + (2 coef / x) f' = K on x != 0; returns (f, f', f'')."""
@@ -299,39 +296,28 @@ def _additive_component(coef: float, K: float, K_h: float):
     return f, df, d2f
 
 
-def _component_certificate(f, df, d2f, coef, rhs, samples):
-    """max |f'' + (2 coef / x) f' - rhs(f)| with analytic derivatives."""
-    x = samples
-    res = d2f(x) + (2.0 * coef / x) * df(x) - rhs(x)
-    return float(np.max(np.abs(res)))
+def _closed_form(family, params, mode, K, f_parts, g_parts) -> ClosedForm:
+    """ClosedForm of f (equation K, coefficient lam) and g (equation -K,
+    coefficient gamma); certificate = max of both components' ode_residual."""
+    xs = standard_samples()
+    (f, df, d2f), (g, dg, d2g) = f_parts, g_parts
+    cert = max(
+        ode_residual(f, params["lam"], K, mode, xs, df, d2f),
+        ode_residual(g, params["gamma"], -K, mode, xs, dg, d2g),
+    )
+    return ClosedForm(family, params, f, df, d2f, g, dg, d2g, cert)
 
 
 def stationary_additive(lam, gamma, K, K1, K2) -> ClosedForm:
     """Additive stationary pair: f'' + (2 lam/x) f' = K, g side mirrored (-K)."""
-    f, df, d2f = _additive_component(lam, K, K1)
-    g, dg, d2g = _additive_component(gamma, -K, K2)
-    xs = standard_samples()
-    cert = max(
-        _component_certificate(f, df, d2f, lam, lambda x: K, xs),
-        _component_certificate(g, dg, d2g, gamma, lambda x: -K, xs),
-    )
-    return ClosedForm(
-        family=(
-            ADDITIVE_LOG_HALF
-            if abs(lam - 0.5) < _HALF_TOL
-            else ADDITIVE_LOG_NEG_HALF
-            if abs(lam + 0.5) < _HALF_TOL
-            else ADDITIVE_GENERIC
-        ),
-        params={"lam": lam, "gamma": gamma, "K": K, "K1": K1, "K2": K2},
-        f=f,
-        df=df,
-        d2f=d2f,
-        g=g,
-        dg=dg,
-        d2g=d2g,
-        certificate=cert,
-    )
+    family = ADDITIVE_GENERIC
+    if abs(lam - 0.5) < _HALF_TOL:
+        family = ADDITIVE_LOG_HALF
+    elif abs(lam + 0.5) < _HALF_TOL:
+        family = ADDITIVE_LOG_NEG_HALF
+    params = {"lam": lam, "gamma": gamma, "K": K, "K1": K1, "K2": K2}
+    parts = _additive_component(lam, K, K1), _additive_component(gamma, -K, K2)
+    return _closed_form(family, params, "const", K, *parts)
 
 
 def _sinusoidal_component(coef, K, c0, c1):
@@ -373,24 +359,9 @@ def stationary_multiplicative(lam, gamma, K, a0, a1, b0, b1) -> ClosedForm:
     """
     if K <= 0.0:
         raise BranchError(f"oscillatory branch needs K > 0, got K={K}")
-    f, df, d2f = _sinusoidal_component(lam, K, a0, a1)
-    g, dg, d2g = _sinusoidal_component(gamma, K, b0, b1)
-    xs = standard_samples()
-    cert = max(
-        _component_certificate(f, df, d2f, lam, lambda x: K * f(x), xs),
-        _component_certificate(g, dg, d2g, gamma, lambda x: -K * g(x), xs),
-    )
-    return ClosedForm(
-        family=MULTIPLICATIVE_SINUSOIDAL,
-        params={"lam": lam, "gamma": gamma, "K": K, "a0": a0, "a1": a1, "b0": b0, "b1": b1},
-        f=f,
-        df=df,
-        d2f=d2f,
-        g=g,
-        dg=dg,
-        d2g=d2g,
-        certificate=cert,
-    )
+    params = {"lam": lam, "gamma": gamma, "K": K, "a0": a0, "a1": a1, "b0": b0, "b1": b1}
+    parts = _sinusoidal_component(lam, K, a0, a1), _sinusoidal_component(gamma, K, b0, b1)
+    return _closed_form(MULTIPLICATIVE_SINUSOIDAL, params, "eigen", K, *parts)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +379,6 @@ class SeparableSolution:
 
     def __call__(self, x, y, t):
         return self.psi.value(t) * (self.f(x) + self.g(y))
-
-    def pair(self):
-        """(u, v) callables for the system oracles (u = v here)."""
-        return self, self
 
 
 def separable_solution(lam, gamma, a, K, K_tilde, N: int = 60) -> SeparableSolution:
@@ -461,8 +428,8 @@ def ode_residual(f, lam, K, rhs_mode, samples, df=None, d2f=None) -> float:
     if np.any(x == 0.0):
         raise InvalidSpecError("samples must avoid x = 0")
     if isinstance(f, SeriesSolution):
-        val, d1, d2 = f.value(x), f.deriv1(x), f.deriv2(x)
-    elif df is not None and d2f is not None:
+        df, d2f = f.deriv1, f.deriv2
+    if df is not None and d2f is not None:
         val, d1, d2 = f(x), df(x), d2f(x)
     else:
         h = _fd_steps(x)
@@ -497,25 +464,16 @@ def pde_residual(u, v, prob, samples) -> float:
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise InvalidSpecError("samples must be an (m, 3) array of (x, y, t)")
-    x, y, t = pts[:, 0], pts[:, 1], pts[:, 2]
+    coords = (pts[:, 0], pts[:, 1], pts[:, 2])
+    x, y, t = coords
     if np.any(t <= 0.0):
         raise InvalidSpecError("samples must have t > 0")
+    steps = [_fd_steps(c) for c in coords]
 
-    hx, hy, ht = _fd_steps(x), _fd_steps(y), _fd_steps(t)
-
-    def d2(f, which):
-        if which == "x":
-            return _fd_second(lambda s: f(s, y, t), x, hx)
-        if which == "y":
-            return _fd_second(lambda s: f(x, s, t), y, hy)
-        return _fd_second(lambda s: f(x, y, s), t, ht)
-
-    def d1(f, which):
-        if which == "x":
-            return _fd_first(lambda s: f(s, y, t), x, hx)
-        if which == "y":
-            return _fd_first(lambda s: f(x, s, t), y, hy)
-        return _fd_first(lambda s: f(x, y, s), t, ht)
+    def partial(fd, f, axis):
+        """fd (_fd_first or _fd_second) of f along coordinate `axis` (0 x, 1 y, 2 t)."""
+        along = lambda s: f(*coords[:axis], s, *coords[axis + 1:])
+        return fd(along, coords[axis], steps[axis])
 
     gam_t = 2.0 * prob.a / t
     two_lam_x = 2.0 * prob.lam / x
@@ -523,10 +481,12 @@ def pde_residual(u, v, prob, samples) -> float:
 
     u_val, v_val = u(x, y, t), v(x, y, t)
 
-    res1 = d2(u, "t") + gam_t * d1(v, "t") - d2(u, "x") - d2(u, "y")
-    res1 -= two_lam_x * d1(v, "x") + two_gam_y * d1(v, "y")
-    res2 = d2(v, "t") + gam_t * d1(u, "t") - d2(v, "x") - d2(v, "y")
-    res2 -= two_lam_x * d1(u, "x") + two_gam_y * d1(u, "y")
+    res1, res2 = (
+        partial(_fd_second, w, 2) + gam_t * partial(_fd_first, z, 2)
+        - partial(_fd_second, w, 0) - partial(_fd_second, w, 1)
+        - (two_lam_x * partial(_fd_first, z, 0) + two_gam_y * partial(_fd_first, z, 1))
+        for w, z in ((u, v), (v, u))
+    )
     if prob.nonlinear:
         res1 -= np.abs(u_val) ** (prob.p - 1.0) * v_val
         res2 -= np.abs(v_val) ** (prob.q - 1.0) * u_val

@@ -50,6 +50,11 @@ SOLVER_KRONECKER = "kronecker"
 BLOWUP_CAP = 1e8
 
 
+def _check_solver(solver: str):
+    if solver not in (SOLVER_SYLVESTER, SOLVER_KRONECKER):
+        raise InvalidSpecError(f"unknown solver {solver!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class ProblemDef:
     """Continuous problem data: coefficients, nonlinearity, forcing, seeding.
@@ -383,6 +388,7 @@ def step(
     branch equations (`_step_residual`), which on the Kronecker path checks
     BRANCH_SIGNS.
     """
+    _check_solver(solver)
     t_start = time.perf_counter()
     c = step_shift(grid, n, prob.a)
     source = level_source(prob, grid, levels[0].state)
@@ -392,7 +398,7 @@ def step(
     if solver == SOLVER_SYLVESTER:
         Z = _solve(plan.factors, C, c)
         X, Y = _sum_diff(Z, 0.5)
-    elif solver == SOLVER_KRONECKER:
+    else:
         (Ls, Rs), (Ld, Rd) = ((pair.L, pair.R) for pair in plan.factors.pairs)
         I_c = TriDiagMatrix.identity(grid.size, c)
         C1, C2 = _sum_diff(C, 0.5)
@@ -405,8 +411,6 @@ def step(
             W_right=0.5 * (Rs + Rd),
         ))
         Z = _sum_diff((X, Y))
-    else:
-        raise InvalidSpecError(f"unknown solver {solver!r}")
     solve_time = time.perf_counter() - t_solve
 
     t_residual = time.perf_counter()
@@ -448,8 +452,10 @@ def run(
     (SolvabilityError names the step).  Each level's image (`BranchLevel`)
     and source (nonlinearity and forcing, `level_source`) are computed once
     and used by every step they enter.  Raises BlowUpError when the combined
-    norm exceeds blowup_cap.
+    norm exceeds blowup_cap.  An unknown solver raises InvalidSpecError
+    before any operator is built.
     """
+    _check_solver(solver)
     grid = spec if isinstance(spec, Grid) else build_grid(spec)
     if grid.n_steps < 2:
         raise InvalidSpecError("run needs n_steps >= 2")

@@ -146,6 +146,28 @@ def test_csv_round_trip_bit_exact(tmp_path, ref_config):
             assert (x == y) or (math.isnan(x) and math.isnan(y))
 
 
+def test_csv_header_is_the_table1_file_format():
+    assert CSV_HEADER == "J,h,l,Er_II,RelEr_II,Er_I,RelEr_I,time_II_ms,time_I_ms,ratio"
+
+
+@pytest.mark.parametrize(
+    "solver, filled, empty",
+    [
+        ("sylvester", ("Er_II", "RelEr_II", "time_II_ms"), ("Er_I", "RelEr_I", "time_I_ms")),
+        ("kronecker", ("Er_I", "RelEr_I", "time_I_ms"), ("Er_II", "RelEr_II", "time_II_ms")),
+    ],
+)
+def test_run_table1_one_solver_leaves_the_other_columns_nan(tmp_path, solver, filled, empty):
+    csv_path = tmp_path / "t.csv"
+    (row,) = run_table1(RunConfig(J=4, solver=solver), J_list=(4,), repeats=1, csv_path=str(csv_path))
+    assert row.error == ""
+    assert all(math.isfinite(getattr(row, name)) for name in filled)
+    assert all(math.isnan(getattr(row, name)) for name in empty + ("ratio",))
+    (back,) = read_bench_csv(str(csv_path))
+    assert all(math.isnan(getattr(back, name)) for name in empty + ("ratio",))
+    assert all(getattr(back, name) == getattr(row, name) for name in ("J", "h", "l") + filled)
+
+
 def test_error_columns_deterministic(ref_config):
     r1 = run_table1(ref_config, J_list=(4,), repeats=1, csv_path="")[0]
     r2 = run_table1(ref_config, J_list=(4,), repeats=1, csv_path="")[0]

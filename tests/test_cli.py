@@ -39,6 +39,19 @@ def test_bench_subcommand(config_file, tmp_path, capsys):
     assert csv.exists()
 
 
+def test_bench_reports_a_csv_only_when_it_writes_one(config_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = config_file("J = 4\nsolver = sylvester\nout_csv =\n")
+    assert main(["bench", path, "--J", "4", "--repeats", "1"]) == EXIT_OK
+    assert "csv written" not in capsys.readouterr().out
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+    csv = tmp_path / "out.csv"
+    path = config_file(f"J = 4\nsolver = sylvester\nout_csv = {csv}\n")
+    assert main(["bench", path, "--J", "4", "--repeats", "1"]) == EXIT_OK
+    assert f"csv written to {csv}" in capsys.readouterr().out
+    assert csv.exists()
+
+
 def test_converge_subcommand(config_file, capsys):
     path = config_file("J = 4\n")
     code = main(["converge", path, "--J", "24,49,99"])

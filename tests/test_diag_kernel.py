@@ -32,6 +32,8 @@ from epdsys.sylvester import (
     solvability_margin,
 )
 
+from kronecker_bounds import agreement_bound
+
 sizes = st.integers(min_value=2, max_value=10)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 shifts = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -53,18 +55,6 @@ def shifted_problem(L, R, C, s):
     Z = np.zeros((n, n))
     I = np.eye(n)
     return CoupledProblem(W=L.dense() + s * I, R=Z, S=Z, C1=C, C2=C, W_right=R.dense() + s * I)
-
-
-def agreement_bound(p):
-    """How far two backward-stable solves of the shifted pair `p` may part, relative.
-
-    1e-10, or 100 eps cond(K) when the Kronecker matrix K of the pair is so
-    ill-conditioned that forward errors of order eps cond(K) exceed that
-    (err / (eps cond(K)) stayed below 8 over 7,000 random draws).
-    """
-    I = np.eye(p.size)
-    K = np.kron(I, p.W) + np.kron(p.W_right.T, I)
-    return max(1e-10, 100 * np.finfo(float).eps * np.linalg.cond(K))
 
 
 @settings(max_examples=80, deadline=None)

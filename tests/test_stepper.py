@@ -386,6 +386,17 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+def test_run_rejects_an_unknown_solver_before_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("plan_solves called for an unknown solver")
+
+    monkeypatch.setattr(epdsys.stepper, "plan_solves", refuse)
+    prob, _ = manufactured_problem(RunConfig(J=4))
+    spec = GridSpec(L0=-10, L1=10, J=4, t0=0.5, n_steps=3, step_rule="independent", l=0.05)
+    with pytest.raises(InvalidSpecError, match="unknown solver 'turbo'"):
+        run(prob, spec, solver="turbo")
+
+
 def test_run_factors_once_per_run(monkeypatch):
     # four tridiagonal eigendecompositions per run (two branches, two sides),
     # not four per step; the symmetrizable pairs need no Schur form or trsyl

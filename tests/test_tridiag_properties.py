@@ -7,7 +7,7 @@ dense matrix products and to the Kronecker oracle.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epdsys.exceptions import InvalidSpecError
@@ -21,6 +21,8 @@ from epdsys.sylvester import (
     solve_coupled,
     solve_sylvester,
 )
+
+from kronecker_bounds import agreement_bound
 
 sizes = st.integers(min_value=2, max_value=12)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -63,6 +65,8 @@ def test_products_reject_a_stacked_operand(n, seed, depth):
 
 @settings(max_examples=60, deadline=None)
 @given(n=sizes, seed=seeds)
+# margin 3.6e-6, cond(K) = 9.4e6: the solves part by 1.6e-10, above a fixed 1e-10
+@example(n=9, seed=232611)
 def test_banded_coupled_solve_matches_kronecker(n, seed):
     rng = np.random.default_rng(seed)
     W = random_tridiag(rng, n, shift=1.0)
@@ -75,12 +79,13 @@ def test_banded_coupled_solve_matches_kronecker(n, seed):
     X1, Y1 = solve_coupled(p)
     X2, Y2 = kronecker_solve(p)
     scale = max(np.abs(X2).max(), np.abs(Y2).max(), 1.0)
-    assert max(np.abs(X1 - X2).max(), np.abs(Y1 - Y2).max()) / scale <= 1e-10
+    bound = agreement_bound(p)
+    assert max(np.abs(X1 - X2).max(), np.abs(Y1 - Y2).max()) / scale <= bound
     assert residual(p, (X1, Y1)) <= 1e-9
     # a dense coefficient of the same size mixes in
     mixed = CoupledProblem(W, R.dense(), S, p.C1, p.C2, W_right=W.T)
     X3, Y3 = solve_coupled(mixed)
-    assert max(np.abs(X3 - X2).max(), np.abs(Y3 - Y2).max()) / scale <= 1e-10
+    assert max(np.abs(X3 - X2).max(), np.abs(Y3 - Y2).max()) / scale <= bound
 
 
 @settings(max_examples=30, deadline=None)
