@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .exact import frobenius_coefficients, ode_residual, stationary_additive
-from .exceptions import EpdError
+from .exceptions import ConfigError, EpdError
 from .grid import build_grid, discrete_errors
 from .operators import assemble_step_operators, build_operator_set
 from .stepper import SOLVER_SYLVESTER, ProblemDef, cfl_guard, plan_solves, run
@@ -39,7 +39,16 @@ def _load_config(path):
 
 
 def _parse_J_list(text):
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    """The comma-separated grid sizes of --J; ConfigError on a non-integer or an empty list."""
+    J_list = []
+    for part in filter(None, (part.strip() for part in text.split(","))):
+        try:
+            J_list.append(int(part))
+        except ValueError:
+            raise ConfigError(f"--J: {part!r} is not an integer") from None
+    if not J_list:
+        raise ConfigError(f"--J: no grid sizes in {text!r}")
+    return tuple(J_list)
 
 
 def cmd_solve(args):
@@ -62,6 +71,8 @@ def cmd_solve(args):
 
 
 def cmd_bench(args):
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     config = _load_config(args.config)
     J_list = _parse_J_list(args.J) if args.J else bench_mod.DEFAULT_BENCH_J
     rows = bench_mod.run_table1(config, J_list=J_list, repeats=args.repeats)

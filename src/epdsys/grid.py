@@ -248,7 +248,7 @@ def discrete_errors(
         du = float(np.linalg.norm(state.U.values - u_ex))
         dv = float(np.linalg.norm(state.V.values - v_ex))
         nu = float(np.linalg.norm(u_ex))
-        nv = float(np.linalg.norm(v_ex))
+        nv = nu if v_ex is u_ex else float(np.linalg.norm(v_ex))
         fro_u = max(fro_u, du)
         fro_v = max(fro_v, dv)
         if nu == 0.0 or nv == 0.0:

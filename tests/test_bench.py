@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+import epdsys.bench
 from epdsys.bench import (
     CSV_HEADER,
     RunConfig,
@@ -14,7 +16,8 @@ from epdsys.bench import (
     run_convergence,
     run_table1,
 )
-from epdsys.exceptions import ConfigError, ResonanceError
+from epdsys.exceptions import ConfigError, InvalidSpecError, ResonanceError
+from epdsys.grid import build_grid
 
 
 def test_parse_config_minimal_defaults():
@@ -82,6 +85,67 @@ def test_grid_spec_step_count():
 
 def test_forcing_certificate(ref_config):
     assert check_forcing_certificate(ref_config) <= 1e-5
+
+
+def _check_against_definition(config, prob, exact, x, y, t):
+    """exact and forcing against their definitions, one exponential per
+    term: e = t^2/2 + r^2 is rounded before exp there, so the values part by
+    a few eps |e| relative, in each summand of the forcing."""
+    e = 0.5 * t * t + x * x + y * y
+    g = np.exp(-e)
+    u, v = exact(x, y, t)
+    assert u is v
+    assert np.all(np.abs(u - g) <= 1e-13 * g)
+    shared = (t * t - 4.0 * (x * x + y * y)) * g
+    for G, s in zip(prob.forcing(x, y, t), (config.p, config.q)):
+        g_s = np.exp(-s * e)
+        scale = (t * t + 4.0 * (x * x + y * y)) * g + g_s
+        assert np.all(np.abs(G - (shared - g_s)) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("p, q", [(1.5, 4.0 / 3.0), (1.5, 1.5)])
+def test_separable_manufactured_problem_matches_its_definition(p, q):
+    config = RunConfig(J=24, p=p, q=q)
+    prob, exact = manufactured_problem(config)
+    X, Y = build_grid(grid_spec_for(config)).meshgrid()
+    for t in (0.0, 0.7, 1.9):
+        # read-only grid coordinates (factors kept) and a writable copy (computed afresh)
+        for x, y in ((X, Y), (X, Y), (X.copy(), Y.copy())):
+            _check_against_definition(config, prob, exact, x, y, t)
+
+
+def test_manufactured_problem_keeps_the_grid_factors(monkeypatch):
+    # after the first level, a level on the grid's coordinates takes no
+    # full-grid exponential: only the scalar time factors
+    config = RunConfig(J=9)
+    prob, exact = manufactured_problem(config)
+    X, Y = build_grid(grid_spec_for(config)).meshgrid()
+    prob.forcing(X, Y, 0.1)
+    grid_exps = []
+    exp = np.exp
+
+    def counted(z, *args, **kwargs):
+        if np.ndim(z):
+            grid_exps.append(np.shape(z))
+        return exp(z, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    for t in (0.2, 0.3):
+        prob.forcing(X, Y, t)
+        exact(X, Y, t)
+    assert grid_exps == []
+    prob.forcing(X.copy(), Y.copy(), 0.3)
+    assert grid_exps == [X.shape] * 3  # exp(-r^2), exp(-p r^2), exp(-q r^2)
+
+
+def test_manufactured_problem_recomputes_writable_coordinates():
+    config = RunConfig(J=9)
+    prob, exact = manufactured_problem(config)
+    X, Y = (w.copy() for w in build_grid(grid_spec_for(config)).meshgrid())
+    exact(X, Y, 0.5)
+    X *= 0.5  # the same objects with new values
+    Y += 1.0
+    _check_against_definition(config, prob, exact, X, Y, 0.5)
 
 
 def test_manufactured_problem_taylor_seeding():
@@ -174,6 +238,15 @@ def test_error_columns_deterministic(ref_config):
     assert r1.Er_II == r2.Er_II
     assert r1.RelEr_II == r2.RelEr_II
     assert r1.Er_I == r2.Er_I
+
+
+def test_run_table1_rejects_no_repeats_before_the_certificate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate ran for repeats < 1")
+
+    monkeypatch.setattr(epdsys.bench, "check_forcing_certificate", refuse)
+    with pytest.raises(InvalidSpecError, match="need repeats >= 1, got 0"):
+        run_table1(RunConfig(J=4), J_list=(4,), repeats=0, csv_path="")
 
 
 def test_run_table1_solver_failure_recorded_not_raised(monkeypatch):

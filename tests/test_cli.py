@@ -1,5 +1,6 @@
 import pytest
 
+import epdsys.bench
 from epdsys.bench import RunConfig, manufactured_problem
 from epdsys.cli import EXIT_ERROR, EXIT_OK, EXIT_VALIDATION, main
 from epdsys.exceptions import SolvabilityError
@@ -58,6 +59,28 @@ def test_converge_subcommand(config_file, capsys):
     out = capsys.readouterr().out
     assert "order=" in out
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bench", "--J", "4,x"], "--J: 'x' is not an integer"),
+        (["converge", "--J", "4,x"], "--J: 'x' is not an integer"),
+        (["bench", "--J", ","], "--J: no grid sizes"),
+        (["bench", "--repeats", "0"], "--repeats must be >= 1, got 0"),
+    ],
+)
+def test_bad_bench_arguments_are_errors_before_any_run(
+    config_file, monkeypatch, capsys, argv, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run started on bad arguments")
+
+    monkeypatch.setattr(epdsys.bench, "run_table1", refuse)
+    monkeypatch.setattr(epdsys.bench, "run_convergence", refuse)
+    path = config_file("J = 4\nout_csv =\n")
+    assert main([argv[0], path, *argv[1:]]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_converge_off_band_exits_2(config_file, capsys):

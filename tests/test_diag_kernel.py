@@ -3,7 +3,7 @@
 A tridiagonal coefficient whose off-diagonal products sub * sup are all
 positive (or whose sub and sup vanish together) is diagonally similar to a
 symmetric tridiagonal, so the factor-once solver diagonalizes it with one
-`eigh_tridiagonal`.  Shifted by a random s, that kernel must agree with the
+`numpy.linalg.eigh`.  Shifted by a random s, that kernel must agree with the
 Schur kernel and the Kronecker oracle and report the same margin as
 `solvability_margin`; a pair with one row off that condition, and the
 step operators of a run with h max |lam_j| >= 1, must take the Schur kernel.
@@ -11,7 +11,6 @@ step operators of a run with h max |lam_j| >= 1, must take the Schur kernel.
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -175,9 +174,9 @@ def test_run_past_the_cell_peclet_bound_takes_the_schur_kernel(monkeypatch):
     assert plan_solves(ops, grid, config.a).kernels == ("schur", "schur")
 
     eigh_calls = []
-    original = scipy.linalg.eigh_tridiagonal
+    original = np.linalg.eigh
     monkeypatch.setattr(
-        scipy.linalg, "eigh_tridiagonal",
+        np.linalg, "eigh",
         lambda *args, **kwargs: eigh_calls.append(1) or original(*args, **kwargs),
     )
     prob, _ = manufactured_problem(config)

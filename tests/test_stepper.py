@@ -398,11 +398,11 @@ def test_run_rejects_an_unknown_solver_before_any_work(monkeypatch):
 
 
 def test_run_factors_once_per_run(monkeypatch):
-    # four tridiagonal eigendecompositions per run (two branches, two sides),
+    # four symmetric eigendecompositions per run (two branches, two sides),
     # not four per step; the symmetrizable pairs need no Schur form or trsyl
     spec = GridSpec(L0=-10, L1=10, J=9, t0=0.5, n_steps=12, step_rule="independent", l=0.05)
     prob, _ = manufactured_problem(RunConfig(J=9))
-    eigh_calls = _counting(monkeypatch, scipy.linalg, "eigh_tridiagonal")
+    eigh_calls = _counting(monkeypatch, np.linalg, "eigh")
     schur_calls = _counting(monkeypatch, scipy.linalg, "schur")
     trsyl_calls = _counting(monkeypatch, scipy.linalg.lapack, "dtrsyl")
     _, reports = run(prob, spec, sing_policy="limit")
@@ -486,7 +486,7 @@ def test_integer_damping_from_rest_is_singular_at_step_a(monkeypatch, a):
     # A small l keeps every other eigenvalue sum near 1, away from a/n, n < a.
     spec = GridSpec(L0=-10, L1=10, J=9, t0=0.0, n_steps=6, step_rule="independent", l=0.05)
     prob, _ = manufactured_problem(RunConfig(J=9, a=float(a)))
-    eigh_calls = _counting(monkeypatch, scipy.linalg, "eigh_tridiagonal")
+    eigh_calls = _counting(monkeypatch, np.linalg, "eigh")
     solve_calls = _counting(monkeypatch, epdsys.stepper, "_solve")
     with pytest.raises(SolvabilityError) as err:
         run(prob, spec, sing_policy="limit")
