@@ -47,8 +47,6 @@ from .stepper import (
     convergence_order,
     init_levels,
     level_source,
-    nonlinear_G,
-    nonlinear_H,
     run,
     step,
 )

@@ -29,6 +29,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VALIDATION = 2
 
+ORACLE_SEED = 12345  # rng seed of the solver cross-check in `validate`
+
 # printed format of the bench table's columns; every other column is .6g
 _BENCH_FORMATS = {"J": "d", "time_II_ms": ".3f", "time_I_ms": ".3f", "ratio": ".3g"}
 
@@ -140,7 +142,7 @@ def cmd_validate(args):
             raise EpdError(f"series residual {res:.3e} > 1e-8")
 
     def solver_oracle():
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(ORACLE_SEED)
         n = 6
         p = CoupledProblem(
             W=np.eye(n) + 0.1 * rng.standard_normal((n, n)),

@@ -4,6 +4,9 @@ The domain is the square [L0, L1] x [L0, L1] with J+2 uniformly spaced nodes
 per axis (x_j = L0 + j*h, h = (L1-L0)/(J+1)) and uniform time levels
 t_n = t0 + n*l.  Fields are (J+2) x (J+2) matrices with row index = x node and
 column index = y node.
+
+`sample` is the one sampler of the problem's callables (forcing, exact
+seeding, Taylor data): a pair f(X, Y, t) into one checked (2, n, n) array.
 """
 
 from __future__ import annotations
@@ -89,10 +92,6 @@ class Grid:
 
     def time(self, n):
         return self.spec.t0 + n * self.l
-
-    @property
-    def times(self):
-        return self.spec.t0 + self.l * np.arange(self.spec.n_steps + 1)
 
     def meshgrid(self):
         """(X, Y) coordinate matrices matching the field convention.
@@ -182,20 +181,27 @@ def l2_norm(X) -> float:
     return float(np.linalg.norm(values))
 
 
-def sample(f: Callable, grid: Grid, level: int = 0) -> Field:
-    """Sample f(x, y) at all grid nodes; f must accept array arguments.
+def sample(f: Callable, grid: Grid, level: int, name: str) -> np.ndarray:
+    """The pair f(X, Y, t_level) on the grid nodes, written into one (2, n, n) array.
 
-    f receives the grid's read-only coordinate matrices: one that writes into
-    them raises InvalidSpecError.
+    f receives the grid's read-only coordinate matrices and t_level; each
+    value of the pair may be grid-shaped or broadcastable (a constant).
+    Raises InvalidSpecError naming the nodes when f raises (as one that
+    writes into the coordinates does) or does not return such a pair, and
+    naming `name`, the level and t when a sample is not finite.
     """
     X, Y = grid.meshgrid()
+    t = grid.time(level)
+    pair = np.empty((2,) + X.shape)
     try:
-        values = np.broadcast_to(np.asarray(f(X, Y), dtype=float), X.shape)
+        pair[0], pair[1] = f(X, Y, t)
     except Exception as exc:
         raise InvalidSpecError(
             f"sampling failed on nodes x in [{grid.nodes_x[0]}, {grid.nodes_x[-1]}]: {exc}"
         ) from exc
-    return Field(np.array(values), level=level)
+    if not np.isfinite(pair).all():
+        raise InvalidSpecError(f"{name} at level {level} (t_{level} = {t:.6g}) contains NaN/Inf")
+    return pair
 
 
 class ErrorReport(NamedTuple):

@@ -129,9 +129,6 @@ class TriDiagMatrix:
             return self.dense() - other
         return TriDiagMatrix(self.sub - other.sub, self.diag - other.diag, self.sup - other.sup)
 
-    def __rsub__(self, other):
-        return other - self.dense()
-
     def __rmul__(self, c):
         return TriDiagMatrix(c * self.sub, c * self.diag, c * self.sup)
 

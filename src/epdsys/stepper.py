@@ -16,14 +16,17 @@ variables Z+- = U +- V the pair decouples into the branches
 of the bands (K, K') = (A + s h Theta, A^T + s h Lambda), s = +-1, the one
 stored form of the step operator (`StepOperators.bands`).
 
-`run` builds the step operators and the solve plan once; the damping shift
-c_n = l a / (2 t_n) is the only coefficient computed per step.  Each level
-is carried in the branch variables Z+- = U +- V with its banded image
-K(Z) (`StepOperators.image`), computed once when the level is formed, and
-its source (nonlinearity and forcing) is computed once: every banded
-operator of a step is a combination of these, so a step forms one image,
-of the level it solves.  The stacked pair (Z+, Z-) is the unit of every
-per-step operation: the right-hand side, the batched branch solve
+`run` builds the step operators and the solve plan once, seeds levels 0
+and 1 through `init_levels` (exact pair or Taylor expansion), and calls
+`step` per level; the damping shift c_n = l a / (2 t_n) is the only
+coefficient computed per step.  Every callable of the problem (forcing,
+exact pair, Taylor data) is sampled by `grid.sample`.  Each level is
+carried in the branch variables Z+- = U +- V with its banded image K(Z)
+(`StepOperators.image`), computed once when the level is formed, and its
+source (nonlinearity and forcing) is computed once: every banded operator
+of a step is a combination of these, so a step forms one image, of the
+level it solves.  The stacked pair (Z+, Z-) is the unit of every per-step
+operation: the right-hand side, the batched branch solve
 (`sylvester._solve`), the image, the residual and the reported norm.
 """
 
@@ -116,37 +119,6 @@ def _power(own: np.ndarray, other: np.ndarray, expo: float) -> np.ndarray:
     return np.abs(own) ** (expo - 1.0) * other
 
 
-def nonlinear_G(X: Field, Y: Field, p: float) -> Field:
-    """Entrywise |X|^(p-1) * Y."""
-    return Field(_power(X.values, Y.values, p), level=X.level)
-
-
-def nonlinear_H(X: Field, Y: Field, q: float) -> Field:
-    """Entrywise |Y|^(q-1) * X."""
-    return Field(_power(Y.values, X.values, q), level=X.level)
-
-
-def _sample_pair(f: Callable, grid: Grid, level: int, name: str) -> np.ndarray:
-    """The pair f(X, Y, t_level) on the grid nodes, written into one (2, n, n) array.
-
-    Raises InvalidSpecError naming the nodes when f raises or does not return
-    a pair of grid-shaped or broadcastable values, and naming `name`, the
-    level and t when a sample is not finite.
-    """
-    X, Y = grid.meshgrid()
-    t = grid.time(level)
-    pair = np.empty((2,) + X.shape)
-    try:
-        pair[0], pair[1] = f(X, Y, t)
-    except Exception as exc:
-        raise InvalidSpecError(
-            f"sampling failed on nodes x in [{grid.nodes_x[0]}, {grid.nodes_x[-1]}]: {exc}"
-        ) from exc
-    if not np.isfinite(pair).all():
-        raise InvalidSpecError(f"{name} at level {level} (t_{level} = {t:.6g}) contains NaN/Inf")
-    return pair
-
-
 @dataclasses.dataclass(frozen=True)
 class SolvePlan:
     """Branch factors shared by the steps of a run, and their checked margins.
@@ -206,45 +178,34 @@ def plan_solves(ops: StepOperators, grid: Grid, a: float) -> SolvePlan:
     return SolvePlan(factors, schedule, margin_pairs, factor_time)
 
 
-def init_levels(prob: ProblemDef, grid: Grid, opset: OperatorSet | None = None):
-    """Seed levels 0 and 1, either from an exact solution or a Taylor expansion.
+def init_levels(prob: ProblemDef, grid: Grid, ops: StepOperators):
+    """Seed levels 0 and 1: the two `BranchLevel`s (0, 1) and the source of level 0.
 
-    Taylor mode computes U^1 = u0 + l u1 + (l^2/2) u_tt with u_tt evaluated
-    from the PDE using the discrete spatial operators (`_seed_levels`).  At
-    t0 = 0 with a != 0 the damping coefficient is singular; with
-    `allow_singular_t0` the pair (u_tt, v_tt) is recovered from the
-    one-sided limit system u_tt + 2a v_tt = RHS_u, v_tt + 2a u_tt = RHS_v
-    (valid for u1 = v1 = 0), which is singular at a = +-1/2.
-    """
-    if opset is None:
-        opset = build_operator_set(grid, prob.lam, prob.gamma)
-    ops = assemble_step_operators(opset, grid, grid.spec.alpha)
-    level0, level1, _ = _seed_levels(prob, grid, ops)
-    return level0.state, level1.state
-
-
-def _seed_levels(prob: ProblemDef, grid: Grid, ops: StepOperators):
-    """`init_levels` as the two `BranchLevel`s (0, 1), and the source of level 0.
-
-    Taylor mode runs in the branch variables Z+- = U +- V, where the spatial
-    terms of u_tt +- v_tt are the image of level 0 over h^2
-    (`StepOperators`): rhs = K(Z^0) / h^2 + (F_u +- F_v), and
-    Z_tt = rhs -+ (2a / t0) Z_t, or rhs / (1 +- 2a) on the regularized
-    t0 = 0 path, with the sign of the branch.  Level 0's image and explicit
-    terms are computed once and serve the first step as well.
+    Exact mode samples `prob.exact` at t0 and t1.  Taylor mode samples
+    (u0, v0) and (u1, v1) and computes U^1 = u0 + l u1 + (l^2/2) u_tt in the
+    branch variables Z+- = U +- V, where the spatial terms of u_tt +- v_tt
+    are the image of level 0 over h^2 (`StepOperators`): rhs = K(Z^0) / h^2
+    + (F_u +- F_v) and Z_tt = rhs -+ (2a / t0) Z_t, with the sign of the
+    branch.  At t0 = 0 with a != 0 the damping is singular; with
+    `allow_singular_t0` the one-sided limit system u_tt + 2a v_tt = RHS_u,
+    v_tt + 2a u_tt = RHS_v (valid for u1 = v1 = 0) gives Z_tt = rhs / (1 +- 2a),
+    singular at a = +-1/2.  Level 0's image and explicit terms serve the
+    first step as well.  A sample that is not finite raises InvalidSpecError
+    naming its source and level (`grid.sample`).
     """
     if prob.exact is not None:
         def seed(level):
-            u, v = _sample_pair(prob.exact, grid, level, "exact solution")
+            u, v = sample(prob.exact, grid, level, "exact solution")
             return BranchLevel.of(CoupledState(Field(u, level), Field(v, level)), ops)
 
         level0 = seed(0)
         return level0, seed(1), level_source(prob, grid, level0.state)
 
     u0f, u1f, v0f, v1f = prob.data
-    state0 = CoupledState(sample(u0f, grid, level=0), sample(v0f, grid, level=0))
+    U0, V0 = sample(lambda X, Y, t: (u0f(X, Y), v0f(X, Y)), grid, 0, "initial data")
+    state0 = CoupledState(Field(U0, level=0), Field(V0, level=0))
     level0 = BranchLevel.of(state0, ops)
-    Zt = _sum_diff((sample(u1f, grid, level=0).values, sample(v1f, grid, level=0).values))
+    Zt = _sum_diff(sample(lambda X, Y, t: (u1f(X, Y), v1f(X, Y)), grid, 0, "initial velocity"))
     F = _sum_diff(_explicit_terms(prob, grid, state0))
     rhs = level0.KZ / (grid.h * grid.h) + F
     t0, a = grid.t0, prob.a
@@ -270,7 +231,7 @@ def _explicit_terms(prob: ProblemDef, grid: Grid, state: CoupledState) -> np.nda
     if prob.forcing is None:
         F = np.zeros((2,) + U.shape)
     else:
-        F = _sample_pair(prob.forcing, grid, state.level, "forcing")
+        F = sample(prob.forcing, grid, state.level, "forcing")
     if prob.nonlinear:
         F[0] += _power(U, V, prob.p)
         F[1] += _power(V, U, prob.q)
@@ -449,9 +410,10 @@ def run(
     stencil; see operators.build_operator_set).  The step operators are
     built once; the solve plan factors the branch pairs once and checks
     every step's margin before the first solve on either solver
-    (SolvabilityError names the step).  Each level's image (`BranchLevel`)
-    and source (nonlinearity and forcing, `level_source`) are computed once
-    and used by every step they enter.  Raises BlowUpError when the combined
+    (SolvabilityError names the step); `init_levels` then seeds levels 0
+    and 1.  Each level's image (`BranchLevel`) and source (nonlinearity and
+    forcing, `level_source`) are computed once and used by every step they
+    enter.  Raises BlowUpError when the combined
     norm exceeds blowup_cap.  An unknown solver raises InvalidSpecError
     before any operator is built.
     """
@@ -462,11 +424,10 @@ def run(
     opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy=sing_policy)
     ops = assemble_step_operators(opset, grid, grid.spec.alpha)
     plan = plan_solves(ops, grid, prob.a)
-    level0, level1, source = _seed_levels(prob, grid, ops)
+    level0, level1, source = init_levels(prob, grid, ops)
+    level1.state.U.check_finite()  # `sample` checked the sampled levels; Taylor
+    level1.state.V.check_finite()  # seeding computes level 1
     trajectory = [level0.state, level1.state]
-    for seed in trajectory:
-        seed.U.check_finite()
-        seed.V.check_finite()
     reports: list[StepReport] = []
     levels = (level1, level0)
     for n in range(1, grid.n_steps):

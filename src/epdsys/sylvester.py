@@ -427,23 +427,11 @@ def _branch_pairs(W, R, S, W_right) -> tuple:
     return tuple((W + s * R, W_right + s * S) for s in BRANCH_SIGNS.values())
 
 
-def _factor_coupled(W, R, S, W_right) -> _Factors:
-    """Factors of the sum pair (W+R, Wr+S) and the difference pair (W-R, Wr-S),
-    stacked in BRANCH_SIGNS order."""
-    return _factor(_branch_pairs(W, R, S, W_right), tuple(BRANCH_SIGNS))
-
-
-def _solve_coupled(p: CoupledProblem):
-    """X, Y and the smaller margin of the two decoupled branches."""
-    C = np.stack((p.C1 + p.C2, p.C1 - p.C2))
-    (P, Q), margins = _solve_unshifted(_factor_coupled(p.W, p.R, p.S, p.W_right), C)
-    return 0.5 * (P + Q), 0.5 * (P - Q), min(margins)
-
-
 def solve_coupled(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
     """Solve the coupled pair by sum/difference decoupling."""
-    X, Y, _ = _solve_coupled(p)
-    return X, Y
+    F = _factor(_branch_pairs(p.W, p.R, p.S, p.W_right), tuple(BRANCH_SIGNS))
+    (P, Q), _ = _solve_unshifted(F, np.stack((p.C1 + p.C2, p.C1 - p.C2)))
+    return 0.5 * (P + Q), 0.5 * (P - Q)
 
 
 def kronecker_solve(

@@ -44,6 +44,18 @@ def test_parse_config_unknown_key_line_number():
     assert err.value.line == 2
 
 
+FLOAT_KEYS = ("L0", "L1", "t0", "T", "alpha", "a", "lambda", "gamma", "p", "q", "sing_eps")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_parse_config_rejects_non_finite_floats(key, value):
+    # a non-finite value would otherwise fail deep inside the mesh or the solve
+    with pytest.raises(ConfigError, match=rf"line 2: '{key}' must be finite") as err:
+        parse_config(f"J = 9\n{key} = {value}\n")
+    assert err.value.line == 2
+
+
 def test_parse_config_rejects_step_rule():
     # the time step always follows l = h^(3/2); a config cannot set l
     with pytest.raises(ConfigError, match="unknown key 'step_rule'") as err:

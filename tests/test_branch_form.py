@@ -265,7 +265,9 @@ def test_taylor_seeding_equals_the_uv_form(seed, J, lam, gamma, a, t0, sing_poli
         forcing=lambda x, y, t: forcing, allow_singular_t0=True,
     )
     opset = build_operator_set(grid, lam, gamma, sing_policy=sing_policy)
-    s0, s1 = init_levels(prob, grid, opset)
+    ops = assemble_step_operators(opset, grid, grid.spec.alpha)
+    level0, level1, _ = init_levels(prob, grid, ops)
+    s0, s1 = level0.state, level1.state
     expected, scale = reference_taylor_levels(prob, grid, opset, data, forcing)
     assert s0.level == 0 and s1.level == 1
     for got, reference in zip((s0.U, s0.V, s1.U, s1.V), expected):

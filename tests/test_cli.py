@@ -31,6 +31,14 @@ def test_solve_bad_config_is_error(config_file, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_solve_non_finite_config_value_is_error(config_file, capsys):
+    path = config_file("J = 4\nT = inf\n")
+    assert main(["solve", path]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: 'T' must be finite")
+    assert "Traceback" not in err
+
+
 def test_bench_subcommand(config_file, tmp_path, capsys):
     csv = tmp_path / "out.csv"
     path = config_file(f"J = 4\nout_csv = {csv}\n")

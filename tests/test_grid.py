@@ -94,28 +94,27 @@ def test_l2_norm_triangle(rng):
 
 def test_sample_constant_and_linear():
     grid = build_grid(GridSpec(L0=0.0, L1=1.0, J=1))
-    ones = sample(lambda x, y: np.ones_like(x), grid)
-    assert np.all(ones.values == 1.0)
-    fx = sample(lambda x, y: x, grid)
+    ones, fx = sample(lambda x, y, t: (np.ones_like(x), x), grid, 0, "f")
+    assert np.all(ones == 1.0)
     # row index is the x node
-    assert np.allclose(fx.values, [[0, 0, 0], [0.5, 0.5, 0.5], [1, 1, 1]])
+    assert np.allclose(fx, [[0, 0, 0], [0.5, 0.5, 0.5], [1, 1, 1]])
 
 
 def test_sample_gaussian_center_adjacent():
     grid = build_grid(GridSpec(L0=-10, L1=10, J=24))
-    f = sample(lambda x, y: np.exp(-(x * x + y * y)), grid)
+    f, _ = sample(lambda x, y, t: (np.exp(-(x * x + y * y)), 0.0), grid, 0, "f")
     assert grid.nodes_x[12] == pytest.approx(-0.4)
-    assert f.values[12, 12] == pytest.approx(0.726149, abs=1e-6)
+    assert f[12, 12] == pytest.approx(0.726149, abs=1e-6)
 
 
 def test_sample_failure_carries_coordinates():
     grid = build_grid(GridSpec(L0=0.0, L1=1.0, J=1))
 
-    def bad(x, y):
+    def bad(x, y, t):
         raise ValueError("boom")
 
     with pytest.raises(InvalidSpecError, match="nodes"):
-        sample(bad, grid)
+        sample(bad, grid, 0, "f")
 
 
 def test_sample_rejects_writes_into_the_shared_coordinates():
@@ -126,14 +125,14 @@ def test_sample_rejects_writes_into_the_shared_coordinates():
     assert grid.meshgrid()[0] is X
     X0 = X.copy()
 
-    def scribble(x, y):
+    def scribble(x, y, t):
         x *= 2.0
-        return x
+        return x, y
 
     with pytest.raises(InvalidSpecError, match="read-only"):
-        sample(scribble, grid)
+        sample(scribble, grid, 0, "f")
     assert np.array_equal(X, X0)
-    assert np.array_equal(sample(lambda x, y: x, grid).values, X0)
+    assert np.array_equal(sample(lambda x, y, t: (x, y), grid, 0, "f")[0], X0)
 
 
 def _traj_from(exact, grid, levels):

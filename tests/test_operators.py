@@ -79,8 +79,8 @@ def test_axis_node_limit_policy():
     assert T[25, 25] == pytest.approx(-2.0 * c)
     # the limit row applied to a sampled even function approximates 2 lam f_xx
     # to O(h^2) (second-difference truncation ~ 2 lam h^2 f_xxxx / 12 ~ 0.08)
-    f = sample(lambda x, y: np.exp(-(x * x + y * y)), grid)
-    row = (ops.Theta @ f.values)[25, :] * grid.sigma * grid.h / grid.l**2
+    f, _ = sample(lambda x, y, t: (np.exp(-(x * x + y * y)), 0.0), grid, 0, "f")
+    row = (ops.Theta @ f)[25, :] * grid.sigma * grid.h / grid.l**2
     exact = 2.0 * 0.25 * (4 * 0.0**2 - 2.0) * np.exp(-(grid.nodes_y**2))
     assert np.allclose(row, exact, atol=0.1)
 
@@ -173,8 +173,8 @@ def test_apply_matches_dense_product(rng):
 def test_quadratic_laplacian_scaled():
     # A @ sample(x^2) / h^2 equals 2 at interior nodes, exactly for quadratics
     grid = build_grid(GridSpec(L0=-2, L1=2, J=7))
-    f = sample(lambda x, y: x * x, grid)
+    f, _ = sample(lambda x, y, t: (x * x, 0.0), grid, 0, "f")
     A = neumann_second_difference(grid.size)
-    out = (A @ f.values) / grid.h**2
+    out = (A @ f) / grid.h**2
     assert np.allclose(out[1:-1, :], 2.0, atol=1e-10)
 

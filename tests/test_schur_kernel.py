@@ -22,11 +22,10 @@ from epdsys.operators import (
 from epdsys.sylvester import (
     CoupledProblem,
     SylvesterProblem,
+    _branch_pairs,
     _factor,
-    _factor_coupled,
     _margins,
     _solve,
-    _solve_coupled,
     _solve_unshifted,
     kronecker_solve,
     residual,
@@ -64,6 +63,11 @@ def has_2x2_block(M):
     return bool(np.any(np.diag(T, -1) != 0.0))
 
 
+def coupled_factors(W, R, S, W_right):
+    """The factors `solve_coupled` takes of the (sum, diff) pairs (W + s R, Wr + s S)."""
+    return _factor(_branch_pairs(W, R, S, W_right), tuple(BRANCH_SIGNS))
+
+
 def coupled_from_branches(sum_left, sum_right, diff_left, diff_right, C1, C2):
     """The coupled problem whose decoupled branches have the given coefficients."""
     W, R = 0.5 * (sum_left + diff_left), 0.5 * (sum_left - diff_left)
@@ -83,7 +87,8 @@ def test_complex_pair_coupled_solve_matches_kronecker(n, seed):
     reference = solvability_margin(p.W, p.R, p.S, p.W_right)
     assume(reference > 1e-6)
 
-    X1, Y1, margin = _solve_coupled(p)
+    X1, Y1 = solve_coupled(p)
+    margin = _margins(coupled_factors(p.W, p.R, p.S, p.W_right), [0.0])[0].min()
     assert margin == pytest.approx(reference, rel=1e-10)
     X2, Y2 = kronecker_solve(p)
     scale = max(np.abs(X2).max(), np.abs(Y2).max(), 1.0)
@@ -145,9 +150,9 @@ def test_shifted_coupled_margins_match_fresh_factorization(n, seed, c):
         solvability_margin(W - R, np.zeros((n, n)), np.zeros((n, n)), Wr - S),
     )
     assume(min(reference) > 1e-6)
-    shifted = tuple(_margins(_factor_coupled(W, R0, S0, Wr), [c])[0][0])
+    shifted = tuple(_margins(coupled_factors(W, R0, S0, Wr), [c])[0][0])
     assert shifted == pytest.approx(reference, rel=1e-10)
-    _, _, margin = _solve_coupled(CoupledProblem(W, R, S, np.eye(n), np.eye(n), W_right=Wr))
+    margin = _margins(coupled_factors(W, R, S, Wr), [0.0])[0].min()
     assert margin == pytest.approx(min(reference), rel=1e-10)
 
 
@@ -191,7 +196,7 @@ def test_mixed_kernel_stack_matches_kronecker_and_single_solves(seed, J, lam, ga
     n, w = grid.size, 0.25 * grid.sigma
     W = 0.5 * TriDiagMatrix.identity(n) - w * opset.A
     kTheta, kLambda = (w * grid.h) * opset.Theta, (w * grid.h) * opset.Lambda
-    F = _factor_coupled(W, -1.0 * kTheta, -1.0 * kLambda, W.T)
+    F = coupled_factors(W, -1.0 * kTheta, -1.0 * kLambda, W.T)
     assert F.kernels == ("diagonal", "schur")
     I_c = TriDiagMatrix.identity(n, c)
     C1, C2 = rng.standard_normal((2, n, n))

@@ -18,13 +18,12 @@ from epdsys.operators import (
 from epdsys.stepper import (
     BranchLevel,
     ProblemDef,
+    _power,
     assemble_rhs,
     cfl_guard,
     convergence_order,
     init_levels,
     level_source,
-    nonlinear_G,
-    nonlinear_H,
     plan_solves,
     run,
     step,
@@ -48,25 +47,36 @@ def gauss(x, y):
     return np.exp(-(x * x + y * y))
 
 
+def seed_states(prob, grid, opset=None):
+    """The states of levels 0 and 1 that `init_levels` seeds on the step operators of `opset`."""
+    if opset is None:
+        opset = build_operator_set(grid, prob.lam, prob.gamma)
+    ops = assemble_step_operators(opset, grid, grid.spec.alpha)
+    level0, level1, _ = init_levels(prob, grid, ops)
+    return level0.state, level1.state
+
+
+# G = |U|^(p-1) V and H = |V|^(q-1) U are `_power(U, V, p)` and `_power(V, U, q)`
 def test_nonlinear_g_zero_field():
-    X = Field(np.zeros((3, 3)))
-    Y = Field(np.ones((3, 3)))
-    assert np.all(nonlinear_G(X, Y, 1.5).values == 0.0)
+    X = np.zeros((3, 3))
+    Y = np.ones((3, 3))
+    assert np.all(_power(X, Y, 1.5) == 0.0)
 
 
 def test_nonlinear_g_pointwise():
-    X = Field(np.full((2, 2), -3.0))
-    Y = Field(np.full((2, 2), 2.0))
-    assert np.allclose(nonlinear_G(X, Y, 2.0).values, 6.0)
-    assert np.allclose(nonlinear_H(Y, X, 2.0).values, 6.0)
+    X = np.full((2, 2), -3.0)
+    Y = np.full((2, 2), 2.0)
+    assert np.allclose(_power(X, Y, 2.0), 6.0)
+    U, V = Y, X  # H = |V|^(q-1) U, as `level_source` forms it
+    assert np.allclose(_power(V, U, 2.0), 6.0)
 
 
 def test_nonlinear_g_entrywise_bound(rng):
-    X = Field(rng.standard_normal((6, 6)))
-    Y = Field(rng.standard_normal((6, 6)))
+    X = rng.standard_normal((6, 6))
+    Y = rng.standard_normal((6, 6))
     p = 1.7
-    G = nonlinear_G(X, Y, p).values
-    bound = np.abs(X.values).max() ** (p - 1.0) * np.abs(Y.values)
+    G = _power(X, Y, p)
+    bound = np.abs(X).max() ** (p - 1.0) * np.abs(Y)
     assert np.all(np.abs(G) <= bound + 1e-15)
 
 
@@ -74,8 +84,8 @@ def test_nonlinear_g_gaussian_power():
     grid = build_grid(GridSpec(L0=-10, L1=10, J=9))
     X, Y = grid.meshgrid()
     g = gauss(X, Y)
-    G = nonlinear_G(Field(g), Field(g.copy()), 1.5)
-    assert np.allclose(G.values, np.exp(-1.5 * (X * X + Y * Y)), atol=1e-14)
+    G = _power(g, g.copy(), 1.5)
+    assert np.allclose(G, np.exp(-1.5 * (X * X + Y * Y)), atol=1e-14)
 
 
 def test_init_levels_exact_mode(ref_grid24):
@@ -83,7 +93,7 @@ def test_init_levels_exact_mode(ref_grid24):
         a=2.5, lam=0.25, gamma=0.25, p=1.5, q=4 / 3,
         exact=lambda x, y, t: (np.exp(-(0.5 * t * t + x * x + y * y)),) * 2,
     )
-    s0, s1 = init_levels(prob, ref_grid24)
+    s0, s1 = seed_states(prob, ref_grid24)
     assert s0.level == 0 and s1.level == 1
     assert s0.U.values[12, 12] == pytest.approx(0.726149, abs=1e-6)
     # level 1 sits at t0 + l = h^(3/2) under the coupled rule
@@ -95,7 +105,7 @@ def test_init_levels_exact_mode(ref_grid24):
 def test_init_levels_taylor_zero_data():
     grid = build_grid(GridSpec(L0=-1, L1=1, J=3, t0=1.0))
     prob = ProblemDef(a=1.0, lam=0.0, gamma=0.0, p=2.0, q=2.0, data=(ZERO, ZERO, ZERO, ZERO))
-    s0, s1 = init_levels(prob, grid)
+    s0, s1 = seed_states(prob, grid)
     assert np.all(s0.U.values == 0.0) and np.all(s1.V.values == 0.0)
 
 
@@ -103,13 +113,13 @@ def test_init_levels_taylor_rejects_singular_t0():
     grid = build_grid(GridSpec(L0=-1, L1=1, J=3, t0=0.0))
     prob = ProblemDef(a=1.0, lam=0.0, gamma=0.0, p=2.0, q=2.0, data=(gauss, ZERO, gauss, ZERO))
     with pytest.raises(SingularTimeError):
-        init_levels(prob, grid)
+        seed_states(prob, grid)
     # the regularization flag turns it into the one-sided limit system
     prob_ok = ProblemDef(
         a=1.0, lam=0.0, gamma=0.0, p=2.0, q=2.0,
         data=(gauss, ZERO, gauss, ZERO), allow_singular_t0=True,
     )
-    s0, s1 = init_levels(prob_ok, grid)
+    s0, s1 = seed_states(prob_ok, grid)
     assert np.isfinite(s1.U.values).all()
 
 
@@ -123,7 +133,7 @@ def test_regularized_taylor_seeding_is_singular_at_a_half(a):
         data=(gauss, ZERO, gauss, ZERO), allow_singular_t0=True,
     )
     with pytest.raises(SingularTimeError, match="degenerate"):
-        init_levels(prob, grid)
+        seed_states(prob, grid)
     with pytest.raises(SingularTimeError, match="degenerate"):
         run(prob, GridSpec(L0=-1, L1=1, J=3, t0=0.0, n_steps=3))
 
@@ -148,7 +158,7 @@ def test_init_levels_taylor_matches_exact_expansion():
         forcing=lambda x, y, t: (G1(x, y, t), G2(x, y, t)), data=(u0, u1, u0, u1),
     )
     opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy="limit")
-    _, s1 = init_levels(prob, grid, opset)
+    _, s1 = seed_states(prob, grid, opset)
     X, Y = grid.meshgrid()
     u_exact = exact(X, Y, grid.time(1))[0]
     # error budget: l^3 u_ttt / 6 plus (l^2/2) x O(h^2) from the discrete RHS
@@ -644,23 +654,42 @@ def test_non_finite_forcing_names_its_level_before_the_solve(monkeypatch):
     assert len(solve_calls) == k - 1
 
 
-@pytest.mark.parametrize("bad_level", [0, 1])
-def test_non_finite_seed_level_is_named_before_any_solve(monkeypatch, bad_level):
+@pytest.mark.parametrize(
+    "seed_mode, bad_level, name",
+    [("exact", 0, "exact solution"), ("exact", 1, "exact solution"), ("taylor", 0, "initial data")],
+    ids=["0", "1", "taylor-u0"],
+)
+def test_non_finite_seed_level_is_named_before_any_solve(monkeypatch, seed_mode, bad_level, name):
     spec = GridSpec(L0=-10, L1=10, J=9, t0=0.5, n_steps=4, step_rule="independent", l=0.05)
     t_bad = build_grid(spec).time(bad_level)
-    prob, exact = manufactured_problem(RunConfig(J=9))
+    prob, exact = manufactured_problem(RunConfig(J=9, t0=0.5, seed_mode=seed_mode))
 
     def exact_nan(x, y, t):
         u, v = exact(x, y, t)
         return u, v + (np.nan if t == t_bad else 0.0)
 
-    prob = dataclasses.replace(prob, exact=exact_nan)
+    if seed_mode == "exact":
+        prob = dataclasses.replace(prob, exact=exact_nan)
+    else:
+        u0, u1, v0, v1 = prob.data
+        prob = dataclasses.replace(prob, data=(lambda x, y: u0(x, y) + np.nan, u1, v0, v1))
     solve_calls = _counting(monkeypatch, epdsys.stepper, "_solve")
     with pytest.raises(
-        InvalidSpecError, match=rf"exact solution at level {bad_level} \(t_{bad_level} = .*\) contains NaN"
+        InvalidSpecError, match=rf"{name} at level {bad_level} \(t_{bad_level} = .*\) contains NaN"
     ):
         run(prob, spec, sing_policy="limit")
     assert solve_calls == []
+
+
+@pytest.mark.parametrize("seed_mode", ["exact", "taylor"])
+def test_run_seeds_through_init_levels_once(monkeypatch, seed_mode):
+    # init_levels is the one seeding entry point: run calls it, once
+    spec = GridSpec(L0=-10, L1=10, J=4, t0=0.5, n_steps=5, step_rule="independent", l=0.05)
+    prob, _ = manufactured_problem(RunConfig(J=4, t0=0.5, seed_mode=seed_mode))
+    seed_calls = _counting(monkeypatch, epdsys.stepper, "init_levels")
+    trajectory, _ = run(prob, spec, sing_policy="limit")
+    assert len(seed_calls) == 1
+    assert len(trajectory) == 6
 
 
 def test_constant_exact_solution_is_broadcast_to_the_grid():
@@ -669,7 +698,7 @@ def test_constant_exact_solution_is_broadcast_to_the_grid():
     grid = build_grid(spec)
     prob = ProblemDef(a=0.0, lam=0.0, gamma=0.0, p=2.0, q=2.0, exact=lambda x, y, t: (1.0, 1.0),
                       nonlinear=False)
-    s0, s1 = init_levels(prob, grid)
+    s0, s1 = seed_states(prob, grid)
     for state in (s0, s1):
         assert state.U.values.shape == state.V.values.shape == (grid.size, grid.size)
         assert np.all(state.U.values == 1.0) and np.all(state.V.values == 1.0)
