@@ -18,7 +18,7 @@ import dataclasses
 import math
 import statistics
 import time
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -41,7 +41,11 @@ FORCING_CERT_TOL = 1e-5
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Fully defaulted run parameters (see parse_config for the file format)."""
+    """Fully defaulted run parameters (see parse_config for the file format).
+
+    An unknown solver, seed_mode or sing_policy, or T <= t0, raises
+    ConfigError; grid_spec_for checks the mesh.
+    """
 
     J: int
     L0: float = -10.0
@@ -55,36 +59,31 @@ class RunConfig:
     p: float = 1.5
     q: float = 4.0 / 3.0
     solver: str = "both"
-    sing_eps: float | None = None
     seed_mode: str = "exact"
     sing_policy: str = SING_LIMIT
     out_csv: str = "table1.csv"
 
+    def __post_init__(self):
+        if self.solver not in (SOLVER_SYLVESTER, SOLVER_KRONECKER, "both"):
+            raise ConfigError(f"unknown solver {self.solver!r}")
+        if self.seed_mode not in ("exact", "taylor"):
+            raise ConfigError(f"unknown seed_mode {self.seed_mode!r}")
+        if self.sing_policy not in (SING_ZERO, SING_LIMIT):
+            raise ConfigError(f"unknown sing_policy {self.sing_policy!r}")
+        if not self.T > self.t0:
+            raise ConfigError(f"need T > t0, got t0={self.t0}, T={self.T}")
 
-_KEY_TYPES = {
-    "L0": float,
-    "L1": float,
-    "J": int,
-    "t0": float,
-    "T": float,
-    "alpha": float,
-    "a": float,
-    "lambda": float,
-    "gamma": float,
-    "p": float,
-    "q": float,
-    "solver": str,
-    "sing_eps": float,
-    "seed_mode": str,
-    "sing_policy": str,
-    "out_csv": str,
+
+# config key -> RunConfig field: the field's own name, but 'lambda' for lam
+_KEY_FIELDS = {
+    ("lambda" if f.name == "lam" else f.name): f.name for f in dataclasses.fields(RunConfig)
 }
-_KEY_RENAME = {"lambda": "lam"}
+_FIELD_TYPES = get_type_hints(RunConfig)
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse 'key = value' lines; '#' starts a comment; unknown keys and
-    non-finite floats raise ConfigError naming the line."""
+    non-finite floats raise ConfigError naming the line, then RunConfig checks."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -93,27 +92,21 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}", line=lineno)
         key, _, val = (part.strip() for part in line.partition("="))
-        if key not in _KEY_TYPES:
+        if key not in _KEY_FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}", line=lineno)
-        if key in values:
+        field = _KEY_FIELDS[key]
+        if field in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}", line=lineno)
+        kind = _FIELD_TYPES[field]
         try:
-            values[key] = _KEY_TYPES[key](val)
+            values[field] = kind(val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}", line=lineno) from exc
-        if _KEY_TYPES[key] is float and not math.isfinite(values[key]):
+        if kind is float and not math.isfinite(values[field]):
             raise ConfigError(f"line {lineno}: {key!r} must be finite, got {val!r}", line=lineno)
     if "J" not in values:
         raise ConfigError("missing mandatory key 'J'")
-    kwargs = {_KEY_RENAME.get(k, k): v for k, v in values.items()}
-    config = RunConfig(**kwargs)
-    if config.solver not in (SOLVER_SYLVESTER, SOLVER_KRONECKER, "both"):
-        raise ConfigError(f"unknown solver {config.solver!r}")
-    if config.seed_mode not in ("exact", "taylor"):
-        raise ConfigError(f"unknown seed_mode {config.seed_mode!r}")
-    if config.sing_policy not in (SING_ZERO, SING_LIMIT):
-        raise ConfigError(f"unknown sing_policy {config.sing_policy!r}")
-    return config
+    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -180,20 +173,21 @@ def manufactured_problem(config: RunConfig) -> tuple[ProblemDef, "callable"]:
 
 
 def grid_spec_for(config: RunConfig, J: int | None = None) -> GridSpec:
-    """GridSpec for a config, with n_steps = ceil((T - t0) / l)."""
-    J = config.J if J is None else J
-    h = (config.L1 - config.L0) / (J + 1)
-    l = h * math.sqrt(h)
-    n_steps = max(2, math.ceil((config.T - config.t0) / l))
-    return GridSpec(
-        L0=config.L0,
-        L1=config.L1,
-        J=J,
-        t0=config.t0,
-        n_steps=n_steps,
-        alpha=config.alpha,
-        sing_eps=config.sing_eps,
+    """GridSpec for a config at grid size J (default config.J), with
+    n_steps = max(2, ceil((T - t0) / l)), so a run may end past T.
+
+    InvalidSpecError for an invalid mesh (GridSpec.mesh_steps) or a step
+    count that overflows.
+    """
+    spec = GridSpec(
+        L0=config.L0, L1=config.L1, J=config.J if J is None else J,
+        t0=config.t0, alpha=config.alpha,
     )
+    _, l = spec.mesh_steps()
+    steps = (config.T - config.t0) / l
+    if not math.isfinite(steps):
+        raise InvalidSpecError(f"need a finite step count, got (T - t0) / l = {steps}")
+    return dataclasses.replace(spec, n_steps=max(2, math.ceil(steps)))
 
 
 def check_forcing_certificate(config: RunConfig) -> float:
@@ -238,13 +232,13 @@ CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(BenchRow) if f.name != "e
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
-def _timed_run(prob, spec, solver, repeats, sing_policy):
+def _timed_run(prob, grid, solver, repeats, sing_policy):
     """(median wall ms, trajectory, reports) over `repeats` identical runs."""
     times = []
     trajectory = reports = None
     for _ in range(repeats):
         start = time.perf_counter()
-        trajectory, reports = run(prob, spec, solver=solver, sing_policy=sing_policy)
+        trajectory, reports = run(prob, grid, solver=solver, sing_policy=sing_policy)
         times.append((time.perf_counter() - start) * 1000.0)
     return statistics.median(times), trajectory, reports
 
@@ -260,11 +254,13 @@ def run_table1(
     The forcing certificate is checked before any row is produced.  Solver
     failures are recorded on their row and the run continues.  A CSV is
     written to csv_path (default config.out_csv) with header CSV_HEADER.
-    Raises InvalidSpecError for repeats < 1 before any work.
+    Raises InvalidSpecError for repeats < 1 or a bad grid before any work.
     """
     if repeats < 1:
         raise InvalidSpecError(f"need repeats >= 1, got {repeats}")
+    grids = [build_grid(grid_spec_for(config, J)) for J in J_list]
     check_forcing_certificate(config)
+    prob, exact = manufactured_problem(config)
     # Method II before Method I, each with the BenchRow columns it fills
     methods = {
         SOLVER_SYLVESTER: ("Er_II", "RelEr_II", "time_II_ms"),
@@ -272,10 +268,7 @@ def run_table1(
     }
 
     rows: list[BenchRow] = []
-    for J in J_list:
-        spec = grid_spec_for(config, J)
-        grid = build_grid(spec)
-        prob, exact = manufactured_problem(config)
+    for J, grid in zip(J_list, grids):
         # every measured column (all but J, h, l) is NaN unless a method fills it
         values = dict.fromkeys(CSV_COLUMNS[3:], float("nan"))
         note = []
@@ -283,7 +276,7 @@ def run_table1(
             if config.solver not in ("both", solver):
                 continue
             try:
-                values[ms], traj, _ = _timed_run(prob, spec, solver, repeats, config.sing_policy)
+                values[ms], traj, _ = _timed_run(prob, grid, solver, repeats, config.sing_policy)
                 report = discrete_errors(traj, exact, grid)
                 values[er], values[rel_er] = report.er, report.rel_er
             except EpdError as exc:
@@ -342,16 +335,16 @@ class ConvergenceReport:
 def run_convergence(
     config: RunConfig, J_list: Sequence[int] = DEFAULT_CONVERGENCE_J
 ) -> ConvergenceReport:
-    """Sylvester-path runs over J_list; fits the order of Er against h."""
+    """Sylvester-path runs over J_list; fits the order of Er against h.
+    Every J's grid is built, and so checked, before the first run."""
     if len(J_list) < 2:
         raise InvalidSpecError("need at least two grid levels")
+    grids = [build_grid(grid_spec_for(config, J)) for J in J_list]
     check_forcing_certificate(config)
+    prob, exact = manufactured_problem(config)
     rows = []
-    for J in J_list:
-        spec = grid_spec_for(config, J)
-        grid = build_grid(spec)
-        prob, exact = manufactured_problem(config)
-        trajectory, _ = run(prob, spec, solver=SOLVER_SYLVESTER, sing_policy=config.sing_policy)
+    for J, grid in zip(J_list, grids):
+        trajectory, _ = run(prob, grid, solver=SOLVER_SYLVESTER, sing_policy=config.sing_policy)
         report = discrete_errors(trajectory, exact, grid)
         rows.append((J, grid.h, report.er))
     order = convergence_order([(h, er) for _, h, er in rows])

@@ -56,16 +56,16 @@ def _parse_J_list(text):
 def cmd_solve(args):
     config = _load_config(args.config)
     solver = config.solver if config.solver != "both" else SOLVER_SYLVESTER
-    spec = bench_mod.grid_spec_for(config)
-    grid = build_grid(spec)
+    grid = build_grid(bench_mod.grid_spec_for(config))
     prob, exact = bench_mod.manufactured_problem(config)
     opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy=config.sing_policy)
     ok, guard = cfl_guard(grid, config.alpha, opset)
     if not ok:
         print(f"warning: sufficient stability bound fails, 4*sigma*C_alpha = {guard:.3g}")
-    trajectory, reports = run(prob, spec, solver=solver, sing_policy=config.sing_policy)
+    trajectory, reports = run(prob, grid, solver=solver, sing_policy=config.sing_policy)
     report = discrete_errors(trajectory, exact, grid)
-    print(f"J={config.J} h={grid.h:.6g} l={grid.l:.6g} steps={grid.n_steps} solver={solver}")
+    print(f"J={config.J} h={grid.h:.6g} l={grid.l:.6g} steps={grid.n_steps} "
+          f"t_end={grid.time(grid.n_steps):.6g} solver={solver}")
     print(f"Er={report.er:.6g} RelEr={report.rel_er:.6g}")
     print(f"max residual={max(r.residual_coupled for r in reports):.3e} "
           f"min margin={min(r.margin for r in reports):.3e}")

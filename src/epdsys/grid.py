@@ -29,8 +29,7 @@ class GridSpec:
     """Mesh parameters.
 
     step_rule 'coupled' ties the time step to the space step, l = h^(3/2);
-    'independent' uses the explicit value in `l`.  sing_eps is the threshold
-    below which a node counts as sitting on a coordinate axis (default h/100).
+    'independent' uses the explicit value in `l`.
     """
 
     L0: float
@@ -40,10 +39,15 @@ class GridSpec:
     n_steps: int = 2
     alpha: float = 0.25
     step_rule: str = COUPLED
-    sing_eps: float | None = None
     l: float | None = None
 
-    def validate(self):
+    def mesh_steps(self) -> tuple[float, float]:
+        """The space and time steps (h, l), after the checks of the spec.
+
+        Raises InvalidSpecError for an invalid spec, and for steps that are
+        not positive and finite or a last node L0 + (J+1) h that overflows
+        (a width L1 - L0 near the float range, an l that underflows).
+        """
         if self.L1 <= self.L0:
             raise InvalidSpecError(f"need L1 > L0, got [{self.L0}, {self.L1}]")
         if self.J < 1:
@@ -56,8 +60,11 @@ class GridSpec:
             raise InvalidSpecError(f"unknown step_rule {self.step_rule!r}")
         if self.step_rule == INDEPENDENT and (self.l is None or self.l <= 0):
             raise InvalidSpecError("independent step rule needs an explicit l > 0")
-        if self.sing_eps is not None and self.sing_eps < 0:
-            raise InvalidSpecError("sing_eps must be >= 0")
+        h = (self.L1 - self.L0) / (self.J + 1)
+        l = h * math.sqrt(h) if self.step_rule == COUPLED else float(self.l)
+        if not (h > 0.0 and 0.0 < l < math.inf and math.isfinite(self.L0 + h * (self.J + 1))):
+            raise InvalidSpecError(f"need finite nodes and mesh steps h, l > 0, got h={h}, l={l}")
+        return h, l
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,7 +76,7 @@ class Grid:
     nodes_y: np.ndarray
     h: float
     l: float
-    sing_eps: float
+    sing_eps: float  # h/100: a node within it of 0 sits on a coordinate axis
     singular_x: np.ndarray  # indices j with |x_j| <= sing_eps
     singular_y: np.ndarray
 
@@ -109,14 +116,9 @@ class Grid:
 
 def build_grid(spec: GridSpec) -> Grid:
     """Build the uniform mesh, flagging nodes that sit on a coordinate axis."""
-    spec.validate()
-    h = (spec.L1 - spec.L0) / (spec.J + 1)
-    if spec.step_rule == COUPLED:
-        l = h * math.sqrt(h)
-    else:
-        l = float(spec.l)
+    h, l = spec.mesh_steps()
     nodes = spec.L0 + h * np.arange(spec.J + 2)
-    sing_eps = spec.sing_eps if spec.sing_eps is not None else h / 100.0
+    sing_eps = h / 100.0
     singular = np.flatnonzero(np.abs(nodes) <= sing_eps)
     return Grid(
         spec=spec,

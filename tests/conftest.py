@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import epdsys.cli
+import epdsys.stepper
 from epdsys.bench import RunConfig, grid_spec_for, manufactured_problem
 from epdsys.grid import build_grid
 
@@ -24,3 +26,18 @@ def ref_grid24(ref_config):
 @pytest.fixture
 def ref_problem(ref_config):
     return manufactured_problem(ref_config)
+
+
+@pytest.fixture
+def operator_builds(monkeypatch):
+    """The list of build_operator_set calls made by `run` and the CLI."""
+    calls = []
+    real = epdsys.stepper.build_operator_set
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (epdsys.stepper, epdsys.cli):
+        monkeypatch.setattr(module, "build_operator_set", counting)
+    return calls

@@ -1,10 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import epdsys.bench
 from epdsys.bench import (
+    _FIELD_TYPES,
+    _KEY_FIELDS,
     CSV_HEADER,
     RunConfig,
     check_forcing_certificate,
@@ -44,7 +49,7 @@ def test_parse_config_unknown_key_line_number():
     assert err.value.line == 2
 
 
-FLOAT_KEYS = ("L0", "L1", "t0", "T", "alpha", "a", "lambda", "gamma", "p", "q", "sing_eps")
+FLOAT_KEYS = ("L0", "L1", "t0", "T", "alpha", "a", "lambda", "gamma", "p", "q")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -81,7 +86,8 @@ def test_parse_config_comments_and_values():
 
 
 @pytest.mark.parametrize(
-    "text", ["J = x\n", "J = 24\nJ = 25\n", "J = 24\nsolver = turbo\n", "J 24\n"]
+    "text",
+    ["J = x\n", "J = 24\nJ = 25\n", "J = 24\nsolver = turbo\n", "J 24\n", "J = 24\nsing_eps = 0.1\n"],
 )
 def test_parse_config_rejects(text):
     with pytest.raises(ConfigError):
@@ -93,6 +99,62 @@ def test_grid_spec_step_count():
     assert spec.n_steps == math.ceil(1.0 / 0.8**1.5) == 2
     spec49 = grid_spec_for(RunConfig(J=24), J=49)
     assert spec49.J == 49 and spec49.n_steps == 4
+    with pytest.raises(InvalidSpecError, match="need a finite step count"):
+        grid_spec_for(RunConfig(J=2000, T=1e308))  # (T - t0) / l overflows
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(solver="turbo"), "unknown solver 'turbo'"),
+        (dict(seed_mode="Taylor"), "unknown seed_mode 'Taylor'"),
+        (dict(sing_policy="nope"), "unknown sing_policy 'nope'"),
+        (dict(t0=1.0), "need T > t0, got t0=1.0, T=1.0"),
+        (dict(t0=1.0, T=0.5), "need T > t0, got t0=1.0, T=0.5"),
+    ],
+)
+def test_run_config_checks_its_values(operator_builds, kwargs, message):
+    # a RunConfig built in the library raises what a config file reports
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(J=9, **kwargs)
+    with pytest.raises(ConfigError, match=message):
+        parse_config("J = 9\n" + "".join(f"{key} = {val}\n" for key, val in kwargs.items()))
+    assert operator_builds == []
+
+
+def _config_values(field):
+    """Config-file values for a RunConfig field: J in [-3, 2000] (no large
+    grid), any finite float, and for a word its default, or 'turbo' once in
+    four draws."""
+    kind = _FIELD_TYPES[field]
+    if kind is int:
+        return st.integers(min_value=-3, max_value=2000).map(str)
+    if kind is float:
+        return st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    (default,) = (f.default for f in dataclasses.fields(RunConfig) if f.name == field)
+    return st.sampled_from([default, default, default, "turbo"])
+
+
+config_texts = st.fixed_dictionaries(
+    {"J": _config_values("J")},
+    optional={key: _config_values(field) for key, field in _KEY_FIELDS.items() if key != "J"},
+).map(lambda values: "".join(f"{key} = {val}\n" for key, val in values.items()))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=config_texts)
+@example(text="J = 9\nL0 = -1e308\nL1 = 1e308\n")
+@example(text="J = 2000\nT = 1e308\n")
+def test_accepted_config_text_reaches_a_grid_or_a_named_error(text):
+    # never solves: only the path from text to a validated grid
+    try:
+        spec = grid_spec_for(parse_config(text))
+        grid = build_grid(spec)
+    except (ConfigError, InvalidSpecError):
+        return
+    assert 0.0 < grid.h < math.inf and 0.0 < grid.l < math.inf
+    assert np.isfinite(grid.nodes_x).all()
+    assert spec.n_steps >= 2
 
 
 def test_forcing_certificate(ref_config):

@@ -23,6 +23,8 @@ def test_solve_subcommand(config_file, capsys):
     assert main(["solve", path]) == EXIT_OK
     out = capsys.readouterr().out
     assert "Er=" in out and "RelEr=" in out
+    # J = 4 has l = 8: the two-step minimum ends at t = 16, past T = 1
+    assert " steps=2 t_end=16 " in out
 
 
 def test_solve_bad_config_is_error(config_file, capsys):
@@ -37,6 +39,38 @@ def test_solve_non_finite_config_value_is_error(config_file, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: 'T' must be finite")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("J = 9\nL1 = -20\n", "need L1 > L0"),
+        ("J = -3\n", "need J >= 1, got J=-3"),
+        ("J = -1\n", "need J >= 1, got J=-1"),
+        ("J = 9\nt0 = 1\n", "need T > t0"),
+        ("J = 9\nt0 = 1\nT = 0.5\n", "need T > t0"),
+    ],
+)
+def test_solve_bad_mesh_or_window_is_error_before_any_operator(
+    config_file, operator_builds, capsys, text, message
+):
+    assert main(["solve", config_file(text)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+    assert operator_builds == []
+
+
+@pytest.mark.parametrize("argv", [["bench", "--J", "4,-3"], ["converge", "--J", "24,0"]])
+def test_bad_grid_size_fails_before_the_first_run(
+    config_file, monkeypatch, operator_builds, capsys, argv
+):
+    runs = []
+    monkeypatch.setattr(epdsys.bench, "run", lambda *args, **kwargs: runs.append(args))
+    path = config_file("J = 4\nout_csv =\n")
+    assert main([argv[0], path, *argv[1:]]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: need J >= 1")
+    assert runs == [] and operator_builds == []
 
 
 def test_bench_subcommand(config_file, tmp_path, capsys):

@@ -53,6 +53,8 @@ def test_build_grid_nodes_uniform():
         dict(L0=0.0, L1=1.0, J=0),
         dict(L0=0.0, L1=1.0, J=4, step_rule="independent"),  # missing l
         dict(L0=0.0, L1=1.0, J=4, step_rule="nope"),
+        dict(L0=-1e308, L1=1e308, J=4),  # the width L1 - L0 overflows
+        dict(L0=-1.7e308, L1=0.0, J=1),  # the last node L0 + 2h overflows
     ],
 )
 def test_build_grid_invalid_specs(kwargs):
