@@ -43,8 +43,8 @@ FORCING_CERT_TOL = 1e-5
 class RunConfig:
     """Fully defaulted run parameters (see parse_config for the file format).
 
-    An unknown solver, seed_mode or sing_policy, or T <= t0, raises
-    ConfigError; grid_spec_for checks the mesh.
+    A float field that is not finite, an unknown solver, seed_mode or
+    sing_policy, or T <= t0, raises ConfigError; grid_spec_for checks the mesh.
     """
 
     J: int
@@ -64,6 +64,9 @@ class RunConfig:
     out_csv: str = "table1.csv"
 
     def __post_init__(self):
+        for name, kind in _FIELD_TYPES.items():
+            if kind is float and not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name!r} must be finite, got {getattr(self, name)!r}")
         if self.solver not in (SOLVER_SYLVESTER, SOLVER_KRONECKER, "both"):
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.seed_mode not in ("exact", "taylor"):

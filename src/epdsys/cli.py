@@ -84,6 +84,10 @@ def cmd_bench(args):
             format(getattr(r, name), _BENCH_FORMATS.get(name, ".6g"))
             for name in bench_mod.CSV_COLUMNS
         ))
+        # a run takes at least two steps, so a coarse grid may end past T
+        t_end = config.t0 + bench_mod.grid_spec_for(config, r.J).n_steps * r.l
+        if t_end > config.T:
+            print(f"  note: ends at t={t_end:.6g} (T={config.T:.6g})")
         if r.error:
             print(f"  note: {r.error}")
     if config.out_csv:
@@ -165,7 +169,7 @@ def cmd_validate(args):
         ops = assemble_step_operators(opset, grid, config.alpha)
         plan = plan_solves(ops, grid, prob.a)
         margin, n, branch = plan.min_margin()
-        pair = format_pair(*plan.margin_pairs[n][("sum", "diff").index(branch)])
+        pair = format_pair(*plan.attaining[n - 1, ("sum", "diff").index(branch)].tolist())
         kernels = ", ".join(f"{b} {k}" for b, k in zip(("sum", "diff"), plan.kernels))
         print(
             f"     min margin = {margin:.3e} at step {n}, {branch} branch, pair {pair}; "

@@ -47,6 +47,16 @@ from .grid import Grid
 BRANCH_SIGNS = {"sum": 1.0, "diff": -1.0}
 
 
+def _sum_diff(P, scale: float = 1.0) -> np.ndarray:
+    """scale (P0 + P1, P0 - P1) in one (2, n, n) array: (U, V) -> (Z+, Z-)
+    in BRANCH_SIGNS order at scale 1, and back at scale 0.5."""
+    out = np.empty((2,) + P[0].shape)
+    np.add(P[0], P[1], out=out[0])
+    np.subtract(P[0], P[1], out=out[1])
+    out *= scale
+    return out
+
+
 @dataclasses.dataclass(frozen=True)
 class TriDiagMatrix:
     """Banded storage for an N x N tridiagonal matrix.

@@ -42,7 +42,7 @@ import numpy as np
 from .exceptions import BlowUpError, InvalidSpecError, SingularTimeError
 from .grid import CoupledState, Field, Grid, GridSpec, build_grid, sample
 from .operators import (
-    BRANCH_SIGNS, SING_LIMIT, OperatorSet, StepOperators, TriDiagMatrix,
+    BRANCH_SIGNS, SING_LIMIT, OperatorSet, StepOperators, TriDiagMatrix, _sum_diff,
     assemble_step_operators, build_operator_set, step_shift,
 )
 from .sylvester import CoupledProblem, _Factors, _factor, _margins, _ratio, _solve, kronecker_solve
@@ -135,15 +135,16 @@ class SolvePlan:
     `kernels` names them; on the reference grid (axis node, limit policy)
     the sum branch is diagonal for lam, gamma < 1 and the difference branch
     for lam, gamma < 1/2.
-    `schedule` maps each step n to its (sum, diff) margins, all of them
-    above the solvability floor; both solvers report these.  `margin_pairs`
-    maps each step to the shifted eigenvalue pairs (lam, mu) that attain them.
-    `factor_time` is the wall time of the factorization.
+    `margins` is the (n_steps - 1, 2) array of the (sum, diff) margins of
+    every step, row n - 1 for step n, all of them above the solvability
+    floor; both solvers report these.  `attaining` is the (n_steps - 1, 2, 2)
+    complex array of the shifted eigenvalue pairs (lam, mu) that attain
+    them.  `factor_time` is the wall time of the factorization.
     """
 
     factors: _Factors
-    schedule: dict[int, tuple[float, float]]
-    margin_pairs: dict[int, tuple[tuple[complex, complex], tuple[complex, complex]]]
+    margins: np.ndarray
+    attaining: np.ndarray
     factor_time: float
 
     @property
@@ -152,12 +153,11 @@ class SolvePlan:
         return self.factors.kernels
 
     def min_margin(self) -> tuple[float, int, str]:
-        """The smallest margin of the schedule, with its step and branch."""
-        return min(
-            (m, n, branch)
-            for n, margins in self.schedule.items()
-            for branch, m in zip(("sum", "diff"), margins)
-        )
+        """The smallest margin, with its step and branch; a tie goes to the
+        earliest step, then to "diff" before "sum"."""
+        diff_first = self.margins[:, ::-1]
+        k, b = np.unravel_index(np.argmin(diff_first), diff_first.shape)
+        return float(diff_first[k, b]), int(k) + 1, ("diff", "sum")[b]
 
 
 def plan_solves(ops: StepOperators, grid: Grid, a: float) -> SolvePlan:
@@ -173,9 +173,7 @@ def plan_solves(ops: StepOperators, grid: Grid, a: float) -> SolvePlan:
     factor_time = time.perf_counter() - t_start
     steps = range(1, grid.n_steps)
     margins, attaining = _margins(factors, [step_shift(grid, n, a) for n in steps], steps)
-    schedule = dict(zip(steps, map(tuple, margins.tolist())))
-    margin_pairs = {n: tuple(map(tuple, p)) for n, p in zip(steps, attaining.tolist())}
-    return SolvePlan(factors, schedule, margin_pairs, factor_time)
+    return SolvePlan(factors, margins, attaining, factor_time)
 
 
 def init_levels(prob: ProblemDef, grid: Grid, ops: StepOperators):
@@ -246,15 +244,6 @@ def level_source(prob: ProblemDef, grid: Grid, state: CoupledState) -> np.ndarra
     finite raises InvalidSpecError naming the level and t_n.
     """
     return _sum_diff(_explicit_terms(prob, grid, state), 0.5 * grid.l * grid.l)
-
-
-def _sum_diff(P, scale: float = 1.0) -> np.ndarray:
-    """scale (P0 + P1, P0 - P1), written into one (2, n, n) array."""
-    out = np.empty((2,) + P[0].shape)
-    np.add(P[0], P[1], out=out[0])
-    np.subtract(P[0], P[1], out=out[1])
-    out *= scale
-    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -380,7 +369,7 @@ def step(
     res = _step_residual(level, C, ops, c)
     residual_time = time.perf_counter() - t_residual
 
-    margins = plan.schedule[n]
+    margins = tuple(plan.margins[n - 1].tolist())
     report = StepReport(
         n=n,
         sup_norm=math.sqrt(0.5) * float(np.linalg.norm(Z)),
@@ -400,7 +389,6 @@ def run(
     prob: ProblemDef,
     spec: GridSpec | Grid,
     solver: str = SOLVER_SYLVESTER,
-    blowup_cap: float = BLOWUP_CAP,
     sing_policy: str = SING_LIMIT,
 ) -> tuple[list[CoupledState], list[StepReport]]:
     """Run the full simulation: seed two levels, then advance to n_steps.
@@ -413,9 +401,9 @@ def run(
     (SolvabilityError names the step); `init_levels` then seeds levels 0
     and 1.  Each level's image (`BranchLevel`) and source (nonlinearity and
     forcing, `level_source`) are computed once and used by every step they
-    enter.  Raises BlowUpError when the combined
-    norm exceeds blowup_cap.  An unknown solver raises InvalidSpecError
-    before any operator is built.
+    enter.  Raises BlowUpError when the combined norm exceeds BLOWUP_CAP,
+    read at call time.  An unknown solver raises InvalidSpecError before any
+    operator is built.
     """
     _check_solver(solver)
     grid = spec if isinstance(spec, Grid) else build_grid(spec)
@@ -436,9 +424,9 @@ def run(
         if not math.isfinite(report.sup_norm):  # names the field that is not finite
             state.U.check_finite()
             state.V.check_finite()
-        if report.sup_norm > blowup_cap:
+        if report.sup_norm > BLOWUP_CAP:
             raise BlowUpError(
-                f"blow-up at step {n + 1}: ||(U,V)|| = {report.sup_norm:.3e} > {blowup_cap:.1e}",
+                f"blow-up at step {n + 1}: ||(U,V)|| = {report.sup_norm:.3e} > {BLOWUP_CAP:.1e}",
                 step=n + 1,
                 sup_norm=report.sup_norm,
             )

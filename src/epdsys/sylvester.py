@@ -58,7 +58,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .exceptions import InvalidSpecError, SizeGuardError, SolvabilityError
-from .operators import BRANCH_SIGNS, TriDiagMatrix
+from .operators import BRANCH_SIGNS, TriDiagMatrix, _sum_diff
 
 # A diagonal denominator |lam_i + mu_j| below DENOM_RTOL * norm(inputs) is
 # treated as a solvability failure rather than allowed to produce garbage.
@@ -430,25 +430,24 @@ def _branch_pairs(W, R, S, W_right) -> tuple:
 def solve_coupled(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
     """Solve the coupled pair by sum/difference decoupling."""
     F = _factor(_branch_pairs(p.W, p.R, p.S, p.W_right), tuple(BRANCH_SIGNS))
-    (P, Q), _ = _solve_unshifted(F, np.stack((p.C1 + p.C2, p.C1 - p.C2)))
-    return 0.5 * (P + Q), 0.5 * (P - Q)
+    Z, _ = _solve_unshifted(F, _sum_diff((p.C1, p.C2)))
+    return tuple(_sum_diff(Z, 0.5))
 
 
-def kronecker_solve(
-    p: CoupledProblem, max_size: int = KRONECKER_MAX_SIZE
-) -> tuple[np.ndarray, np.ndarray]:
+def kronecker_solve(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
     """Method I: vectorize both unknowns into one dense 2 n^2 linear system.
 
     Column-stacking identities: vec(W X) = (I kron W) vec(X) and
     vec(X M) = (M.T kron I) vec(X).  The system [[A_W, A_RS], [A_RS, A_W]]
     is written block by block into one zeroed Fortran-ordered buffer and
     factored there by LAPACK dgesv (Gaussian elimination with partial
-    pivoting), so no n^2 x n^2 temporary and no copy of it is made.
+    pivoting), so no n^2 x n^2 temporary and no copy of it is made.  A size
+    above KRONECKER_MAX_SIZE, read at call time, raises SizeGuardError.
     """
     n = p.size
-    if n > max_size:
+    if n > KRONECKER_MAX_SIZE:
         raise SizeGuardError(
-            f"Kronecker path refused: size {n} > guard {max_size} "
+            f"Kronecker path refused: size {n} > guard {KRONECKER_MAX_SIZE} "
             f"(dense system would be {2 * n * n} x {2 * n * n}, "
             f"{8 * (2 * n * n) ** 2:,} bytes; budget {KRONECKER_MAX_BYTES:,})"
         )
@@ -510,9 +509,8 @@ def residual(p, solution) -> float:
     if isinstance(p, SylvesterProblem):
         return _branch_residual([(p.L, p.R)], [np.asarray(solution)], [p.C])
     if isinstance(p, CoupledProblem):
-        X, Y = (np.asarray(s) for s in solution)
         pairs = _branch_pairs(p.W, p.R, p.S, p.W_right)
-        return _branch_residual(pairs, (X + Y, X - Y), (p.C1 + p.C2, p.C1 - p.C2))
+        return _branch_residual(pairs, _sum_diff(solution), _sum_diff((p.C1, p.C2)))
     raise InvalidSpecError(f"unsupported problem type {type(p).__name__}")
 
 

@@ -111,6 +111,9 @@ def test_grid_spec_step_count():
         (dict(sing_policy="nope"), "unknown sing_policy 'nope'"),
         (dict(t0=1.0), "need T > t0, got t0=1.0, T=1.0"),
         (dict(t0=1.0, T=0.5), "need T > t0, got t0=1.0, T=0.5"),
+        (dict(alpha=math.nan), "'alpha' must be finite"),
+        (dict(a=math.nan), "'a' must be finite"),
+        (dict(T=math.inf), "'T' must be finite"),
     ],
 )
 def test_run_config_checks_its_values(operator_builds, kwargs, message):
@@ -327,7 +330,7 @@ def test_run_table1_solver_failure_recorded_not_raised(monkeypatch):
     from epdsys.exceptions import SizeGuardError
     import epdsys.stepper as stepper_mod
 
-    def refuse(problem, max_size=None):
+    def refuse(problem):
         raise SizeGuardError("refused for the test")
 
     monkeypatch.setattr(stepper_mod, "kronecker_solve", refuse)

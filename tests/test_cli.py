@@ -95,6 +95,16 @@ def test_bench_reports_a_csv_only_when_it_writes_one(config_file, tmp_path, monk
     assert csv.exists()
 
 
+def test_bench_notes_rows_that_end_past_T(config_file, capsys):
+    # J = 4 (l = 8) and J = 9 (l = 2 sqrt 2) take the two-step minimum
+    path = config_file("J = 4\nout_csv =\n")
+    assert main(["bench", path, "--J", "4,9", "--repeats", "1"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("4,") and lines[2] == "  note: ends at t=16 (T=1)"
+    assert lines[3].startswith("9,") and lines[4] == "  note: ends at t=5.65685 (T=1)"
+    assert len(lines) == 5
+
+
 def test_converge_subcommand(config_file, capsys):
     path = config_file("J = 4\n")
     code = main(["converge", path, "--J", "24,49,99"])
@@ -188,6 +198,18 @@ def test_real_eigenvalue_pairs_print_as_reals(config_file, capsys):
     assert "eigenvalue pair lam=" in str(err.value)
     assert "j" not in str(err.value)
     assert isinstance(err.value.pair[0], complex)
+
+
+def test_validate_reads_the_plan_of_schur_branches(config_file, capsys):
+    # lambda = gamma = 1.5, a = 3/2 + 4 lambda is on the manufactured family:
+    # the certificate passes and both branches take the Schur kernel
+    path = config_file("J = 9\nlambda = 1.5\ngamma = 1.5\na = 7.5\n")
+    assert main(["validate", path]) == EXIT_OK
+    schedule = next(
+        line for line in capsys.readouterr().out.splitlines() if "min margin = " in line
+    )
+    assert "min margin = 3.065e+00 at step 1, diff branch, pair lam=" in schedule
+    assert schedule.endswith("kernels: sum schur, diff schur")
 
 
 def test_missing_config_file_is_error(capsys):

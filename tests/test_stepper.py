@@ -295,8 +295,10 @@ def test_run_requires_two_steps():
         run(prob, spec)
 
 
-def test_run_blowup_detection():
-    # explicit scheme (alpha = 0) with a violently large time step blows up
+def test_run_blowup_detection(monkeypatch):
+    # explicit scheme (alpha = 0) with a violently large time step blows up;
+    # run reads the cap at call time
+    monkeypatch.setattr(epdsys.stepper, "BLOWUP_CAP", 1e6)
     spec = GridSpec(L0=-1, L1=1, J=9, t0=1.0, n_steps=60, alpha=0.0,
                     step_rule="independent", l=1.0)
     prob = ProblemDef(
@@ -304,8 +306,9 @@ def test_run_blowup_detection():
         data=(gauss, ZERO, gauss, ZERO), nonlinear=False,
     )
     with pytest.raises(BlowUpError) as err:
-        run(prob, spec, blowup_cap=1e6)
+        run(prob, spec)
     assert err.value.step is not None
+    assert "> 1.0e+06" in str(err.value)
 
 
 def test_cfl_guard_reference_parameters(ref_grid24):
@@ -560,14 +563,31 @@ def test_reports_carry_the_shift_and_both_margins(solver):
     opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy="limit")
     plan = plan_solves(assemble_step_operators(opset, grid, spec.alpha), grid, prob.a)
     assert 0.0 < plan.factor_time
-    assert [r.n for r in reports] == list(plan.schedule) == [1, 2, 3, 4, 5]
+    # row n - 1 of the plan's arrays is step n
+    assert [r.n for r in reports] == [1, 2, 3, 4, 5]
+    assert plan.margins.shape == (5, 2) and plan.attaining.shape == (5, 2, 2)
     for r in reports:
         assert r.c == step_shift(grid, r.n, prob.a)
-        assert r.margins == plan.schedule[r.n]
+        assert r.margins == tuple(plan.margins[r.n - 1])
         assert r.margin == min(r.margins)
         # the plan keeps the shifted eigenvalue pair that attains each margin
-        for margin, (lam, mu) in zip(r.margins, plan.margin_pairs[r.n]):
+        for margin, (lam, mu) in zip(r.margins, plan.attaining[r.n - 1]):
             assert abs(lam + mu) == margin
+
+
+def test_min_margin_ties_go_to_the_earliest_step_then_diff():
+    # the smallest margin 0.5 is reached at steps 2 and 4, on both branches
+    # at step 2: the earliest step wins, then "diff" before "sum"
+    margins = np.array([[1.0, 2.0], [0.5, 0.5], [3.0, 1.0], [0.5, 0.5]])
+    plan = epdsys.stepper.SolvePlan(
+        factors=None, margins=margins, attaining=np.zeros((4, 2, 2), dtype=complex),
+        factor_time=0.0,
+    )
+    assert plan.min_margin() == (0.5, 2, "diff")
+    plan = dataclasses.replace(plan, margins=np.array([[1.0, 0.7], [0.7, 2.0]]))
+    assert plan.min_margin() == (0.7, 1, "diff")
+    plan = dataclasses.replace(plan, margins=np.array([[0.7, 0.9], [0.7, 0.7]]))
+    assert plan.min_margin() == (0.7, 1, "sum")
 
 
 @pytest.mark.parametrize("solver", ["sylvester", "kronecker"])

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import epdsys.sylvester
+
 from epdsys.exceptions import InvalidSpecError, SizeGuardError, SolvabilityError
 from epdsys.operators import TriDiagMatrix
 from epdsys.sylvester import (
@@ -95,12 +97,14 @@ def test_kronecker_size_one():
     assert np.allclose(Xs, X) and np.allclose(Ys, Y)
 
 
-def test_kronecker_size_guard():
+def test_kronecker_size_guard(monkeypatch):
+    # kronecker_solve reads the guard at call time
+    monkeypatch.setattr(epdsys.sylvester, "KRONECKER_MAX_SIZE", 5)
     n = 6
     Z = np.zeros((n, n))
     p = CoupledProblem(np.eye(n), Z, Z, Z, Z)
-    with pytest.raises(SizeGuardError):
-        kronecker_solve(p, max_size=5)
+    with pytest.raises(SizeGuardError, match="size 6 > guard 5"):
+        kronecker_solve(p)
 
 
 def test_kronecker_byte_budget(monkeypatch):
