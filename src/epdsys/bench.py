@@ -270,6 +270,11 @@ def run_table1(
         SOLVER_KRONECKER: ("Er_I", "RelEr_I", "time_I_ms"),
     }
 
+    if config.solver in ("both", SOLVER_KRONECKER):
+        # Method I imports scipy.linalg on its first solve; import it here so
+        # that the first row's time_I_ms does not include the import
+        import scipy.linalg
+
     rows: list[BenchRow] = []
     for J, grid in zip(J_list, grids):
         # every measured column (all but J, h, l) is NaN unless a method fills it

@@ -38,9 +38,12 @@ The coupled pair
 decouples exactly: P = X+Y solves (W+R) P + P (Wr+S) = C1+C2 and Q = X-Y
 solves (W-R) Q + Q (Wr-S) = C1-C2.
 
-kronecker_solve vectorizes both unknowns into a single dense 2 n^2 system
-(Gaussian elimination with partial pivoting) and serves as Method I in the
-benchmarks and as the brute-force oracle for the decoupled path.
+kronecker_solve, Method I in the benchmarks and the brute-force oracle for
+the decoupled path, vectorizes each branch into one dense n^2 system and
+solves it by Gaussian elimination with partial pivoting: two LUs of
+(2/3) n^6 flops, a quarter of the (16/3) n^6 that one 2 n^2 system in
+both unknowns X, Y would take with its cross blocks R, S, which the
+decoupling removes exactly.
 
 The diagonal kernel runs on numpy alone.  `scipy.linalg` is imported on
 first use by the three routines that need it, the Schur factorization, the
@@ -64,12 +67,12 @@ from .operators import BRANCH_SIGNS, TriDiagMatrix, _sum_diff
 # treated as a solvability failure rather than allowed to produce garbage.
 DENOM_RTOL = 1e-12
 
-# Byte budget for the dense Kronecker system matrix, 8 (2 n^2)^2 = 32 n^4
+# Byte budget for the dense Kronecker matrix of one branch, 8 (n^2)^2 = 8 n^4
 # bytes, and the largest size within it: 76, i.e. J <= 74.  kronecker_solve
-# fills and factors that one buffer in place, so the solve's peak is the
-# budget plus O(n^2) vectors.
-KRONECKER_MAX_BYTES = 2**30
-KRONECKER_MAX_SIZE = math.isqrt(math.isqrt(KRONECKER_MAX_BYTES // 32))
+# fills and factors that one buffer in place for each branch in turn, so the
+# solve's peak is the budget plus O(n^2) vectors.
+KRONECKER_MAX_BYTES = 2**28
+KRONECKER_MAX_SIZE = math.isqrt(math.isqrt(KRONECKER_MAX_BYTES // 8))
 
 
 def _as_square(M, name):
@@ -409,17 +412,15 @@ def _solve(F: _Factors, C: np.ndarray, c: float) -> np.ndarray:
     return F.VL @ Z @ F.VR_inv
 
 
-def _solve_unshifted(F: _Factors, C: np.ndarray):
-    """Check and solve the factored stack at shift 0: the solution stack and
-    the margins of its pairs."""
-    margins, _ = _margins(F, [0.0])
-    return _solve(F, C, 0.0), tuple(margins[0].tolist())
+def _solve_unshifted(F: _Factors, C: np.ndarray) -> np.ndarray:
+    """Check the margins of the factored stack at shift 0, then solve it."""
+    _margins(F, [0.0])
+    return _solve(F, C, 0.0)
 
 
 def solve_sylvester(p: SylvesterProblem) -> np.ndarray:
     """Solve L X + X R = C; raises SolvabilityError on (near-)common spectra."""
-    X, _ = _solve_unshifted(_factor([(p.L, p.R)]), p.C[None])
-    return X[0]
+    return _solve_unshifted(_factor([(p.L, p.R)]), p.C[None])[0]
 
 
 def _branch_pairs(W, R, S, W_right) -> tuple:
@@ -430,51 +431,66 @@ def _branch_pairs(W, R, S, W_right) -> tuple:
 def solve_coupled(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
     """Solve the coupled pair by sum/difference decoupling."""
     F = _factor(_branch_pairs(p.W, p.R, p.S, p.W_right), tuple(BRANCH_SIGNS))
-    Z, _ = _solve_unshifted(F, _sum_diff((p.C1, p.C2)))
-    return tuple(_sum_diff(Z, 0.5))
+    return tuple(_sum_diff(_solve_unshifted(F, _sum_diff((p.C1, p.C2))), 0.5))
 
 
 def kronecker_solve(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Method I: vectorize both unknowns into one dense 2 n^2 linear system.
+    """Method I: vectorize each decoupled branch into one dense n^2 linear system.
 
-    Column-stacking identities: vec(W X) = (I kron W) vec(X) and
-    vec(X M) = (M.T kron I) vec(X).  The system [[A_W, A_RS], [A_RS, A_W]]
-    is written block by block into one zeroed Fortran-ordered buffer and
+    The branches P = X+Y and Q = X-Y solve L P + P M = C1 + C2 with (L, M) =
+    (W + R, Wr + S) and L Q + Q M = C1 - C2 with (L, M) = (W - R, Wr - S).
+    The signs are written out here rather than read from BRANCH_SIGNS, so
+    that the oracle does not share the fast path's sign table.  By the
+    column-stacking identities vec(L P) = (I kron L) vec(P) and vec(P M) =
+    (M.T kron I) vec(P), each branch is the N x N system I kron L + M.T kron
+    I, N = n^2.  It is written into one zeroed Fortran-ordered buffer and
     factored there by LAPACK dgesv (Gaussian elimination with partial
-    pivoting), so no n^2 x n^2 temporary and no copy of it is made.  A size
-    above KRONECKER_MAX_SIZE, read at call time, raises SizeGuardError.
+    pivoting); the second branch reuses the buffer, so no other N x N array
+    is made.  A size above KRONECKER_MAX_SIZE, read at call time, raises
+    SizeGuardError.
     """
     n = p.size
     if n > KRONECKER_MAX_SIZE:
         raise SizeGuardError(
             f"Kronecker path refused: size {n} > guard {KRONECKER_MAX_SIZE} "
-            f"(dense system would be {2 * n * n} x {2 * n * n}, "
-            f"{8 * (2 * n * n) ** 2:,} bytes; budget {KRONECKER_MAX_BYTES:,})"
+            f"(dense branch system would be {n * n} x {n * n}, "
+            f"{8 * (n * n) ** 2:,} bytes; budget {KRONECKER_MAX_BYTES:,})"
         )
-    N = n * n
-    M = np.zeros((2 * N, 2 * N), order="F")
-    # row i + n j + N bi, column k + n m + N bj -> M6[i, j, bi, k, m, bj]:
-    # equation (i, j) of block row bi, unknown (k, m) of block column bj
-    M6 = M.reshape((n, n, 2, n, n, 2), order="F")
-    pairs = ((p.W, p.W_right), (p.R, p.S))  # diagonal and off-diagonal blocks
-    for bi in range(2):
-        for bj in range(2):
-            left, right = (np.asarray(A, dtype=float) for A in pairs[bi != bj])
-            block = M6[:, :, bi, :, :, bj]
-            s0, s1, s2, s3 = block.strides
-            # (left X)[i, j] = sum_k left[i, k] X[k, j]: the entries with m = j
-            as_strided(block, (n, n, n), (s0, s1 + s3, s2))[...] += left[:, None, :]
-            # (X right)[i, j] = sum_m X[i, m] right[m, j]: the entries with k = i
-            as_strided(block, (n, n, n), (s0 + s2, s1, s3))[...] += right.T[None, :, :]
-    b = np.concatenate([p.C1.ravel(order="F"), p.C2.ravel(order="F")])
+    W, R, S, Wr = (np.asarray(A, dtype=float) for A in (p.W, p.R, p.S, p.W_right))
+    branches = (("sum", W + R, Wr + S), ("diff", W - R, Wr - S))
+    K = np.zeros((n * n, n * n), order="F")
+    # row i + n j, column k + n m -> K4[i, j, k, m]: equation (i, j), unknown (k, m)
+    K4 = K.reshape((n, n, n, n), order="F")
+    s0, s1, s2, s3 = K4.strides
+    # (L P)[i, j] = sum_k L[i, k] P[k, j]: the entries with m = j
+    left = as_strided(K4, (n, n, n), (s0, s1 + s3, s2))
+    # (P M)[i, j] = sum_m P[i, m] M[m, j]: the entries with k = i
+    right = as_strided(K4, (n, n, n), (s0 + s2, s1, s3))
+    # the diagonal, k = i and m = j, where the two meet
+    diagonal = as_strided(K4, (n, n), (s0 + s2, s1 + s3))
     import scipy.linalg
 
-    _, _, sol, info = scipy.linalg.lapack.dgesv(M, b, overwrite_a=True, overwrite_b=True)
-    if info > 0:
-        raise SolvabilityError(f"Kronecker system singular: U[{info - 1}, {info - 1}] is zero")
-    X = sol[:N].reshape((n, n), order="F")
-    Y = sol[N:].reshape((n, n), order="F")
-    return X, Y
+    solutions = []
+    for (branch, L, M), Cb in zip(branches, _sum_diff((p.C1, p.C2))):
+        if solutions:
+            K.fill(0.0)
+        # assigned, not added in place (numpy would copy an n^3 strided view
+        # that it cannot prove free of self-overlap); `right` overwrites the
+        # diagonal that `left` wrote, so L's diagonal is added back there
+        left[...] = L[:, None, :]
+        right[...] = M.T[None, :, :]
+        diagonal += L.diagonal()[:, None]
+        _, _, sol, info = scipy.linalg.lapack.dgesv(
+            K, Cb.ravel(order="F"), overwrite_a=True, overwrite_b=True
+        )
+        if info > 0:
+            raise SolvabilityError(
+                f"Kronecker system singular in the {branch} branch: "
+                f"U[{info - 1}, {info - 1}] is zero",
+                branch=branch,
+            )
+        solutions.append(sol.reshape((n, n), order="F"))
+    return tuple(_sum_diff(solutions, 0.5))
 
 
 def _ratio(num: float, den: float) -> float:

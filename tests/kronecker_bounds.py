@@ -4,8 +4,8 @@ import numpy as np
 
 
 def coupled_kronecker_matrix(p):
-    """The dense 2 n^2 matrix [[A_W, A_RS], [A_RS, A_W]] that Method I factors:
-    A_W = I kron W + W_right.T kron I and A_RS = I kron R + S.T kron I."""
+    """The dense 2 n^2 matrix [[A_W, A_RS], [A_RS, A_W]] of the coupled pair in
+    both unknowns: A_W = I kron W + W_right.T kron I and A_RS = I kron R + S.T kron I."""
     I = np.eye(p.size)
     W, R, S, W_right = (np.asarray(A, dtype=float) for A in (p.W, p.R, p.S, p.W_right))
     A_W = np.kron(I, W) + np.kron(W_right.T, I)

@@ -4,8 +4,9 @@
 so importing the package, checking the forcing certificate, running a
 reference trajectory (both branches diagonal) and evaluating its errors
 leave scipy unloaded; the Schur kernel and the Kronecker solver then load
-it on first use.  Each case runs in its own interpreter, so that every
-deferred import is taken cold.
+it on first use, and `run_table1` loads it before its first timed Method I
+row.  Each case runs in its own interpreter, so that every deferred import
+is taken cold.
 """
 
 import json
@@ -59,16 +60,33 @@ print(json.dumps(out))
 """
 
 
-@pytest.mark.parametrize("path", ["schur", "kronecker"])
-def test_scipy_is_loaded_only_by_the_schur_kernel_and_method_i(path):
+TABLE_SCRIPT = """
+import json, sys
+from epdsys.bench import RunConfig, run_table1
+
+run_table1(RunConfig(J=4, solver="sylvester"), J_list=(4,), repeats=1, csv_path="")
+out = {"sylvester_table_loads_scipy": "scipy" in sys.modules}
+(row,) = run_table1(RunConfig(J=4), J_list=(4,), repeats=1, csv_path="")
+out["time_I_ms"] = row.time_I_ms
+print(json.dumps(out))
+"""
+
+
+def fresh_interpreter(script, *args):
+    """The JSON object on the last line that `script` prints in a new interpreter."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, path],
+        [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=120, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("path", ["schur", "kronecker"])
+def test_scipy_is_loaded_only_by_the_schur_kernel_and_method_i(path):
+    out = fresh_interpreter(SCRIPT, path)
     assert out["after_import"] == []
     assert out["after_diagonal"] == []
     assert out["diagonal_residual"] <= 1e-13
@@ -77,3 +95,11 @@ def test_scipy_is_loaded_only_by_the_schur_kernel_and_method_i(path):
     if path == "schur":
         assert out["kernels"] == ["schur", "schur"]
     assert out["residual"] <= 1e-13
+
+
+def test_first_method_i_row_does_not_time_the_scipy_import():
+    # with repeats=1 the first Method I row is timed cold; importing
+    # scipy.linalg alone takes a few hundred ms, a J=4 run a few ms
+    out = fresh_interpreter(TABLE_SCRIPT)
+    assert not out["sylvester_table_loads_scipy"]
+    assert out["time_I_ms"] < 50

@@ -69,7 +69,7 @@ def test_diagonal_kernel_matches_schur_and_kronecker(n, seed, s, zero_rows):
     f = _factor([(L, R)])
     assert f.kernels == ("diagonal",)
     X = _solve(f, C[None], s)[0]
-    (X_schur,), _ = _solve_unshifted(_factor([(p.W, p.W_right)]), C[None])
+    (X_schur,) = _solve_unshifted(_factor([(p.W, p.W_right)]), C[None])
     X_kron, _ = kronecker_solve(p)
     scale = max(np.abs(X_kron).max(), 1.0)
     bound = agreement_bound(p)

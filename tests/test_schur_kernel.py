@@ -130,7 +130,9 @@ def test_shifted_factors_match_fresh_factorization_and_kronecker(n, seed, s):
 
     f = _factor([(L0, R0)])
     X = _solve(f, C[None], s)[0]
-    (X_fresh,), (margin_fresh,) = _solve_unshifted(_factor([(L0 + s * I, R0 + s * I)]), C[None])
+    fresh = _factor([(L0 + s * I, R0 + s * I)])
+    (X_fresh,) = _solve_unshifted(fresh, C[None])
+    margin_fresh = _margins(fresh, [0.0])[0][0, 0]
     X_kron, _ = kronecker_solve(p)
     scale = max(np.abs(X_kron).max(), 1.0)
     assert np.abs(X - X_fresh).max() / scale <= 1e-10

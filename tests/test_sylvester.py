@@ -18,6 +18,7 @@ from epdsys.sylvester import (
     solve_coupled,
     solve_sylvester,
 )
+from kronecker_bounds import coupled_kronecker_matrix
 
 
 def test_half_identity_coefficients_reduce_to_identity(rng):
@@ -108,10 +109,12 @@ def test_kronecker_size_guard(monkeypatch):
 
 
 def test_kronecker_byte_budget(monkeypatch):
-    # arithmetic only: the largest admitted size fits the budget, one more does not
+    # arithmetic only: the largest admitted size's branch system fits the
+    # budget, one more does not; the guard stays at J <= 74
     n = KRONECKER_MAX_SIZE
-    assert 8 * (2 * n * n) ** 2 <= KRONECKER_MAX_BYTES
-    assert 8 * (2 * (n + 1) ** 2) ** 2 > KRONECKER_MAX_BYTES
+    assert n == 76
+    assert 8 * (n * n) ** 2 <= KRONECKER_MAX_BYTES
+    assert 8 * ((n + 1) ** 2) ** 2 > KRONECKER_MAX_BYTES
 
     def no_allocation(*args, **kwargs):
         raise AssertionError("the guard must refuse before building the system")
@@ -123,18 +126,20 @@ def test_kronecker_byte_budget(monkeypatch):
 
 
 def test_kronecker_peak_memory_is_the_system_matrix(rng):
-    # the system is filled and factored in one 32 n^4-byte buffer: no kron
-    # temporaries, no block copy and no copy for LAPACK
+    # both branch systems are filled and factored in one 8 n^4-byte buffer:
+    # no kron temporaries, no second buffer and no copy for LAPACK
     n = 20
     T = TriDiagMatrix(rng.standard_normal(n - 1), 4.0 + rng.standard_normal(n), rng.standard_normal(n - 1))
     p = CoupledProblem(T, 0.1 * T, 0.1 * T.T, rng.standard_normal((n, n)), rng.standard_normal((n, n)), T.T)
+    # the first solve in a process imports scipy.linalg, which is not the solve's memory
+    kronecker_solve(p)
     tracemalloc.start()
     try:
         X, Y = kronecker_solve(p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 32 * n**4
+    assert peak <= 1.1 * 8 * n**4
     assert residual(p, (X, Y)) <= 1e-13
 
 
@@ -143,6 +148,38 @@ def test_singular_kronecker_system_is_named():
     Z = np.zeros((n, n))
     with pytest.raises(SolvabilityError, match="Kronecker system singular"):
         kronecker_solve(CoupledProblem(Z, Z, Z, np.ones((n, n)), np.ones((n, n))))
+
+
+def test_singular_difference_branch_is_named():
+    # W = R and W_right = S: the difference branch's system is exactly zero
+    I = np.eye(3)
+    M = np.ones((3, 3))
+    with pytest.raises(SolvabilityError, match="Kronecker system singular") as err:
+        kronecker_solve(CoupledProblem(I, I, I, M, -M))
+    assert err.value.branch == "diff"
+
+
+@pytest.mark.parametrize("banded", [False, True])
+def test_kronecker_solve_solves_the_coupled_kronecker_system(rng, banded):
+    # Method I solves the branches apart; its (X, Y) must solve the paper's
+    # 2 n^2 system in both unknowns
+    def coefficient(n, diag, scale):
+        if banded:
+            sub, sup = (scale * rng.standard_normal(n - 1) for _ in range(2))
+            return TriDiagMatrix(sub, diag + scale * rng.standard_normal(n), sup)
+        return diag * np.eye(n) + scale * rng.standard_normal((n, n))
+
+    for n in range(1, 9):
+        for _ in range(5):
+            W, Wr = coefficient(n, 4.0, 1.0), coefficient(n, 4.0, 1.0)
+            R, S = coefficient(n, 0.0, 0.4), coefficient(n, 0.0, 0.4)
+            C1, C2 = rng.standard_normal((2, n, n))
+            p = CoupledProblem(W, R, S, C1, C2, W_right=Wr)
+            X, Y = kronecker_solve(p)
+            K = coupled_kronecker_matrix(p)
+            x = np.concatenate([X.ravel(order="F"), Y.ravel(order="F")])
+            b = np.concatenate([C1.ravel(order="F"), C2.ravel(order="F")])
+            assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_oracle_equivalence_random(rng):
