@@ -62,6 +62,12 @@ def cmd_solve(args):
     ok, guard = cfl_guard(grid, config.alpha, opset)
     if not ok:
         print(f"warning: sufficient stability bound fails, 4*sigma*C_alpha = {guard:.3g}")
+    try:
+        bench_mod.check_forcing_certificate(config)
+    except EpdError as exc:
+        # bench and converge refuse such a config; solve runs it, but the
+        # forcing does not produce the exact pair that Er is measured against
+        print(f"warning: forcing certificate fails, Er is not a discretization error: {exc}")
     trajectory, reports = run(prob, grid, solver=solver, sing_policy=config.sing_policy)
     report = discrete_errors(trajectory, exact, grid)
     print(f"J={config.J} h={grid.h:.6g} l={grid.l:.6g} steps={grid.n_steps} "

@@ -23,6 +23,11 @@ from .exceptions import DegenerateExactError, InvalidSpecError
 COUPLED = "coupled"          # l = h*sqrt(h)
 INDEPENDENT = "independent"  # l given explicitly
 
+# Byte budget for the U/V trajectory that `stepper.run` keeps, 16 (n_steps + 1)
+# (J+2)^2 bytes: the reference J = 799 needs 2.6e9, and T = 1e9 at J = 9
+# (3.5e8 steps) is refused before any operator is built.
+MAX_TRAJECTORY_BYTES = 2**34
+
 
 @dataclasses.dataclass(frozen=True)
 class GridSpec:
@@ -44,9 +49,10 @@ class GridSpec:
     def mesh_steps(self) -> tuple[float, float]:
         """The space and time steps (h, l), after the checks of the spec.
 
-        Raises InvalidSpecError for an invalid spec, and for steps that are
-        not positive and finite or a last node L0 + (J+1) h that overflows
-        (a width L1 - L0 near the float range, an l that underflows).
+        Raises InvalidSpecError for an invalid spec, for steps that are not
+        positive and finite or a last node L0 + (J+1) h that overflows (a
+        width L1 - L0 near the float range, an l that underflows), and for a
+        trajectory above MAX_TRAJECTORY_BYTES.
         """
         if self.L1 <= self.L0:
             raise InvalidSpecError(f"need L1 > L0, got [{self.L0}, {self.L1}]")
@@ -64,6 +70,12 @@ class GridSpec:
         l = h * math.sqrt(h) if self.step_rule == COUPLED else float(self.l)
         if not (h > 0.0 and 0.0 < l < math.inf and math.isfinite(self.L0 + h * (self.J + 1))):
             raise InvalidSpecError(f"need finite nodes and mesh steps h, l > 0, got h={h}, l={l}")
+        trajectory_bytes = 16 * (self.n_steps + 1) * (self.J + 2) ** 2
+        if trajectory_bytes > MAX_TRAJECTORY_BYTES:
+            raise InvalidSpecError(
+                f"the trajectory of {self.n_steps} steps at J={self.J} would take "
+                f"{trajectory_bytes:,} bytes, above the budget {MAX_TRAJECTORY_BYTES:,}"
+            )
         return h, l
 
 

@@ -239,65 +239,56 @@ def neumann_second_difference(n: int) -> TriDiagMatrix:
     return TriDiagMatrix(sub=sub, diag=diag, sup=sup)
 
 
-def _axis_weights(coef: float, nodes: np.ndarray, singular: np.ndarray) -> np.ndarray:
-    """coef / node, zero at the singular nodes."""
+SING_ZERO = "zero"
+SING_LIMIT = "limit"
+
+
+def _gradient(coef: float, nodes: np.ndarray, singular: np.ndarray, h: float, sing_policy: str):
+    """The gradient matrix along the rows and its weights w_j = coef / x_j.
+
+    Row j carries +w_j above and -w_j below the diagonal; the boundary rows
+    stay zero, and w_j = 0 at the singular nodes, whose rows the 'limit'
+    policy fills with the stencil [2 coef/h, -4 coef/h, 2 coef/h].
+    """
+    n = nodes.size
     safe = nodes.copy()
     safe[singular] = 1.0
     weights = coef / safe
     weights[singular] = 0.0
-    return weights
-
-
-SING_ZERO = "zero"
-SING_LIMIT = "limit"
+    sub = np.zeros(n - 1)
+    diag = np.zeros(n)
+    sup = np.zeros(n - 1)
+    sup[1:] = weights[1:-1]       # M[j, j+1], j = 1..n-2
+    sub[:-1] = -weights[1:-1]     # M[j, j-1]
+    if sing_policy == SING_LIMIT:
+        c = 2.0 * coef / h
+        for j in singular:
+            if 0 < j < n - 1:
+                sup[j] = c
+                sub[j - 1] = c
+                diag[j] = -2.0 * c
+    return TriDiagMatrix(sub=sub, diag=diag, sup=sup), weights
 
 
 def build_operator_set(
     grid: Grid, lam: float, gamma: float, sing_policy: str = SING_LIMIT
 ) -> OperatorSet:
-    """Assemble A, Theta, Lambda on the given grid."""
+    """Assemble A, Theta, Lambda on the given grid.
+
+    Theta is the gradient along x with weights lam / x_j, and Lambda, which
+    multiplies from the right, the transpose of the gradient along y with
+    weights gamma / y_m.
+    """
     if not (np.isfinite(lam) and np.isfinite(gamma)):
         raise InvalidSpecError("lam and gamma must be finite")
     if sing_policy not in (SING_ZERO, SING_LIMIT):
         raise InvalidSpecError(f"unknown sing_policy {sing_policy!r}")
-    n = grid.size
-    A = neumann_second_difference(n)
-
-    lam_j = _axis_weights(lam, grid.nodes_x, grid.singular_x)
-    gam_m = _axis_weights(gamma, grid.nodes_y, grid.singular_y)
-
-    # Theta row j: +lam_j above, -lam_j below; boundary rows stay zero.
-    theta_sup = np.zeros(n - 1)
-    theta_sub = np.zeros(n - 1)
-    theta_diag = np.zeros(n)
-    theta_sup[1:] = lam_j[1:-1]       # Theta[j, j+1], j = 1..n-2
-    theta_sub[:-1] = -lam_j[1:-1]     # Theta[j, j-1]
-
-    # Lambda column m: +gam_m below, -gam_m above; boundary columns stay zero.
-    lam_sub = np.zeros(n - 1)
-    lam_sup = np.zeros(n - 1)
-    lam_diag = np.zeros(n)
-    lam_sub[1:] = gam_m[1:-1]         # Lambda[m+1, m], m = 1..n-2
-    lam_sup[:-1] = -gam_m[1:-1]       # Lambda[m-1, m]
-
-    if sing_policy == SING_LIMIT:
-        c_x = 2.0 * lam / grid.h
-        for j in grid.singular_x:
-            if 0 < j < n - 1:
-                theta_sup[j] = c_x
-                theta_sub[j - 1] = c_x
-                theta_diag[j] = -2.0 * c_x
-        c_y = 2.0 * gamma / grid.h
-        for m in grid.singular_y:
-            if 0 < m < n - 1:
-                lam_sub[m] = c_y
-                lam_sup[m - 1] = c_y
-                lam_diag[m] = -2.0 * c_y
-
-    Theta = TriDiagMatrix(sub=theta_sub, diag=theta_diag, sup=theta_sup)
-    Lam = TriDiagMatrix(sub=lam_sub, diag=lam_diag, sup=lam_sup)
-
-    return OperatorSet(A=A, Theta=Theta, Lambda=Lam, lam_j=lam_j, gam_m=gam_m)
+    Theta, lam_j = _gradient(lam, grid.nodes_x, grid.singular_x, grid.h, sing_policy)
+    Lambda_T, gam_m = _gradient(gamma, grid.nodes_y, grid.singular_y, grid.h, sing_policy)
+    return OperatorSet(
+        A=neumann_second_difference(grid.size), Theta=Theta, Lambda=Lambda_T.T,
+        lam_j=lam_j, gam_m=gam_m,
+    )
 
 
 def step_shift(grid: Grid, n: int, a: float) -> float:

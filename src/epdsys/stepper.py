@@ -18,9 +18,11 @@ stored form of the step operator (`StepOperators.bands`).
 
 `run` builds the step operators and the solve plan once, seeds levels 0
 and 1 through `init_levels` (exact pair or Taylor expansion), and calls
-`step` per level; the damping shift c_n = l a / (2 t_n) is the only
-coefficient computed per step.  Every callable of the problem (forcing,
-exact pair, Taylor data) is sampled by `grid.sample`.  Each level is
+`step` per level.  The damping shift c_n = l a / (2 t_n) is the only
+coefficient that changes from step to step; the plan computes and checks
+all of them once (`sylvester.SolvePlan.shifts`), and step n reads row n - 1.
+Every callable of the problem (forcing, exact pair, Taylor data) is
+sampled by `grid.sample`.  Each level is
 carried in the branch variables Z+- = U +- V with its banded image K(Z)
 (`StepOperators.image`), computed once when the level is formed, and its
 source (nonlinearity and forcing) is computed once: every banded operator
@@ -45,7 +47,7 @@ from .operators import (
     BRANCH_SIGNS, SING_LIMIT, OperatorSet, StepOperators, TriDiagMatrix, _sum_diff,
     assemble_step_operators, build_operator_set, step_shift,
 )
-from .sylvester import CoupledProblem, _Factors, _factor, _margins, _ratio, _solve, kronecker_solve
+from .sylvester import CoupledProblem, SolvePlan, _factor, _ratio, _solve, kronecker_solve
 
 SOLVER_SYLVESTER = "sylvester"
 SOLVER_KRONECKER = "kronecker"
@@ -119,61 +121,25 @@ def _power(own: np.ndarray, other: np.ndarray, expo: float) -> np.ndarray:
     return np.abs(own) ** (expo - 1.0) * other
 
 
-@dataclasses.dataclass(frozen=True)
-class SolvePlan:
-    """Branch factors shared by the steps of a run, and their checked margins.
-
-    `factors` factor the shift-free pair (I/2 - alpha sigma K,
-    I/2 - alpha sigma K') of each branch's bands (`StepOperators.bands`) as
-    one two-slice stack, in BRANCH_SIGNS order; the Sylvester path solves
-    step n with them shifted by +c_n and -c_n, and Method I reads its U/V
-    coefficients off the same pairs.  A branch whose two coefficients are
-    diagonally similar to symmetric tridiagonals takes the "diagonal" kernel
-    (one eigendecomposition per side, then four batched GEMMs and an
-    entrywise division per step for the stack); any other branch takes the
-    "schur" kernel (real Schur forms, trsyl per step on its slice).
-    `kernels` names them; on the reference grid (axis node, limit policy)
-    the sum branch is diagonal for lam, gamma < 1 and the difference branch
-    for lam, gamma < 1/2.
-    `margins` is the (n_steps - 1, 2) array of the (sum, diff) margins of
-    every step, row n - 1 for step n, all of them above the solvability
-    floor; both solvers report these.  `attaining` is the (n_steps - 1, 2, 2)
-    complex array of the shifted eigenvalue pairs (lam, mu) that attain
-    them.  `factor_time` is the wall time of the factorization.
-    """
-
-    factors: _Factors
-    margins: np.ndarray
-    attaining: np.ndarray
-    factor_time: float
-
-    @property
-    def kernels(self) -> tuple[str, str]:
-        """The (sum, diff) solve kernels: "diagonal" or "schur"."""
-        return self.factors.kernels
-
-    def min_margin(self) -> tuple[float, int, str]:
-        """The smallest margin, with its step and branch; a tie goes to the
-        earliest step, then to "diff" before "sum"."""
-        diff_first = self.margins[:, ::-1]
-        k, b = np.unravel_index(np.argmin(diff_first), diff_first.shape)
-        return float(diff_first[k, b]), int(k) + 1, ("diff", "sum")[b]
-
-
 def plan_solves(ops: StepOperators, grid: Grid, a: float) -> SolvePlan:
-    """Factor the shift-free branch pairs once and check every step's margin.
+    """The run's `SolvePlan`: the shift-free branch pairs factored once and
+    checked at every step's shift c_n, row n - 1 for step n.
 
+    Each branch's pair is (I/2 - alpha sigma K, I/2 - alpha sigma K') of its
+    bands (`StepOperators.bands`), in BRANCH_SIGNS order; Method I reads its
+    U/V coefficients off the same pairs.  On the reference grid (axis node,
+    limit policy) the sum branch takes the diagonal kernel for lam, gamma < 1
+    and the difference branch for lam, gamma < 1/2, else the Schur kernel.
     Raises SolvabilityError naming the first failing step, its branch and
     its eigenvalue pair before any solve.
     """
-    t_start = time.perf_counter()
     half = TriDiagMatrix.identity(grid.size, 0.5)
     w = ops.implicit_weight
-    factors = _factor([(half - w * K, half - w * Kr) for K, Kr in ops.bands], tuple(BRANCH_SIGNS))
-    factor_time = time.perf_counter() - t_start
     steps = range(1, grid.n_steps)
-    margins, attaining = _margins(factors, [step_shift(grid, n, a) for n in steps], steps)
-    return SolvePlan(factors, margins, attaining, factor_time)
+    return _factor(
+        [(half - w * K, half - w * Kr) for K, Kr in ops.bands], tuple(BRANCH_SIGNS),
+        [step_shift(grid, n, a) for n in steps], steps,
+    )
 
 
 def init_levels(prob: ProblemDef, grid: Grid, ops: StepOperators):
@@ -329,10 +295,11 @@ def step(
 
     `levels` holds the levels (n, n-1) and `source_m` the `level_source` of
     level n-1.  The step computes the source of level n and returns it with
-    the new level and its image, for steps n+1 and n+2.  The Sylvester path
-    solves the branches with the factors of `plan` shifted by +-c_n.  The
-    Kronecker path solves the dense U/V system whose coefficients it reads
-    off the same factored pairs (L+-, R+-): W = (L+ + L-)/2,
+    the new level and its image, for steps n+1 and n+2.  The step's shift
+    c_n is row n - 1 of the plan's checked shifts, and the Sylvester path
+    solves the branches at that row, shifted by +-c_n.  The Kronecker path
+    solves the dense U/V system whose coefficients it reads off the same
+    factored pairs (L+-, R+-): W = (L+ + L-)/2,
     R = c_n I + (L+ - L-)/2, W' = (R+ + R-)/2 and S = c_n I + (R+ - R-)/2.
     Both report the plan's margins for step n and the residual of the
     branch equations (`_step_residual`), which on the Kronecker path checks
@@ -340,16 +307,16 @@ def step(
     """
     _check_solver(solver)
     t_start = time.perf_counter()
-    c = step_shift(grid, n, prob.a)
+    c = float(plan.shifts[n - 1])
     source = level_source(prob, grid, levels[0].state)
     C = assemble_rhs(levels, (source, source_m), ops, c)
     rhs_time = time.perf_counter() - t_start
     t_solve = time.perf_counter()
     if solver == SOLVER_SYLVESTER:
-        Z = _solve(plan.factors, C, c)
+        Z = _solve(plan, C, n - 1)
         X, Y = _sum_diff(Z, 0.5)
     else:
-        (Ls, Rs), (Ld, Rd) = ((pair.L, pair.R) for pair in plan.factors.pairs)
+        (Ls, Rs), (Ld, Rd) = ((pair.L, pair.R) for pair in plan.pairs)
         I_c = TriDiagMatrix.identity(grid.size, c)
         C1, C2 = _sum_diff(C, 0.5)
         X, Y = kronecker_solve(CoupledProblem(

@@ -3,13 +3,13 @@
 The production path solves stacks of equations L_b X_b + X_b R_b = C_b,
 b over a stack of one (a single equation) or two (the branches of a coupled
 pair), in two parts.  `_factor` writes L_b = VL_b TL_b VL_b^-1 and R_b =
-VR_b TR_b VR_b^-1 once, keeping the transforms as (B, n, n) stacks, with the
-spectra of the cores and the Frobenius norm data of L_b and R_b.  `_solve`
-then solves the stack shifted by s_b = signs[b] c, (L_b + s_b I) X_b + X_b
-(R_b + s_b I) = C_b, for any scalar c: the factors do not move, so it
-transforms the whole stack to VL^-1 C VR in two batched products, solves
-the core equations with TL_b + s_b I and TR_b + s_b I, and transforms back
-in two more.  There are two kernels, chosen per pair:
+VR_b TR_b VR_b^-1 once, keeping the transforms as (B, n, n) stacks, and
+checks every shift c_k the stack will be solved at: a `SolvePlan`.  `_solve`
+then solves row k, shifted by s_b = signs[b] c_k, (L_b + s_b I) X_b + X_b
+(R_b + s_b I) = C_b: the factors do not move, so it transforms the whole
+stack to VL^-1 C VR in two batched products, solves the core equations with
+TL_b + s_b I and TR_b + s_b I, and transforms back in two more.  There are
+two kernels, chosen per pair:
 
   diagonal  when L and R are both TriDiagMatrix objects diagonally similar
             to a symmetric tridiagonal (every off-diagonal pair has
@@ -24,11 +24,10 @@ in two more.  There are two kernels, chosen per pair:
             for complex-conjugate pairs) and LAPACK trsyl on its own slice.
 
 The solvability margin min |lam_i + mu_j + 2 s_b| is read off the cached
-spectra and checked against DENOM_RTOL before a solve, never inside it;
-`_margins` does so for every shift of a schedule at once, in O(n log n) per
-shift on the diagonal kernel.  The stepper factors the shift-free branch
-pairs once per run and checks every step's shift before the first solve;
-the standalone solvers below factor, check and solve at shift 0.
+spectra and checked against DENOM_RTOL when the plan is made, never in a
+solve; `_margins` does so for every shift at once, in O(n log n) per shift
+on the diagonal kernel.  The stepper's plan holds every step's shift c_n;
+the standalone solvers below plan and solve at shift 0.
 
 The coupled pair
 
@@ -56,6 +55,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -173,7 +173,7 @@ class _Pair:
     spectra (TL and TR are None); the "schur" kernel keeps the
     quasi-triangular cores for trsyl.  L + s I = VL (TL + s I) VL^-1
     (likewise R), so the spectra move by s and ||L + s I||_F^2 = ||L||_F^2
-    + 2 s tr L + n s^2.  The transforms live in the stack (`_Factors`).
+    + 2 s tr L + n s^2.  The transforms live in the stack (`SolvePlan`).
     """
 
     L: np.ndarray | TriDiagMatrix  # the pair as given, banded or not
@@ -192,15 +192,17 @@ class _Pair:
 
 
 @dataclasses.dataclass(frozen=True)
-class _Factors:
-    """A stack of factored pairs (L_b, R_b), reusable for every shift c.
+class SolvePlan:
+    """A factored stack of pairs (L_b, R_b) and the checked shifts it is solved at.
 
-    Pair b is solved shifted by signs[b] c on both sides: +1 for a single
-    equation and for the sum branch, -1 for the difference branch
+    Row k solves pair b shifted by signs[b] shifts[k] on both sides: +1 for
+    a single equation and for the sum branch, -1 for the difference branch
     (`BRANCH_SIGNS`).  VL, VL_inv, VR and VR_inv are (B, n, n) stacks, and
     `sums` holds lam_i + mu_j of the diagonal pairs (zero on a Schur pair's
     slice).  `diagonal` indexes the diagonal slices (all of them as one
-    slice when no pair is Schur) and `schur` lists the others.
+    slice when no pair is Schur) and `schur` lists the others.  `margins`
+    (K, B) holds every row's margins, all above the solvability floor, and
+    `attaining` (K, B, 2) the shifted eigenvalue pairs that attain them.
     """
 
     pairs: tuple[_Pair, ...]
@@ -212,10 +214,22 @@ class _Factors:
     sums: np.ndarray
     diagonal: slice | list[int]
     schur: tuple[int, ...]
+    shifts: np.ndarray
+    margins: np.ndarray
+    attaining: np.ndarray
+    factor_time: float
 
     @property
     def kernels(self) -> tuple[str, ...]:
+        """The solve kernel of each pair: "diagonal" or "schur"."""
         return tuple(pair.kernel for pair in self.pairs)
+
+    def min_margin(self) -> tuple[float, int, str]:
+        """The smallest margin, its step (row + 1) and branch; a tie goes to
+        the earliest step, then to "diff" before "sum"."""
+        later_first = self.margins[:, ::-1]
+        k, b = np.unravel_index(np.argmin(later_first), later_first.shape)
+        return float(later_first[k, b]), int(k) + 1, self.pairs[-1 - b].branch
 
 
 def _norm2_trace(M) -> tuple[float, float]:
@@ -279,12 +293,15 @@ def _factor_pair(L, R, branch):
     return pair, (QL, QL.T, QR, QR.T)
 
 
-def _factor(pairs, branches=(None,)) -> _Factors:
-    """Factor the pairs ((L, R), ...) once, as one stack, for every shift.
+def _factor(pairs, branches=(None,), shifts=(0.0,), steps=None) -> SolvePlan:
+    """Factor the pairs ((L, R), ...) once, as one stack, and check it at
+    every shift of `shifts`.
 
     A named branch is shifted with its sign in `BRANCH_SIGNS`, an unnamed
-    pair (a single equation) by +1.
+    pair (a single equation) by +1.  Raises SolvabilityError (`_margins`)
+    before anything is solved.
     """
+    t_start = time.perf_counter()
     factored = [_factor_pair(L, R, branch) for (L, R), branch in zip(pairs, branches)]
     records = tuple(pair for pair, _ in factored)
     VL, VL_inv, VR, VR_inv = (np.stack(V) for V in zip(*(V for _, V in factored)))
@@ -294,11 +311,15 @@ def _factor(pairs, branches=(None,)) -> _Factors:
             np.add(pair.lams[:, None], pair.mus[None, :], out=sums[b])
     schur = tuple(b for b, pair in enumerate(records) if pair.kernel == "schur")
     signs = np.array([BRANCH_SIGNS.get(branch, 1.0) for branch in branches])
-    return _Factors(
+    factor_time = time.perf_counter() - t_start
+    shifts = np.array(shifts, dtype=float)
+    shifts.flags.writeable = False  # a solve runs only at the shifts checked here
+    margins, attaining = _margins(records, signs, shifts, steps)
+    return SolvePlan(
         pairs=records, signs=signs[:, None, None], VL=VL, VL_inv=VL_inv, VR=VR,
         VR_inv=VR_inv, sums=sums,
         diagonal=[b for b in range(len(records)) if b not in schur] if schur else slice(None),
-        schur=schur,
+        schur=schur, shifts=shifts, margins=margins, attaining=attaining, factor_time=factor_time,
     )
 
 
@@ -345,8 +366,8 @@ def _shifted_minima(pair: _Pair, s: np.ndarray):
     return margin, attaining
 
 
-def _margins(F: _Factors, cs, steps=None):
-    """The margins min |lam_i + mu_j| of every pair of the stack shifted by
+def _margins(pairs, signs, cs, steps=None):
+    """The margins min |lam_i + mu_j| of every pair b of `pairs` shifted by
     signs[b] c, for each c of `cs`: a (K, B) array, and the attaining
     shifted eigenvalue pairs as a (K, B, 2) complex array.
 
@@ -354,12 +375,11 @@ def _margins(F: _Factors, cs, steps=None):
     margin is below DENOM_RTOL times the norm of its shifted coefficients,
     naming the pair, the branch and, when `steps` labels the shifts, the step.
     """
-    cs = np.asarray(cs, dtype=float)
-    n = F.VL.shape[-1]
-    margins = np.empty((cs.size, len(F.pairs)))
-    attaining = np.empty((cs.size, len(F.pairs), 2), dtype=complex)
+    margins = np.empty((cs.size, len(pairs)))
+    attaining = np.empty((cs.size, len(pairs), 2), dtype=complex)
     floors = np.empty_like(margins)
-    for b, (pair, sign) in enumerate(zip(F.pairs, F.signs.ravel())):
+    for b, (pair, sign) in enumerate(zip(pairs, signs)):
+        n = pair.lams.size
         s = sign * cs
         margins[:, b], attaining[:, b] = _shifted_minima(pair, s)
         scale2 = np.maximum(
@@ -369,7 +389,7 @@ def _margins(F: _Factors, cs, steps=None):
     failing = np.argwhere(margins < floors)
     if failing.size:
         k, b = failing[0]
-        branch = F.pairs[b].branch
+        branch = pairs[b].branch
         step = None if steps is None else steps[k]
         where = _CONTEXT[branch] if step is None else f"step {step}: {_CONTEXT[branch]}"
         lam, mu = attaining[k, b]
@@ -383,23 +403,24 @@ def _margins(F: _Factors, cs, steps=None):
     return margins, attaining
 
 
-def _solve(F: _Factors, C: np.ndarray, c: float) -> np.ndarray:
+def _solve(plan: SolvePlan, C: np.ndarray, k: int) -> np.ndarray:
     """The stack X solving (L_b + s_b I) X_b + X_b (R_b + s_b I) = C_b for
-    every pair b, with s_b = signs[b] c, from the factors of the stack.
+    every pair b, with s_b = signs[b] shifts[k], at row k of the plan's
+    checked shifts.
 
     With Z = VL^-1 X VR the equations become (TL + s I) Z + Z (TR + s I) =
     VL^-1 C VR: two batched products each way over the stack, one
     entrywise division by lam_i + mu_j + 2 s_b over the diagonal slices and
-    LAPACK trsyl on a Schur pair's slice.  It does not check the margins:
-    callers do that once, before solving.
+    LAPACK trsyl on a Schur pair's slice.
     """
-    Z = F.VL_inv @ C @ F.VR
-    d = F.diagonal
-    Z[d] /= F.sums[d] + (2.0 * c) * F.signs[d]
-    if F.schur:
+    c = plan.shifts[k]
+    Z = plan.VL_inv @ C @ plan.VR
+    d = plan.diagonal
+    Z[d] /= plan.sums[d] + (2.0 * c) * plan.signs[d]
+    if plan.schur:
         import scipy.linalg
-    for b in F.schur:
-        pair, s = F.pairs[b], c * F.signs[b, 0, 0]
+    for b in plan.schur:
+        pair, s = plan.pairs[b], c * plan.signs[b, 0, 0]
         TL, TR = pair.TL.copy(order="F"), pair.TR.copy(order="F")
         TL[np.diag_indices_from(TL)] += s
         TR[np.diag_indices_from(TR)] += s
@@ -409,18 +430,12 @@ def _solve(F: _Factors, C: np.ndarray, c: float) -> np.ndarray:
                 f"{_CONTEXT[pair.branch]}: trsyl rejected argument {-info}", branch=pair.branch
             )
         Z[b] = Zb / factor
-    return F.VL @ Z @ F.VR_inv
-
-
-def _solve_unshifted(F: _Factors, C: np.ndarray) -> np.ndarray:
-    """Check the margins of the factored stack at shift 0, then solve it."""
-    _margins(F, [0.0])
-    return _solve(F, C, 0.0)
+    return plan.VL @ Z @ plan.VR_inv
 
 
 def solve_sylvester(p: SylvesterProblem) -> np.ndarray:
     """Solve L X + X R = C; raises SolvabilityError on (near-)common spectra."""
-    return _solve_unshifted(_factor([(p.L, p.R)]), p.C[None])[0]
+    return _solve(_factor([(p.L, p.R)]), p.C[None], 0)[0]
 
 
 def _branch_pairs(W, R, S, W_right) -> tuple:
@@ -430,8 +445,8 @@ def _branch_pairs(W, R, S, W_right) -> tuple:
 
 def solve_coupled(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
     """Solve the coupled pair by sum/difference decoupling."""
-    F = _factor(_branch_pairs(p.W, p.R, p.S, p.W_right), tuple(BRANCH_SIGNS))
-    return tuple(_sum_diff(_solve_unshifted(F, _sum_diff((p.C1, p.C2))), 0.5))
+    plan = _factor(_branch_pairs(p.W, p.R, p.S, p.W_right), tuple(BRANCH_SIGNS))
+    return tuple(_sum_diff(_solve(plan, _sum_diff((p.C1, p.C2)), 0), 0.5))
 
 
 def kronecker_solve(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:

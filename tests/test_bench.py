@@ -21,7 +21,7 @@ from epdsys.bench import (
     run_convergence,
     run_table1,
 )
-from epdsys.exceptions import ConfigError, InvalidSpecError, ResonanceError
+from epdsys.exceptions import ConfigError, EpdError, InvalidSpecError, ResonanceError
 from epdsys.grid import build_grid
 
 
@@ -324,6 +324,19 @@ def test_run_table1_rejects_no_repeats_before_the_certificate(monkeypatch):
     monkeypatch.setattr(epdsys.bench, "check_forcing_certificate", refuse)
     with pytest.raises(InvalidSpecError, match="need repeats >= 1, got 0"):
         run_table1(RunConfig(J=4), J_list=(4,), repeats=0, csv_path="")
+
+
+@pytest.mark.parametrize(
+    "study", [lambda c: run_table1(c, J_list=(4,), repeats=1, csv_path=""), run_convergence],
+    ids=["run_table1", "run_convergence"],
+)
+def test_failing_certificate_is_refused_before_any_run(monkeypatch, study):
+    # a = 1.3 is off the family a = 3/2 + 4 lambda on which the forcing is exact
+    runs = []
+    monkeypatch.setattr(epdsys.bench, "run", lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(EpdError, match="forcing certificate failed"):
+        study(RunConfig(J=4, a=1.3))
+    assert runs == []
 
 
 def test_run_table1_solver_failure_recorded_not_raised(monkeypatch):

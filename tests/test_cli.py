@@ -61,6 +61,37 @@ def test_solve_bad_mesh_or_window_is_error_before_any_operator(
     assert operator_builds == []
 
 
+def test_solve_refuses_a_trajectory_above_the_memory_budget(config_file, operator_builds, capsys):
+    # T = 1e9 at J = 9 asks for 3.5e8 steps: refused at once, not run for hours
+    assert main(["solve", config_file("J = 9\nT = 1e9\n")]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: the trajectory of 353553391 steps at J=9 would take ")
+    assert operator_builds == []
+
+
+@pytest.mark.parametrize(
+    "text, warns",
+    [("J = 9\nsolver = sylvester\nlambda = 1.5\ngamma = 1.5\n", True), ("J = 9\n", False)],
+    ids=["off-family", "reference"],
+)
+def test_solve_warns_when_the_forcing_certificate_fails(config_file, capsys, text, warns):
+    # off the family a = 3/2 + 4 lambda the forcing does not produce the exact
+    # pair; solve still runs (exit 0), as bench and converge would not
+    assert main(["solve", config_file(text)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert ("warning: forcing certificate fails" in out) == warns
+    assert "Er=" in out
+
+
+def test_validate_failure_exits_2(config_file, capsys):
+    # a = 1.3 is off the manufactured family: only the certificate fails
+    assert main(["validate", config_file("J = 9\na = 1.3\n")]) == EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert "FAIL forcing certificate: " in out
+    assert out.count("FAIL ") == 1
+    assert out.rstrip().endswith("1 validation failure(s)")
+
+
 @pytest.mark.parametrize("argv", [["bench", "--J", "4,-3"], ["converge", "--J", "24,0"]])
 def test_bad_grid_size_fails_before_the_first_run(
     config_file, monkeypatch, operator_builds, capsys, argv

@@ -21,12 +21,10 @@ from epdsys.stepper import plan_solves, run
 from epdsys.sylvester import (
     CoupledProblem,
     _factor,
-    _margins,
     _min_pair_sum,
     _Pair,
     _shifted_minima,
     _solve,
-    _solve_unshifted,
     kronecker_solve,
     solvability_margin,
 )
@@ -66,10 +64,10 @@ def test_diagonal_kernel_matches_schur_and_kronecker(n, seed, s, zero_rows):
     p = shifted_problem(L, R, C, s)
     assume(solvability_margin(p.W, p.R, p.S, p.W_right) > 1e-6)
 
-    f = _factor([(L, R)])
+    f = _factor([(L, R)], shifts=[s])
     assert f.kernels == ("diagonal",)
-    X = _solve(f, C[None], s)[0]
-    (X_schur,) = _solve_unshifted(_factor([(p.W, p.W_right)]), C[None])
+    X = _solve(f, C[None], 0)[0]
+    (X_schur,) = _solve(_factor([(p.W, p.W_right)]), C[None], 0)
     X_kron, _ = kronecker_solve(p)
     scale = max(np.abs(X_kron).max(), 1.0)
     bound = agreement_bound(p)
@@ -85,9 +83,9 @@ def test_diagonal_margin_matches_solvability_margin(n, seed, s):
     p = shifted_problem(L, R, np.eye(n), s)
     reference = solvability_margin(p.W, p.R, p.S, p.W_right)
     assume(reference > 1e-6)
-    f = _factor([(L, R)])
+    f = _factor([(L, R)], shifts=[s])
     assert f.kernels == ("diagonal",)
-    assert _margins(f, [s])[0][0, 0] == pytest.approx(reference, rel=1e-10)
+    assert f.margins[0, 0] == pytest.approx(reference, rel=1e-10)
 
 
 def clustered_spectrum(rng, size, centres):
@@ -149,11 +147,11 @@ def test_one_row_off_the_condition_takes_the_schur_kernel(n, seed, row, s, flaw)
     p = shifted_problem(L, R, C, s)
     assume(solvability_margin(p.W, p.R, p.S, p.W_right) > 1e-6)
 
-    f = _factor([(L, R)])
+    f = _factor([(L, R)], shifts=[s])
     assert f.kernels == ("schur",)
     X_kron, _ = kronecker_solve(p)
     scale = max(np.abs(X_kron).max(), 1.0)
-    assert np.abs(_solve(f, C[None], s)[0] - X_kron).max() / scale <= agreement_bound(p)
+    assert np.abs(_solve(f, C[None], 0)[0] - X_kron).max() / scale <= agreement_bound(p)
 
 
 def test_dense_coefficients_take_the_schur_kernel(rng):

@@ -88,7 +88,7 @@ def test_axis_node_limit_policy():
 def factored_pairs(grid, lam, alpha, a=0.0):
     """The (sum, diff) pairs (L, R) that the plan factors, as TriDiagMatrix objects."""
     ops = assemble_step_operators(build_operator_set(grid, lam, lam), grid, alpha)
-    return [(f.L, f.R) for f in plan_solves(ops, grid, a).factors.pairs]
+    return [(f.L, f.R) for f in plan_solves(ops, grid, a).pairs]
 
 
 def test_w_alpha_degenerate_alpha_zero():

@@ -24,9 +24,7 @@ from epdsys.sylvester import (
     SylvesterProblem,
     _branch_pairs,
     _factor,
-    _margins,
     _solve,
-    _solve_unshifted,
     kronecker_solve,
     residual,
     solvability_margin,
@@ -63,9 +61,10 @@ def has_2x2_block(M):
     return bool(np.any(np.diag(T, -1) != 0.0))
 
 
-def coupled_factors(W, R, S, W_right):
-    """The factors `solve_coupled` takes of the (sum, diff) pairs (W + s R, Wr + s S)."""
-    return _factor(_branch_pairs(W, R, S, W_right), tuple(BRANCH_SIGNS))
+def coupled_factors(W, R, S, W_right, shifts=(0.0,)):
+    """The plan `solve_coupled` makes of the (sum, diff) pairs (W + s R, Wr + s S),
+    at `shifts` (`solve_coupled` takes shift 0)."""
+    return _factor(_branch_pairs(W, R, S, W_right), tuple(BRANCH_SIGNS), shifts)
 
 
 def coupled_from_branches(sum_left, sum_right, diff_left, diff_right, C1, C2):
@@ -88,7 +87,7 @@ def test_complex_pair_coupled_solve_matches_kronecker(n, seed):
     assume(reference > 1e-6)
 
     X1, Y1 = solve_coupled(p)
-    margin = _margins(coupled_factors(p.W, p.R, p.S, p.W_right), [0.0])[0].min()
+    margin = coupled_factors(p.W, p.R, p.S, p.W_right).margins.min()
     assert margin == pytest.approx(reference, rel=1e-10)
     X2, Y2 = kronecker_solve(p)
     scale = max(np.abs(X2).max(), np.abs(Y2).max(), 1.0)
@@ -128,16 +127,16 @@ def test_shifted_factors_match_fresh_factorization_and_kronecker(n, seed, s):
     p = CoupledProblem(W=L0 + s * I, R=Z, S=Z, C1=C, C2=C, W_right=R0 + s * I)
     assume(solvability_margin(p.W, p.R, p.S, p.W_right) > 1e-6)
 
-    f = _factor([(L0, R0)])
-    X = _solve(f, C[None], s)[0]
+    f = _factor([(L0, R0)], shifts=[s])
+    X = _solve(f, C[None], 0)[0]
     fresh = _factor([(L0 + s * I, R0 + s * I)])
-    (X_fresh,) = _solve_unshifted(fresh, C[None])
-    margin_fresh = _margins(fresh, [0.0])[0][0, 0]
+    (X_fresh,) = _solve(fresh, C[None], 0)
+    margin_fresh = fresh.margins[0, 0]
     X_kron, _ = kronecker_solve(p)
     scale = max(np.abs(X_kron).max(), 1.0)
     assert np.abs(X - X_fresh).max() / scale <= 1e-10
     assert np.abs(X - X_kron).max() / scale <= 1e-10
-    assert _margins(f, [s])[0][0, 0] == pytest.approx(margin_fresh, rel=1e-10)
+    assert f.margins[0, 0] == pytest.approx(margin_fresh, rel=1e-10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,9 +151,9 @@ def test_shifted_coupled_margins_match_fresh_factorization(n, seed, c):
         solvability_margin(W - R, np.zeros((n, n)), np.zeros((n, n)), Wr - S),
     )
     assume(min(reference) > 1e-6)
-    shifted = tuple(_margins(coupled_factors(W, R0, S0, Wr), [c])[0][0])
+    shifted = tuple(coupled_factors(W, R0, S0, Wr, [c]).margins[0])
     assert shifted == pytest.approx(reference, rel=1e-10)
-    margin = _margins(coupled_factors(W, R, S, Wr), [0.0])[0].min()
+    margin = coupled_factors(W, R, S, Wr).margins.min()
     assert margin == pytest.approx(min(reference), rel=1e-10)
 
 
@@ -167,10 +166,9 @@ def test_shift_onto_a_pair_is_named(n, seed, step):
     re1, re2, im = rng.standard_normal(), rng.standard_normal(), 0.5 + rng.random()
     L0 = with_complex_pairs(rng, n, first_pair=(re1, im))
     R0 = with_complex_pairs(rng, n, first_pair=(re2, im))
-    f = _factor([(L0, R0)], ("diff",))
     s = -0.5 * (re1 + re2)
     with pytest.raises(SolvabilityError) as err:
-        _margins(f, [-s], [step])  # the difference branch is shifted by -c
+        _factor([(L0, R0)], ("diff",), [-s], [step])  # the difference branch is shifted by -c
     assert err.value.branch == "diff"
     assert err.value.step == step
     # the pair is named as eigenvalues of the shifted coefficients
@@ -198,15 +196,15 @@ def test_mixed_kernel_stack_matches_kronecker_and_single_solves(seed, J, lam, ga
     n, w = grid.size, 0.25 * grid.sigma
     W = 0.5 * TriDiagMatrix.identity(n) - w * opset.A
     kTheta, kLambda = (w * grid.h) * opset.Theta, (w * grid.h) * opset.Lambda
-    F = coupled_factors(W, -1.0 * kTheta, -1.0 * kLambda, W.T)
-    assert F.kernels == ("diagonal", "schur")
     I_c = TriDiagMatrix.identity(n, c)
     C1, C2 = rng.standard_normal((2, n, n))
     p = CoupledProblem(W=W, R=I_c - kTheta, S=I_c - kLambda, C1=C1, C2=C2, W_right=W.T)
     assume(solvability_margin(p.W, p.R, p.S, p.W_right) > 1e-6)
+    F = coupled_factors(W, -1.0 * kTheta, -1.0 * kLambda, W.T, [c])
+    assert F.kernels == ("diagonal", "schur")
 
     C = np.stack((C1 + C2, C1 - C2))
-    Z = _solve(F, C, c)
+    Z = _solve(F, C, 0)
     X_kron, Y_kron = kronecker_solve(p)
     scale = max(np.abs(X_kron).max(), np.abs(Y_kron).max(), 1.0)
     X, Y = 0.5 * (Z[0] + Z[1]), 0.5 * (Z[0] - Z[1])

@@ -566,8 +566,9 @@ def test_reports_carry_the_shift_and_both_margins(solver):
     # row n - 1 of the plan's arrays is step n
     assert [r.n for r in reports] == [1, 2, 3, 4, 5]
     assert plan.margins.shape == (5, 2) and plan.attaining.shape == (5, 2, 2)
+    assert plan.shifts.shape == (5,)
     for r in reports:
-        assert r.c == step_shift(grid, r.n, prob.a)
+        assert r.c == plan.shifts[r.n - 1] == step_shift(grid, r.n, prob.a)
         assert r.margins == tuple(plan.margins[r.n - 1])
         assert r.margin == min(r.margins)
         # the plan keeps the shifted eigenvalue pair that attains each margin
@@ -579,10 +580,10 @@ def test_min_margin_ties_go_to_the_earliest_step_then_diff():
     # the smallest margin 0.5 is reached at steps 2 and 4, on both branches
     # at step 2: the earliest step wins, then "diff" before "sum"
     margins = np.array([[1.0, 2.0], [0.5, 0.5], [3.0, 1.0], [0.5, 0.5]])
-    plan = epdsys.stepper.SolvePlan(
-        factors=None, margins=margins, attaining=np.zeros((4, 2, 2), dtype=complex),
-        factor_time=0.0,
-    )
+    grid = build_grid(GridSpec(L0=-1, L1=1, J=3, t0=0.5, n_steps=5))
+    ops = assemble_step_operators(build_operator_set(grid, 0.25, 0.25), grid, 0.25)
+    plan = dataclasses.replace(plan_solves(ops, grid, 1.0), margins=margins)
+    assert isinstance(plan, epdsys.stepper.SolvePlan)
     assert plan.min_margin() == (0.5, 2, "diff")
     plan = dataclasses.replace(plan, margins=np.array([[1.0, 0.7], [0.7, 2.0]]))
     assert plan.min_margin() == (0.7, 1, "diff")
@@ -726,6 +727,17 @@ def test_constant_exact_solution_is_broadcast_to_the_grid():
     assert discrete_errors(trajectory, prob.exact, grid).er <= 1e-14
 
 
+def test_non_finite_level_is_named_not_taken_for_a_blow_up():
+    # |U|^(p-1) V = 1e600 overflows the source of level 0, so level 2, the
+    # first solved one, is not finite: named as such, not a BlowUpError
+    prob = ProblemDef(a=1.0, lam=0.25, gamma=0.25, p=3.0, q=3.0,
+                      exact=lambda x, y, t: (1e200, 1e200))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        InvalidSpecError, match="field at level 2 contains NaN/Inf"
+    ):
+        run(prob, GridSpec(L0=-1, L1=1, J=3, t0=1.0, n_steps=3))
+
+
 def test_raising_exact_solution_is_invalid_spec():
     # the exact seeding is sampled like the forcing and the data
     def broken(x, y, t):
@@ -745,7 +757,7 @@ def test_factored_pairs_are_the_identity_minus_the_image():
     plan = plan_solves(ops, grid, 1.0)
     Z = np.random.default_rng(5).standard_normal((2, grid.size, grid.size))
     KZ = ops.image(Z)
-    assert tuple(f.branch for f in plan.factors.pairs) == tuple(BRANCH_SIGNS)
-    for f, Zb, KZb in zip(plan.factors.pairs, Z, KZ):
+    assert tuple(f.branch for f in plan.pairs) == tuple(BRANCH_SIGNS)
+    for f, Zb, KZb in zip(plan.pairs, Z, KZ):
         expected = f.L @ Zb + Zb @ f.R
         np.testing.assert_allclose(Zb - ops.implicit_weight * KZb, expected, rtol=0, atol=1e-14)
