@@ -161,7 +161,7 @@ def manufactured_problem(config: RunConfig) -> tuple[ProblemDef, "callable"]:
         u0 = lambda x, y: g1(x, y, config.t0)
         # d/dt g1 = -t g1 vanishes at t0 = 0
         u1 = (lambda x, y: -config.t0 * g1(x, y, config.t0)) if config.t0 > 0 else zero
-        seeding = {"data": (u0, u1, u0, u1), "allow_singular_t0": True}
+        seeding = {"data": (u0, u1, u0, u1)}
 
     prob = ProblemDef(
         a=config.a,
@@ -204,7 +204,8 @@ def check_forcing_certificate(config: RunConfig) -> float:
     res = pde_residual(u, v, prob, pts)
     if res > FORCING_CERT_TOL:
         raise EpdError(
-            f"forcing certificate failed: pde_residual = {res:.3e} > {FORCING_CERT_TOL:.1e}"
+            "the manufactured forcing does not produce its exact solution: "
+            f"pde_residual = {res:.3e} > {FORCING_CERT_TOL:.1e}"
         )
     return res
 

@@ -67,7 +67,7 @@ def cmd_solve(args):
     except EpdError as exc:
         # bench and converge refuse such a config; solve runs it, but the
         # forcing does not produce the exact pair that Er is measured against
-        print(f"warning: forcing certificate fails, Er is not a discretization error: {exc}")
+        print(f"warning: {exc}, so Er is not a discretization error")
     trajectory, reports = run(prob, grid, solver=solver, sing_policy=config.sing_policy)
     report = discrete_errors(trajectory, exact, grid)
     print(f"J={config.J} h={grid.h:.6g} l={grid.l:.6g} steps={grid.n_steps} "
@@ -186,8 +186,7 @@ def cmd_validate(args):
         zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
         prob = ProblemDef(
             a=config.a, lam=0.0, gamma=0.0, p=config.p, q=config.q,
-            data=(zero, zero, zero, zero),
-            nonlinear=False, allow_singular_t0=True,
+            data=(zero, zero, zero, zero), nonlinear=False,
         )
         spec = bench_mod.grid_spec_for(config, 4)
         trajectory, _ = run(prob, spec)

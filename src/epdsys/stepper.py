@@ -69,7 +69,8 @@ class ProblemDef:
     coordinate matrices.  Exactly one of `exact` (a callable
     (x, y, t) -> (u, v) used to sample the two seed levels) and `data` (the
     tuple (u0, u1, v0, v1) of callables (x, y) -> value for Taylor seeding)
-    must be set.  Each value of a pair may be an array or a constant.
+    must be set; at t0 = 0 with a != 0, `data` needs u1 = v1 = 0 (`init_levels`).
+    Each value of a pair may be an array or a constant.
     `nonlinear=False` drops the power-law terms, giving the linear system.
     The weight alpha of the scheme is a mesh parameter (`GridSpec.alpha`).
     """
@@ -83,7 +84,6 @@ class ProblemDef:
     exact: Callable | None = None
     data: tuple[Callable, Callable, Callable, Callable] | None = None
     nonlinear: bool = True
-    allow_singular_t0: bool = False
 
     def __post_init__(self):
         if self.p <= 1 or self.q <= 1:
@@ -150,9 +150,10 @@ def init_levels(prob: ProblemDef, grid: Grid, ops: StepOperators):
     branch variables Z+- = U +- V, where the spatial terms of u_tt +- v_tt
     are the image of level 0 over h^2 (`StepOperators`): rhs = K(Z^0) / h^2
     + (F_u +- F_v) and Z_tt = rhs -+ (2a / t0) Z_t, with the sign of the
-    branch.  At t0 = 0 with a != 0 the damping is singular; with
-    `allow_singular_t0` the one-sided limit system u_tt + 2a v_tt = RHS_u,
-    v_tt + 2a u_tt = RHS_v (valid for u1 = v1 = 0) gives Z_tt = rhs / (1 +- 2a),
+    branch.  At t0 = 0 with a != 0 the damping is singular and the EPD
+    Cauchy condition is u1 = v1 = 0: a sampled velocity that is not zero
+    raises SingularTimeError; a zero one takes the one-sided limit system
+    u_tt + 2a v_tt = RHS_u, v_tt + 2a u_tt = RHS_v, Z_tt = rhs / (1 +- 2a),
     singular at a = +-1/2.  Level 0's image and explicit terms serve the
     first step as well.  A sample that is not finite raises InvalidSpecError
     naming its source and level (`grid.sample`).
@@ -176,8 +177,8 @@ def init_levels(prob: ProblemDef, grid: Grid, ops: StepOperators):
     if t0 > 0.0:
         Ztt = rhs - ((2.0 * a / t0) * ops.signs) * Zt
     else:
-        if a != 0.0 and not prob.allow_singular_t0:
-            raise SingularTimeError("taylor seeding at t0 = 0 with a != 0 needs allow_singular_t0")
+        if a != 0.0 and np.any(Zt):
+            raise SingularTimeError(f"t0 = 0 with a = {a:g} needs zero initial velocity (u1, v1)")
         denom = 1.0 + (2.0 * a) * ops.signs
         if np.any(np.abs(denom) < 1e-12):
             raise SingularTimeError("regularized t0 = 0 seeding degenerate at a = +-1/2")
@@ -266,9 +267,11 @@ def assemble_rhs(
     return C
 
 
-def _step_residual(level: BranchLevel, C: np.ndarray, ops: StepOperators, c: float) -> float:
+def _step_residual(
+    level: BranchLevel, C: np.ndarray, C_norm: float, ops: StepOperators, c: float
+) -> float:
     """Relative Frobenius residual of both branch equations of a step,
-    Z - alpha sigma K(Z) +- 2 c_n Z = C, from the new level's image.
+    Z - alpha sigma K(Z) +- 2 c_n Z = C, from the new level's image; C_norm = ||C||.
 
     This is the plan's pair shifted by +-c_n, evaluated banded in physical
     space, independent of the solve's eigenbasis.  One norm over the stack
@@ -278,7 +281,7 @@ def _step_residual(level: BranchLevel, C: np.ndarray, ops: StepOperators, c: flo
     r = (1.0 + (2.0 * c) * ops.signs) * level.Z
     r -= ops.implicit_weight * level.KZ
     r -= C
-    return _ratio(np.linalg.norm(r), np.linalg.norm(C))
+    return _ratio(np.linalg.norm(r), C_norm)
 
 
 def step(
@@ -303,13 +306,22 @@ def step(
     R = c_n I + (L+ - L-)/2, W' = (R+ + R-)/2 and S = c_n I + (R+ - R-)/2.
     Both report the plan's margins for step n and the residual of the
     branch equations (`_step_residual`), which on the Kronecker path checks
-    BRANCH_SIGNS.
+    BRANCH_SIGNS.  A right-hand side that is not finite raises
+    InvalidSpecError before the solve, naming the source that holds NaN/Inf.
     """
     _check_solver(solver)
     t_start = time.perf_counter()
     c = float(plan.shifts[n - 1])
     source = level_source(prob, grid, levels[0].state)
     C = assemble_rhs(levels, (source, source_m), ops, c)
+    C_norm = float(np.linalg.norm(C))
+    if not math.isfinite(C_norm):  # name the first level whose source is not finite
+        for k, S in ((n - 1, source_m), (n, source)):
+            if not np.isfinite(S).all():
+                raise InvalidSpecError(
+                    f"explicit source of level {k} (t_{k} = {grid.time(k):.6g}) contains NaN/Inf"
+                )
+        raise InvalidSpecError(f"the right-hand side of step {n} is not finite")
     rhs_time = time.perf_counter() - t_start
     t_solve = time.perf_counter()
     if solver == SOLVER_SYLVESTER:
@@ -333,7 +345,7 @@ def step(
     t_residual = time.perf_counter()
     state = CoupledState(Field(X, level=n + 1), Field(Y, level=n + 1))
     level = BranchLevel(state, Z, ops.image(Z))
-    res = _step_residual(level, C, ops, c)
+    res = _step_residual(level, C, C_norm, ops, c)
     residual_time = time.perf_counter() - t_residual
 
     margins = tuple(plan.margins[n - 1].tolist())

@@ -23,11 +23,12 @@ two kernels, chosen per pair:
             forms (V orthogonal, TL, TR quasi-triangular with 2 x 2 blocks
             for complex-conjugate pairs) and LAPACK trsyl on its own slice.
 
-The solvability margin min |lam_i + mu_j + 2 s_b| is read off the cached
-spectra and checked against DENOM_RTOL when the plan is made, never in a
-solve; `_margins` does so for every shift at once, in O(n log n) per shift
-on the diagonal kernel.  The stepper's plan holds every step's shift c_n;
-the standalone solvers below plan and solve at shift 0.
+The solvability margin min |lam_i + mu_j + 2 s_b| is checked against
+DENOM_RTOL when the plan is made, never in a solve; `_margins` does so for
+every shift at once.  On the diagonal kernel it is the smallest denominator
+the solve divides by, found with one sort and O(log n) per shift.  The
+stepper's plan holds every step's shift c_n; the standalone solvers below
+plan and solve at shift 0.
 
 The coupled pair
 
@@ -201,7 +202,8 @@ class SolvePlan:
     `sums` holds lam_i + mu_j of the diagonal pairs (zero on a Schur pair's
     slice).  `diagonal` indexes the diagonal slices (all of them as one
     slice when no pair is Schur) and `schur` lists the others.  `margins`
-    (K, B) holds every row's margins, all above the solvability floor, and
+    (K, B) holds every row's margins, all above the solvability floor (on a
+    diagonal pair, the smallest |sums + 2 s_b| that row k divides by), and
     `attaining` (K, B, 2) the shifted eigenvalue pairs that attain them.
     """
 
@@ -314,7 +316,7 @@ def _factor(pairs, branches=(None,), shifts=(0.0,), steps=None) -> SolvePlan:
     factor_time = time.perf_counter() - t_start
     shifts = np.array(shifts, dtype=float)
     shifts.flags.writeable = False  # a solve runs only at the shifts checked here
-    margins, attaining = _margins(records, signs, shifts, steps)
+    margins, attaining = _margins(records, signs, shifts, sums, steps)
     return SolvePlan(
         pairs=records, signs=signs[:, None, None], VL=VL, VL_inv=VL_inv, VR=VR,
         VR_inv=VR_inv, sums=sums,
@@ -323,52 +325,36 @@ def _factor(pairs, branches=(None,), shifts=(0.0,), steps=None) -> SolvePlan:
     )
 
 
-# Offsets around the searchsorted position that `_shifted_minima` evaluates.
-_WINDOW = np.arange(-2, 2)
+def _shifted_minima(pair: _Pair, sums: np.ndarray, s: np.ndarray):
+    """For each shift s_k: the pair's margin and the attaining shifted pair
+    (lam_i + s_k, mu_j + s_k).
 
-
-def _shifted_minima(pair: _Pair, s: np.ndarray):
-    """For each shift s_k: min_{i,j} |(lam_i + s_k) + (mu_j + s_k)| and the
-    attaining shifted pair (lam_i + s_k, mu_j + s_k).
-
-    On the diagonal kernel both spectra are real and ascending, so for each
-    i the sum is monotone in j: `searchsorted` finds where it changes sign
-    and only the entries around that place are evaluated, with the same
-    expression as the full table, for all shifts at once.  A row whose
-    window does not bracket the sign change is evaluated in full, as is
-    every shift of a Schur pair (complex spectra).
+    On the diagonal kernel the margin is the smallest denominator
+    |fl(x + 2 s_k)|, x in the pair's `sums`, that `_solve` divides by.  In
+    the table sorted once, p = searchsorted(table, -2 s_k) is the first x
+    with x + 2 s_k >= 0.  Rounding is monotone and fl(0) = 0, so fl(x +
+    2 s_k) rises with x, <= 0 before p and >= 0 from p: entry p - 1 or p
+    holds the minimum of the whole table.  A Schur pair's spectra are
+    complex, with no order: each shift evaluates every (lam_i + s_k) +
+    (mu_j + s_k).
     """
-    K = s.size
-    rows = np.arange(K)
-    margin = np.empty(K)
-    attaining = np.empty((K, 2), dtype=complex)
     lams, mus = pair.lams, pair.mus
-    if pair.kernel == "diagonal":
-        A = lams + s[:, None]
-        B = mus + s[:, None]
-        j = np.searchsorted(mus, -(lams + 2.0 * s[:, None]))[..., None] + _WINDOW
-        np.clip(j, 0, mus.size - 1, out=j)
-        g = A[..., None] + B[rows[:, None, None], j]
-        bracketed = ((j[..., 0] == 0) | (g[..., 0] <= 0.0)) & (
-            (j[..., -1] == mus.size - 1) | (g[..., -1] >= 0.0)
-        )
-        flat = np.abs(g).reshape(K, -1)
-        best = flat.argmin(axis=1)
-        i, w = np.divmod(best, _WINDOW.size)
-        margin[:] = flat[rows, best]
-        attaining[:, 0] = A[rows, i]
-        attaining[:, 1] = B[rows, j[rows, i, w]]
-        full = np.flatnonzero(~bracketed.all(axis=1))
-    else:
-        full = rows
-    for k in full:
-        margin[k], attaining[k] = _min_pair_sum(lams + s[k], mus + s[k])
-    return margin, attaining
+    if pair.kernel == "schur":
+        minima = [_min_pair_sum(lams + sk, mus + sk) for sk in s]
+        return [m for m, _ in minima], np.reshape([a for _, a in minima], (-1, 2))
+    order = np.argsort(sums, axis=None, kind="stable")
+    table = sums.ravel()[order]
+    p = np.searchsorted(table, -2.0 * s)
+    near = np.stack((np.maximum(p - 1, 0), np.minimum(p, table.size - 1)), axis=1)
+    denominators = np.abs(table[near] + 2.0 * s[:, None])
+    best = np.where(denominators[:, 0] <= denominators[:, 1], near[:, 0], near[:, 1])
+    i, j = np.divmod(order[best], mus.size)
+    return denominators.min(axis=1), np.stack((lams[i] + s, mus[j] + s), axis=1)
 
 
-def _margins(pairs, signs, cs, steps=None):
-    """The margins min |lam_i + mu_j| of every pair b of `pairs` shifted by
-    signs[b] c, for each c of `cs`: a (K, B) array, and the attaining
+def _margins(pairs, signs, cs, sums, steps=None):
+    """The margins of every pair b of `pairs` and slice b of `sums` shifted
+    by signs[b] c, for each c of `cs`: a (K, B) array, and the attaining
     shifted eigenvalue pairs as a (K, B, 2) complex array.
 
     Raises SolvabilityError for the first shift (then the first pair) whose
@@ -381,7 +367,7 @@ def _margins(pairs, signs, cs, steps=None):
     for b, (pair, sign) in enumerate(zip(pairs, signs)):
         n = pair.lams.size
         s = sign * cs
-        margins[:, b], attaining[:, b] = _shifted_minima(pair, s)
+        margins[:, b], attaining[:, b] = _shifted_minima(pair, sums[b], s)
         scale2 = np.maximum(
             *(nn + 2.0 * s * tr + n * s * s for nn, tr in zip(pair.norms2, pair.traces))
         )

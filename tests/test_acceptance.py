@@ -219,7 +219,7 @@ def test_criterion_9_trivial_exactness():
     zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
     prob = ProblemDef(
         a=2.5, lam=0.25, gamma=0.25, p=1.5, q=4 / 3,
-        data=(zero, zero, zero, zero), allow_singular_t0=True,
+        data=(zero, zero, zero, zero),
     )
     spec = GridSpec(L0=-10, L1=10, J=9, t0=0.0, n_steps=8, alpha=0.25)
     trajectory, _ = run(prob, spec)

@@ -226,9 +226,13 @@ def test_manufactured_problem_recomputes_writable_coordinates():
 
 
 def test_manufactured_problem_taylor_seeding():
-    prob, exact = manufactured_problem(RunConfig(J=4, seed_mode="taylor"))
+    config = RunConfig(J=4, seed_mode="taylor")
+    prob, exact = manufactured_problem(config)
     assert prob.data is not None and prob.exact is None
-    assert prob.allow_singular_t0
+    # at t0 = 0 the initial velocities vanish, as Taylor seeding there needs
+    X, Y = build_grid(grid_spec_for(config)).meshgrid()
+    u0, u1, v0, v1 = prob.data
+    assert not np.any(u1(X, Y)) and not np.any(v1(X, Y))
 
 
 def test_emit_series_table_i0(tmp_path):
@@ -287,6 +291,18 @@ def test_csv_round_trip_bit_exact(tmp_path, ref_config):
             assert (x == y) or (math.isnan(x) and math.isnan(y))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("J,h,l\n", "unexpected CSV header"), (CSV_HEADER + "\n4,0.5,1.0\n", "bad CSV row")],
+    ids=["header", "row"],
+)
+def test_read_bench_csv_rejects_a_foreign_file(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        read_bench_csv(str(path))
+
+
 def test_csv_header_is_the_table1_file_format():
     assert CSV_HEADER == "J,h,l,Er_II,RelEr_II,Er_I,RelEr_I,time_II_ms,time_I_ms,ratio"
 
@@ -334,7 +350,7 @@ def test_failing_certificate_is_refused_before_any_run(monkeypatch, study):
     # a = 1.3 is off the family a = 3/2 + 4 lambda on which the forcing is exact
     runs = []
     monkeypatch.setattr(epdsys.bench, "run", lambda *args, **kwargs: runs.append(args))
-    with pytest.raises(EpdError, match="forcing certificate failed"):
+    with pytest.raises(EpdError, match="forcing does not produce its exact solution"):
         study(RunConfig(J=4, a=1.3))
     assert runs == []
 
@@ -351,6 +367,14 @@ def test_run_table1_solver_failure_recorded_not_raised(monkeypatch):
     assert "kronecker" in rows[0].error
     assert math.isnan(rows[0].Er_I)
     assert math.isfinite(rows[0].Er_II)
+
+
+def test_run_convergence_needs_two_grid_levels(monkeypatch):
+    runs = []
+    monkeypatch.setattr(epdsys.bench, "run", lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(InvalidSpecError, match="need at least two grid levels"):
+        run_convergence(RunConfig(J=4), J_list=(4,))
+    assert runs == []
 
 
 def test_run_convergence_smoke():

@@ -209,7 +209,8 @@ def test_step_residual_equals_the_uv_residual(seed, J, alpha, lam, gamma, c, sin
     # the step checks the new level (P, Q) through its image
     Z = np.stack((P, Q))
     level = BranchLevel(CoupledState(Field(X, 2), Field(Y, 2)), Z, ops.image(Z))
-    got = _step_residual(level, np.stack((C_sum, C_diff)), ops, c)
+    C = np.stack((C_sum, C_diff))
+    got = _step_residual(level, C, np.linalg.norm(C), ops, c)
     assert abs(got - expected) <= 1e-12 * expected
 
 
@@ -258,11 +259,13 @@ def test_taylor_seeding_equals_the_uv_form(seed, J, lam, gamma, a, t0, sing_poli
     ))
     size = (grid.size, grid.size)
     data = tuple(rng.standard_normal(size) for _ in range(4))
+    if t0 == 0.0:  # the EPD condition at t = 0: zero initial velocities
+        data = (data[0], np.zeros(size), data[2], np.zeros(size))
     forcing = tuple(rng.standard_normal(size) for _ in range(2))
     prob = ProblemDef(
         a=a, lam=lam, gamma=gamma, p=1.0 + rng.uniform(0.1, 2.0), q=1.0 + rng.uniform(0.1, 2.0),
         data=tuple((lambda x, y, d=d: d) for d in data),
-        forcing=lambda x, y, t: forcing, allow_singular_t0=True,
+        forcing=lambda x, y, t: forcing,
     )
     opset = build_operator_set(grid, lam, gamma, sing_policy=sing_policy)
     ops = assemble_step_operators(opset, grid, grid.spec.alpha)

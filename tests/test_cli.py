@@ -79,7 +79,8 @@ def test_solve_warns_when_the_forcing_certificate_fails(config_file, capsys, tex
     # pair; solve still runs (exit 0), as bench and converge would not
     assert main(["solve", config_file(text)]) == EXIT_OK
     out = capsys.readouterr().out
-    assert ("warning: forcing certificate fails" in out) == warns
+    assert ("warning: the manufactured forcing does not produce its exact solution" in out) == warns
+    assert ("so Er is not a discretization error" in out) == warns
     assert "Er=" in out
 
 
@@ -87,7 +88,7 @@ def test_validate_failure_exits_2(config_file, capsys):
     # a = 1.3 is off the manufactured family: only the certificate fails
     assert main(["validate", config_file("J = 9\na = 1.3\n")]) == EXIT_VALIDATION
     out = capsys.readouterr().out
-    assert "FAIL forcing certificate: " in out
+    assert "FAIL forcing certificate: the manufactured forcing does not produce its exact " in out
     assert out.count("FAIL ") == 1
     assert out.rstrip().endswith("1 validation failure(s)")
 
@@ -134,6 +135,18 @@ def test_bench_notes_rows_that_end_past_T(config_file, capsys):
     assert lines[1].startswith("4,") and lines[2] == "  note: ends at t=16 (T=1)"
     assert lines[3].startswith("9,") and lines[4] == "  note: ends at t=5.65685 (T=1)"
     assert len(lines) == 5
+
+
+def test_bench_notes_a_row_error(config_file, capsys):
+    # J = 99 (n = 101) is above Method I's size guard: its row carries the
+    # refusal as a note, and Method II's columns are still filled
+    path = config_file("J = 4\nout_csv =\n")
+    assert main(["bench", path, "--J", "4,99", "--repeats", "1"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].startswith("99,") and ",nan,nan," in lines[3]
+    assert lines[4] == "  note: ends at t=1.07331 (T=1)"
+    assert lines[5].startswith("  note: kronecker: Kronecker path refused: size 101 > guard ")
+    assert len(lines) == 6
 
 
 def test_converge_subcommand(config_file, capsys):

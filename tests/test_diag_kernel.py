@@ -21,7 +21,6 @@ from epdsys.stepper import plan_solves, run
 from epdsys.sylvester import (
     CoupledProblem,
     _factor,
-    _min_pair_sum,
     _Pair,
     _shifted_minima,
     _solve,
@@ -104,17 +103,17 @@ def clustered_spectrum(rng, size, centres):
         st.one_of(shifts, st.sampled_from([0.0, 2.0**-53, 1e-17, 1 / 3])), min_size=1, max_size=8
     ),
 )
-# the searchsorted window misses a row's sign change: the full-table path
+# the denominators on both sides of -2 s tie at 2^-52, where the shifted
+# pair's own sum (lam + s) + (mu + s) reads 0
 @example(n=1, m=4, seed=0, centres=[], s=[2.0**-53])
 def test_margin_schedule_equals_the_full_table(n, m, seed, centres, s):
-    # the schedule evaluates the sums around each row's sign change only;
-    # its margins must be bitwise those of the full n x m table
+    # the schedule evaluates the sorted sums next to -2 s only; its margins
+    # must be bitwise the smallest denominator of the full n x m table
     if centres:
         rng = np.random.default_rng(seed)
         lams = clustered_spectrum(rng, n, centres)
         mus = clustered_spectrum(rng, m, [-c for c in centres])
     else:
-        # the window finds |sum| = 4.4e-16; the exact minimum is 0
         lams = np.array([3.0000000000000013])
         mus = np.array(
             [-3.0000000000000018, -3.0000000000000018, -3.0000000000000013, -2.999999999999998]
@@ -122,12 +121,14 @@ def test_margin_schedule_equals_the_full_table(n, m, seed, centres, s):
     pair = _Pair(L=None, R=None, TL=None, TR=None, lams=lams, mus=mus,
                  norms2=(0.0, 0.0), traces=(0.0, 0.0), branch=None)
     s = np.array(s)
-    margins, attaining = _shifted_minima(pair, s)
+    sums = np.add.outer(lams, mus)
+    margins, attaining = _shifted_minima(pair, sums, s)
     for k, sk in enumerate(s):
-        assert margins[k] == _min_pair_sum(lams + sk, mus + sk)[0]
+        assert margins[k] == np.abs(sums + 2 * sk).min()
+        # the attaining pair is a shifted pair whose denominator is the margin
         lam, mu = attaining[k]
-        assert abs(lam + mu) == margins[k]
-        assert lam.real in lams + sk and mu.real in mus + sk
+        i, j = np.flatnonzero(lams + sk == lam.real), np.flatnonzero(mus + sk == mu.real)
+        assert margins[k] in np.abs(sums[np.ix_(i, j)] + 2 * sk)
 
 
 @settings(max_examples=40, deadline=None)

@@ -55,6 +55,7 @@ def test_build_grid_nodes_uniform():
         dict(L0=0.0, L1=1.0, J=4, step_rule="nope"),
         dict(L0=-1e308, L1=1e308, J=4),  # the width L1 - L0 overflows
         dict(L0=-1.7e308, L1=0.0, J=1),  # the last node L0 + 2h overflows
+        dict(L0=0.0, L1=1.0, J=4, n_steps=0),
     ],
 )
 def test_build_grid_invalid_specs(kwargs):
@@ -195,5 +196,7 @@ def test_field_validation():
         Field(np.zeros((2, 3)))
     with pytest.raises(InvalidSpecError):
         Field(np.array([[np.nan, 0.0], [0.0, 0.0]])).check_finite()
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(InvalidSpecError, match="share the time level"):
         CoupledState(Field(np.zeros((2, 2)), 0), Field(np.zeros((2, 2)), 1))
+    with pytest.raises(InvalidSpecError, match="share dimensions"):
+        CoupledState(Field(np.zeros((2, 2)), 0), Field(np.zeros((3, 3)), 0))

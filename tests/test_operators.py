@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epdsys.exceptions import SingularTimeError
+from epdsys.exceptions import InvalidSpecError, SingularTimeError
 from epdsys.grid import Field, GridSpec, build_grid, sample
 from epdsys.operators import (
     SING_LIMIT,
@@ -26,6 +26,17 @@ def test_neumann_matrix_j2():
         ]
     )
     assert np.array_equal(A, expected)
+
+
+@pytest.mark.parametrize(
+    "lam, policy, message",
+    [(np.nan, SING_LIMIT, "must be finite"), (np.inf, SING_ZERO, "must be finite"),
+     (0.25, "nope", "unknown sing_policy")],
+)
+def test_build_operator_set_rejects(lam, policy, message):
+    grid = build_grid(GridSpec(L0=-1, L1=1, J=3))
+    with pytest.raises(InvalidSpecError, match=message):
+        build_operator_set(grid, lam, 0.25, sing_policy=policy)
 
 
 def test_neumann_row_sums_zero():

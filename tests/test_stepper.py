@@ -110,15 +110,17 @@ def test_init_levels_taylor_zero_data():
 
 
 def test_init_levels_taylor_rejects_singular_t0():
+    # the damping 2a/t is singular at t0 = 0: a nonzero initial velocity is
+    # refused, and without damping (a = 0) it is taken
     grid = build_grid(GridSpec(L0=-1, L1=1, J=3, t0=0.0))
-    prob = ProblemDef(a=1.0, lam=0.0, gamma=0.0, p=2.0, q=2.0, data=(gauss, ZERO, gauss, ZERO))
-    with pytest.raises(SingularTimeError):
-        seed_states(prob, grid)
-    # the regularization flag turns it into the one-sided limit system
-    prob_ok = ProblemDef(
-        a=1.0, lam=0.0, gamma=0.0, p=2.0, q=2.0,
-        data=(gauss, ZERO, gauss, ZERO), allow_singular_t0=True,
-    )
+    for u1, v1 in ((gauss, ZERO), (ZERO, gauss)):
+        prob = ProblemDef(a=1.0, lam=0.0, gamma=0.0, p=2.0, q=2.0, data=(gauss, u1, gauss, v1))
+        with pytest.raises(SingularTimeError, match="needs zero initial velocity"):
+            seed_states(prob, grid)
+        undamped = dataclasses.replace(prob, a=0.0)
+        assert np.isfinite(seed_states(undamped, grid)[1].U.values).all()
+    # a zero velocity, the EPD condition at t = 0, takes the one-sided limit system
+    prob_ok = ProblemDef(a=1.0, lam=0.0, gamma=0.0, p=2.0, q=2.0, data=(gauss, ZERO, gauss, ZERO))
     s0, s1 = seed_states(prob_ok, grid)
     assert np.isfinite(s1.U.values).all()
 
@@ -128,10 +130,7 @@ def test_regularized_taylor_seeding_is_singular_at_a_half(a):
     # the one-sided limit system divides branch s by 1 + 2 a s: the
     # difference branch at a = 1/2, the sum branch at a = -1/2
     grid = build_grid(GridSpec(L0=-1, L1=1, J=3, t0=0.0))
-    prob = ProblemDef(
-        a=a, lam=0.25, gamma=0.25, p=2.0, q=2.0,
-        data=(gauss, ZERO, gauss, ZERO), allow_singular_t0=True,
-    )
+    prob = ProblemDef(a=a, lam=0.25, gamma=0.25, p=2.0, q=2.0, data=(gauss, ZERO, gauss, ZERO))
     with pytest.raises(SingularTimeError, match="degenerate"):
         seed_states(prob, grid)
     with pytest.raises(SingularTimeError, match="degenerate"):
@@ -279,10 +278,7 @@ def test_linear_step_matches_kronecker():
 
 def test_run_zero_everything_is_zero():
     spec = GridSpec(L0=-10, L1=10, J=4, t0=0.0, n_steps=6)
-    prob = ProblemDef(
-        a=2.5, lam=0.25, gamma=0.25, p=1.5, q=4 / 3,
-        data=(ZERO,) * 4, allow_singular_t0=True,
-    )
+    prob = ProblemDef(a=2.5, lam=0.25, gamma=0.25, p=1.5, q=4 / 3, data=(ZERO,) * 4)
     traj, reports = run(prob, spec)
     assert len(traj) == 7
     assert max(s.sup_norm() for s in traj) == 0.0
@@ -571,9 +567,16 @@ def test_reports_carry_the_shift_and_both_margins(solver):
         assert r.c == plan.shifts[r.n - 1] == step_shift(grid, r.n, prob.a)
         assert r.margins == tuple(plan.margins[r.n - 1])
         assert r.margin == min(r.margins)
-        # the plan keeps the shifted eigenvalue pair that attains each margin
-        for margin, (lam, mu) in zip(r.margins, plan.attaining[r.n - 1]):
-            assert abs(lam + mu) == margin
+        # the plan keeps the shifted eigenvalue pair that attains each margin:
+        # its indices give a denominator of the solve equal to the margin
+        assert plan.kernels == ("diagonal", "diagonal")
+        for pair, sums, sign, margin, (lam, mu) in zip(
+            plan.pairs, plan.sums, plan.signs.ravel(), r.margins, plan.attaining[r.n - 1]
+        ):
+            s = sign * r.c
+            i = np.flatnonzero(pair.lams + s == lam.real)
+            j = np.flatnonzero(pair.mus + s == mu.real)
+            assert margin in np.abs(sums[np.ix_(i, j)] + 2 * s)
 
 
 def test_min_margin_ties_go_to_the_earliest_step_then_diff():
@@ -727,15 +730,18 @@ def test_constant_exact_solution_is_broadcast_to_the_grid():
     assert discrete_errors(trajectory, prob.exact, grid).er <= 1e-14
 
 
-def test_non_finite_level_is_named_not_taken_for_a_blow_up():
-    # |U|^(p-1) V = 1e600 overflows the source of level 0, so level 2, the
-    # first solved one, is not finite: named as such, not a BlowUpError
+def test_non_finite_level_is_named_not_taken_for_a_blow_up(monkeypatch):
+    # |U|^(p-1) V = 1e600 overflows the source of level 0: the first step
+    # names it before its solve, rather than solving for a level 2 that is
+    # not finite or taking it for a BlowUpError
     prob = ProblemDef(a=1.0, lam=0.25, gamma=0.25, p=3.0, q=3.0,
                       exact=lambda x, y, t: (1e200, 1e200))
+    solve_calls = _counting(monkeypatch, epdsys.stepper, "_solve")
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        InvalidSpecError, match="field at level 2 contains NaN/Inf"
+        InvalidSpecError, match=r"explicit source of level 0 \(t_0 = 1\) contains NaN/Inf"
     ):
         run(prob, GridSpec(L0=-1, L1=1, J=3, t0=1.0, n_steps=3))
+    assert solve_calls == []
 
 
 def test_raising_exact_solution_is_invalid_spec():

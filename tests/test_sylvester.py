@@ -294,6 +294,10 @@ def test_problem_validation():
         SylvesterProblem(np.eye(3), np.eye(2), np.eye(3))
     with pytest.raises(InvalidSpecError):
         SylvesterProblem(np.eye(3), np.eye(3), np.full((3, 3), np.nan))
+    with pytest.raises(InvalidSpecError, match=r"C must be square, got shape \(3, 2\)"):
+        SylvesterProblem(np.eye(3), np.eye(3), np.ones((3, 2)))
+    with pytest.raises(InvalidSpecError, match="unsupported problem type ndarray"):
+        residual(np.eye(3), np.eye(3))
     with pytest.raises(InvalidSpecError):
         CoupledProblem(np.eye(3), np.eye(2), np.eye(3), np.eye(3), np.eye(3))
 
