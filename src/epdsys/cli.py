@@ -58,8 +58,7 @@ def cmd_solve(args):
     solver = config.solver if config.solver != "both" else SOLVER_SYLVESTER
     grid = build_grid(bench_mod.grid_spec_for(config))
     prob, exact = bench_mod.manufactured_problem(config)
-    opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy=config.sing_policy)
-    ok, guard = cfl_guard(grid, config.alpha, opset)
+    ok, guard = cfl_guard(grid, config.alpha, prob.lam, prob.gamma)
     if not ok:
         print(f"warning: sufficient stability bound fails, 4*sigma*C_alpha = {guard:.3g}")
     try:

@@ -50,12 +50,6 @@ EVEN = "even"
 ODD = "odd"
 MIXED = "mixed"
 
-ADDITIVE_GENERIC = "additive_generic"
-ADDITIVE_LOG_HALF = "additive_log_half"
-ADDITIVE_LOG_NEG_HALF = "additive_log_neg_half"
-MULTIPLICATIVE_SINUSOIDAL = "multiplicative_sinusoidal"
-SEPARABLE_TIME = "separable_time"
-
 # Standard 1D sample set for residual certificates: |x| in [0.1, 10].
 def standard_samples():
     pos = np.geomspace(0.1, 10.0, 25)
@@ -231,12 +225,10 @@ class ClosedForm:
 
     certificate is the max ODE residual of both components over the standard
     sample set, evaluated with the analytic derivatives at construction.
-    For family multiplicative_sinusoidal the certificate is reported but is
-    NOT near zero in general; callers must consult it.
+    For the multiplicative sinusoidal candidate the certificate is reported
+    but is NOT near zero in general; callers must consult it.
     """
 
-    family: str
-    params: dict
     f: Callable
     df: Callable
     d2f: Callable
@@ -296,28 +288,22 @@ def _additive_component(coef: float, K: float, K_h: float):
     return f, df, d2f
 
 
-def _closed_form(family, params, mode, K, f_parts, g_parts) -> ClosedForm:
+def _closed_form(lam, gamma, mode, K, f_parts, g_parts) -> ClosedForm:
     """ClosedForm of f (equation K, coefficient lam) and g (equation -K,
     coefficient gamma); certificate = max of both components' ode_residual."""
     xs = standard_samples()
     (f, df, d2f), (g, dg, d2g) = f_parts, g_parts
     cert = max(
-        ode_residual(f, params["lam"], K, mode, xs, df, d2f),
-        ode_residual(g, params["gamma"], -K, mode, xs, dg, d2g),
+        ode_residual(f, lam, K, mode, xs, df, d2f),
+        ode_residual(g, gamma, -K, mode, xs, dg, d2g),
     )
-    return ClosedForm(family, params, f, df, d2f, g, dg, d2g, cert)
+    return ClosedForm(f, df, d2f, g, dg, d2g, cert)
 
 
 def stationary_additive(lam, gamma, K, K1, K2) -> ClosedForm:
     """Additive stationary pair: f'' + (2 lam/x) f' = K, g side mirrored (-K)."""
-    family = ADDITIVE_GENERIC
-    if abs(lam - 0.5) < _HALF_TOL:
-        family = ADDITIVE_LOG_HALF
-    elif abs(lam + 0.5) < _HALF_TOL:
-        family = ADDITIVE_LOG_NEG_HALF
-    params = {"lam": lam, "gamma": gamma, "K": K, "K1": K1, "K2": K2}
     parts = _additive_component(lam, K, K1), _additive_component(gamma, -K, K2)
-    return _closed_form(family, params, "const", K, *parts)
+    return _closed_form(lam, gamma, "const", K, *parts)
 
 
 def _sinusoidal_component(coef, K, c0, c1):
@@ -359,9 +345,8 @@ def stationary_multiplicative(lam, gamma, K, a0, a1, b0, b1) -> ClosedForm:
     """
     if K <= 0.0:
         raise BranchError(f"oscillatory branch needs K > 0, got K={K}")
-    params = {"lam": lam, "gamma": gamma, "K": K, "a0": a0, "a1": a1, "b0": b0, "b1": b1}
     parts = _sinusoidal_component(lam, K, a0, a1), _sinusoidal_component(gamma, K, b0, b1)
-    return _closed_form(MULTIPLICATIVE_SINUSOIDAL, params, "eigen", K, *parts)
+    return _closed_form(lam, gamma, "eigen", K, *parts)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +360,6 @@ class SeparableSolution:
     psi: SeriesSolution
     f: Callable
     g: Callable
-    params: dict
 
     def __call__(self, x, y, t):
         return self.psi.value(t) * (self.f(x) + self.g(y))
@@ -405,12 +389,7 @@ def separable_solution(lam, gamma, a, K, K_tilde, N: int = 60) -> SeparableSolut
         def g(y, _gh=g_h, _s=shift):
             return _gh.value(y) + _s
 
-    return SeparableSolution(
-        psi=psi,
-        f=f,
-        g=g,
-        params={"lam": lam, "gamma": gamma, "a": a, "K": K, "K_tilde": K_tilde, "N": N},
-    )
+    return SeparableSolution(psi=psi, f=f, g=g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Mesh construction, field sampling, norms and error functionals.
 
-The domain is the square [L0, L1] x [L0, L1] with J+2 uniformly spaced nodes
-per axis (x_j = L0 + j*h, h = (L1-L0)/(J+1)) and uniform time levels
-t_n = t0 + n*l.  Fields are (J+2) x (J+2) matrices with row index = x node and
-column index = y node.
+The domain is the square [L0, L1] x [L0, L1] with the same J+2 uniformly
+spaced nodes on both axes (x_j = y_j = L0 + j*h, h = (L1-L0)/(J+1),
+`Grid.nodes`) and uniform time levels t_n = t0 + n*l.  Fields are (J+2) x
+(J+2) matrices with row index = x node and column index = y node.
 
 `sample` is the one sampler of the problem's callables (forcing, exact
 seeding, Taylor data): a pair f(X, Y, t) into one checked (2, n, n) array.
@@ -49,7 +49,8 @@ class GridSpec:
     def mesh_steps(self) -> tuple[float, float]:
         """The space and time steps (h, l), after the checks of the spec.
 
-        Raises InvalidSpecError for an invalid spec, for steps that are not
+        Raises InvalidSpecError for an invalid spec (alpha < 0 or NaN among
+        them: the scheme's weight is alpha >= 0), for steps that are not
         positive and finite or a last node L0 + (J+1) h that overflows (a
         width L1 - L0 near the float range, an l that underflows), and for a
         trajectory above MAX_TRAJECTORY_BYTES.
@@ -62,6 +63,8 @@ class GridSpec:
             raise InvalidSpecError(f"need t0 >= 0, got t0={self.t0}")
         if self.n_steps < 1:
             raise InvalidSpecError(f"need n_steps >= 1, got {self.n_steps}")
+        if not self.alpha >= 0.0:
+            raise InvalidSpecError(f"need alpha >= 0, got alpha={self.alpha}")
         if self.step_rule not in (COUPLED, INDEPENDENT):
             raise InvalidSpecError(f"unknown step_rule {self.step_rule!r}")
         if self.step_rule == INDEPENDENT and (self.l is None or self.l <= 0):
@@ -81,21 +84,18 @@ class GridSpec:
 
 @dataclasses.dataclass(frozen=True)
 class Grid:
-    """Realized mesh: node coordinates, time levels, and mesh ratios."""
+    """Realized mesh: the axis nodes, shared by x and y, and the mesh steps."""
 
     spec: GridSpec
-    nodes_x: np.ndarray
-    nodes_y: np.ndarray
+    nodes: np.ndarray
     h: float
     l: float
-    sing_eps: float  # h/100: a node within it of 0 sits on a coordinate axis
-    singular_x: np.ndarray  # indices j with |x_j| <= sing_eps
-    singular_y: np.ndarray
+    singular: np.ndarray  # indices j with |x_j| <= h/100: nodes on a coordinate axis
 
     @property
     def size(self):
         """Matrix dimension J+2."""
-        return self.nodes_x.size
+        return self.nodes.size
 
     @property
     def sigma(self):
@@ -121,7 +121,7 @@ class Grid:
 
     @functools.cached_property
     def _coordinates(self):
-        X, Y = np.meshgrid(self.nodes_x, self.nodes_y, indexing="ij")
+        X, Y = np.meshgrid(self.nodes, self.nodes, indexing="ij")
         X.flags.writeable = Y.flags.writeable = False
         return X, Y
 
@@ -130,18 +130,8 @@ def build_grid(spec: GridSpec) -> Grid:
     """Build the uniform mesh, flagging nodes that sit on a coordinate axis."""
     h, l = spec.mesh_steps()
     nodes = spec.L0 + h * np.arange(spec.J + 2)
-    sing_eps = h / 100.0
-    singular = np.flatnonzero(np.abs(nodes) <= sing_eps)
-    return Grid(
-        spec=spec,
-        nodes_x=nodes,
-        nodes_y=nodes.copy(),
-        h=h,
-        l=l,
-        sing_eps=sing_eps,
-        singular_x=singular,
-        singular_y=singular.copy(),
-    )
+    singular = np.flatnonzero(np.abs(nodes) <= h / 100.0)
+    return Grid(spec=spec, nodes=nodes, h=h, l=l, singular=singular)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -211,7 +201,7 @@ def sample(f: Callable, grid: Grid, level: int, name: str) -> np.ndarray:
         pair[0], pair[1] = f(X, Y, t)
     except Exception as exc:
         raise InvalidSpecError(
-            f"sampling failed on nodes x in [{grid.nodes_x[0]}, {grid.nodes_x[-1]}]: {exc}"
+            f"sampling failed on nodes x in [{grid.nodes[0]}, {grid.nodes[-1]}]: {exc}"
         ) from exc
     if not np.isfinite(pair).all():
         raise InvalidSpecError(f"{name} at level {level} (t_{level} = {t:.6g}) contains NaN/Inf")
@@ -223,8 +213,8 @@ class ErrorReport(NamedTuple):
 
     er carries the per-node RMS scaling ||E||_F / (J+2), the scale on which
     the reference table's error values live (a pointwise-O(h^2) field then
-    shows order 2); fro is the raw Frobenius value.  rel_er is the ratio
-    max_n ||E^n|| / ||x^n|| and is the same under either scaling.
+    shows order 2).  rel_er is the ratio max_n ||E^n|| / ||x^n|| and does
+    not depend on the scaling.
     """
 
     er: float
@@ -233,9 +223,6 @@ class ErrorReport(NamedTuple):
     rel_er_u: float
     er_v: float
     rel_er_v: float
-    fro: float
-    fro_u: float
-    fro_v: float
 
 
 def _grid_values(w, shape) -> np.ndarray:
@@ -289,7 +276,4 @@ def discrete_errors(
         rel_er_u=rel_u,
         er_v=fro_v / scale,
         rel_er_v=rel_v,
-        fro=max(fro_u, fro_v),
-        fro_u=fro_u,
-        fro_v=fro_v,
     )

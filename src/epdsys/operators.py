@@ -10,17 +10,17 @@ Conventions (size N = J+2 throughout):
   Theta   x-direction gradient weights: row j carries +lam_j / -lam_j on the
           super/sub diagonal, lam_j = lam / x_j; boundary rows zero.
   Lambda  y-direction gradient weights, column-indexed for right
-          multiplication: (X @ Lambda)[:, m] = gam_m * (X[:, m+1] - X[:, m-1]);
-          boundary columns zero.
+          multiplication: (X @ Lambda)[:, m] = gam_m * (X[:, m+1] - X[:, m-1]),
+          gam_m = gamma / y_m; boundary columns zero.
 
-The grid's singular nodes (|x_j| <= sing_eps, `Grid.singular_x` and
-`Grid.singular_y`) are singular for the gradient coefficient
-lam_j = lam / x_j.  Two policies are available:
+Both axes carry the grid's one node array, so a node on a coordinate axis
+(|x_j| <= h/100, `Grid.singular`) is singular for both lam_j = lam / x_j and
+gam_m = gamma / y_m.  Two policies are available:
 
   'zero'   drop the term (lam_j = 0 at the axis row);
   'limit'  replace it by its L'Hopital limit (2 lam / x) v_x -> 2 lam v_xx,
            realized as the second-difference stencil [2 lam/h, -4 lam/h,
-           2 lam/h] on the axis row of Theta (same for gam_m columns of
+           2 lam/h] on the axis row of Theta (same for the axis column of
            Lambda).
 
 'zero' keeps the gradient matrices strictly zero-diagonal but commits an
@@ -151,13 +151,11 @@ class TriDiagMatrix:
 
 @dataclasses.dataclass(frozen=True)
 class OperatorSet:
-    """The mesh-level matrices A, Theta, Lambda and their coefficient arrays."""
+    """The mesh-level matrices A, Theta, Lambda."""
 
     A: TriDiagMatrix
     Theta: TriDiagMatrix
     Lambda: TriDiagMatrix
-    lam_j: np.ndarray  # lam / x_j, zero at the grid's singular nodes
-    gam_m: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
@@ -243,13 +241,14 @@ SING_ZERO = "zero"
 SING_LIMIT = "limit"
 
 
-def _gradient(coef: float, nodes: np.ndarray, singular: np.ndarray, h: float, sing_policy: str):
-    """The gradient matrix along the rows and its weights w_j = coef / x_j.
+def _gradient(coef: float, grid: Grid, sing_policy: str) -> TriDiagMatrix:
+    """The gradient matrix along the rows, with weights w_j = coef / x_j.
 
     Row j carries +w_j above and -w_j below the diagonal; the boundary rows
     stay zero, and w_j = 0 at the singular nodes, whose rows the 'limit'
     policy fills with the stencil [2 coef/h, -4 coef/h, 2 coef/h].
     """
+    nodes, singular, h = grid.nodes, grid.singular, grid.h
     n = nodes.size
     safe = nodes.copy()
     safe[singular] = 1.0
@@ -267,7 +266,7 @@ def _gradient(coef: float, nodes: np.ndarray, singular: np.ndarray, h: float, si
                 sup[j] = c
                 sub[j - 1] = c
                 diag[j] = -2.0 * c
-    return TriDiagMatrix(sub=sub, diag=diag, sup=sup), weights
+    return TriDiagMatrix(sub=sub, diag=diag, sup=sup)
 
 
 def build_operator_set(
@@ -283,11 +282,10 @@ def build_operator_set(
         raise InvalidSpecError("lam and gamma must be finite")
     if sing_policy not in (SING_ZERO, SING_LIMIT):
         raise InvalidSpecError(f"unknown sing_policy {sing_policy!r}")
-    Theta, lam_j = _gradient(lam, grid.nodes_x, grid.singular_x, grid.h, sing_policy)
-    Lambda_T, gam_m = _gradient(gamma, grid.nodes_y, grid.singular_y, grid.h, sing_policy)
     return OperatorSet(
-        A=neumann_second_difference(grid.size), Theta=Theta, Lambda=Lambda_T.T,
-        lam_j=lam_j, gam_m=gam_m,
+        A=neumann_second_difference(grid.size),
+        Theta=_gradient(lam, grid, sing_policy),
+        Lambda=_gradient(gamma, grid, sing_policy).T,
     )
 
 

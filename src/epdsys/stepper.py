@@ -44,7 +44,7 @@ import numpy as np
 from .exceptions import BlowUpError, InvalidSpecError, SingularTimeError
 from .grid import CoupledState, Field, Grid, GridSpec, build_grid, sample
 from .operators import (
-    BRANCH_SIGNS, SING_LIMIT, OperatorSet, StepOperators, TriDiagMatrix, _sum_diff,
+    BRANCH_SIGNS, SING_LIMIT, StepOperators, TriDiagMatrix, _sum_diff,
     assemble_step_operators, build_operator_set, step_shift,
 )
 from .sylvester import CoupledProblem, SolvePlan, _factor, _ratio, _solve, kronecker_solve
@@ -415,15 +415,17 @@ def run(
     return trajectory, reports
 
 
-def cfl_guard(grid: Grid, alpha: float, opset: OperatorSet):
+def cfl_guard(grid: Grid, alpha: float, lam: float, gamma: float):
     """Sufficient-stability value 4 sigma C_alpha and whether it is < 1.
 
-    C_alpha = alpha * [4 + h (max_j |lam_j| + max_m |gam_m|)].  The bound is
-    sufficient, not necessary: a failing guard is a warning, not an error.
+    C_alpha = alpha * [4 + h (max_j |lam / x_j| + max_m |gamma / y_m|)] over
+    the nodes off the axes (`Grid.singular`).  Both maxima divide by the
+    node nearest 0, and rounding is monotone, so |lam| / min|x_j| is the
+    maximum exactly.  The bound is sufficient, not necessary: a failing
+    guard is a warning, not an error.
     """
-    c_alpha = alpha * (
-        4.0 + grid.h * (np.max(np.abs(opset.lam_j)) + np.max(np.abs(opset.gam_m)))
-    )
+    nearest = np.min(np.abs(np.delete(grid.nodes, grid.singular)))
+    c_alpha = alpha * (4.0 + grid.h * (abs(lam) / nearest + abs(gamma) / nearest))
     value = 4.0 * grid.sigma * c_alpha
     return value < 1.0, float(value)
 

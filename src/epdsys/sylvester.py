@@ -109,10 +109,6 @@ class SylvesterProblem:
                 f"inconsistent sizes {self.L.shape}, {self.R.shape}, {self.C.shape}"
             )
 
-    @property
-    def size(self):
-        return self.L.shape[0]
-
 
 @dataclasses.dataclass(frozen=True)
 class CoupledProblem:
@@ -173,8 +169,8 @@ class _Pair:
     The "diagonal" kernel has real diagonal cores, kept as their ascending
     spectra (TL and TR are None); the "schur" kernel keeps the
     quasi-triangular cores for trsyl.  L + s I = VL (TL + s I) VL^-1
-    (likewise R), so the spectra move by s and ||L + s I||_F^2 = ||L||_F^2
-    + 2 s tr L + n s^2.  The transforms live in the stack (`SolvePlan`).
+    (likewise R), so the spectra move by s.  The transforms live in the
+    stack (`SolvePlan`).
     """
 
     L: np.ndarray | TriDiagMatrix  # the pair as given, banded or not
@@ -183,8 +179,6 @@ class _Pair:
     TR: np.ndarray | None
     lams: np.ndarray
     mus: np.ndarray
-    norms2: tuple[float, float]
-    traces: tuple[float, float]
     branch: str | None
 
     @property
@@ -280,8 +274,7 @@ def _factor_pair(L, R, branch):
     a symmetric tridiagonal takes the diagonal kernel; any other pair (dense,
     or a row with sub * sup < 0, or sub = 0 != sup) takes the real Schur forms.
     """
-    (nL, tL), (nR, tR) = _norm2_trace(L), _norm2_trace(R)
-    data = dict(L=L, R=R, norms2=(nL, nR), traces=(tL, tR), branch=branch)
+    data = dict(L=L, R=R, branch=branch)
     syms = _symmetrizer(L), _symmetrizer(R)
     if all(sym is not None for sym in syms):
         lams, VL, VL_inv = _symmetric_eig(L, *syms[0])
@@ -368,9 +361,10 @@ def _margins(pairs, signs, cs, sums, steps=None):
         n = pair.lams.size
         s = sign * cs
         margins[:, b], attaining[:, b] = _shifted_minima(pair, sums[b], s)
-        scale2 = np.maximum(
-            *(nn + 2.0 * s * tr + n * s * s for nn, tr in zip(pair.norms2, pair.traces))
-        )
+        # ||M + s I||_F^2 = ||M||_F^2 + 2 s tr M + n s^2, for M = L and R
+        scale2 = np.maximum(*(
+            nn + 2.0 * s * tr + n * s * s for nn, tr in map(_norm2_trace, (pair.L, pair.R))
+        ))
         floors[:, b] = DENOM_RTOL * np.maximum(np.sqrt(np.maximum(scale2, 0.0)), 1.0)
     failing = np.argwhere(margins < floors)
     if failing.size:

@@ -21,7 +21,6 @@ from epdsys.bench import (
 )
 from epdsys.exact import frobenius_coefficients, ode_residual, pde_residual, sample_box
 from epdsys.grid import GridSpec, build_grid, discrete_errors
-from epdsys.operators import build_operator_set
 from epdsys.stepper import ProblemDef, cfl_guard, run
 from epdsys.sylvester import CoupledProblem, kronecker_solve, solvability_margin, solve_coupled
 
@@ -129,8 +128,7 @@ def test_criterion_5_stability():
         step_rule="independent", l=0.2,
     )
     grid = build_grid(spec)
-    opset = build_operator_set(grid, 0.0, 0.0)
-    ok, guard = cfl_guard(grid, 0.25, opset)
+    ok, guard = cfl_guard(grid, 0.25, 0.0, 0.0)
     assert ok, f"stability precondition violated: 4 sigma C_alpha = {guard}"
     u0 = lambda x, y: np.exp(-(x * x + y * y))
     zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))

@@ -156,7 +156,7 @@ def test_accepted_config_text_reaches_a_grid_or_a_named_error(text):
     except (ConfigError, InvalidSpecError):
         return
     assert 0.0 < grid.h < math.inf and 0.0 < grid.l < math.inf
-    assert np.isfinite(grid.nodes_x).all()
+    assert np.isfinite(grid.nodes).all()
     assert spec.n_steps >= 2
 
 

@@ -1,10 +1,14 @@
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 import epdsys.bench
+import epdsys.cli
 from epdsys.bench import RunConfig, manufactured_problem
 from epdsys.cli import EXIT_ERROR, EXIT_OK, EXIT_VALIDATION, main
 from epdsys.exceptions import SolvabilityError
-from epdsys.grid import GridSpec
+from epdsys.grid import CoupledState, Field, GridSpec
 from epdsys.stepper import run
 
 
@@ -18,9 +22,10 @@ def config_file(tmp_path):
     return write
 
 
-def test_solve_subcommand(config_file, capsys):
+def test_solve_subcommand(config_file, operator_builds, capsys):
     path = config_file("J = 4\nsolver = sylvester\n")
     assert main(["solve", path]) == EXIT_OK
+    assert len(operator_builds) == 1  # the run's; the stability guard builds none
     out = capsys.readouterr().out
     assert "Er=" in out and "RelEr=" in out
     # J = 4 has l = 8: the two-step minimum ends at t = 16, past T = 1
@@ -49,6 +54,7 @@ def test_solve_non_finite_config_value_is_error(config_file, capsys):
         ("J = -1\n", "need J >= 1, got J=-1"),
         ("J = 9\nt0 = 1\n", "need T > t0"),
         ("J = 9\nt0 = 1\nT = 0.5\n", "need T > t0"),
+        ("J = 9\nalpha = -1\n", "need alpha >= 0"),
     ],
 )
 def test_solve_bad_mesh_or_window_is_error_before_any_operator(
@@ -89,6 +95,33 @@ def test_validate_failure_exits_2(config_file, capsys):
     assert main(["validate", config_file("J = 9\na = 1.3\n")]) == EXIT_VALIDATION
     out = capsys.readouterr().out
     assert "FAIL forcing certificate: the manufactured forcing does not produce its exact " in out
+    assert out.count("FAIL ") == 1
+    assert out.rstrip().endswith("1 validation failure(s)")
+
+
+def _nonzero_trajectory(prob, spec):
+    ones = np.ones((3, 3))
+    return [CoupledState(Field(ones), Field(ones))], []
+
+
+@pytest.mark.parametrize(
+    "name, fake, check",
+    [
+        ("stationary_additive", lambda *args: SimpleNamespace(certificate=1.0),
+         "closed-form residuals: additive certificate 1.000e+00 > 1e-8"),
+        ("ode_residual", lambda *args: 1.0, "series engine residual: series residual 1.000e+00"),
+        ("kronecker_solve", lambda p: (np.zeros((6, 6)), np.zeros((6, 6))),
+         "solver cross-check: solver mismatch"),
+        ("run", _nonzero_trajectory,
+         "trivial zero trajectory: zero data produced nonzero trajectory (4.243e+00)"),
+    ],
+    ids=["closed-form", "series", "solver", "zero-trajectory"],
+)
+def test_validate_names_each_failing_oracle(config_file, monkeypatch, capsys, name, fake, check):
+    monkeypatch.setattr(epdsys.cli, name, fake)
+    assert main(["validate", config_file("J = 9\n")]) == EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert f"FAIL {check}" in out
     assert out.count("FAIL ") == 1
     assert out.rstrip().endswith("1 validation failure(s)")
 

@@ -20,12 +20,16 @@ from epdsys.operators import TriDiagMatrix, assemble_step_operators, build_opera
 from epdsys.stepper import plan_solves, run
 from epdsys.sylvester import (
     CoupledProblem,
+    SylvesterProblem,
     _factor,
     _Pair,
     _shifted_minima,
     _solve,
+    _symmetrizer,
     kronecker_solve,
+    residual,
     solvability_margin,
+    solve_sylvester,
 )
 
 from kronecker_bounds import agreement_bound
@@ -118,8 +122,7 @@ def test_margin_schedule_equals_the_full_table(n, m, seed, centres, s):
         mus = np.array(
             [-3.0000000000000018, -3.0000000000000018, -3.0000000000000013, -2.999999999999998]
         )
-    pair = _Pair(L=None, R=None, TL=None, TR=None, lams=lams, mus=mus,
-                 norms2=(0.0, 0.0), traces=(0.0, 0.0), branch=None)
+    pair = _Pair(L=None, R=None, TL=None, TR=None, lams=lams, mus=mus, branch=None)
     s = np.array(s)
     sums = np.add.outer(lams, mus)
     margins, attaining = _shifted_minima(pair, sums, s)
@@ -161,14 +164,26 @@ def test_dense_coefficients_take_the_schur_kernel(rng):
     assert _factor([(L, L.T)]).kernels == ("diagonal",)
 
 
+def test_overflowing_symmetrizer_takes_the_schur_kernel(rng):
+    # sub * sup = 1e-300 > 0 on every row, but the scaling d_i = (sup / sub)^(i/2)
+    # = 10^(150 i) overflows at i = 3 (and underflows to 0 for the transpose)
+    n = 4
+    L = TriDiagMatrix(sub=np.full(n - 1, 1e-300), diag=np.arange(1.0, n + 1), sup=np.ones(n - 1))
+    assert _symmetrizer(L) is None and _symmetrizer(L.T) is None
+    assert _factor([(L, L.T)]).kernels == ("schur",)
+    p = SylvesterProblem(L, L.T, rng.standard_normal((n, n)))
+    assert residual(p, solve_sylvester(p)) <= 1e-14
+
+
 def test_run_past_the_cell_peclet_bound_takes_the_schur_kernel(monkeypatch):
     # lam = gamma = 1.5 at J = 9 gives h max |lam_j| = 1.5: off-diagonal
     # products of both branch pairs change sign, so neither is symmetrizable
     config = RunConfig(J=9, lam=1.5, gamma=1.5)
     spec = grid_spec_for(config)
     grid = build_grid(spec)
+    nearest = np.abs(np.delete(grid.nodes, grid.singular)).min()
+    assert grid.h * config.lam / nearest >= 1.0
     opset = build_operator_set(grid, config.lam, config.gamma, sing_policy="limit")
-    assert grid.h * np.abs(opset.lam_j).max() >= 1.0
     ops = assemble_step_operators(opset, grid, config.alpha)
     assert plan_solves(ops, grid, config.a).kernels == ("schur", "schur")
 

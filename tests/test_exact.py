@@ -149,6 +149,13 @@ def test_resonance_error_names_index():
 def test_non_root_nu_rejected():
     with pytest.raises(InvalidSpecError):
         frobenius_coefficients(0.25, 0.3, 1.0, 10)
+    with pytest.raises(InvalidSpecError, match="not an indicial root"):
+        frobenius_coefficients(Fraction(1, 4), Fraction(3, 10), 1, 10, exact=True)
+
+
+def test_truncation_order_below_two_rejected():
+    with pytest.raises(InvalidSpecError, match="N >= 2"):
+        frobenius_coefficients(0.5, 0.0, 1.0, 1)
 
 
 def test_constrained_a1_rejected():
@@ -189,6 +196,15 @@ def test_evaluate_series_origin():
     assert s_neg.nu < 0
     with pytest.raises(SingularPointError):
         evaluate_series(s_neg, 0.0)
+
+
+def test_tail_bound_at_the_origin_and_past_the_ratio_bound():
+    s = frobenius_coefficients(0.5, 0.0, 1.0, 10)
+    assert s.tail_bound(0.0) == 0.0
+    # ratio K x^2 / (N (N - 1 + 2 lam)) = x^2 / 100 reaches 1 at x = 10: no geometric bound
+    assert s.tail_bound(9.0) < float("inf")
+    assert s.tail_bound(10.0) == float("inf")
+    assert s.tail_bound(-20.0) == float("inf")
 
 
 def test_series_residual_decreases_with_truncation():
@@ -264,6 +280,11 @@ def test_ode_residual_rejects_origin():
         ode_residual(lambda x: x, 0.5, 1.0, "zero", np.array([0.0, 1.0]))
 
 
+def test_ode_residual_rejects_an_unknown_rhs_mode():
+    with pytest.raises(InvalidSpecError, match="unknown rhs_mode 'linear'"):
+        ode_residual(lambda x: x, 0.5, 1.0, "linear", np.array([0.5, 1.0]))
+
+
 def _manufactured_pair():
     g1 = lambda x, y, t: np.exp(-(0.5 * t * t + x * x + y * y))
 
@@ -305,3 +326,11 @@ def test_pde_residual_rejects_nonpositive_time():
                       exact=lambda x, y, t: (zero(x, y, t),) * 2)
     with pytest.raises(InvalidSpecError):
         pde_residual(zero, zero, prob, np.array([[0.5, 0.5, 0.0]]))
+
+
+def test_pde_residual_rejects_samples_that_are_not_xyt_triples():
+    zero = lambda x, y, t: np.zeros_like(np.asarray(x, dtype=float))
+    prob = ProblemDef(a=1.0, lam=0.0, gamma=0.0, p=2.0, q=2.0,
+                      exact=lambda x, y, t: (zero(x, y, t),) * 2)
+    with pytest.raises(InvalidSpecError, match=r"\(m, 3\) array"):
+        pde_residual(zero, zero, prob, np.array([[0.5, 0.5], [1.0, 1.0]]))

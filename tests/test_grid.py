@@ -20,27 +20,27 @@ from epdsys.grid import (
 def test_build_grid_table_row():
     grid = build_grid(GridSpec(L0=-10, L1=10, J=24))
     assert grid.h == pytest.approx(0.8, rel=1e-15)
-    assert grid.nodes_x.size == 26
+    assert grid.nodes.size == 26
     assert grid.l == pytest.approx(0.8**1.5, rel=1e-15)
     assert grid.l == pytest.approx(0.715542, abs=1e-6)
 
 
 def test_build_grid_two_intervals():
     grid = build_grid(GridSpec(L0=0.0, L1=1.0, J=1))
-    assert np.allclose(grid.nodes_x, [0.0, 0.5, 1.0])
+    assert np.allclose(grid.nodes, [0.0, 0.5, 1.0])
     assert grid.h == 0.5
 
 
 def test_build_grid_flags_axis_node():
     grid = build_grid(GridSpec(L0=-10, L1=10, J=49))
     assert grid.h == pytest.approx(0.4)
-    assert list(grid.singular_x) == [25]
-    assert abs(grid.nodes_x[25]) <= grid.sing_eps
+    assert list(grid.singular) == [25]
+    assert abs(grid.nodes[25]) <= grid.h / 100
 
 
 def test_build_grid_nodes_uniform():
     grid = build_grid(GridSpec(L0=-3.0, L1=7.0, J=17))
-    steps = np.diff(grid.nodes_x)
+    steps = np.diff(grid.nodes)
     assert np.all(steps > 0)
     assert np.allclose(steps, grid.h, rtol=1e-14)
     assert grid.sigma == pytest.approx(grid.l**2 / grid.h**2, rel=1e-15)
@@ -56,6 +56,8 @@ def test_build_grid_nodes_uniform():
         dict(L0=-1e308, L1=1e308, J=4),  # the width L1 - L0 overflows
         dict(L0=-1.7e308, L1=0.0, J=1),  # the last node L0 + 2h overflows
         dict(L0=0.0, L1=1.0, J=4, n_steps=0),
+        dict(L0=0.0, L1=1.0, J=4, alpha=-1.0),
+        dict(L0=0.0, L1=1.0, J=4, alpha=math.nan),  # refused by `not alpha >= 0`
     ],
 )
 def test_build_grid_invalid_specs(kwargs):
@@ -106,7 +108,7 @@ def test_sample_constant_and_linear():
 def test_sample_gaussian_center_adjacent():
     grid = build_grid(GridSpec(L0=-10, L1=10, J=24))
     f, _ = sample(lambda x, y, t: (np.exp(-(x * x + y * y)), 0.0), grid, 0, "f")
-    assert grid.nodes_x[12] == pytest.approx(-0.4)
+    assert grid.nodes[12] == pytest.approx(-0.4)
     assert f[12, 12] == pytest.approx(0.726149, abs=1e-6)
 
 
@@ -152,7 +154,7 @@ def test_discrete_errors_of_itself_is_zero():
     exact = lambda x, y, t: (np.exp(-(x * x + y * y)) * (1 + t), np.cos(x) + t * y)
     traj = _traj_from(exact, grid, [0, 1, 2, 3])
     rep = discrete_errors(traj, exact, grid)
-    assert rep == (0.0,) * 9
+    assert rep == (0.0,) * 6
 
 
 def test_discrete_errors_folds_a_generator_of_levels():
@@ -184,9 +186,7 @@ def test_discrete_errors_scalings():
     exact = lambda x, y, t: (np.ones_like(x), np.ones_like(x))
     traj = _traj_from(lambda x, y, t: (np.ones_like(x) + 0.1, np.ones_like(x)), grid, [0, 1])
     rep = discrete_errors(traj, exact, grid)
-    n = grid.size
-    assert rep.fro_u == pytest.approx(0.1 * n, rel=1e-12)  # sqrt(n^2 * 0.01)
-    assert rep.er_u == pytest.approx(rep.fro_u / n, rel=1e-12)
+    assert rep.er_u == pytest.approx(0.1, rel=1e-12)  # sqrt(n^2 * 0.01) / n
     assert rep.rel_er_u == pytest.approx(0.1, rel=1e-12)
     assert rep.er_v == 0.0
 

@@ -62,10 +62,10 @@ def test_theta_lambda_structure():
     assert np.all(T[0, :] == 0.0) and np.all(T[n - 1, :] == 0.0)
     assert np.all(L[:, 0] == 0.0) and np.all(L[:, n - 1] == 0.0)
     for j in range(1, n - 1):
-        lam_j = 0.25 / grid.nodes_x[j]
+        lam_j = 0.25 / grid.nodes[j]
         assert T[j, j + 1] == pytest.approx(lam_j)
         assert T[j, j - 1] == pytest.approx(-lam_j)
-        gam = 0.5 / grid.nodes_y[j]
+        gam = 0.5 / grid.nodes[j]
         assert L[j + 1, j] == pytest.approx(gam)
         assert L[j - 1, j] == pytest.approx(-gam)
 
@@ -73,11 +73,10 @@ def test_theta_lambda_structure():
 def test_axis_node_zero_policy():
     grid = build_grid(GridSpec(L0=-10, L1=10, J=49))
     ops = build_operator_set(grid, 0.25, 0.25, sing_policy=SING_ZERO)
-    assert list(grid.singular_x) == [25]
-    assert ops.lam_j[25] == 0.0
+    assert list(grid.singular) == [25]
     assert np.all(ops.Theta.dense()[25, :] == 0.0)
     # neighbours keep lam / x
-    assert ops.lam_j[24] == pytest.approx(0.25 / grid.nodes_x[24])
+    assert ops.Theta.sup[24] == pytest.approx(0.25 / grid.nodes[24])
 
 
 def test_axis_node_limit_policy():
@@ -92,7 +91,7 @@ def test_axis_node_limit_policy():
     # to O(h^2) (second-difference truncation ~ 2 lam h^2 f_xxxx / 12 ~ 0.08)
     f, _ = sample(lambda x, y, t: (np.exp(-(x * x + y * y)), 0.0), grid, 0, "f")
     row = (ops.Theta @ f)[25, :] * grid.sigma * grid.h / grid.l**2
-    exact = 2.0 * 0.25 * (4 * 0.0**2 - 2.0) * np.exp(-(grid.nodes_y**2))
+    exact = 2.0 * 0.25 * (4 * 0.0**2 - 2.0) * np.exp(-(grid.nodes**2))
     assert np.allclose(row, exact, atol=0.1)
 
 
@@ -148,6 +147,21 @@ def test_singular_time_rejected():
     grid = build_grid(GridSpec(L0=-1, L1=1, J=3, t0=0.0))
     with pytest.raises(SingularTimeError):
         step_shift(grid, 0, 1.0)
+
+
+@pytest.mark.parametrize("sub, sup", [(3, 4), (4, 3), (4, 4)])
+def test_tridiag_rejects_inconsistent_band_lengths(sub, sup):
+    with pytest.raises(InvalidSpecError, match="inconsistent band lengths"):
+        TriDiagMatrix(sub=np.zeros(sub), diag=np.zeros(4), sup=np.zeros(sup))
+
+
+def test_image_rejects_a_wrongly_shaped_stack():
+    grid = build_grid(GridSpec(L0=-1, L1=1, J=3))
+    ops = assemble_step_operators(build_operator_set(grid, 0.25, 0.25), grid, 0.25)
+    n = grid.size
+    for shape in ((n, n), (1, n, n), (2, n, n + 1)):
+        with pytest.raises(InvalidSpecError, match="dimension mismatch"):
+            ops.image(np.zeros(shape))
 
 
 def test_apply_identity_is_noop(rng):

@@ -191,7 +191,7 @@ def test_mixed_kernel_stack_matches_kronecker_and_single_solves(seed, J, lam, ga
     grid = build_grid(
         GridSpec(L0=-1.0, L1=1.0, J=J, step_rule="independent", l=0.1 * rng.uniform(0.1, 1))
     )
-    assert grid.singular_x.size == 1
+    assert grid.singular.size == 1
     opset = build_operator_set(grid, lam, gamma, SING_LIMIT)
     n, w = grid.size, 0.25 * grid.sigma
     W = 0.5 * TriDiagMatrix.identity(n) - w * opset.A

@@ -189,6 +189,16 @@ def test_assemble_rhs_zero_history():
     assert np.all(C == 0.0)
 
 
+def test_assemble_rhs_rejects_history_levels_that_are_not_consecutive():
+    grid = build_grid(GridSpec(L0=-1, L1=1, J=3, t0=1.0))
+    prob = ProblemDef(a=1.0, lam=0.25, gamma=0.25, p=2.0, q=2.0, data=(ZERO,) * 4)
+    ops = assemble_step_operators(build_operator_set(grid, 0.25, 0.25), grid, 0.25)
+    newer, _ = _zero_history(grid, 3)
+    _, older = _zero_history(grid, 2)  # levels 3 and 1
+    with pytest.raises(InvalidSpecError, match=r"history levels \(3, 1\) are not consecutive"):
+        _rhs((newer, older), ops, prob, grid, 3)
+
+
 def test_assemble_rhs_alpha_half_kills_gradient_history(rng):
     grid = build_grid(GridSpec(L0=1, L1=8, J=6, t0=1.0, step_rule="independent", l=0.3))
     prob = ProblemDef(a=0.0, lam=0.5, gamma=0.5, p=2.0, q=2.0, data=(ZERO,) * 4, nonlinear=False)
@@ -308,15 +318,13 @@ def test_run_blowup_detection(monkeypatch):
 
 
 def test_cfl_guard_reference_parameters(ref_grid24):
-    opset = build_operator_set(ref_grid24, 0.25, 0.25)
-    ok, value = cfl_guard(ref_grid24, 0.25, opset)
+    ok, value = cfl_guard(ref_grid24, 0.25, 0.25, 0.25)
     assert not ok
     assert value == pytest.approx(4.0, rel=1e-12)
 
 
 def test_cfl_guard_alpha_zero(ref_grid24):
-    opset = build_operator_set(ref_grid24, 0.25, 0.25)
-    ok, value = cfl_guard(ref_grid24, 0.0, opset)
+    ok, value = cfl_guard(ref_grid24, 0.0, 0.25, 0.25)
     assert ok and value == 0.0
 
 
@@ -325,8 +333,7 @@ def test_cfl_guard_small_sigma_passes():
     l = math.sqrt(0.1) * 0.5
     grid = build_grid(GridSpec(L0=0, L1=5, J=9, step_rule="independent", l=l))
     assert grid.sigma == pytest.approx(0.1)
-    opset = build_operator_set(grid, 0.0, 0.0)
-    ok, value = cfl_guard(grid, 0.25, opset)
+    ok, value = cfl_guard(grid, 0.25, 0.0, 0.0)
     assert ok and value == pytest.approx(0.4)
 
 
