@@ -58,7 +58,7 @@ def cmd_solve(args):
     solver = config.solver if config.solver != "both" else SOLVER_SYLVESTER
     grid = build_grid(bench_mod.grid_spec_for(config))
     prob, exact = bench_mod.manufactured_problem(config)
-    ok, guard = cfl_guard(grid, config.alpha, prob.lam, prob.gamma)
+    ok, guard = cfl_guard(grid, prob.lam, prob.gamma)
     if not ok:
         print(f"warning: sufficient stability bound fails, 4*sigma*C_alpha = {guard:.3g}")
     try:
@@ -171,14 +171,12 @@ def cmd_validate(args):
         grid = build_grid(bench_mod.grid_spec_for(config))
         prob, _ = bench_mod.manufactured_problem(config)
         opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy=config.sing_policy)
-        ops = assemble_step_operators(opset, grid, config.alpha)
-        plan = plan_solves(ops, grid, prob.a)
-        margin, n, branch = plan.min_margin()
-        pair = format_pair(*plan.attaining[n - 1, ("sum", "diff").index(branch)].tolist())
-        kernels = ", ".join(f"{b} {k}" for b, k in zip(("sum", "diff"), plan.kernels))
+        plan = plan_solves(assemble_step_operators(opset, grid), grid, prob.a)
+        margin, n, branch, pair = plan.min_margin()
+        kernels = ", ".join(f"{p.branch} {p.kernel}" for p in plan.pairs)
         print(
-            f"     min margin = {margin:.3e} at step {n}, {branch} branch, pair {pair}; "
-            f"kernels: {kernels}"
+            f"     min margin = {margin:.3e} at step {n}, {branch} branch, "
+            f"pair {format_pair(*pair)}; kernels: {kernels}"
         )
 
     def zero_trajectory():
@@ -245,10 +243,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except EpdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (EpdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

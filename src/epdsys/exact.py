@@ -136,7 +136,7 @@ class SeriesSolution:
         ratio = abs(self.K) * x * x / abs(denom) if denom != 0.0 else np.inf
         last = max(
             abs(self.coeffs[-1] * x ** self.N),
-            abs(self.coeffs[-2] * x ** (self.N - 1)) if self.N >= 1 else 0.0,
+            abs(self.coeffs[-2] * x ** (self.N - 1)),
         )
         last *= abs(x) ** self.nu
         if ratio >= 1.0:

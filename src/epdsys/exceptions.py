@@ -19,8 +19,8 @@ class SolvabilityError(EpdError):
     Attributes:
         pair: the offending eigenvalue pair (lam, mu) with lam + mu ~ 0, if known.
         branch: 'sum' or 'diff' when raised from the decoupled solver.
-        step: the time index n of the failing step (as in StepReport.n) when
-            raised by the stepper's solvability check.
+        step: the index n of the failing step itself (as in StepReport.n),
+            when raised by the stepper's solvability check.
     """
 
     def __init__(self, message, pair=None, branch=None, step=None):
@@ -35,7 +35,13 @@ class SizeGuardError(EpdError):
 
 
 class BlowUpError(EpdError):
-    """Trajectory norm exceeded the blow-up cap (observed instability)."""
+    """Trajectory norm exceeded the blow-up cap (observed instability).
+
+    Attributes:
+        step: the index of the level whose norm passed the cap, the level
+            that step n forms (StepReport.n + 1).
+        sup_norm: that level's combined norm ||(U, V)||.
+    """
 
     def __init__(self, message, step=None, sup_norm=None):
         super().__init__(message)

@@ -136,10 +136,9 @@ def build_grid(spec: GridSpec) -> Grid:
 
 @dataclasses.dataclass(frozen=True)
 class Field:
-    """One (J+2) x (J+2) real matrix at a given time level."""
+    """One (J+2) x (J+2) real matrix."""
 
     values: np.ndarray
-    level: int = 0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -151,11 +150,6 @@ class Field:
     def size(self):
         return self.values.shape[0]
 
-    def check_finite(self):
-        if not np.isfinite(self.values).all():
-            raise InvalidSpecError(f"field at level {self.level} contains NaN/Inf")
-        return self
-
 
 @dataclasses.dataclass(frozen=True)
 class CoupledState:
@@ -163,16 +157,17 @@ class CoupledState:
 
     U: Field
     V: Field
+    level: int = 0
 
     def __post_init__(self):
         if self.U.size != self.V.size:
             raise InvalidSpecError("U and V must share dimensions")
-        if self.U.level != self.V.level:
-            raise InvalidSpecError("U and V must share the time level")
 
-    @property
-    def level(self):
-        return self.U.level
+    def check_finite(self):
+        for field in (self.U, self.V):
+            if not np.isfinite(field.values).all():
+                raise InvalidSpecError(f"field at level {self.level} contains NaN/Inf")
+        return self
 
     def sup_norm(self):
         """Combined Frobenius norm of the pair."""

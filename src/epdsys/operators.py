@@ -135,8 +135,6 @@ class TriDiagMatrix:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, TriDiagMatrix):
-            return self.dense() - other
         return TriDiagMatrix(self.sub - other.sub, self.diag - other.diag, self.sup - other.sup)
 
     def __rmul__(self, c):
@@ -297,9 +295,10 @@ def step_shift(grid: Grid, n: int, a: float) -> float:
     return 0.5 * grid.l * (a / t_n)
 
 
-def assemble_step_operators(ops: OperatorSet, grid: Grid, alpha: float) -> StepOperators:
-    """Build the branch bands (K, K') and the image planes once per run."""
-    sigma, h = grid.sigma, grid.h
+def assemble_step_operators(ops: OperatorSet, grid: Grid) -> StepOperators:
+    """Build the branch bands (K, K') and the image planes once per run, at
+    the grid's weight alpha (`GridSpec.alpha`)."""
+    sigma, h, alpha = grid.sigma, grid.h, grid.spec.alpha
     signs = list(BRANCH_SIGNS.values())
     return StepOperators(
         bands=tuple((ops.A + (s * h) * ops.Theta, ops.A.T + (s * h) * ops.Lambda) for s in signs),

@@ -161,14 +161,14 @@ def init_levels(prob: ProblemDef, grid: Grid, ops: StepOperators):
     if prob.exact is not None:
         def seed(level):
             u, v = sample(prob.exact, grid, level, "exact solution")
-            return BranchLevel.of(CoupledState(Field(u, level), Field(v, level)), ops)
+            return BranchLevel.of(CoupledState(Field(u), Field(v), level), ops)
 
         level0 = seed(0)
         return level0, seed(1), level_source(prob, grid, level0.state)
 
     u0f, u1f, v0f, v1f = prob.data
     U0, V0 = sample(lambda X, Y, t: (u0f(X, Y), v0f(X, Y)), grid, 0, "initial data")
-    state0 = CoupledState(Field(U0, level=0), Field(V0, level=0))
+    state0 = CoupledState(Field(U0), Field(V0), level=0)
     level0 = BranchLevel.of(state0, ops)
     Zt = _sum_diff(sample(lambda X, Y, t: (u1f(X, Y), v1f(X, Y)), grid, 0, "initial velocity"))
     F = _sum_diff(_explicit_terms(prob, grid, state0))
@@ -186,7 +186,7 @@ def init_levels(prob: ProblemDef, grid: Grid, ops: StepOperators):
     l2 = 0.5 * grid.l * grid.l
     Z1 = level0.Z + grid.l * Zt + l2 * Ztt
     U1, V1 = _sum_diff(Z1, 0.5)
-    level1 = BranchLevel(CoupledState(Field(U1, level=1), Field(V1, level=1)), Z1, ops.image(Z1))
+    level1 = BranchLevel(CoupledState(Field(U1), Field(V1), level=1), Z1, ops.image(Z1))
     return level0, level1, l2 * F
 
 
@@ -274,9 +274,11 @@ def _step_residual(
     Z - alpha sigma K(Z) +- 2 c_n Z = C, from the new level's image; C_norm = ||C||.
 
     This is the plan's pair shifted by +-c_n, evaluated banded in physical
-    space, independent of the solve's eigenbasis.  One norm over the stack
-    gives the ratio of the two U/V equations, by the parallelogram identity
-    (see `sylvester._branch_residual`); 0/0 counts as 0.
+    space, independent of the solve's eigenbasis.  The branch residuals are
+    r+- = r1 +- r2 of the two U/V equations, and by the parallelogram
+    identity ||r+||^2 + ||r-||^2 = 2 (||r1||^2 + ||r2||^2), likewise for C,
+    so one norm over the stack gives the ratio of the two U/V equations
+    (`sylvester.residual` evaluates those directly); 0/0 counts as 0.
     """
     r = (1.0 + (2.0 * c) * ops.signs) * level.Z
     r -= ops.implicit_weight * level.KZ
@@ -290,15 +292,15 @@ def step(
     ops: StepOperators,
     prob: ProblemDef,
     grid: Grid,
-    n: int,
     plan: SolvePlan,
     solver: str = SOLVER_SYLVESTER,
 ) -> tuple[BranchLevel, StepReport, np.ndarray]:
     """Advance one level in the branch variables; form U and V once, at the end.
 
-    `levels` holds the levels (n, n-1) and `source_m` the `level_source` of
-    level n-1.  The step computes the source of level n and returns it with
-    the new level and its image, for steps n+1 and n+2.  The step's shift
+    `levels` holds the levels (n, n-1): the step's index n is the level of
+    `levels[0]`, and `source_m` is the `level_source` of level n-1.  The
+    step computes the source of level n and returns it with the new level
+    n+1 and its image, for steps n+1 and n+2.  The step's shift
     c_n is row n - 1 of the plan's checked shifts, and the Sylvester path
     solves the branches at that row, shifted by +-c_n.  The Kronecker path
     solves the dense U/V system whose coefficients it reads off the same
@@ -306,11 +308,15 @@ def step(
     R = c_n I + (L+ - L-)/2, W' = (R+ + R-)/2 and S = c_n I + (R+ - R-)/2.
     Both report the plan's margins for step n and the residual of the
     branch equations (`_step_residual`), which on the Kronecker path checks
-    BRANCH_SIGNS.  A right-hand side that is not finite raises
-    InvalidSpecError before the solve, naming the source that holds NaN/Inf.
+    BRANCH_SIGNS.  A step outside the plan's rows, or a right-hand side
+    that is not finite, raises InvalidSpecError before the solve, naming the
+    step or the source that holds NaN/Inf.
     """
     _check_solver(solver)
     t_start = time.perf_counter()
+    n = levels[0].state.level
+    if not 1 <= n <= plan.shifts.size:
+        raise InvalidSpecError(f"step {n} is outside the plan's steps 1..{plan.shifts.size}")
     c = float(plan.shifts[n - 1])
     source = level_source(prob, grid, levels[0].state)
     C = assemble_rhs(levels, (source, source_m), ops, c)
@@ -343,7 +349,7 @@ def step(
     solve_time = time.perf_counter() - t_solve
 
     t_residual = time.perf_counter()
-    state = CoupledState(Field(X, level=n + 1), Field(Y, level=n + 1))
+    state = CoupledState(Field(X), Field(Y), level=n + 1)
     level = BranchLevel(state, Z, ops.image(Z))
     res = _step_residual(level, C, C_norm, ops, c)
     residual_time = time.perf_counter() - t_residual
@@ -389,24 +395,24 @@ def run(
     if grid.n_steps < 2:
         raise InvalidSpecError("run needs n_steps >= 2")
     opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy=sing_policy)
-    ops = assemble_step_operators(opset, grid, grid.spec.alpha)
+    ops = assemble_step_operators(opset, grid)
     plan = plan_solves(ops, grid, prob.a)
     level0, level1, source = init_levels(prob, grid, ops)
-    level1.state.U.check_finite()  # `sample` checked the sampled levels; Taylor
-    level1.state.V.check_finite()  # seeding computes level 1
+    # `sample` checked the sampled levels; Taylor seeding computes level 1
+    level1.state.check_finite()
     trajectory = [level0.state, level1.state]
     reports: list[StepReport] = []
     levels = (level1, level0)
-    for n in range(1, grid.n_steps):
-        level, report, source = step(levels, source, ops, prob, grid, n, plan, solver=solver)
+    for _ in range(1, grid.n_steps):
+        level, report, source = step(levels, source, ops, prob, grid, plan, solver=solver)
         state = level.state
-        if not math.isfinite(report.sup_norm):  # names the field that is not finite
-            state.U.check_finite()
-            state.V.check_finite()
+        if not math.isfinite(report.sup_norm):  # names the level that is not finite
+            state.check_finite()
         if report.sup_norm > BLOWUP_CAP:
             raise BlowUpError(
-                f"blow-up at step {n + 1}: ||(U,V)|| = {report.sup_norm:.3e} > {BLOWUP_CAP:.1e}",
-                step=n + 1,
+                f"blow-up at step {state.level}: ||(U,V)|| = {report.sup_norm:.3e} "
+                f"> {BLOWUP_CAP:.1e}",
+                step=state.level,
                 sup_norm=report.sup_norm,
             )
         trajectory.append(state)
@@ -415,17 +421,18 @@ def run(
     return trajectory, reports
 
 
-def cfl_guard(grid: Grid, alpha: float, lam: float, gamma: float):
+def cfl_guard(grid: Grid, lam: float, gamma: float):
     """Sufficient-stability value 4 sigma C_alpha and whether it is < 1.
 
-    C_alpha = alpha * [4 + h (max_j |lam / x_j| + max_m |gamma / y_m|)] over
-    the nodes off the axes (`Grid.singular`).  Both maxima divide by the
-    node nearest 0, and rounding is monotone, so |lam| / min|x_j| is the
-    maximum exactly.  The bound is sufficient, not necessary: a failing
-    guard is a warning, not an error.
+    C_alpha = alpha * [4 + h (max_j |lam / x_j| + max_m |gamma / y_m|)] with
+    the grid's alpha (`GridSpec.alpha`), the maxima over the nodes off the
+    axes (`Grid.singular`).  Both maxima divide by the node nearest 0, and
+    rounding is monotone, so |lam| / min|x_j| is the maximum exactly.  The
+    bound is sufficient, not necessary: a failing guard is a warning, not an
+    error.
     """
     nearest = np.min(np.abs(np.delete(grid.nodes, grid.singular)))
-    c_alpha = alpha * (4.0 + grid.h * (abs(lam) / nearest + abs(gamma) / nearest))
+    c_alpha = grid.spec.alpha * (4.0 + grid.h * (abs(lam) / nearest + abs(gamma) / nearest))
     value = 4.0 * grid.sigma * c_alpha
     return value < 1.0, float(value)
 

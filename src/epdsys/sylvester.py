@@ -220,12 +220,15 @@ class SolvePlan:
         """The solve kernel of each pair: "diagonal" or "schur"."""
         return tuple(pair.kernel for pair in self.pairs)
 
-    def min_margin(self) -> tuple[float, int, str]:
-        """The smallest margin, its step (row + 1) and branch; a tie goes to
-        the earliest step, then to "diff" before "sum"."""
+    def min_margin(self) -> tuple[float, int, str, tuple[complex, complex]]:
+        """The smallest margin, its step (row + 1), its branch and the shifted
+        eigenvalue pair that attains it; a tie goes to the earliest step, then
+        to "diff" before "sum"."""
         later_first = self.margins[:, ::-1]
         k, b = np.unravel_index(np.argmin(later_first), later_first.shape)
-        return float(later_first[k, b]), int(k) + 1, self.pairs[-1 - b].branch
+        b = len(self.pairs) - 1 - b
+        pair = tuple(self.attaining[k, b].tolist())
+        return float(self.margins[k, b]), int(k) + 1, self.pairs[b].branch, pair
 
 
 def _norm2_trace(M) -> tuple[float, float]:
@@ -497,31 +500,23 @@ def _ratio(num: float, den: float) -> float:
     return float(num / den)
 
 
-def _branch_residual(pairs, Z, C) -> float:
-    """Relative Frobenius residual of the equations L Z + Z R = C, one per
-    branch of `pairs`; 0/0 counts as 0.
-
-    For a coupled pair, Z = (X+Y, X-Y) and C = (C1+C2, C1-C2): the branch
-    residuals r+- = r1 +- r2 are the sum and difference of the two
-    equations' residuals, and by the parallelogram identity ||r+||^2 +
-    ||r-||^2 = 2 (||r1||^2 + ||r2||^2) (likewise for C1, C2), so the ratio
-    is that of the two equations from four products instead of eight.
-    """
-    num = np.linalg.norm([
-        np.linalg.norm(L @ Zb + Zb @ R - Cb) for (L, R), Zb, Cb in zip(pairs, Z, C)
-    ])
-    den = np.linalg.norm([np.linalg.norm(Cb) for Cb in C])
-    return _ratio(num, den)
-
-
 def residual(p, solution) -> float:
-    """Relative residual in the Frobenius norm; 0/0 counts as 0.  A coupled
-    pair is evaluated in its branches, with the ratio of its two equations."""
+    """Relative residual in the Frobenius norm; 0/0 counts as 0.
+
+    A single equation gives ||L X + X R - C|| / ||C||.  A coupled pair is
+    evaluated in its own two equations, r1 = W X + X Wr + R Y + Y S - C1 and
+    r2 = W Y + Y Wr + R X + X S - C2, giving ||(r1, r2)|| / ||(C1, C2)||, so
+    the check does not share the branch decoupling that `solve_coupled` uses.
+    """
     if isinstance(p, SylvesterProblem):
-        return _branch_residual([(p.L, p.R)], [np.asarray(solution)], [p.C])
+        X = np.asarray(solution)
+        return _ratio(np.linalg.norm(p.L @ X + X @ p.R - p.C), np.linalg.norm(p.C))
     if isinstance(p, CoupledProblem):
-        pairs = _branch_pairs(p.W, p.R, p.S, p.W_right)
-        return _branch_residual(pairs, _sum_diff(solution), _sum_diff((p.C1, p.C2)))
+        X, Y = solution
+        W, Wr, R, S = p.W, p.W_right, p.R, p.S
+        r1 = W @ X + X @ Wr + R @ Y + Y @ S - p.C1
+        r2 = W @ Y + Y @ Wr + R @ X + X @ S - p.C2
+        return _ratio(np.linalg.norm((r1, r2)), np.linalg.norm((p.C1, p.C2)))
     raise InvalidSpecError(f"unsupported problem type {type(p).__name__}")
 
 

@@ -128,7 +128,7 @@ def test_criterion_5_stability():
         step_rule="independent", l=0.2,
     )
     grid = build_grid(spec)
-    ok, guard = cfl_guard(grid, 0.25, 0.0, 0.0)
+    ok, guard = cfl_guard(grid, 0.0, 0.0)
     assert ok, f"stability precondition violated: 4 sigma C_alpha = {guard}"
     u0 = lambda x, y: np.exp(-(x * x + y * y))
     zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))

@@ -2,13 +2,14 @@
 
 `assemble_rhs` builds the branch right-hand sides C1 +- C2 in the branch
 variables U +- V from the levels' images K(Z) (`StepOperators.image`) and
-sources (`level_source`), `residual` evaluates a coupled pair through its
-sum and difference equations, and Taylor seeding forms u_tt +- v_tt from
-level 0's image.  All three are checked here against the two-equation U/V
-forms, written out from the scheme's coefficients with `_lyap` and
-`_cross`.  The three operators of a branch are checked against their dense
-matrices as functions of the image, and the step's own residual, from the
-image of the new level, against `residual` of the U/V problem.
+sources (`level_source`), and Taylor seeding forms u_tt +- v_tt from level
+0's image.  Both are checked here against the two-equation U/V forms,
+written out from the scheme's coefficients with `_lyap` and `_cross`, and
+`residual` of a coupled pair, which evaluates those two equations itself,
+against the same form with dense coefficients.  The three operators of a
+branch are checked against their dense matrices as functions of the image,
+and the step's own residual, from the image of the new level in branch
+form, against `residual` of the U/V problem: two independent evaluations.
 """
 
 import numpy as np
@@ -85,9 +86,10 @@ def test_assemble_rhs_equals_the_uv_form(
 ):
     rng = np.random.default_rng(seed)
     # L0 = -1 puts a node on the axis for odd J, so both policies matter there
-    grid = build_grid(
-        GridSpec(L0=-1.0, L1=1.0, J=J, t0=t0, step_rule="independent", l=0.1 * rng.uniform(0.1, 1))
-    )
+    grid = build_grid(GridSpec(
+        L0=-1.0, L1=1.0, J=J, t0=t0, alpha=alpha, step_rule="independent",
+        l=0.1 * rng.uniform(0.1, 1),
+    ))
     size = (grid.size, grid.size)
     forcing = {
         level: (rng.standard_normal(size), rng.standard_normal(size))
@@ -100,11 +102,10 @@ def test_assemble_rhs_equals_the_uv_form(
         forcing=(lambda x, y, t: forcing[level_at[t]]) if forced else None,
     )
     opset = build_operator_set(grid, lam, gamma, sing_policy=sing_policy)
-    ops = assemble_step_operators(opset, grid, alpha)
+    ops = assemble_step_operators(opset, grid)
     hist = [tuple(rng.standard_normal(size) for _ in range(2)) for _ in range(2)]
     history = tuple(
-        CoupledState(Field(U, level), Field(V, level))
-        for (U, V), level in zip(hist, (n, n - 1))
+        CoupledState(Field(U), Field(V), level) for (U, V), level in zip(hist, (n, n - 1))
     )
 
     sources = tuple(level_source(prob, grid, state) for state in history)
@@ -157,11 +158,11 @@ def test_branch_operators_are_affine_in_the_image(seed, J, lam, gamma, alpha, si
     # the factored pair, the level-n and the level-(n-1) operators of each
     # branch, written out as dense matrices, against their image identities
     rng = np.random.default_rng(seed)
-    grid = build_grid(
-        GridSpec(L0=-1.0, L1=1.0, J=J, step_rule="independent", l=0.1 * rng.uniform(0.1, 1))
-    )
+    grid = build_grid(GridSpec(
+        L0=-1.0, L1=1.0, J=J, alpha=alpha, step_rule="independent", l=0.1 * rng.uniform(0.1, 1)
+    ))
     opset = build_operator_set(grid, lam, gamma, sing_policy)
-    ops = assemble_step_operators(opset, grid, alpha)
+    ops = assemble_step_operators(opset, grid)
     sigma, h = grid.sigma, grid.h
     I = np.eye(grid.size)
     A, Theta, Lam = (M.dense() for M in (opset.A, opset.Theta, opset.Lambda))
@@ -190,11 +191,11 @@ def test_branch_operators_are_affine_in_the_image(seed, J, lam, gamma, alpha, si
 )
 def test_step_residual_equals_the_uv_residual(seed, J, alpha, lam, gamma, c, sing_policy):
     rng = np.random.default_rng(seed)
-    grid = build_grid(
-        GridSpec(L0=-1.0, L1=1.0, J=J, step_rule="independent", l=0.1 * rng.uniform(0.1, 1))
-    )
+    grid = build_grid(GridSpec(
+        L0=-1.0, L1=1.0, J=J, alpha=alpha, step_rule="independent", l=0.1 * rng.uniform(0.1, 1)
+    ))
     opset = build_operator_set(grid, lam, gamma, sing_policy)
-    ops = assemble_step_operators(opset, grid, alpha)
+    ops = assemble_step_operators(opset, grid)
     k = alpha * grid.sigma * grid.h
     W = 0.5 * TriDiagMatrix.identity(grid.size) - (alpha * grid.sigma) * opset.A
     kTheta, kLambda = k * opset.Theta, k * opset.Lambda
@@ -208,7 +209,7 @@ def test_step_residual_equals_the_uv_residual(seed, J, alpha, lam, gamma, c, sin
     expected = residual(uv, (X, Y))
     # the step checks the new level (P, Q) through its image
     Z = np.stack((P, Q))
-    level = BranchLevel(CoupledState(Field(X, 2), Field(Y, 2)), Z, ops.image(Z))
+    level = BranchLevel(CoupledState(Field(X), Field(Y), 2), Z, ops.image(Z))
     C = np.stack((C_sum, C_diff))
     got = _step_residual(level, C, np.linalg.norm(C), ops, c)
     assert abs(got - expected) <= 1e-12 * expected
@@ -268,7 +269,7 @@ def test_taylor_seeding_equals_the_uv_form(seed, J, lam, gamma, a, t0, sing_poli
         forcing=lambda x, y, t: forcing,
     )
     opset = build_operator_set(grid, lam, gamma, sing_policy=sing_policy)
-    ops = assemble_step_operators(opset, grid, grid.spec.alpha)
+    ops = assemble_step_operators(opset, grid)
     level0, level1, _ = init_levels(prob, grid, ops)
     s0, s1 = level0.state, level1.state
     expected, scale = reference_taylor_levels(prob, grid, opset, data, forcing)

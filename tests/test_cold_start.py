@@ -40,7 +40,7 @@ def trajectory(config, solver):
 def kernels(config):
     grid = build_grid(grid_spec_for(config))
     opset = build_operator_set(grid, config.lam, config.gamma, sing_policy="limit")
-    ops = assemble_step_operators(opset, grid, config.alpha)
+    ops = assemble_step_operators(opset, grid)
     return plan_solves(ops, grid, config.a).kernels
 
 out = {"after_import": loaded()}

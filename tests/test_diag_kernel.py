@@ -184,7 +184,7 @@ def test_run_past_the_cell_peclet_bound_takes_the_schur_kernel(monkeypatch):
     nearest = np.abs(np.delete(grid.nodes, grid.singular)).min()
     assert grid.h * config.lam / nearest >= 1.0
     opset = build_operator_set(grid, config.lam, config.gamma, sing_policy="limit")
-    ops = assemble_step_operators(opset, grid, config.alpha)
+    ops = assemble_step_operators(opset, grid)
     assert plan_solves(ops, grid, config.a).kernels == ("schur", "schur")
 
     eigh_calls = []

@@ -145,7 +145,7 @@ def _traj_from(exact, grid, levels):
     out = []
     for n in levels:
         u, v = exact(X, Y, grid.time(n))
-        out.append(CoupledState(Field(np.array(u), n), Field(np.array(v), n)))
+        out.append(CoupledState(Field(np.array(u)), Field(np.array(v)), n))
     return out
 
 
@@ -194,9 +194,11 @@ def test_discrete_errors_scalings():
 def test_field_validation():
     with pytest.raises(InvalidSpecError):
         Field(np.zeros((2, 3)))
-    with pytest.raises(InvalidSpecError):
-        Field(np.array([[np.nan, 0.0], [0.0, 0.0]])).check_finite()
-    with pytest.raises(InvalidSpecError, match="share the time level"):
-        CoupledState(Field(np.zeros((2, 2)), 0), Field(np.zeros((2, 2)), 1))
+    # the state owns the level, and check_finite names it, for either field
+    finite, nan = np.zeros((2, 2)), np.array([[np.nan, 0.0], [0.0, 0.0]])
+    assert CoupledState(Field(finite), Field(finite), 7).check_finite().level == 7
+    for U, V in ((nan, finite), (finite, nan)):
+        with pytest.raises(InvalidSpecError, match=r"^field at level 7 contains NaN/Inf$"):
+            CoupledState(Field(U), Field(V), 7).check_finite()
     with pytest.raises(InvalidSpecError, match="share dimensions"):
-        CoupledState(Field(np.zeros((2, 2)), 0), Field(np.zeros((3, 3)), 0))
+        CoupledState(Field(np.zeros((2, 2))), Field(np.zeros((3, 3))))

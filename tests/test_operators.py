@@ -95,16 +95,16 @@ def test_axis_node_limit_policy():
     assert np.allclose(row, exact, atol=0.1)
 
 
-def factored_pairs(grid, lam, alpha, a=0.0):
+def factored_pairs(grid, lam, a=0.0):
     """The (sum, diff) pairs (L, R) that the plan factors, as TriDiagMatrix objects."""
-    ops = assemble_step_operators(build_operator_set(grid, lam, lam), grid, alpha)
+    ops = assemble_step_operators(build_operator_set(grid, lam, lam), grid)
     return [(f.L, f.R) for f in plan_solves(ops, grid, a).pairs]
 
 
 def test_w_alpha_degenerate_alpha_zero():
     # W_alpha = I/2 - alpha sigma A: at alpha = 0 both branch pairs are I/2
-    grid = build_grid(GridSpec(L0=0, L1=3, J=2, step_rule="independent", l=1.0))
-    for L, R in factored_pairs(grid, 0.0, 0.0):
+    grid = build_grid(GridSpec(L0=0, L1=3, J=2, alpha=0.0, step_rule="independent", l=1.0))
+    for L, R in factored_pairs(grid, 0.0):
         assert np.array_equal(L.dense(), 0.5 * np.eye(4))
         assert np.array_equal(R.dense(), 0.5 * np.eye(4))
 
@@ -113,7 +113,7 @@ def test_w_alpha_interior_diagonal():
     # h = 1, l = 1 so sigma = 1; alpha = 1/4: diag = 1/2 - (1/4)(-2) = 1.0
     # for W = (L+ + L-)/2, Method I's coefficient
     grid = build_grid(GridSpec(L0=0, L1=3, J=2, step_rule="independent", l=1.0))
-    (Ls, _), (Ld, _) = factored_pairs(grid, 0.0, 0.25)
+    (Ls, _), (Ld, _) = factored_pairs(grid, 0.0)
     W = (0.5 * (Ls + Ld)).dense()
     assert W[1, 1] == pytest.approx(1.0)
     assert W[2, 2] == pytest.approx(1.0)
@@ -123,7 +123,7 @@ def test_r_pos_zero_diagonal_when_a_zero():
     # Method I's R = c_n I + (L+ - L-)/2 = c_n I - alpha sigma h Theta
     grid = build_grid(GridSpec(L0=1, L1=8, J=6, step_rule="independent", l=0.5))
     opset = build_operator_set(grid, 0.25, 0.25)
-    (Ls, _), (Ld, _) = factored_pairs(grid, 0.25, 0.25)
+    (Ls, _), (Ld, _) = factored_pairs(grid, 0.25)
     c = step_shift(grid, 1, 0.0)
     R = (TriDiagMatrix.identity(grid.size, c) + 0.5 * (Ls - Ld)).dense()
     assert np.all(np.diag(R) == 0.0)
@@ -132,10 +132,10 @@ def test_r_pos_zero_diagonal_when_a_zero():
 
 def test_step_operators_are_tridiagonal():
     grid = build_grid(GridSpec(L0=-10, L1=10, J=9))
-    ops = assemble_step_operators(build_operator_set(grid, 0.25, 0.25), grid, 0.25)
+    ops = assemble_step_operators(build_operator_set(grid, 0.25, 0.25), grid)
     n = grid.size
     bands = [M for pair in ops.bands for M in pair]
-    pairs = [M for pair in factored_pairs(grid, 0.25, 0.25, 2.5) for M in pair]
+    pairs = [M for pair in factored_pairs(grid, 0.25, 2.5) for M in pair]
     assert len(bands) == len(pairs) == 4
     for M in bands + pairs:
         D = M.dense()
@@ -157,7 +157,7 @@ def test_tridiag_rejects_inconsistent_band_lengths(sub, sup):
 
 def test_image_rejects_a_wrongly_shaped_stack():
     grid = build_grid(GridSpec(L0=-1, L1=1, J=3))
-    ops = assemble_step_operators(build_operator_set(grid, 0.25, 0.25), grid, 0.25)
+    ops = assemble_step_operators(build_operator_set(grid, 0.25, 0.25), grid)
     n = grid.size
     for shape in ((n, n), (1, n, n), (2, n, n + 1)):
         with pytest.raises(InvalidSpecError, match="dimension mismatch"):

@@ -33,11 +33,10 @@ from epdsys.sylvester import CoupledProblem, solvability_margin
 ZERO = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
 
 
-def uv_coefficients(opset, grid, c, alpha=None):
+def uv_coefficients(opset, grid, c):
     """The dense U/V coefficients of step c_n = c, written from the mesh
     matrices: W = I/2 - alpha sigma A, R = c I - k Theta, S = c I - k Lambda."""
-    alpha = grid.spec.alpha if alpha is None else alpha
-    w, k = alpha * grid.sigma, alpha * grid.sigma * grid.h
+    w, k = grid.spec.alpha * grid.sigma, grid.spec.alpha * grid.sigma * grid.h
     I = np.eye(grid.size)
     A, Theta, Lam = (M.dense() for M in (opset.A, opset.Theta, opset.Lambda))
     return 0.5 * I - w * A, c * I - k * Theta, c * I - k * Lam
@@ -51,7 +50,7 @@ def seed_states(prob, grid, opset=None):
     """The states of levels 0 and 1 that `init_levels` seeds on the step operators of `opset`."""
     if opset is None:
         opset = build_operator_set(grid, prob.lam, prob.gamma)
-    ops = assemble_step_operators(opset, grid, grid.spec.alpha)
+    ops = assemble_step_operators(opset, grid)
     level0, level1, _ = init_levels(prob, grid, ops)
     return level0.state, level1.state
 
@@ -174,8 +173,8 @@ def _rhs(history, ops, prob, grid, n):
 def _zero_history(grid, n):
     Z = np.zeros((grid.size, grid.size))
     return (
-        CoupledState(Field(Z.copy(), n), Field(Z.copy(), n)),
-        CoupledState(Field(Z.copy(), n - 1), Field(Z.copy(), n - 1)),
+        CoupledState(Field(Z.copy()), Field(Z.copy()), n),
+        CoupledState(Field(Z.copy()), Field(Z.copy()), n - 1),
     )
 
 
@@ -183,7 +182,7 @@ def test_assemble_rhs_zero_history():
     grid = build_grid(GridSpec(L0=-1, L1=1, J=3, t0=1.0))
     prob = ProblemDef(a=1.0, lam=0.25, gamma=0.25, p=2.0, q=2.0, data=(ZERO,) * 4)
     opset = build_operator_set(grid, 0.25, 0.25)
-    ops = assemble_step_operators(opset, grid, 0.25)
+    ops = assemble_step_operators(opset, grid)
     C = _rhs(_zero_history(grid, 1), ops, prob, grid, 1)
     assert C.shape == (2, grid.size, grid.size)
     assert np.all(C == 0.0)
@@ -192,7 +191,7 @@ def test_assemble_rhs_zero_history():
 def test_assemble_rhs_rejects_history_levels_that_are_not_consecutive():
     grid = build_grid(GridSpec(L0=-1, L1=1, J=3, t0=1.0))
     prob = ProblemDef(a=1.0, lam=0.25, gamma=0.25, p=2.0, q=2.0, data=(ZERO,) * 4)
-    ops = assemble_step_operators(build_operator_set(grid, 0.25, 0.25), grid, 0.25)
+    ops = assemble_step_operators(build_operator_set(grid, 0.25, 0.25), grid)
     newer, _ = _zero_history(grid, 3)
     _, older = _zero_history(grid, 2)  # levels 3 and 1
     with pytest.raises(InvalidSpecError, match=r"history levels \(3, 1\) are not consecutive"):
@@ -200,16 +199,20 @@ def test_assemble_rhs_rejects_history_levels_that_are_not_consecutive():
 
 
 def test_assemble_rhs_alpha_half_kills_gradient_history(rng):
-    grid = build_grid(GridSpec(L0=1, L1=8, J=6, t0=1.0, step_rule="independent", l=0.3))
+    grid = build_grid(
+        GridSpec(L0=1, L1=8, J=6, t0=1.0, alpha=0.5, step_rule="independent", l=0.3)
+    )
     prob = ProblemDef(a=0.0, lam=0.5, gamma=0.5, p=2.0, q=2.0, data=(ZERO,) * 4, nonlinear=False)
     opset = build_operator_set(grid, 0.5, 0.5)
-    ops = assemble_step_operators(opset, grid, 0.5)
+    ops = assemble_step_operators(opset, grid)
+    # the weights read the grid's alpha
+    assert ops.implicit_weight == 0.5 * grid.sigma and ops.explicit_weight == 0.0
     n = grid.size
     # only V^n nonzero: C1 reduces to the (1 - 2 alpha) gradient-history term
     Vn = rng.standard_normal((n, n))
     hist = (
-        CoupledState(Field(np.zeros((n, n)), 1), Field(Vn, 1)),
-        CoupledState(Field(np.zeros((n, n)), 0), Field(np.zeros((n, n)), 0)),
+        CoupledState(Field(np.zeros((n, n))), Field(Vn), 1),
+        CoupledState(Field(np.zeros((n, n))), Field(np.zeros((n, n))), 0),
     )
     C_sum, C_diff = _rhs(hist, ops, prob, grid, 1)
     assert np.allclose(0.5 * (C_sum + C_diff), 0.0, atol=1e-14)
@@ -218,16 +221,18 @@ def test_assemble_rhs_alpha_half_kills_gradient_history(rng):
 def test_assemble_rhs_constant_fields_reduce_to_time_terms():
     # A annihilates constants, lam = gamma = a = 0, alpha = 0:
     # C1 = 2 U^n - U^{n-1} entrywise
-    grid = build_grid(GridSpec(L0=0, L1=2, J=1, t0=1.0, step_rule="independent", l=0.5))
+    grid = build_grid(
+        GridSpec(L0=0, L1=2, J=1, t0=1.0, alpha=0.0, step_rule="independent", l=0.5)
+    )
     prob = ProblemDef(a=0.0, lam=0.0, gamma=0.0, p=2.0, q=2.0, data=(ZERO,) * 4, nonlinear=False)
     opset = build_operator_set(grid, 0.0, 0.0)
-    ops = assemble_step_operators(opset, grid, 0.0)
+    ops = assemble_step_operators(opset, grid)
     n = grid.size
     Un = np.full((n, n), 3.0)
     Um = np.full((n, n), 2.0)
     hist = (
-        CoupledState(Field(Un, 1), Field(Un.copy(), 1)),
-        CoupledState(Field(Um, 0), Field(Um.copy(), 0)),
+        CoupledState(Field(Un), Field(Un.copy()), 1),
+        CoupledState(Field(Um), Field(Um.copy()), 0),
     )
     C_sum, C_diff = _rhs(hist, ops, prob, grid, 1)
     assert np.allclose(0.5 * (C_sum + C_diff), 2 * Un - Um, atol=1e-13)
@@ -235,22 +240,41 @@ def test_assemble_rhs_constant_fields_reduce_to_time_terms():
 
 
 def test_step_zero_state_stays_zero():
-    grid = build_grid(GridSpec(L0=-1, L1=1, J=3, t0=1.0))
+    grid = build_grid(GridSpec(L0=-1, L1=1, J=3, t0=1.0, n_steps=3))
     prob = ProblemDef(a=1.0, lam=0.25, gamma=0.25, p=2.0, q=2.0, data=(ZERO,) * 4)
     opset = build_operator_set(grid, 0.25, 0.25)
-    ops = assemble_step_operators(opset, grid, 0.25)
+    ops = assemble_step_operators(opset, grid)
     plan = plan_solves(ops, grid, prob.a)
-    history = _zero_history(grid, 1)
-    levels = tuple(BranchLevel.of(state, ops) for state in history)
-    level, report, source = step(
-        levels, level_source(prob, grid, history[1]), ops, prob, grid, 1, plan
-    )
-    state = level.state
-    assert np.all(state.U.values == 0.0) and np.all(state.V.values == 0.0)
-    assert np.all(level.Z == 0.0) and np.all(level.KZ == 0.0)
-    assert np.all(source == 0.0)
-    assert report.residual_coupled == 0.0
-    assert state.level == 2
+    # the step's index is the level of its newer history level: history
+    # (n, n-1) gives step n, its shift row n - 1 and the new level n + 1
+    for n in (1, 2):
+        history = _zero_history(grid, n)
+        levels = tuple(BranchLevel.of(state, ops) for state in history)
+        source_m = level_source(prob, grid, history[1])
+        level, report, source = step(levels, source_m, ops, prob, grid, plan)
+        state = level.state
+        assert np.all(state.U.values == 0.0) and np.all(state.V.values == 0.0)
+        assert np.all(level.Z == 0.0) and np.all(level.KZ == 0.0)
+        assert np.all(source == 0.0)
+        assert report.residual_coupled == 0.0
+        assert state.level == n + 1
+        assert report.n == n
+        assert report.c == plan.shifts[n - 1] == step_shift(grid, n, prob.a)
+
+
+def test_step_outside_the_plan_is_named():
+    # the plan of n_steps = 3 holds steps 1 and 2: history (3, 2) has no
+    # row, and history (0, -1) would wrap to the last one
+    grid = build_grid(GridSpec(L0=-1, L1=1, J=3, t0=1.0, n_steps=3))
+    prob = ProblemDef(a=1.0, lam=0.25, gamma=0.25, p=2.0, q=2.0, data=(ZERO,) * 4)
+    ops = assemble_step_operators(build_operator_set(grid, 0.25, 0.25), grid)
+    plan = plan_solves(ops, grid, prob.a)
+    for n in (3, 0):
+        history = _zero_history(grid, n)
+        levels = tuple(BranchLevel.of(state, ops) for state in history)
+        source_m = level_source(prob, grid, history[1])
+        with pytest.raises(InvalidSpecError, match=rf"step {n} is outside the plan's steps 1\.\.2"):
+            step(levels, source_m, ops, prob, grid, plan)
 
 
 def test_single_step_reference_error(ref_config, ref_grid24, ref_problem):
@@ -318,14 +342,21 @@ def test_run_blowup_detection(monkeypatch):
 
 
 def test_cfl_guard_reference_parameters(ref_grid24):
-    ok, value = cfl_guard(ref_grid24, 0.25, 0.25, 0.25)
+    ok, value = cfl_guard(ref_grid24, 0.25, 0.25)
     assert not ok
     assert value == pytest.approx(4.0, rel=1e-12)
 
 
 def test_cfl_guard_alpha_zero(ref_grid24):
-    ok, value = cfl_guard(ref_grid24, 0.0, 0.25, 0.25)
+    ok, value = cfl_guard(build_grid(dataclasses.replace(ref_grid24.spec, alpha=0.0)), 0.25, 0.25)
     assert ok and value == 0.0
+
+
+def test_cfl_guard_reads_the_grids_alpha(ref_grid24):
+    # the value that cfl_guard gave with alpha = 0.5 passed beside this
+    # grid, bit for bit
+    grid = build_grid(dataclasses.replace(ref_grid24.spec, alpha=0.5))
+    assert cfl_guard(grid, 0.25, 0.25) == (False, 8.000000000000004)
 
 
 def test_cfl_guard_small_sigma_passes():
@@ -333,7 +364,7 @@ def test_cfl_guard_small_sigma_passes():
     l = math.sqrt(0.1) * 0.5
     grid = build_grid(GridSpec(L0=0, L1=5, J=9, step_rule="independent", l=l))
     assert grid.sigma == pytest.approx(0.1)
-    ok, value = cfl_guard(grid, 0.25, 0.0, 0.0)
+    ok, value = cfl_guard(grid, 0.0, 0.0)
     assert ok and value == pytest.approx(0.4)
 
 
@@ -473,7 +504,7 @@ def test_preflight_names_the_failing_step_before_any_solve(monkeypatch, solver):
     spec = GridSpec(L0=-10, L1=10, J=9, t0=0.0, n_steps=6, alpha=config.alpha)
     grid = build_grid(spec)
     opset = build_operator_set(grid, config.lam, config.gamma, sing_policy="limit")
-    W, R, S = uv_coefficients(opset, grid, 0.0, config.alpha)
+    W, R, S = uv_coefficients(opset, grid, 0.0)
     lams = np.linalg.eigvals(W - R)
     mus = np.linalg.eigvals(W.T - S)
     sums = (lams[:, None] + mus[None, :]).ravel()
@@ -564,7 +595,7 @@ def test_reports_carry_the_shift_and_both_margins(solver):
     prob, _ = manufactured_problem(RunConfig(J=9))
     _, reports = run(prob, spec, solver=solver, sing_policy="limit")
     opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy="limit")
-    plan = plan_solves(assemble_step_operators(opset, grid, spec.alpha), grid, prob.a)
+    plan = plan_solves(assemble_step_operators(opset, grid), grid, prob.a)
     assert 0.0 < plan.factor_time
     # row n - 1 of the plan's arrays is step n
     assert [r.n for r in reports] == [1, 2, 3, 4, 5]
@@ -591,14 +622,20 @@ def test_min_margin_ties_go_to_the_earliest_step_then_diff():
     # at step 2: the earliest step wins, then "diff" before "sum"
     margins = np.array([[1.0, 2.0], [0.5, 0.5], [3.0, 1.0], [0.5, 0.5]])
     grid = build_grid(GridSpec(L0=-1, L1=1, J=3, t0=0.5, n_steps=5))
-    ops = assemble_step_operators(build_operator_set(grid, 0.25, 0.25), grid, 0.25)
+    ops = assemble_step_operators(build_operator_set(grid, 0.25, 0.25), grid)
     plan = dataclasses.replace(plan_solves(ops, grid, 1.0), margins=margins)
     assert isinstance(plan, epdsys.stepper.SolvePlan)
-    assert plan.min_margin() == (0.5, 2, "diff")
-    plan = dataclasses.replace(plan, margins=np.array([[1.0, 0.7], [0.7, 2.0]]))
-    assert plan.min_margin() == (0.7, 1, "diff")
-    plan = dataclasses.replace(plan, margins=np.array([[0.7, 0.9], [0.7, 0.7]]))
-    assert plan.min_margin() == (0.7, 1, "sum")
+    # the returned pair is the plan's attaining pair at that step and branch
+    for margins, expected in (
+        (margins, (0.5, 2, "diff")),
+        (np.array([[1.0, 0.7], [0.7, 2.0]]), (0.7, 1, "diff")),
+        (np.array([[0.7, 0.9], [0.7, 0.7]]), (0.7, 1, "sum")),
+    ):
+        plan = dataclasses.replace(plan, margins=margins)
+        *found, pair = plan.min_margin()
+        assert tuple(found) == expected
+        step_n, column = expected[1], tuple(BRANCH_SIGNS).index(expected[2])
+        assert np.array_equal(pair, plan.attaining[step_n - 1, column])
 
 
 @pytest.mark.parametrize("solver", ["sylvester", "kronecker"])
@@ -766,7 +803,7 @@ def test_factored_pairs_are_the_identity_minus_the_image():
     # bands whose image the steps use, in BRANCH_SIGNS order:
     # f.L Z + Z f.R = Z - alpha sigma K(Z)
     grid = build_grid(GridSpec(L0=-1, L1=1, J=5, t0=0.5, step_rule="independent", l=0.1))
-    ops = assemble_step_operators(build_operator_set(grid, 0.3, -0.2), grid, 0.25)
+    ops = assemble_step_operators(build_operator_set(grid, 0.3, -0.2), grid)
     plan = plan_solves(ops, grid, 1.0)
     Z = np.random.default_rng(5).standard_normal((2, grid.size, grid.size))
     KZ = ops.image(Z)

@@ -213,6 +213,26 @@ def test_decoupling_identity(rng):
     assert residual(p, (X, Y)) <= 1e-10
 
 
+def test_residual_sees_a_fault_in_the_decoupling(rng, monkeypatch):
+    # residual evaluates the pair's own two equations, not the branches that
+    # solve_coupled decouples it into, so a wrong decoupling shows there
+    n = 6
+    W = np.eye(n) + 0.2 * rng.standard_normal((n, n))
+    p = CoupledProblem(
+        W, 0.2 * rng.standard_normal((n, n)), 0.2 * rng.standard_normal((n, n)),
+        rng.standard_normal((n, n)), rng.standard_normal((n, n)), W_right=W.T,
+    )
+    assert residual(p, solve_coupled(p)) <= 1e-13
+    monkeypatch.setattr(
+        epdsys.sylvester, "_branch_pairs",
+        lambda W, R, S, W_right: tuple((W + s * R, W_right - s * S) for s in (1.0, -1.0)),
+    )
+    X, Y = solve_coupled(p)
+    X_ref, Y_ref = kronecker_solve(p)
+    assert max(np.abs(X - X_ref).max(), np.abs(Y - Y_ref).max()) > 0.1
+    assert residual(p, (X, Y)) > 0.1
+
+
 def test_linearity_of_solutions(rng):
     n = 5
     W = np.eye(n) + 0.1 * rng.standard_normal((n, n))
