@@ -98,7 +98,9 @@ class StepReport:
     ||(U, V)|| = ||(Z+, Z-)|| / sqrt(2) of the new level.
 
     `margins` are the plan's (sum, diff) margins of step n and `margin` the
-    smaller one; c is the step's shift c_n.  wall_time covers the whole step;
+    smaller one; c is the step's shift c_n.  A report exists only for a
+    level that `step` checked: finite, with sup_norm <= BLOWUP_CAP.
+    wall_time covers the whole step;
     rhs_time, solve_time and residual_time are its right-hand-side assembly,
     coupled solve and residual check, which includes the image of the new
     level that the next two right-hand sides reuse.
@@ -156,7 +158,8 @@ def init_levels(prob: ProblemDef, grid: Grid, ops: StepOperators):
     u_tt + 2a v_tt = RHS_u, v_tt + 2a u_tt = RHS_v, Z_tt = rhs / (1 +- 2a),
     singular at a = +-1/2.  Level 0's image and explicit terms serve the
     first step as well.  A sample that is not finite raises InvalidSpecError
-    naming its source and level (`grid.sample`).
+    naming its source and level (`grid.sample`), and so does a Taylor level
+    1 that is not finite, checked here where it is computed.
     """
     if prob.exact is not None:
         def seed(level):
@@ -186,8 +189,8 @@ def init_levels(prob: ProblemDef, grid: Grid, ops: StepOperators):
     l2 = 0.5 * grid.l * grid.l
     Z1 = level0.Z + grid.l * Zt + l2 * Ztt
     U1, V1 = _sum_diff(Z1, 0.5)
-    level1 = BranchLevel(CoupledState(Field(U1), Field(V1), level=1), Z1, ops.image(Z1))
-    return level0, level1, l2 * F
+    state1 = CoupledState(Field(U1), Field(V1), level=1).check_finite()
+    return level0, BranchLevel(state1, Z1, ops.image(Z1)), l2 * F
 
 
 def _explicit_terms(prob: ProblemDef, grid: Grid, state: CoupledState) -> np.ndarray:
@@ -310,7 +313,10 @@ def step(
     branch equations (`_step_residual`), which on the Kronecker path checks
     BRANCH_SIGNS.  A step outside the plan's rows, or a right-hand side
     that is not finite, raises InvalidSpecError before the solve, naming the
-    step or the source that holds NaN/Inf.
+    step or the source that holds NaN/Inf.  The step checks the level it
+    forms: one that is not finite raises InvalidSpecError naming level n+1,
+    and one whose combined norm exceeds BLOWUP_CAP, read at call time,
+    raises BlowUpError with step = n+1.
     """
     _check_solver(solver)
     t_start = time.perf_counter()
@@ -367,6 +373,15 @@ def step(
         solve_time=solve_time,
         residual_time=residual_time,
     )
+    if not math.isfinite(report.sup_norm):  # names the level that is not finite
+        state.check_finite()
+    if report.sup_norm > BLOWUP_CAP:
+        raise BlowUpError(
+            f"blow-up at step {state.level}: ||(U,V)|| = {report.sup_norm:.3e} "
+            f"> {BLOWUP_CAP:.1e}",
+            step=state.level,
+            sup_norm=report.sup_norm,
+        )
     return level, report, source
 
 
@@ -384,11 +399,12 @@ def run(
     built once; the solve plan factors the branch pairs once and checks
     every step's margin before the first solve on either solver
     (SolvabilityError names the step); `init_levels` then seeds levels 0
-    and 1.  Each level's image (`BranchLevel`) and source (nonlinearity and
-    forcing, `level_source`) are computed once and used by every step they
-    enter.  Raises BlowUpError when the combined norm exceeds BLOWUP_CAP,
-    read at call time.  An unknown solver raises InvalidSpecError before any
-    operator is built.
+    and 1, and `step` forms each further level.  Each level's image
+    (`BranchLevel`) and source (nonlinearity and forcing, `level_source`)
+    are computed once and used by every step they enter.  `run` only
+    builds, seeds and collects: the function that forms a level checks it
+    (a blow-up is `step`'s BlowUpError).  An unknown solver raises
+    InvalidSpecError before any operator is built.
     """
     _check_solver(solver)
     grid = spec if isinstance(spec, Grid) else build_grid(spec)
@@ -398,24 +414,12 @@ def run(
     ops = assemble_step_operators(opset, grid)
     plan = plan_solves(ops, grid, prob.a)
     level0, level1, source = init_levels(prob, grid, ops)
-    # `sample` checked the sampled levels; Taylor seeding computes level 1
-    level1.state.check_finite()
     trajectory = [level0.state, level1.state]
     reports: list[StepReport] = []
     levels = (level1, level0)
     for _ in range(1, grid.n_steps):
         level, report, source = step(levels, source, ops, prob, grid, plan, solver=solver)
-        state = level.state
-        if not math.isfinite(report.sup_norm):  # names the level that is not finite
-            state.check_finite()
-        if report.sup_norm > BLOWUP_CAP:
-            raise BlowUpError(
-                f"blow-up at step {state.level}: ||(U,V)|| = {report.sup_norm:.3e} "
-                f"> {BLOWUP_CAP:.1e}",
-                step=state.level,
-                sup_norm=report.sup_norm,
-            )
-        trajectory.append(state)
+        trajectory.append(level.state)
         reports.append(report)
         levels = (level, levels[0])
     return trajectory, reports

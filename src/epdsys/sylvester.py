@@ -59,7 +59,6 @@ import math
 import time
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .exceptions import InvalidSpecError, SizeGuardError, SolvabilityError
 from .operators import BRANCH_SIGNS, TriDiagMatrix, _sum_diff
@@ -441,11 +440,13 @@ def kronecker_solve(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
     that the oracle does not share the fast path's sign table.  By the
     column-stacking identities vec(L P) = (I kron L) vec(P) and vec(P M) =
     (M.T kron I) vec(P), each branch is the N x N system I kron L + M.T kron
-    I, N = n^2.  It is written into one zeroed Fortran-ordered buffer and
-    factored there by LAPACK dgesv (Gaussian elimination with partial
-    pivoting); the second branch reuses the buffer, so no other N x N array
-    is made.  A size above KRONECKER_MAX_SIZE, read at call time, raises
-    SizeGuardError.
+    I, N = n^2.  It is written into one zeroed Fortran-ordered buffer, one
+    indexed write per term (an assignment for I kron L, then `np.add.at`
+    for M.T kron I, which adds on the diagonal they share), and factored
+    there by LAPACK dgesv (Gaussian elimination with partial pivoting); the
+    second branch reuses the buffer, so no other N x N array and no n^3
+    temporary is made.  A size above KRONECKER_MAX_SIZE, read at call time,
+    raises SizeGuardError.
     """
     n = p.size
     if n > KRONECKER_MAX_SIZE:
@@ -459,25 +460,17 @@ def kronecker_solve(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
     K = np.zeros((n * n, n * n), order="F")
     # row i + n j, column k + n m -> K4[i, j, k, m]: equation (i, j), unknown (k, m)
     K4 = K.reshape((n, n, n, n), order="F")
-    s0, s1, s2, s3 = K4.strides
-    # (L P)[i, j] = sum_k L[i, k] P[k, j]: the entries with m = j
-    left = as_strided(K4, (n, n, n), (s0, s1 + s3, s2))
-    # (P M)[i, j] = sum_m P[i, m] M[m, j]: the entries with k = i
-    right = as_strided(K4, (n, n, n), (s0 + s2, s1, s3))
-    # the diagonal, k = i and m = j, where the two meet
-    diagonal = as_strided(K4, (n, n), (s0 + s2, s1 + s3))
+    a = np.arange(n)
     import scipy.linalg
 
     solutions = []
     for (branch, L, M), Cb in zip(branches, _sum_diff((p.C1, p.C2))):
         if solutions:
             K.fill(0.0)
-        # assigned, not added in place (numpy would copy an n^3 strided view
-        # that it cannot prove free of self-overlap); `right` overwrites the
-        # diagonal that `left` wrote, so L's diagonal is added back there
-        left[...] = L[:, None, :]
-        right[...] = M.T[None, :, :]
-        diagonal += L.diagonal()[:, None]
+        # (L P)[i, j] = sum_k L[i, k] P[k, j]: K4[i, j, k, j] = L[i, k]
+        K4[:, a, :, a] = L
+        # (P M)[i, j] = sum_m P[i, m] M[m, j]: K4[i, j, i, m] += M[m, j]
+        np.add.at(K4, (a, slice(None), a, slice(None)), M.T)
         _, _, sol, info = scipy.linalg.lapack.dgesv(
             K, Cb.ravel(order="F"), overwrite_a=True, overwrite_b=True
         )

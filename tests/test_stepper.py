@@ -325,9 +325,37 @@ def test_run_requires_two_steps():
         run(prob, spec)
 
 
+def reference_j9(seed_mode="exact"):
+    """The reference problem at J = 9 from t0 = 1 with l = 0.05, levels 0 to 3."""
+    prob, _ = manufactured_problem(RunConfig(J=9, t0=1.0, T=2.0, seed_mode=seed_mode))
+    spec = GridSpec(L0=-10, L1=10, J=9, t0=1.0, n_steps=3, step_rule="independent", l=0.05)
+    return prob, spec
+
+
+def step_inputs(prob, spec):
+    """The grid, step operators and solve plan that `run` builds for `spec`."""
+    grid = build_grid(spec)
+    ops = assemble_step_operators(build_operator_set(grid, prob.lam, prob.gamma), grid)
+    return grid, ops, plan_solves(ops, grid, prob.a)
+
+
+def march_by_hand(prob, spec, solver="sylvester"):
+    """Seed with `init_levels`, then call `step` per level: run's loop, with no check of its own."""
+    grid, ops, plan = step_inputs(prob, spec)
+    level0, level1, source = init_levels(prob, grid, ops)
+    states, reports = [level0.state, level1.state], []
+    levels = (level1, level0)
+    for _ in range(1, grid.n_steps):
+        level, report, source = step(levels, source, ops, prob, grid, plan, solver=solver)
+        states.append(level.state)
+        reports.append(report)
+        levels = (level, levels[0])
+    return states, reports
+
+
 def test_run_blowup_detection(monkeypatch):
     # explicit scheme (alpha = 0) with a violently large time step blows up;
-    # run reads the cap at call time
+    # step reads the cap at call time, so a hand loop raises what run raises
     monkeypatch.setattr(epdsys.stepper, "BLOWUP_CAP", 1e6)
     spec = GridSpec(L0=-1, L1=1, J=9, t0=1.0, n_steps=60, alpha=0.0,
                     step_rule="independent", l=1.0)
@@ -339,6 +367,77 @@ def test_run_blowup_detection(monkeypatch):
         run(prob, spec)
     assert err.value.step is not None
     assert "> 1.0e+06" in str(err.value)
+    with pytest.raises(BlowUpError) as by_hand:
+        march_by_hand(prob, spec)
+    assert by_hand.value.step == err.value.step == 4
+    assert by_hand.value.sup_norm == err.value.sup_norm
+    assert str(by_hand.value) == str(err.value)
+
+
+@pytest.mark.parametrize(
+    "fault, error, message",
+    [
+        ("cap", BlowUpError, r"blow-up at step 2: \|\|\(U,V\)\|\| = 7\.810e-01 > 1\.0e-03"),
+        ("solve", InvalidSpecError, r"field at level 2 contains NaN/Inf"),
+    ],
+    ids=["cap", "solve"],
+)
+def test_step_checks_the_level_it_forms(monkeypatch, fault, error, message):
+    # step 1 forms level 2 and checks it: a level that is not finite is named,
+    # not taken for a blow-up, and run raises the same error through step
+    prob, spec = reference_j9()
+    grid, ops, plan = step_inputs(prob, spec)
+    level0, level1, source = init_levels(prob, grid, ops)
+    if fault == "cap":
+        monkeypatch.setattr(epdsys.stepper, "BLOWUP_CAP", 1e-3)
+    else:
+        monkeypatch.setattr(epdsys.stepper, "_solve", lambda plan, C, k: np.full_like(C, np.nan))
+    with pytest.raises(error, match=message) as by_step:
+        step((level1, level0), source, ops, prob, grid, plan)
+    with pytest.raises(error, match=message) as by_run:
+        run(prob, spec)
+    if fault == "cap":
+        assert by_step.value.step == by_run.value.step == 2
+
+
+def test_step_names_a_right_hand_side_that_is_not_finite():
+    # both sources are finite, so the infinite history level itself is named
+    prob, spec = reference_j9()
+    grid, ops, plan = step_inputs(prob, spec)
+    level0, level1, source = init_levels(prob, grid, ops)
+    level0 = dataclasses.replace(level0, Z=np.full_like(level0.Z, np.inf))
+    with pytest.raises(InvalidSpecError, match=r"the right-hand side of step 1 is not finite"):
+        step((level1, level0), source, ops, prob, grid, plan)
+
+
+def test_init_levels_checks_the_taylor_level_1_it_computes():
+    # u1 = v1 = 1e308 are finite samples, but the sum branch's velocity
+    # u1 + v1 overflows, so the level 1 that init_levels computes is not finite
+    prob, spec = reference_j9("taylor")
+    u0, _, v0, _ = prob.data
+    big = lambda x, y: np.full_like(x, 1e308)
+    prob = dataclasses.replace(prob, data=(u0, big, v0, big))
+    grid, ops, _ = step_inputs(prob, spec)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        InvalidSpecError, match=r"field at level 1 contains NaN/Inf"
+    ):
+        init_levels(prob, grid, ops)
+
+
+@pytest.mark.parametrize("solver", ["sylvester", "kronecker"])
+def test_run_is_init_levels_then_step(solver):
+    # every level and every report field but the four times is bitwise equal
+    prob, _ = manufactured_problem(RunConfig(J=24))
+    spec = GridSpec(L0=-10, L1=10, J=24, t0=1.0, n_steps=8, step_rule="independent", l=0.05)
+    states, reports = march_by_hand(prob, spec, solver)
+    trajectory, expected = run(prob, spec, solver=solver)
+    assert [s.level for s in states] == [s.level for s in trajectory] == list(range(9))
+    for ours, theirs in zip(states, trajectory):
+        assert np.array_equal(ours.U.values, theirs.U.values)
+        assert np.array_equal(ours.V.values, theirs.V.values)
+    times = ("wall_time", "rhs_time", "solve_time", "residual_time")
+    untimed = lambda report: dataclasses.replace(report, **dict.fromkeys(times, 0.0))
+    assert [untimed(r) for r in reports] == [untimed(r) for r in expected]
 
 
 def test_cfl_guard_reference_parameters(ref_grid24):
