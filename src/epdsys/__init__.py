@@ -47,6 +47,7 @@ from .stepper import (
     convergence_order,
     init_levels,
     level_source,
+    march,
     run,
     step,
 )

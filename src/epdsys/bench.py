@@ -31,6 +31,7 @@ from .stepper import (
     SOLVER_SYLVESTER,
     ProblemDef,
     convergence_order,
+    march,
     run,
 )
 
@@ -345,16 +346,20 @@ def run_convergence(
     config: RunConfig, J_list: Sequence[int] = DEFAULT_CONVERGENCE_J
 ) -> ConvergenceReport:
     """Sylvester-path runs over J_list; fits the order of Er against h.
-    Every J's grid is built, and so checked, before the first run."""
-    if len(J_list) < 2:
-        raise InvalidSpecError("need at least two grid levels")
+
+    Fewer than two distinct J raise InvalidSpecError before any grid is
+    built, and every J's grid is built, and so checked, before the first
+    run.  Er is folded over the levels as `march` yields them, so no run's
+    trajectory is kept."""
+    if len(set(J_list)) < 2:
+        raise InvalidSpecError(f"need at least two grid levels (distinct J), got {tuple(J_list)}")
     grids = [build_grid(grid_spec_for(config, J)) for J in J_list]
     check_forcing_certificate(config)
     prob, exact = manufactured_problem(config)
     rows = []
     for J, grid in zip(J_list, grids):
-        trajectory, _ = run(prob, grid, solver=SOLVER_SYLVESTER, sing_policy=config.sing_policy)
-        report = discrete_errors(trajectory, exact, grid)
+        levels = march(prob, grid, solver=SOLVER_SYLVESTER, sing_policy=config.sing_policy)
+        report = discrete_errors((state for state, _ in levels), exact, grid)
         rows.append((J, grid.h, report.er))
     order = convergence_order([(h, er) for _, h, er in rows])
     ok = ORDER_BAND[0] <= order <= ORDER_BAND[1] or math.isinf(order)

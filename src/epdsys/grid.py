@@ -23,9 +23,12 @@ from .exceptions import DegenerateExactError, InvalidSpecError
 COUPLED = "coupled"          # l = h*sqrt(h)
 INDEPENDENT = "independent"  # l given explicitly
 
-# Byte budget for the U/V trajectory that `stepper.run` keeps, 16 (n_steps + 1)
-# (J+2)^2 bytes: the reference J = 799 needs 2.6e9, and T = 1e9 at J = 9
-# (3.5e8 steps) is refused before any operator is built.
+# Byte budget for the U/V trajectory, 16 (n_steps + 1) (J+2)^2 bytes, checked
+# for every run, streamed or not.  It has two reasons: the memory of the list
+# that `stepper.run` keeps (the reference J = 799 needs 2.6e9), and, until a
+# preflight of the run's work exists, the only refusal of a run too long to
+# finish: T = 1e9 at J = 9 (3.5e8 steps) is refused before any operator is
+# built, also when `stepper.march` would stream it.
 MAX_TRAJECTORY_BYTES = 2**34
 
 

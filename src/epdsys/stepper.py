@@ -16,11 +16,17 @@ variables Z+- = U +- V the pair decouples into the branches
 of the bands (K, K') = (A + s h Theta, A^T + s h Lambda), s = +-1, the one
 stored form of the step operator (`StepOperators.bands`).
 
-`run` builds the step operators and the solve plan once, seeds levels 0
+`march` builds the step operators and the solve plan once, seeds levels 0
 and 1 through `init_levels` (exact pair or Taylor expansion), and calls
-`step` per level.  The damping shift c_n = l a / (2 t_n) is the only
-coefficient that changes from step to step; the plan computes and checks
-all of them once (`sylvester.SolvePlan.shifts`), and step n reads row n - 1.
+`step` per level, yielding each level as it is formed and keeping only the
+two that the next step reads; nothing runs until its first level is drawn.
+`run` is `march` collected into lists.  A caller that folds the levels
+(`bench.run_convergence`, validate's zero-trajectory check) draws them from
+`march`.  `epdsys solve` calls `run` because it reads both the levels and
+the reports, and so does `bench.run_table1`, whose reports the table1
+benchmark captures by wrapping `bench.run`.  The damping shift
+c_n = l a / (2 t_n) is the only coefficient that changes from step to
+step; the plan computes and checks all of them once (`sylvester.SolvePlan.shifts`), and step n reads row n - 1.
 Every callable of the problem (forcing, exact pair, Taylor data) is
 sampled by `grid.sample`.  Each level is
 carried in the branch variables Z+- = U +- V with its banded image K(Z)
@@ -37,7 +43,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -210,7 +216,7 @@ def level_source(prob: ProblemDef, grid: Grid, state: CoupledState) -> np.ndarra
     """The explicit source of one time level, stacked (S+, S-) = (l^2/2) (F_u +- F_v).
 
     The source of level n enters the steps n and n+1 with the same weight,
-    so `run` computes it once and carries it.  A forcing sample that is not
+    so `march` computes it once and carries it.  A forcing sample that is not
     finite raises InvalidSpecError naming the level and t_n.
     """
     return _sum_diff(_explicit_terms(prob, grid, state), 0.5 * grid.l * grid.l)
@@ -385,13 +391,13 @@ def step(
     return level, report, source
 
 
-def run(
+def march(
     prob: ProblemDef,
     spec: GridSpec | Grid,
     solver: str = SOLVER_SYLVESTER,
     sing_policy: str = SING_LIMIT,
-) -> tuple[list[CoupledState], list[StepReport]]:
-    """Run the full simulation: seed two levels, then advance to n_steps.
+) -> Iterator[tuple[CoupledState, StepReport | None]]:
+    """Yield the run's levels in order: (state, report) per level, report None for 0 and 1.
 
     sing_policy selects the axis-node treatment of the gradient operators
     ('zero' drops the singular coefficient, 'limit' uses its L'Hopital
@@ -401,10 +407,12 @@ def run(
     (SolvabilityError names the step); `init_levels` then seeds levels 0
     and 1, and `step` forms each further level.  Each level's image
     (`BranchLevel`) and source (nonlinearity and forcing, `level_source`)
-    are computed once and used by every step they enter.  `run` only
-    builds, seeds and collects: the function that forms a level checks it
-    (a blow-up is `step`'s BlowUpError).  An unknown solver raises
-    InvalidSpecError before any operator is built.
+    are computed once and used by every step they enter, and the generator
+    holds only the two levels the next step reads.  It only builds, seeds
+    and yields: the function that forms a level checks it (a blow-up is
+    `step`'s BlowUpError).  Nothing is built or checked until the first
+    level is drawn; drawing it raises what the build raises, so an unknown
+    solver is refused with InvalidSpecError before any operator is built.
     """
     _check_solver(solver)
     grid = spec if isinstance(spec, Grid) else build_grid(spec)
@@ -414,15 +422,33 @@ def run(
     ops = assemble_step_operators(opset, grid)
     plan = plan_solves(ops, grid, prob.a)
     level0, level1, source = init_levels(prob, grid, ops)
-    trajectory = [level0.state, level1.state]
-    reports: list[StepReport] = []
+    yield level0.state, None
+    yield level1.state, None
     levels = (level1, level0)
     for _ in range(1, grid.n_steps):
         level, report, source = step(levels, source, ops, prob, grid, plan, solver=solver)
-        trajectory.append(level.state)
-        reports.append(report)
         levels = (level, levels[0])
-    return trajectory, reports
+        yield level.state, report
+
+
+def run(
+    prob: ProblemDef,
+    spec: GridSpec | Grid,
+    solver: str = SOLVER_SYLVESTER,
+    sing_policy: str = SING_LIMIT,
+) -> tuple[list[CoupledState], list[StepReport]]:
+    """`march` collected: every level's state, levels 0..n_steps, and every step's report.
+
+    `run` draws the first level at once, so it raises what `march` raises,
+    in the same order.  It keeps the whole trajectory, which
+    `grid.MAX_TRAJECTORY_BYTES` bounds; a caller that only folds the levels
+    (`bench.run_convergence`, validate's zero-trajectory check) draws them
+    from `march` instead.  `epdsys solve` keeps `run` because it reads both
+    the levels and the reports, and `bench.run_table1` because the table1
+    benchmark captures its reports by wrapping `bench.run`.
+    """
+    states, reports = zip(*march(prob, spec, solver=solver, sing_policy=sing_policy))
+    return list(states), list(reports[2:])
 
 
 def cfl_guard(grid: Grid, lam: float, gamma: float):
@@ -444,12 +470,13 @@ def cfl_guard(grid: Grid, lam: float, gamma: float):
 def convergence_order(errors: Sequence[tuple[float, float]]) -> float:
     """Least-squares slope of log(Er) against log(h).
 
+    Raises InvalidSpecError unless the pairs hold at least two distinct h.
     Returns +inf when some error vanishes (exact reproduction).
     """
-    if len(errors) < 2:
-        raise InvalidSpecError("need at least two (h, Er) pairs")
     hs = np.array([h for h, _ in errors], dtype=float)
     ers = np.array([er for _, er in errors], dtype=float)
+    if np.unique(hs).size < 2:
+        raise InvalidSpecError(f"need (h, Er) pairs at two distinct h, got h = {hs.tolist()}")
     if np.any(ers == 0.0):
         return float("inf")
     slope = np.polyfit(np.log(hs), np.log(ers), 1)[0]

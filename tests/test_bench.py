@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,7 +351,8 @@ def test_run_table1_rejects_no_repeats_before_the_certificate(monkeypatch):
 def test_failing_certificate_is_refused_before_any_run(monkeypatch, study):
     # a = 1.3 is off the family a = 3/2 + 4 lambda on which the forcing is exact
     runs = []
-    monkeypatch.setattr(epdsys.bench, "run", lambda *args, **kwargs: runs.append(args))
+    for name in ("run", "march"):
+        monkeypatch.setattr(epdsys.bench, name, lambda *args, **kwargs: runs.append(args))
     with pytest.raises(EpdError, match="forcing does not produce its exact solution"):
         study(RunConfig(J=4, a=1.3))
     assert runs == []
@@ -370,11 +373,16 @@ def test_run_table1_solver_failure_recorded_not_raised(monkeypatch):
 
 
 def test_run_convergence_needs_two_grid_levels(monkeypatch):
-    runs = []
-    monkeypatch.setattr(epdsys.bench, "run", lambda *args, **kwargs: runs.append(args))
-    with pytest.raises(InvalidSpecError, match="need at least two grid levels"):
-        run_convergence(RunConfig(J=4), J_list=(4,))
-    assert runs == []
+    # a repeated J is one grid level: refused before any grid is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built for fewer than two grid levels")
+
+    monkeypatch.setattr(epdsys.bench, "build_grid", refuse)
+    monkeypatch.setattr(epdsys.bench, "march", refuse)
+    for J_list in ((4,), (24, 24)):
+        message = f"need at least two grid levels (distinct J), got {J_list}"
+        with pytest.raises(InvalidSpecError, match=re.escape(message)):
+            run_convergence(RunConfig(J=4), J_list=J_list)
 
 
 def test_run_convergence_smoke():
@@ -382,3 +390,21 @@ def test_run_convergence_smoke():
     assert len(report.rows) == 2
     assert all(er > 0 for _, _, er in report.rows)
     assert math.isfinite(report.order)
+
+
+def test_run_convergence_keeps_no_trajectory():
+    # at T = 12 the J = 99 run has 136 levels, 22.2 MB of U/V that a kept
+    # trajectory would hold; streamed, the study's traced peak was 5.58 MB
+    # (29.1 MB when each run's trajectory was kept), so 8 MB bounds the
+    # levels that are live at once, not the horizon
+    config = RunConfig(J=9, T=12.0)
+    spec = grid_spec_for(config, 99)
+    assert 16 * (spec.n_steps + 1) * (spec.J + 2) ** 2 > 22e6
+    tracemalloc.start()
+    try:
+        report = run_convergence(config, J_list=(49, 99))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(math.isfinite(er) for _, _, er in report.rows)
+    assert peak < 8e6

@@ -99,9 +99,9 @@ def test_validate_failure_exits_2(config_file, capsys):
     assert out.rstrip().endswith("1 validation failure(s)")
 
 
-def _nonzero_trajectory(prob, spec):
+def _nonzero_levels(prob, spec):
     ones = np.ones((3, 3))
-    return [CoupledState(Field(ones), Field(ones))], []
+    yield CoupledState(Field(ones), Field(ones)), None
 
 
 @pytest.mark.parametrize(
@@ -112,7 +112,7 @@ def _nonzero_trajectory(prob, spec):
         ("ode_residual", lambda *args: 1.0, "series engine residual: series residual 1.000e+00"),
         ("kronecker_solve", lambda p: (np.zeros((6, 6)), np.zeros((6, 6))),
          "solver cross-check: solver mismatch"),
-        ("run", _nonzero_trajectory,
+        ("march", _nonzero_levels,
          "trivial zero trajectory: zero data produced nonzero trajectory (4.243e+00)"),
     ],
     ids=["closed-form", "series", "solver", "zero-trajectory"],
@@ -131,11 +131,20 @@ def test_bad_grid_size_fails_before_the_first_run(
     config_file, monkeypatch, operator_builds, capsys, argv
 ):
     runs = []
-    monkeypatch.setattr(epdsys.bench, "run", lambda *args, **kwargs: runs.append(args))
+    for name in ("run", "march"):
+        monkeypatch.setattr(epdsys.bench, name, lambda *args, **kwargs: runs.append(args))
     path = config_file("J = 4\nout_csv =\n")
     assert main([argv[0], path, *argv[1:]]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error: need J >= 1")
     assert runs == [] and operator_builds == []
+
+
+def test_converge_refuses_a_repeated_grid_size(config_file, operator_builds, capsys):
+    # J = 24 twice is one grid level: a named error, not a fit of one point
+    assert main(["converge", config_file("J = 9\n"), "--J", "24,24"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: need at least two grid levels (distinct J), got (24, 24)")
+    assert captured.out == "" and operator_builds == []
 
 
 def test_bench_subcommand(config_file, tmp_path, capsys):

@@ -8,7 +8,7 @@ import scipy.linalg
 
 import epdsys.stepper
 import epdsys.sylvester
-from epdsys.bench import RunConfig, manufactured_problem
+from epdsys.bench import RunConfig, grid_spec_for, manufactured_problem
 from epdsys.exceptions import BlowUpError, InvalidSpecError, SingularTimeError, SolvabilityError
 from epdsys.grid import CoupledState, Field, GridSpec, build_grid, discrete_errors
 from epdsys.operators import (
@@ -24,6 +24,7 @@ from epdsys.stepper import (
     convergence_order,
     init_levels,
     level_source,
+    march,
     plan_solves,
     run,
     step,
@@ -287,16 +288,20 @@ def test_single_step_reference_error(ref_config, ref_grid24, ref_problem):
 
 
 @pytest.mark.parametrize("solver", ["sylvester", "kronecker"])
-def test_step_margins_match_solvability_margin(ref_grid24, ref_problem, solver):
-    # both solvers read each margin off the plan's Schur spectra
+def test_step_margins_match_solvability_margin(ref_config, ref_grid24, ref_problem, solver):
+    # both solvers read each margin off the plan's Schur spectra; J = 49 has
+    # an axis node, so its margins (down to 2.9e-4) take the limit stencil
     prob, _ = ref_problem
-    _, reports = run(prob, ref_grid24.spec, solver=solver, sing_policy="limit")
-    opset = build_operator_set(ref_grid24, prob.lam, prob.gamma, sing_policy="limit")
-    assert reports
-    for report in reports:
-        W, R, S = uv_coefficients(opset, ref_grid24, step_shift(ref_grid24, report.n, prob.a))
-        expected = solvability_margin(W, R, S, W.T)
-        assert report.margin == pytest.approx(expected, rel=1e-10)
+    grid49 = build_grid(grid_spec_for(ref_config, 49))
+    assert grid49.singular.size == 1
+    for grid, min_reports in ((ref_grid24, 1), (grid49, 2)):
+        _, reports = run(prob, grid.spec, solver=solver, sing_policy="limit")
+        opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy="limit")
+        assert len(reports) >= min_reports
+        for report in reports:
+            W, R, S = uv_coefficients(opset, grid, step_shift(grid, report.n, prob.a))
+            expected = solvability_margin(W, R, S, W.T)
+            assert report.margin == pytest.approx(expected, rel=1e-10)
 
 
 def test_linear_step_matches_kronecker():
@@ -355,7 +360,7 @@ def march_by_hand(prob, spec, solver="sylvester"):
 
 def test_run_blowup_detection(monkeypatch):
     # explicit scheme (alpha = 0) with a violently large time step blows up;
-    # step reads the cap at call time, so a hand loop raises what run raises
+    # step reads the cap at call time, so a hand loop and march raise what run raises
     monkeypatch.setattr(epdsys.stepper, "BLOWUP_CAP", 1e6)
     spec = GridSpec(L0=-1, L1=1, J=9, t0=1.0, n_steps=60, alpha=0.0,
                     step_rule="independent", l=1.0)
@@ -367,11 +372,12 @@ def test_run_blowup_detection(monkeypatch):
         run(prob, spec)
     assert err.value.step is not None
     assert "> 1.0e+06" in str(err.value)
-    with pytest.raises(BlowUpError) as by_hand:
-        march_by_hand(prob, spec)
-    assert by_hand.value.step == err.value.step == 4
-    assert by_hand.value.sup_norm == err.value.sup_norm
-    assert str(by_hand.value) == str(err.value)
+    for draw in (march_by_hand, lambda prob, spec: list(march(prob, spec))):
+        with pytest.raises(BlowUpError) as by_hand:
+            draw(prob, spec)
+        assert by_hand.value.step == err.value.step == 4
+        assert by_hand.value.sup_norm == err.value.sup_norm
+        assert str(by_hand.value) == str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -384,7 +390,7 @@ def test_run_blowup_detection(monkeypatch):
 )
 def test_step_checks_the_level_it_forms(monkeypatch, fault, error, message):
     # step 1 forms level 2 and checks it: a level that is not finite is named,
-    # not taken for a blow-up, and run raises the same error through step
+    # not taken for a blow-up, and run and march raise the same error through step
     prob, spec = reference_j9()
     grid, ops, plan = step_inputs(prob, spec)
     level0, level1, source = init_levels(prob, grid, ops)
@@ -396,8 +402,11 @@ def test_step_checks_the_level_it_forms(monkeypatch, fault, error, message):
         step((level1, level0), source, ops, prob, grid, plan)
     with pytest.raises(error, match=message) as by_run:
         run(prob, spec)
+    with pytest.raises(error, match=message) as by_march:
+        list(march(prob, spec))
+    assert str(by_step.value) == str(by_run.value) == str(by_march.value)
     if fault == "cap":
-        assert by_step.value.step == by_run.value.step == 2
+        assert by_step.value.step == by_run.value.step == by_march.value.step == 2
 
 
 def test_step_names_a_right_hand_side_that_is_not_finite():
@@ -426,18 +435,23 @@ def test_init_levels_checks_the_taylor_level_1_it_computes():
 
 @pytest.mark.parametrize("solver", ["sylvester", "kronecker"])
 def test_run_is_init_levels_then_step(solver):
-    # every level and every report field but the four times is bitwise equal
+    # every level and every report field but the four times is bitwise equal,
+    # by hand, from run and from march, whose two seed levels carry no report
     prob, _ = manufactured_problem(RunConfig(J=24))
     spec = GridSpec(L0=-10, L1=10, J=24, t0=1.0, n_steps=8, step_rule="independent", l=0.05)
     states, reports = march_by_hand(prob, spec, solver)
     trajectory, expected = run(prob, spec, solver=solver)
-    assert [s.level for s in states] == [s.level for s in trajectory] == list(range(9))
-    for ours, theirs in zip(states, trajectory):
-        assert np.array_equal(ours.U.values, theirs.U.values)
-        assert np.array_equal(ours.V.values, theirs.V.values)
+    marched = list(march(prob, spec, solver=solver))
+    assert [report for _, report in marched[:2]] == [None, None]
+    for levels in (trajectory, [state for state, _ in marched]):
+        assert [s.level for s in states] == [s.level for s in levels] == list(range(9))
+        for ours, theirs in zip(states, levels):
+            assert np.array_equal(ours.U.values, theirs.U.values)
+            assert np.array_equal(ours.V.values, theirs.V.values)
     times = ("wall_time", "rhs_time", "solve_time", "residual_time")
     untimed = lambda report: dataclasses.replace(report, **dict.fromkeys(times, 0.0))
-    assert [untimed(r) for r in reports] == [untimed(r) for r in expected]
+    for theirs in (expected, [report for _, report in marched[2:]]):
+        assert [untimed(r) for r in reports] == [untimed(r) for r in theirs]
 
 
 def test_cfl_guard_reference_parameters(ref_grid24):
@@ -474,6 +488,10 @@ def test_convergence_order_synthetic():
     assert convergence_order([(0.4, 0.0), (0.2, 0.0)]) == float("inf")
     with pytest.raises(InvalidSpecError):
         convergence_order([(0.4, 0.1)])
+    # a repeated h is one grid level, so no slope is fitted, not even inf
+    for repeated in ([(0.4, 0.1), (0.4, 0.2)], [(0.4, 0.0), (0.4, 0.0)]):
+        with pytest.raises(InvalidSpecError, match=r"two distinct h, got h = \[0.4, 0.4\]"):
+            convergence_order(repeated)
 
 
 def test_symmetric_problem_keeps_u_equal_v():
@@ -532,7 +550,7 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_run_rejects_an_unknown_solver_before_any_work(monkeypatch):
+def test_run_rejects_an_unknown_solver_before_any_work(monkeypatch, operator_builds):
     def refuse(*args, **kwargs):
         raise AssertionError("plan_solves called for an unknown solver")
 
@@ -541,6 +559,10 @@ def test_run_rejects_an_unknown_solver_before_any_work(monkeypatch):
     spec = GridSpec(L0=-10, L1=10, J=4, t0=0.5, n_steps=3, step_rule="independent", l=0.05)
     with pytest.raises(InvalidSpecError, match="unknown solver 'turbo'"):
         run(prob, spec, solver="turbo")
+    levels = march(prob, spec, solver="bogus")  # nothing runs until a level is drawn
+    with pytest.raises(InvalidSpecError, match="unknown solver 'bogus'"):
+        next(levels)
+    assert operator_builds == []
 
 
 def test_run_factors_once_per_run(monkeypatch):
