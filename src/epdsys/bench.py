@@ -347,12 +347,15 @@ def run_convergence(
 ) -> ConvergenceReport:
     """Sylvester-path runs over J_list; fits the order of Er against h.
 
-    Fewer than two distinct J raise InvalidSpecError before any grid is
-    built, and every J's grid is built, and so checked, before the first
-    run.  Er is folded over the levels as `march` yields them, so no run's
-    trajectory is kept."""
+    Fewer than two distinct J, or any J given twice, raise InvalidSpecError
+    before any grid is built, and every J's grid is built, and so checked,
+    before the first run.  Er is folded over the levels as `march` yields
+    them, so no run's trajectory is kept."""
     if len(set(J_list)) < 2:
         raise InvalidSpecError(f"need at least two grid levels (distinct J), got {tuple(J_list)}")
+    if len(set(J_list)) < len(J_list):
+        repeated = next(J for J in J_list if J_list.count(J) > 1)
+        raise InvalidSpecError(f"grid size J={repeated} is repeated in {tuple(J_list)}")
     grids = [build_grid(grid_spec_for(config, J)) for J in J_list]
     check_forcing_certificate(config)
     prob, exact = manufactured_problem(config)

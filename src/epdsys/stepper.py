@@ -21,10 +21,9 @@ and 1 through `init_levels` (exact pair or Taylor expansion), and calls
 `step` per level, yielding each level as it is formed and keeping only the
 two that the next step reads; nothing runs until its first level is drawn.
 `run` is `march` collected into lists.  A caller that folds the levels
-(`bench.run_convergence`, validate's zero-trajectory check) draws them from
-`march`.  `epdsys solve` calls `run` because it reads both the levels and
-the reports, and so does `bench.run_table1`, whose reports the table1
-benchmark captures by wrapping `bench.run`.  The damping shift
+(`bench.run_convergence`, `epdsys solve`, validate's zero-trajectory check)
+draws them from `march`; `bench.run_table1` calls `run`, whose reports the
+table1 benchmark captures by wrapping `bench.run`.  The damping shift
 c_n = l a / (2 t_n) is the only coefficient that changes from step to
 step; the plan computes and checks all of them once (`sylvester.SolvePlan.shifts`), and step n reads row n - 1.
 Every callable of the problem (forcing, exact pair, Taylor data) is
@@ -53,7 +52,9 @@ from .operators import (
     BRANCH_SIGNS, SING_LIMIT, StepOperators, TriDiagMatrix, _sum_diff,
     assemble_step_operators, build_operator_set, step_shift,
 )
-from .sylvester import CoupledProblem, SolvePlan, _factor, _ratio, _solve, kronecker_solve
+from .sylvester import (
+    CoupledProblem, SolvePlan, _check_kronecker_size, _factor, _ratio, _solve, kronecker_solve,
+)
 
 SOLVER_SYLVESTER = "sylvester"
 SOLVER_KRONECKER = "kronecker"
@@ -412,12 +413,16 @@ def march(
     and yields: the function that forms a level checks it (a blow-up is
     `step`'s BlowUpError).  Nothing is built or checked until the first
     level is drawn; drawing it raises what the build raises, so an unknown
-    solver is refused with InvalidSpecError before any operator is built.
+    solver is refused with InvalidSpecError, and Method I on a grid above
+    the dense guard with SizeGuardError (`sylvester._check_kronecker_size`,
+    the message `kronecker_solve` raises), before any operator is built.
     """
     _check_solver(solver)
     grid = spec if isinstance(spec, Grid) else build_grid(spec)
     if grid.n_steps < 2:
         raise InvalidSpecError("run needs n_steps >= 2")
+    if solver == SOLVER_KRONECKER:
+        _check_kronecker_size(grid.size)
     opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy=sing_policy)
     ops = assemble_step_operators(opset, grid)
     plan = plan_solves(ops, grid, prob.a)
@@ -441,11 +446,11 @@ def run(
 
     `run` draws the first level at once, so it raises what `march` raises,
     in the same order.  It keeps the whole trajectory, which
-    `grid.MAX_TRAJECTORY_BYTES` bounds; a caller that only folds the levels
-    (`bench.run_convergence`, validate's zero-trajectory check) draws them
-    from `march` instead.  `epdsys solve` keeps `run` because it reads both
-    the levels and the reports, and `bench.run_table1` because the table1
-    benchmark captures its reports by wrapping `bench.run`.
+    `grid.MAX_TRAJECTORY_BYTES` bounds; a caller that folds the levels
+    (`bench.run_convergence`, `epdsys solve`, validate's zero-trajectory
+    check) draws them from `march` instead.  `bench.run_table1` keeps `run`
+    because the table1 benchmark captures its reports by wrapping
+    `bench.run`.
     """
     states, reports = zip(*march(prob, spec, solver=solver, sing_policy=sing_policy))
     return list(states), list(reports[2:])

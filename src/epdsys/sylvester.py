@@ -431,6 +431,20 @@ def solve_coupled(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_sum_diff(_solve(plan, _sum_diff((p.C1, p.C2)), 0), 0.5))
 
 
+def _check_kronecker_size(n: int):
+    """SizeGuardError if Method I's dense branch system at size n exceeds KRONECKER_MAX_SIZE.
+
+    The guard is read at call time, and `stepper.march` calls this before it
+    builds any operator of a Method I run.
+    """
+    if n > KRONECKER_MAX_SIZE:
+        raise SizeGuardError(
+            f"Kronecker path refused: size {n} > guard {KRONECKER_MAX_SIZE} "
+            f"(dense branch system would be {n * n} x {n * n}, "
+            f"{8 * (n * n) ** 2:,} bytes; budget {KRONECKER_MAX_BYTES:,})"
+        )
+
+
 def kronecker_solve(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
     """Method I: vectorize each decoupled branch into one dense n^2 linear system.
 
@@ -446,15 +460,10 @@ def kronecker_solve(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
     there by LAPACK dgesv (Gaussian elimination with partial pivoting); the
     second branch reuses the buffer, so no other N x N array and no n^3
     temporary is made.  A size above KRONECKER_MAX_SIZE, read at call time,
-    raises SizeGuardError.
+    raises SizeGuardError (`_check_kronecker_size`).
     """
     n = p.size
-    if n > KRONECKER_MAX_SIZE:
-        raise SizeGuardError(
-            f"Kronecker path refused: size {n} > guard {KRONECKER_MAX_SIZE} "
-            f"(dense branch system would be {n * n} x {n * n}, "
-            f"{8 * (n * n) ** 2:,} bytes; budget {KRONECKER_MAX_BYTES:,})"
-        )
+    _check_kronecker_size(n)
     W, R, S, Wr = (np.asarray(A, dtype=float) for A in (p.W, p.R, p.S, p.W_right))
     branches = (("sum", W + R, Wr + S), ("diff", W - R, Wr - S))
     K = np.zeros((n * n, n * n), order="F")

@@ -373,14 +373,18 @@ def test_run_table1_solver_failure_recorded_not_raised(monkeypatch):
 
 
 def test_run_convergence_needs_two_grid_levels(monkeypatch):
-    # a repeated J is one grid level: refused before any grid is built
+    # a repeated J is one grid level: refused before any grid is built, also
+    # next to a distinct J, where it would be run and fitted twice
     def refuse(*args, **kwargs):
-        raise AssertionError("a grid was built for fewer than two grid levels")
+        raise AssertionError("a grid was built for a J list that repeats a grid level")
 
     monkeypatch.setattr(epdsys.bench, "build_grid", refuse)
     monkeypatch.setattr(epdsys.bench, "march", refuse)
-    for J_list in ((4,), (24, 24)):
-        message = f"need at least two grid levels (distinct J), got {J_list}"
+    for J_list, message in (
+        ((4,), "need at least two grid levels (distinct J), got (4,)"),
+        ((24, 24), "need at least two grid levels (distinct J), got (24, 24)"),
+        ((24, 49, 24), "grid size J=24 is repeated in (24, 49, 24)"),
+    ):
         with pytest.raises(InvalidSpecError, match=re.escape(message)):
             run_convergence(RunConfig(J=4), J_list=J_list)
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import epdsys.bench
 import epdsys.cli
-from epdsys.bench import RunConfig, manufactured_problem
+from epdsys.bench import RunConfig, grid_spec_for, manufactured_problem
 from epdsys.cli import EXIT_ERROR, EXIT_OK, EXIT_VALIDATION, main
 from epdsys.exceptions import SolvabilityError
 from epdsys.grid import CoupledState, Field, GridSpec
@@ -55,6 +56,7 @@ def test_solve_non_finite_config_value_is_error(config_file, capsys):
         ("J = 9\nt0 = 1\n", "need T > t0"),
         ("J = 9\nt0 = 1\nT = 0.5\n", "need T > t0"),
         ("J = 9\nalpha = -1\n", "need alpha >= 0"),
+        ("J = 99\nsolver = kronecker\n", "Kronecker path refused: size 101 > guard 76"),
     ],
 )
 def test_solve_bad_mesh_or_window_is_error_before_any_operator(
@@ -140,11 +142,38 @@ def test_bad_grid_size_fails_before_the_first_run(
 
 
 def test_converge_refuses_a_repeated_grid_size(config_file, operator_builds, capsys):
-    # J = 24 twice is one grid level: a named error, not a fit of one point
-    assert main(["converge", config_file("J = 9\n"), "--J", "24,24"]) == EXIT_ERROR
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: need at least two grid levels (distinct J), got (24, 24)")
-    assert captured.out == "" and operator_builds == []
+    # J = 24 twice is one grid level: a named error, not a fit of one point;
+    # next to J = 49 it would be run, printed and fitted twice
+    path = config_file("J = 9\n")
+    for J_text, message in (
+        ("24,24", "need at least two grid levels (distinct J), got (24, 24)"),
+        ("24,49,24", "grid size J=24 is repeated in (24, 49, 24)"),
+    ):
+        assert main(["converge", path, "--J", J_text]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == "" and operator_builds == []
+
+
+def test_solve_keeps_no_trajectory(config_file, capsys):
+    # at T = 12 the J = 99 run has 136 levels, 22.2 MB of U/V that a kept
+    # trajectory would hold; streamed, the solve's traced peak was 5.8 MB
+    # (27.2 MB when the trajectory was kept), so 8 MB bounds the levels
+    # that are live at once, not the horizon
+    config = RunConfig(J=99, T=12.0)
+    spec = grid_spec_for(config)
+    assert 16 * (spec.n_steps + 1) * (spec.J + 2) ** 2 > 22e6
+    path = config_file("J = 99\nT = 12\n")
+    tracemalloc.start()
+    try:
+        code = main(["solve", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert f" steps={spec.n_steps} " in out and "min margin=" in out
+    assert peak < 8e6
 
 
 def test_bench_subcommand(config_file, tmp_path, capsys):

@@ -9,7 +9,9 @@ import scipy.linalg
 import epdsys.stepper
 import epdsys.sylvester
 from epdsys.bench import RunConfig, grid_spec_for, manufactured_problem
-from epdsys.exceptions import BlowUpError, InvalidSpecError, SingularTimeError, SolvabilityError
+from epdsys.exceptions import (
+    BlowUpError, InvalidSpecError, SingularTimeError, SizeGuardError, SolvabilityError,
+)
 from epdsys.grid import CoupledState, Field, GridSpec, build_grid, discrete_errors
 from epdsys.operators import (
     BRANCH_SIGNS, StepOperators, TriDiagMatrix, assemble_step_operators, build_operator_set,
@@ -562,6 +564,13 @@ def test_run_rejects_an_unknown_solver_before_any_work(monkeypatch, operator_bui
     levels = march(prob, spec, solver="bogus")  # nothing runs until a level is drawn
     with pytest.raises(InvalidSpecError, match="unknown solver 'bogus'"):
         next(levels)
+    # Method I above the dense guard is refused the same way, before any operator
+    large = dataclasses.replace(spec, J=99)
+    levels = march(prob, large, solver="kronecker")
+    with pytest.raises(SizeGuardError, match="Kronecker path refused: size 101 > guard 76"):
+        next(levels)
+    with pytest.raises(SizeGuardError, match="Kronecker path refused: size 101 > guard 76"):
+        run(prob, large, solver="kronecker")
     assert operator_builds == []
 
 
