@@ -152,10 +152,15 @@ def frobenius_coefficients(
     With exact=True all inputs are taken as rationals and the coefficients
     are computed in exact Fraction arithmetic (kept alongside the float
     array).  Raises ResonanceError naming the first blocked index when a
-    denominator (n + nu)(n + nu - 1 + 2 lam) vanishes.
+    denominator (n + nu)(n + nu - 1 + 2 lam) vanishes, and InvalidSpecError
+    naming the input when lam, nu, K, a0 or a1 is NaN or infinite, before
+    any coefficient is formed.
     """
     if N < 2:
         raise InvalidSpecError("need truncation order N >= 2")
+    for name, value in (("lam", lam), ("nu", nu), ("K", K), ("a0", a0), ("a1", a1)):
+        if not math.isfinite(value):
+            raise InvalidSpecError(f"{name!r} must be finite, got {value}")
     if exact:
         lam_x, nu_x, K_x = Fraction(lam), Fraction(nu), Fraction(K)
         a0_x, a1_x = Fraction(a0), Fraction(a1)

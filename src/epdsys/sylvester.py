@@ -3,25 +3,32 @@
 The production path solves stacks of equations L_b X_b + X_b R_b = C_b,
 b over a stack of one (a single equation) or two (the branches of a coupled
 pair), in two parts.  `_factor` writes L_b = VL_b TL_b VL_b^-1 and R_b =
-VR_b TR_b VR_b^-1 once, keeping the transforms as (B, n, n) stacks, and
-checks every shift c_k the stack will be solved at: a `SolvePlan`.  `_solve`
-then solves row k, shifted by s_b = signs[b] c_k, (L_b + s_b I) X_b + X_b
-(R_b + s_b I) = C_b: the factors do not move, so it transforms the whole
-stack to VL^-1 C VR in two batched products, solves the core equations with
-TL_b + s_b I and TR_b + s_b I, and transforms back in two more.  There are
-two kernels, chosen per pair:
+VR_b TR_b VR_b^-1 once, with V = D^-1 Q and V^-1 = Q^T D for an orthogonal
+Q and a positive diagonal D, and keeps the factorization as it is: the
+(B, n, n) stacks QL and QR and one scale plane w_b = d_L[:, None] /
+d_R[None, :].  It also checks every shift c_k the stack will be solved at:
+a `SolvePlan`.  `_solve` then solves row k, shifted by s_b = signs[b] c_k,
+(L_b + s_b I) X_b + X_b (R_b + s_b I) = C_b: the factors do not move, so it
+transforms the whole stack to Z = QL^T (w * C) QR = VL^-1 C VR in one scale
+and two batched products, solves the core equations with TL_b + s_b I and
+TR_b + s_b I, and transforms back to X = (QL Z QR^T) / w in two more
+products and one division.  There are two kernels, chosen per pair:
 
   diagonal  when L and R are both TriDiagMatrix objects diagonally similar
             to a symmetric tridiagonal (every off-diagonal pair has
             sub * sup > 0, or sub = sup = 0): TL, TR are the real diagonals
-            from `numpy.linalg.eigh` of the symmetrized tridiagonal,
-            V = D^-1 Q and V^-1 = Q^T D with no inverse taken, and the core
-            solve is one entrywise division by lam_i + mu_j + 2 s_b over
-            every diagonal slice of the stack (the fast diagonalization
-            method of Lynch, Rice and Thomas, 1964);
+            and Q the eigenvectors from `numpy.linalg.eigh` of the
+            symmetrized tridiagonal, D its symmetrizer, no inverse taken,
+            and the core solve is one entrywise division by lam_i + mu_j +
+            2 s_b over every diagonal slice of the stack (the fast
+            diagonalization method of Lynch, Rice and Thomas, 1964).  A
+            pair whose two symmetrized tridiagonals are bitwise equal, as
+            for R = L^T (the stepper's pairs when lambda = gamma), takes one
+            `eigh` for both sides, and its QR is QL;
   schur     for every other pair, dense or not symmetrizable: real Schur
-            forms (V orthogonal, TL, TR quasi-triangular with 2 x 2 blocks
-            for complex-conjugate pairs) and LAPACK trsyl on its own slice.
+            forms (Q orthogonal, D = I so w = 1, TL, TR quasi-triangular
+            with 2 x 2 blocks for complex-conjugate pairs) and LAPACK trsyl
+            on its own slice.
 
 The solvability margin min |lam_i + mu_j + 2 s_b| is checked against
 DENOM_RTOL when the plan is made, never in a solve; `_margins` does so for
@@ -169,7 +176,8 @@ class _Pair:
     spectra (TL and TR are None); the "schur" kernel keeps the
     quasi-triangular cores for trsyl.  L + s I = VL (TL + s I) VL^-1
     (likewise R), so the spectra move by s.  The transforms live in the
-    stack (`SolvePlan`).
+    stack (`SolvePlan`); a pair that shares one `eigh` holds its spectrum
+    once, as lams and mus both.
     """
 
     L: np.ndarray | TriDiagMatrix  # the pair as given, banded or not
@@ -191,8 +199,12 @@ class SolvePlan:
 
     Row k solves pair b shifted by signs[b] shifts[k] on both sides: +1 for
     a single equation and for the sum branch, -1 for the difference branch
-    (`BRANCH_SIGNS`).  VL, VL_inv, VR and VR_inv are (B, n, n) stacks, and
-    `sums` holds lam_i + mu_j of the diagonal pairs (zero on a Schur pair's
+    (`BRANCH_SIGNS`).  QL, QR and w are (B, n, n) stacks: each side's
+    orthogonal eigenvectors (or Schur vectors) and the scale plane w_b =
+    d_L[:, None] / d_R[None, :] of the pair's symmetrizers (1 on a Schur
+    pair's slice), so VL^-1 C VR = QL^T (w * C) QR.  QR is QL, the same
+    array, when every pair shares one `eigh` (`_factor_pair`).  `sums`
+    holds lam_i + mu_j of the diagonal pairs (zero on a Schur pair's
     slice).  `diagonal` indexes the diagonal slices (all of them as one
     slice when no pair is Schur) and `schur` lists the others.  `margins`
     (K, B) holds every row's margins, all above the solvability floor (on a
@@ -202,10 +214,9 @@ class SolvePlan:
 
     pairs: tuple[_Pair, ...]
     signs: np.ndarray  # (B, 1, 1), to scale the slices of a stack
-    VL: np.ndarray
-    VL_inv: np.ndarray
-    VR: np.ndarray
-    VR_inv: np.ndarray
+    QL: np.ndarray
+    QR: np.ndarray
+    w: np.ndarray
     sums: np.ndarray
     diagonal: slice | list[int]
     schur: tuple[int, ...]
@@ -257,37 +268,44 @@ def _symmetrizer(M):
     return d, np.sign(M.sup) * np.sqrt(prod)
 
 
-def _symmetric_eig(M, d, e):
-    """(lams, V, V^-1) with M = V diag(lams) V^-1 from the symmetrizer (d, e):
-    the symmetric tridiagonal T = D M D^-1 with diagonal M.diag and
-    off-diagonal e is Q diag(lams) Q^T, so V = D^-1 Q and V^-1 = Q^T D, no
-    inverse taken."""
-    T = np.diag(M.diag)
+def _symmetric_eig(diag, e):
+    """(lams, Q) = `numpy.linalg.eigh` of the symmetric tridiagonal T with
+    diagonal `diag` and off-diagonal e.  For T = D M D^-1 from the
+    symmetrizer (d, e) of M, M = V diag(lams) V^-1 with V = D^-1 Q and
+    V^-1 = Q^T D; `_solve` applies D as a scale, so no V is formed."""
+    T = np.diag(diag)
     i = np.arange(e.size)
     T[i, i + 1] = T[i + 1, i] = e
-    lams, Q = np.linalg.eigh(T)
-    return lams, Q / d[:, None], Q.T * d[None, :]
+    return np.linalg.eigh(T)
 
 
 def _factor_pair(L, R, branch):
-    """The `_Pair` of (L, R) and its transforms (VL, VL^-1, VR, VR^-1).
+    """The `_Pair` of (L, R) and its transforms (QL, QR, w).
 
     A pair of TriDiagMatrix coefficients that are both diagonally similar to
-    a symmetric tridiagonal takes the diagonal kernel; any other pair (dense,
-    or a row with sub * sup < 0, or sub = 0 != sup) takes the real Schur forms.
+    a symmetric tridiagonal takes the diagonal kernel: QL and QR are the
+    eigenvectors of the symmetrized sides and w = d_L[:, None] / d_R[None, :]
+    the scale plane of their symmetrizers.  When the two symmetrized
+    tridiagonals are bitwise equal (same diagonal and e, as for R = L^T),
+    one `eigh` serves both sides and QR is QL, the same array.  Any other
+    pair (dense, or a row with sub * sup < 0, or sub = 0 != sup) takes the
+    real Schur forms, with orthogonal QL, QR and w = 1.
     """
     data = dict(L=L, R=R, branch=branch)
     syms = _symmetrizer(L), _symmetrizer(R)
     if all(sym is not None for sym in syms):
-        lams, VL, VL_inv = _symmetric_eig(L, *syms[0])
-        mus, VR, VR_inv = _symmetric_eig(R, *syms[1])
-        return _Pair(TL=None, TR=None, lams=lams, mus=mus, **data), (VL, VL_inv, VR, VR_inv)
+        (dL, eL), (dR, eR) = syms
+        lams, QL = _symmetric_eig(L.diag, eL)
+        shared = np.array_equal(L.diag, R.diag) and np.array_equal(eL, eR)
+        mus, QR = (lams, QL) if shared else _symmetric_eig(R.diag, eR)
+        pair = _Pair(TL=None, TR=None, lams=lams, mus=mus, **data)
+        return pair, (QL, QR, dL[:, None] / dR[None, :])
     import scipy.linalg
 
     TL, QL = scipy.linalg.schur(np.asarray(L))
     TR, QR = scipy.linalg.schur(np.asarray(R))
     pair = _Pair(TL=TL, TR=TR, lams=np.linalg.eigvals(TL), mus=np.linalg.eigvals(TR), **data)
-    return pair, (QL, QL.T, QR, QR.T)
+    return pair, (QL, QR, np.ones_like(QL))
 
 
 def _factor(pairs, branches=(None,), shifts=(0.0,), steps=None) -> SolvePlan:
@@ -301,8 +319,10 @@ def _factor(pairs, branches=(None,), shifts=(0.0,), steps=None) -> SolvePlan:
     t_start = time.perf_counter()
     factored = [_factor_pair(L, R, branch) for (L, R), branch in zip(pairs, branches)]
     records = tuple(pair for pair, _ in factored)
-    VL, VL_inv, VR, VR_inv = (np.stack(V) for V in zip(*(V for _, V in factored)))
-    sums = np.zeros_like(VL)
+    QLs, QRs, ws = zip(*(V for _, V in factored))
+    QL, w = np.stack(QLs), np.stack(ws)
+    QR = QL if all(qr is ql for ql, qr in zip(QLs, QRs)) else np.stack(QRs)
+    sums = np.zeros_like(QL)
     for b, pair in enumerate(records):
         if pair.kernel == "diagonal":
             np.add(pair.lams[:, None], pair.mus[None, :], out=sums[b])
@@ -313,8 +333,7 @@ def _factor(pairs, branches=(None,), shifts=(0.0,), steps=None) -> SolvePlan:
     shifts.flags.writeable = False  # a solve runs only at the shifts checked here
     margins, attaining = _margins(records, signs, shifts, sums, steps)
     return SolvePlan(
-        pairs=records, signs=signs[:, None, None], VL=VL, VL_inv=VL_inv, VR=VR,
-        VR_inv=VR_inv, sums=sums,
+        pairs=records, signs=signs[:, None, None], QL=QL, QR=QR, w=w, sums=sums,
         diagonal=[b for b in range(len(records)) if b not in schur] if schur else slice(None),
         schur=schur, shifts=shifts, margins=margins, attaining=attaining, factor_time=factor_time,
     )
@@ -391,12 +410,14 @@ def _solve(plan: SolvePlan, C: np.ndarray, k: int) -> np.ndarray:
     checked shifts.
 
     With Z = VL^-1 X VR the equations become (TL + s I) Z + Z (TR + s I) =
-    VL^-1 C VR: two batched products each way over the stack, one
-    entrywise division by lam_i + mu_j + 2 s_b over the diagonal slices and
-    LAPACK trsyl on a Schur pair's slice.
+    VL^-1 C VR = QL^T (w * C) QR: one scale and two batched products each
+    way over the stack (the transposes are views), one entrywise division
+    by lam_i + mu_j + 2 s_b over the diagonal slices and LAPACK trsyl on a
+    Schur pair's slice; X = VL Z VR^-1 = (QL Z QR^T) / w.
     """
     c = plan.shifts[k]
-    Z = plan.VL_inv @ C @ plan.VR
+    QL, QR, w = plan.QL, plan.QR, plan.w
+    Z = QL.swapaxes(1, 2) @ (w * C) @ QR
     d = plan.diagonal
     Z[d] /= plan.sums[d] + (2.0 * c) * plan.signs[d]
     if plan.schur:
@@ -412,7 +433,7 @@ def _solve(plan: SolvePlan, C: np.ndarray, k: int) -> np.ndarray:
                 f"{_CONTEXT[pair.branch]}: trsyl rejected argument {-info}", branch=pair.branch
             )
         Z[b] = Zb / factor
-    return plan.VL @ Z @ plan.VR_inv
+    return (QL @ Z @ QR.swapaxes(1, 2)) / w
 
 
 def solve_sylvester(p: SylvesterProblem) -> np.ndarray:

@@ -276,9 +276,15 @@ def test_series_to_file(tmp_path, capsys):
 
 
 def test_series_resonance_is_error(capsys):
-    code = main(["series", "--lambda", "-0.5", "--nu", "0", "--K", "1", "--N", "8"])
-    assert code == EXIT_ERROR
-    assert "blocked" in capsys.readouterr().err
+    # a blocked recurrence, and a non-finite input refused before it runs
+    for args, message in [
+        (["--lambda", "-0.5", "--nu", "0", "--K", "1", "--N", "8"], "blocked"),
+        (["--lambda", "0.5", "--nu", "0", "--K", "nan", "--N", "3"], "'K' must be finite, got nan"),
+        (["--lambda", "inf", "--nu", "0", "--K", "1", "--N", "3"], "'lam' must be finite, got inf"),
+    ]:
+        assert main(["series", *args]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 def test_validate_subcommand(config_file, capsys):

@@ -58,17 +58,22 @@ def shifted_problem(L, R, C, s):
 
 
 @settings(max_examples=80, deadline=None)
-@given(n=sizes, seed=seeds, s=shifts, zero_rows=st.integers(min_value=0, max_value=2))
-def test_diagonal_kernel_matches_schur_and_kronecker(n, seed, s, zero_rows):
+@given(
+    n=sizes, seed=seeds, s=shifts, zero_rows=st.integers(min_value=0, max_value=2),
+    transposed=st.booleans(),
+)
+def test_diagonal_kernel_matches_schur_and_kronecker(n, seed, s, zero_rows, transposed):
+    # the transposed pair (L, L^T) shares one eigh: its QR is QL
     rng = np.random.default_rng(seed)
     L = symmetrizable(rng, n, rng.standard_normal(), zero_rows)
-    R = symmetrizable(rng, n, rng.standard_normal())
+    R = L.T if transposed else symmetrizable(rng, n, rng.standard_normal())
     C = rng.standard_normal((n, n))
     p = shifted_problem(L, R, C, s)
     assume(solvability_margin(p.W, p.R, p.S, p.W_right) > 1e-6)
 
     f = _factor([(L, R)], shifts=[s])
     assert f.kernels == ("diagonal",)
+    assert (f.QR is f.QL) == transposed
     X = _solve(f, C[None], 0)[0]
     (X_schur,) = _solve(_factor([(p.W, p.W_right)]), C[None], 0)
     X_kron, _ = kronecker_solve(p)

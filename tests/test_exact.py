@@ -158,6 +158,16 @@ def test_truncation_order_below_two_rejected():
         frobenius_coefficients(0.5, 0.0, 1.0, 1)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("name", ["lam", "nu", "K", "a0", "a1"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_input_rejected(name, value, exact):
+    # the Bessel I0 series (lam = 1/2, nu = 0, K = 1) with one input made non-finite
+    args = dict(lam=0.5, nu=0.0, K=1.0, a0=1.0, a1=0.0) | {name: value}
+    with pytest.raises(InvalidSpecError, match=f"'{name}' must be finite, got {value}"):
+        frobenius_coefficients(N=3, exact=exact, **args)
+
+
 def test_constrained_a1_rejected():
     with pytest.raises(InvalidSpecError):
         frobenius_coefficients(0.25, 0.0, 1.0, 10, a0=1.0, a1=1.0)

@@ -575,19 +575,28 @@ def test_run_rejects_an_unknown_solver_before_any_work(monkeypatch, operator_bui
 
 
 def test_run_factors_once_per_run(monkeypatch):
-    # four symmetric eigendecompositions per run (two branches, two sides),
-    # not four per step; the symmetrizable pairs need no Schur form or trsyl
+    # one symmetric eigendecomposition per side and branch per run, not per
+    # step; at lam = gamma each branch pair is (L, L^T), whose symmetrized
+    # sides are bitwise equal, so one eigh serves both and QR is QL.  The
+    # symmetrizable pairs need no Schur form or trsyl
     spec = GridSpec(L0=-10, L1=10, J=9, t0=0.5, n_steps=12, step_rule="independent", l=0.05)
-    prob, _ = manufactured_problem(RunConfig(J=9))
+    grid = build_grid(spec)
     eigh_calls = _counting(monkeypatch, np.linalg, "eigh")
     schur_calls = _counting(monkeypatch, scipy.linalg, "schur")
     trsyl_calls = _counting(monkeypatch, scipy.linalg.lapack, "dtrsyl")
-    _, reports = run(prob, spec, sing_policy="limit")
-    assert len(reports) == 11
-    assert len(eigh_calls) == 4
-    assert schur_calls == []
-    assert trsyl_calls == []
-    assert max(r.residual_coupled for r in reports) <= 1e-13
+    for lam, gamma, eighs in [(0.25, 0.25, 2), (0.25, 0.3, 4)]:
+        eigh_calls.clear()
+        prob, _ = manufactured_problem(RunConfig(J=9, lam=lam, gamma=gamma))
+        _, reports = run(prob, spec, sing_policy="limit")
+        assert len(reports) == 11
+        assert len(eigh_calls) == eighs
+        assert schur_calls == []
+        assert trsyl_calls == []
+        assert max(r.residual_coupled for r in reports) <= 1e-13
+        opset = build_operator_set(grid, lam, gamma, sing_policy="limit")
+        plan = plan_solves(assemble_step_operators(opset, grid), grid, prob.a)
+        assert plan.kernels == ("diagonal", "diagonal")
+        assert (plan.QR is plan.QL) == (lam == gamma)
 
 
 def test_forcing_sampled_once_per_level(monkeypatch):
@@ -671,7 +680,7 @@ def test_integer_damping_from_rest_is_singular_at_step_a(monkeypatch, a):
     assert err.value.branch == "diff"
     lam, mu = err.value.pair
     assert abs(lam + mu) <= 1e-12
-    assert len(eigh_calls) == 4
+    assert len(eigh_calls) == 2  # lam = gamma: one eigh per branch
     assert solve_calls == []
     # the counter sees the step's solves: a + 1/2 passes the preflight
     prob_ok, _ = manufactured_problem(RunConfig(J=9, a=a + 0.5))
