@@ -240,8 +240,10 @@ def discrete_errors(
     maxima are folded level by level.  `exact` is called as exact(X, Y, t)
     with coordinate matrices and must return the pair (u, v).  All J+2 nodes
     per axis enter the norm, boundary included.  Raises InvalidSpecError on
-    no levels, and DegenerateExactError if a nonzero trajectory is compared
-    against an exact level of zero norm.
+    no levels or on a level whose error or exact norm is not finite (a NaN
+    would otherwise drop out of the maxima), naming the level and t_n, and
+    DegenerateExactError if a nonzero trajectory is compared against an
+    exact level of zero norm.
     """
     X, Y = grid.meshgrid()
     levels = 0
@@ -254,6 +256,11 @@ def discrete_errors(
         dv = float(np.linalg.norm(state.V.values - v_ex))
         nu = float(np.linalg.norm(u_ex))
         nv = nu if v_ex is u_ex else float(np.linalg.norm(v_ex))
+        if not all(map(math.isfinite, (du, dv, nu, nv))):
+            raise InvalidSpecError(
+                f"level {state.level} (t_{state.level} = {t:.6g}) or its exact solution "
+                "contains NaN/Inf"
+            )
         fro_u = max(fro_u, du)
         fro_v = max(fro_v, dv)
         if nu == 0.0 or nv == 0.0:

@@ -18,22 +18,23 @@ stored form of the step operator (`StepOperators.bands`).
 
 `march` builds the step operators and the solve plan once, seeds levels 0
 and 1 through `init_levels` (exact pair or Taylor expansion), and calls
-`step` per level, yielding each level as it is formed and keeping only the
-two that the next step reads; nothing runs until its first level is drawn.
-`run` is `march` collected into lists.  A caller that folds the levels
-(`bench.run_convergence`, `epdsys solve`, validate's zero-trajectory check)
-draws them from `march`; `bench.run_table1` calls `run`, whose reports the
-table1 benchmark captures by wrapping `bench.run`.  The damping shift
-c_n = l a / (2 t_n) is the only coefficient that changes from step to
-step; the plan computes and checks all of them once (`sylvester.SolvePlan.shifts`), and step n reads row n - 1.
-Every callable of the problem (forcing, exact pair, Taylor data) is
-sampled by `grid.sample`.  Each level is
-carried in the branch variables Z+- = U +- V with its banded image K(Z)
-(`StepOperators.image`), computed once when the level is formed, and its
-source (nonlinearity and forcing) is computed once: every banded operator
-of a step is a combination of these, so a step forms one image, of the
-level it solves.  The stacked pair (Z+, Z-) is the unit of every per-step
-operation: the right-hand side, the batched branch solve
+`step` per level with the last two levels, yielding each level as it is
+formed and keeping only the two that the next step reads; nothing runs
+until its first level is drawn.  `run` is `march` collected into lists.  A
+caller that folds the levels (`bench.run_convergence`, `epdsys solve`,
+validate's zero-trajectory check) draws them from `march`;
+`bench.run_table1` calls `run`, whose reports the table1 benchmark captures
+by wrapping `bench.run`.  The damping shift c_n = l a / (2 t_n) is the only
+coefficient that changes from step to step; the plan computes and checks
+all of them once (`sylvester.SolvePlan.shifts`), and step n reads row
+n - 1.  Every callable of the problem (forcing, exact pair, Taylor data) is
+sampled by `grid.sample`.  Each level is a `BranchLevel`: the branch
+variables Z+- = U +- V, their banded image K(Z) (`StepOperators.image`) and
+their source (nonlinearity and forcing), all formed once, with the level.
+Every term of a step's right-hand side is a combination of these, so a
+step forms one image and one source, of the level it solves, and no caller
+carries a source beside its level.  The stacked pair (Z+, Z-) is the unit
+of every per-step operation: the right-hand side, the batched branch solve
 (`sylvester._solve`), the image, the residual and the reported norm.
 """
 
@@ -107,10 +108,11 @@ class StepReport:
     `margins` are the plan's (sum, diff) margins of step n and `margin` the
     smaller one; c is the step's shift c_n.  A report exists only for a
     level that `step` checked: finite, with sup_norm <= BLOWUP_CAP.
-    wall_time covers the whole step;
-    rhs_time, solve_time and residual_time are its right-hand-side assembly,
-    coupled solve and residual check, which includes the image of the new
-    level that the next two right-hand sides reuse.
+    wall_time covers the whole step; rhs_time, solve_time, residual_time and
+    source_time are its phases: the entrywise right-hand-side assembly, the
+    coupled solve, the residual check, which includes the image of the new
+    level, and the new level's source (`level_source`), 0.0 on the run's
+    last step, whose level no step reads.
     """
 
     n: int
@@ -123,6 +125,7 @@ class StepReport:
     rhs_time: float
     solve_time: float
     residual_time: float
+    source_time: float
 
 
 def _power(own: np.ndarray, other: np.ndarray, expo: float) -> np.ndarray:
@@ -152,7 +155,7 @@ def plan_solves(ops: StepOperators, grid: Grid, a: float) -> SolvePlan:
 
 
 def init_levels(prob: ProblemDef, grid: Grid, ops: StepOperators):
-    """Seed levels 0 and 1: the two `BranchLevel`s (0, 1) and the source of level 0.
+    """Seed levels 0 and 1: the two `BranchLevel`s (0, 1), each with its image and source.
 
     Exact mode samples `prob.exact` at t0 and t1.  Taylor mode samples
     (u0, v0) and (u1, v1) and computes U^1 = u0 + l u1 + (l^2/2) u_tt in the
@@ -164,24 +167,26 @@ def init_levels(prob: ProblemDef, grid: Grid, ops: StepOperators):
     raises SingularTimeError; a zero one takes the one-sided limit system
     u_tt + 2a v_tt = RHS_u, v_tt + 2a u_tt = RHS_v, Z_tt = rhs / (1 +- 2a),
     singular at a = +-1/2.  Level 0's image and explicit terms serve the
-    first step as well.  A sample that is not finite raises InvalidSpecError
+    first step as well: its source is the l^2/2 multiple of the same sampled
+    terms.  A sample that is not finite raises InvalidSpecError
     naming its source and level (`grid.sample`), and so does a Taylor level
     1 that is not finite, checked here where it is computed.
     """
     if prob.exact is not None:
         def seed(level):
             u, v = sample(prob.exact, grid, level, "exact solution")
-            return BranchLevel.of(CoupledState(Field(u), Field(v), level), ops)
+            return BranchLevel.of(CoupledState(Field(u), Field(v), level), ops, prob, grid)
 
-        level0 = seed(0)
-        return level0, seed(1), level_source(prob, grid, level0.state)
+        return seed(0), seed(1)
 
     u0f, u1f, v0f, v1f = prob.data
     U0, V0 = sample(lambda X, Y, t: (u0f(X, Y), v0f(X, Y)), grid, 0, "initial data")
     state0 = CoupledState(Field(U0), Field(V0), level=0)
-    level0 = BranchLevel.of(state0, ops)
+    Z0 = _sum_diff((U0, V0))
     Zt = _sum_diff(sample(lambda X, Y, t: (u1f(X, Y), v1f(X, Y)), grid, 0, "initial velocity"))
     F = _sum_diff(_explicit_terms(prob, grid, state0))
+    l2 = 0.5 * grid.l * grid.l
+    level0 = BranchLevel(state0, Z0, ops.image(Z0), l2 * F)
     rhs = level0.KZ / (grid.h * grid.h) + F
     t0, a = grid.t0, prob.a
     if t0 > 0.0:
@@ -193,11 +198,10 @@ def init_levels(prob: ProblemDef, grid: Grid, ops: StepOperators):
         if np.any(np.abs(denom) < 1e-12):
             raise SingularTimeError("regularized t0 = 0 seeding degenerate at a = +-1/2")
         Ztt = rhs / denom
-    l2 = 0.5 * grid.l * grid.l
     Z1 = level0.Z + grid.l * Zt + l2 * Ztt
     U1, V1 = _sum_diff(Z1, 0.5)
     state1 = CoupledState(Field(U1), Field(V1), level=1).check_finite()
-    return level0, BranchLevel(state1, Z1, ops.image(Z1)), l2 * F
+    return level0, BranchLevel(state1, Z1, ops.image(Z1), level_source(prob, grid, state1))
 
 
 def _explicit_terms(prob: ProblemDef, grid: Grid, state: CoupledState) -> np.ndarray:
@@ -217,37 +221,40 @@ def level_source(prob: ProblemDef, grid: Grid, state: CoupledState) -> np.ndarra
     """The explicit source of one time level, stacked (S+, S-) = (l^2/2) (F_u +- F_v).
 
     The source of level n enters the steps n and n+1 with the same weight,
-    so `march` computes it once and carries it.  A forcing sample that is not
-    finite raises InvalidSpecError naming the level and t_n.
+    so it is computed once, with the level, and carried on its
+    `BranchLevel`.  A forcing sample that is not finite raises
+    InvalidSpecError naming the level and t_n.
     """
     return _sum_diff(_explicit_terms(prob, grid, state), 0.5 * grid.l * grid.l)
 
 
 @dataclasses.dataclass(frozen=True)
 class BranchLevel:
-    """One time level in the branch variables, with its image.
+    """One time level in the branch variables, with its image and its source.
 
-    Z = (U + V, U - V) is stacked in BRANCH_SIGNS order and KZ = K(Z) is its
-    image (`StepOperators.image`).  The step that forms the level checks its
-    residual with KZ, and the right-hand sides of the next two steps reuse it.
+    Z = (U + V, U - V) is stacked in BRANCH_SIGNS order, KZ = K(Z) is its
+    image (`StepOperators.image`) and `source` its `level_source`.  The step
+    that forms the level checks its residual with KZ, and the right-hand
+    sides of the next two steps reuse KZ and the source.  The last level of a
+    run, which no step reads, has source None.
     """
 
     state: CoupledState
     Z: np.ndarray
     KZ: np.ndarray
+    source: np.ndarray | None
 
     @classmethod
-    def of(cls, state: CoupledState, ops: StepOperators) -> "BranchLevel":
-        """The branch pair of `state` and its image."""
+    def of(
+        cls, state: CoupledState, ops: StepOperators, prob: ProblemDef, grid: Grid
+    ) -> "BranchLevel":
+        """The branch pair of `state`, its image and its source."""
         Z = _sum_diff((state.U.values, state.V.values))
-        return cls(state, Z, ops.image(Z))
+        return cls(state, Z, ops.image(Z), level_source(prob, grid, state))
 
 
 def assemble_rhs(
-    levels: tuple[BranchLevel, BranchLevel],
-    sources: tuple[np.ndarray, np.ndarray],
-    ops: StepOperators,
-    c: float,
+    levels: tuple[BranchLevel, BranchLevel], ops: StepOperators, c: float
 ) -> np.ndarray:
     """The branch right-hand sides, stacked (C+, C-), of the solve for level n+1.
 
@@ -258,10 +265,9 @@ def assemble_rhs(
         C+- = 2 Z+-^n + w_e K(Z+-^n) - Z+-^(n-1) + w_i K(Z+-^(n-1))
               +- 2 c_n Z+-^(n-1) + S+-^n + S+-^(n-1)
 
-    is formed entrywise from the carried images, with no banded product;
-    2 c_n takes the branch's sign in `BRANCH_SIGNS`.  `levels` holds the
-    levels (n, n-1), `sources` their `level_source` and c the step's shift
-    c_n.
+    is formed entrywise from the levels' images and sources, with no banded
+    product; 2 c_n takes the branch's sign in `BRANCH_SIGNS`.  `levels` holds
+    the levels (n, n-1) and c is the step's shift c_n.
     """
     level_n, level_m = levels
     if level_m.state.level != level_n.state.level - 1:
@@ -272,16 +278,16 @@ def assemble_rhs(
     C += 2.0 * level_n.Z
     C += ops.explicit_weight * level_n.KZ
     C += ops.implicit_weight * level_m.KZ
-    source_n, source_m = sources
-    C += source_n + source_m
+    C += level_n.source + level_m.source
     return C
 
 
 def _step_residual(
-    level: BranchLevel, C: np.ndarray, C_norm: float, ops: StepOperators, c: float
+    Z: np.ndarray, KZ: np.ndarray, C: np.ndarray, C_norm: float, ops: StepOperators, c: float
 ) -> float:
     """Relative Frobenius residual of both branch equations of a step,
-    Z - alpha sigma K(Z) +- 2 c_n Z = C, from the new level's image; C_norm = ||C||.
+    Z - alpha sigma K(Z) +- 2 c_n Z = C, from the new level Z and its image
+    KZ = K(Z); C_norm = ||C||.
 
     This is the plan's pair shifted by +-c_n, evaluated banded in physical
     space, independent of the solve's eigenbasis.  The branch residuals are
@@ -290,31 +296,30 @@ def _step_residual(
     so one norm over the stack gives the ratio of the two U/V equations
     (`sylvester.residual` evaluates those directly); 0/0 counts as 0.
     """
-    r = (1.0 + (2.0 * c) * ops.signs) * level.Z
-    r -= ops.implicit_weight * level.KZ
+    r = (1.0 + (2.0 * c) * ops.signs) * Z
+    r -= ops.implicit_weight * KZ
     r -= C
     return _ratio(np.linalg.norm(r), C_norm)
 
 
 def step(
     levels: tuple[BranchLevel, BranchLevel],
-    source_m: np.ndarray,
     ops: StepOperators,
     prob: ProblemDef,
     grid: Grid,
     plan: SolvePlan,
     solver: str = SOLVER_SYLVESTER,
-) -> tuple[BranchLevel, StepReport, np.ndarray]:
+) -> tuple[BranchLevel, StepReport]:
     """Advance one level in the branch variables; form U and V once, at the end.
 
-    `levels` holds the levels (n, n-1): the step's index n is the level of
-    `levels[0]`, and `source_m` is the `level_source` of level n-1.  The
-    step computes the source of level n and returns it with the new level
-    n+1 and its image, for steps n+1 and n+2.  The step's shift
-    c_n is row n - 1 of the plan's checked shifts, and the Sylvester path
-    solves the branches at that row, shifted by +-c_n.  The Kronecker path
-    solves the dense U/V system whose coefficients it reads off the same
-    factored pairs (L+-, R+-): W = (L+ + L-)/2,
+    `levels` holds the levels (n, n-1), each with its image and source: the
+    step's index n is the level of `levels[0]`.  The step returns the new
+    level n+1, with its image and, when the plan has a step n+1, its source,
+    for steps n+1 and n+2; the run's last level keeps source None.  The
+    step's shift c_n is row n - 1 of the plan's checked shifts, and the
+    Sylvester path solves the branches at that row, shifted by +-c_n.  The
+    Kronecker path solves the dense U/V system whose coefficients it reads
+    off the same factored pairs (L+-, R+-): W = (L+ + L-)/2,
     R = c_n I + (L+ - L-)/2, W' = (R+ + R-)/2 and S = c_n I + (R+ - R-)/2.
     Both report the plan's margins for step n and the residual of the
     branch equations (`_step_residual`), which on the Kronecker path checks
@@ -323,7 +328,9 @@ def step(
     step or the source that holds NaN/Inf.  The step checks the level it
     forms: one that is not finite raises InvalidSpecError naming level n+1,
     and one whose combined norm exceeds BLOWUP_CAP, read at call time,
-    raises BlowUpError with step = n+1.
+    raises BlowUpError with step = n+1; only a level that passes both gets
+    its source, so a forcing sample of level n+1 that is not finite is
+    named after the solve of step n.
     """
     _check_solver(solver)
     t_start = time.perf_counter()
@@ -331,11 +338,10 @@ def step(
     if not 1 <= n <= plan.shifts.size:
         raise InvalidSpecError(f"step {n} is outside the plan's steps 1..{plan.shifts.size}")
     c = float(plan.shifts[n - 1])
-    source = level_source(prob, grid, levels[0].state)
-    C = assemble_rhs(levels, (source, source_m), ops, c)
+    C = assemble_rhs(levels, ops, c)
     C_norm = float(np.linalg.norm(C))
     if not math.isfinite(C_norm):  # name the first level whose source is not finite
-        for k, S in ((n - 1, source_m), (n, source)):
+        for k, S in ((n - 1, levels[1].source), (n, levels[0].source)):
             if not np.isfinite(S).all():
                 raise InvalidSpecError(
                     f"explicit source of level {k} (t_{k} = {grid.time(k):.6g}) contains NaN/Inf"
@@ -362,15 +368,30 @@ def step(
     solve_time = time.perf_counter() - t_solve
 
     t_residual = time.perf_counter()
-    state = CoupledState(Field(X), Field(Y), level=n + 1)
-    level = BranchLevel(state, Z, ops.image(Z))
-    res = _step_residual(level, C, C_norm, ops, c)
+    KZ = ops.image(Z)
+    res = _step_residual(Z, KZ, C, C_norm, ops, c)
+    # C is not read past the residual; free it before the new level's source
+    # is formed, so the source adds no (2, n, n) plane to the step's peak
+    del C
     residual_time = time.perf_counter() - t_residual
 
+    state = CoupledState(Field(X), Field(Y), level=n + 1)
+    sup_norm = math.sqrt(0.5) * float(np.linalg.norm(Z))
+    if not math.isfinite(sup_norm):  # names the level that is not finite
+        state.check_finite()
+    if sup_norm > BLOWUP_CAP:
+        raise BlowUpError(
+            f"blow-up at step {state.level}: ||(U,V)|| = {sup_norm:.3e} > {BLOWUP_CAP:.1e}",
+            step=state.level,
+            sup_norm=sup_norm,
+        )
+    t_source = time.perf_counter()
+    source = level_source(prob, grid, state) if n < plan.shifts.size else None
+    source_time = 0.0 if source is None else time.perf_counter() - t_source
     margins = tuple(plan.margins[n - 1].tolist())
-    report = StepReport(
+    return BranchLevel(state, Z, KZ, source), StepReport(
         n=n,
-        sup_norm=math.sqrt(0.5) * float(np.linalg.norm(Z)),
+        sup_norm=sup_norm,
         residual_coupled=res,
         margin=min(margins),
         margins=margins,
@@ -379,17 +400,8 @@ def step(
         rhs_time=rhs_time,
         solve_time=solve_time,
         residual_time=residual_time,
+        source_time=source_time,
     )
-    if not math.isfinite(report.sup_norm):  # names the level that is not finite
-        state.check_finite()
-    if report.sup_norm > BLOWUP_CAP:
-        raise BlowUpError(
-            f"blow-up at step {state.level}: ||(U,V)|| = {report.sup_norm:.3e} "
-            f"> {BLOWUP_CAP:.1e}",
-            step=state.level,
-            sup_norm=report.sup_norm,
-        )
-    return level, report, source
 
 
 def march(
@@ -406,10 +418,10 @@ def march(
     built once; the solve plan factors the branch pairs once and checks
     every step's margin before the first solve on either solver
     (SolvabilityError names the step); `init_levels` then seeds levels 0
-    and 1, and `step` forms each further level.  Each level's image
-    (`BranchLevel`) and source (nonlinearity and forcing, `level_source`)
-    are computed once and used by every step they enter, and the generator
-    holds only the two levels the next step reads.  It only builds, seeds
+    and 1, and `step` forms each further level.  Each level's image and
+    source (nonlinearity and forcing, `level_source`) are formed once, on its
+    `BranchLevel`, and used by every step they enter; the generator threads
+    only the two levels the next step reads.  It only builds, seeds
     and yields: the function that forms a level checks it (a blow-up is
     `step`'s BlowUpError).  Nothing is built or checked until the first
     level is drawn; drawing it raises what the build raises, so an unknown
@@ -426,12 +438,12 @@ def march(
     opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy=sing_policy)
     ops = assemble_step_operators(opset, grid)
     plan = plan_solves(ops, grid, prob.a)
-    level0, level1, source = init_levels(prob, grid, ops)
+    level0, level1 = init_levels(prob, grid, ops)
     yield level0.state, None
     yield level1.state, None
     levels = (level1, level0)
     for _ in range(1, grid.n_steps):
-        level, report, source = step(levels, source, ops, prob, grid, plan, solver=solver)
+        level, report = step(levels, ops, prob, grid, plan, solver=solver)
         levels = (level, levels[0])
         yield level.state, report
 

@@ -35,7 +35,7 @@ DENOM_RTOL when the plan is made, never in a solve; `_margins` does so for
 every shift at once.  On the diagonal kernel it is the smallest denominator
 the solve divides by, found with one sort and O(log n) per shift.  The
 stepper's plan holds every step's shift c_n; the standalone solvers below
-plan and solve at shift 0.
+plan and solve at shift 0 and check the residual of what they return.
 
 The coupled pair
 
@@ -73,6 +73,12 @@ from .operators import BRANCH_SIGNS, TriDiagMatrix, _sum_diff
 # A diagonal denominator |lam_i + mu_j| below DENOM_RTOL * norm(inputs) is
 # treated as a solvability failure rather than allowed to produce garbage.
 DENOM_RTOL = 1e-12
+
+# `solve_sylvester` and `solve_coupled` refuse a solution whose relative
+# residual (`residual`) is above this bound or not finite.  The standalone
+# solves of the test suite stay at or below 2.1e-11; a pair whose transforms
+# are too ill-conditioned for float64 lands orders of magnitude above it.
+SOLVE_RESIDUAL_MAX = 1e-8
 
 # Byte budget for the dense Kronecker matrix of one branch, 8 (n^2)^2 = 8 n^4
 # bytes, and the largest size within it: 76, i.e. J <= 74.  kronecker_solve
@@ -120,10 +126,11 @@ class SylvesterProblem:
 class CoupledProblem:
     """The symmetric cross-coupled pair of Lyapunov-Sylvester equations.
 
-    W_right defaults to W itself; the stepper passes W.T because the Neumann
-    rows of the difference matrix break symmetry.  The coefficients W, R, S
-    and W_right may be TriDiagMatrix objects (the stepper passes its step
-    operators unchanged); C1 and C2 are dense.
+    W_right defaults to W itself; the stepper's Method I passes W.T because
+    the Neumann rows of the difference matrix break symmetry.  The
+    coefficients W, R, S and W_right may be TriDiagMatrix objects (Method I
+    builds them from the U/V coefficients it reads off the plan's factored
+    branch pairs); C1 and C2 are dense.
     """
 
     W: np.ndarray | TriDiagMatrix
@@ -436,9 +443,20 @@ def _solve(plan: SolvePlan, C: np.ndarray, k: int) -> np.ndarray:
     return (QL @ Z @ QR.swapaxes(1, 2)) / w
 
 
+def _checked(p, solution):
+    """`solution` of `p` if its `residual` is at most SOLVE_RESIDUAL_MAX, else SolvabilityError."""
+    res = residual(p, solution)
+    if not res <= SOLVE_RESIDUAL_MAX:
+        raise SolvabilityError(
+            f"solve refused: relative residual {res:.3e} is not <= {SOLVE_RESIDUAL_MAX:.1e}"
+        )
+    return solution
+
+
 def solve_sylvester(p: SylvesterProblem) -> np.ndarray:
-    """Solve L X + X R = C; raises SolvabilityError on (near-)common spectra."""
-    return _solve(_factor([(p.L, p.R)]), p.C[None], 0)[0]
+    """Solve L X + X R = C; raises SolvabilityError on (near-)common spectra
+    and on a solution whose residual is above SOLVE_RESIDUAL_MAX."""
+    return _checked(p, _solve(_factor([(p.L, p.R)]), p.C[None], 0)[0])
 
 
 def _branch_pairs(W, R, S, W_right) -> tuple:
@@ -447,9 +465,11 @@ def _branch_pairs(W, R, S, W_right) -> tuple:
 
 
 def solve_coupled(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the coupled pair by sum/difference decoupling."""
+    """Solve the coupled pair by sum/difference decoupling; raises
+    SolvabilityError as `solve_sylvester` does, the residual read in the
+    pair's own two equations."""
     plan = _factor(_branch_pairs(p.W, p.R, p.S, p.W_right), tuple(BRANCH_SIGNS))
-    return tuple(_sum_diff(_solve(plan, _sum_diff((p.C1, p.C2)), 0), 0.5))
+    return _checked(p, tuple(_sum_diff(_solve(plan, _sum_diff((p.C1, p.C2)), 0), 0.5)))
 
 
 def _check_kronecker_size(n: int):

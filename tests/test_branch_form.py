@@ -27,7 +27,7 @@ from epdsys.operators import (
     step_shift,
 )
 from epdsys.stepper import (
-    BranchLevel, ProblemDef, _power, _step_residual, assemble_rhs, init_levels, level_source,
+    BranchLevel, ProblemDef, _power, _step_residual, assemble_rhs, init_levels,
 )
 from epdsys.sylvester import CoupledProblem, residual
 
@@ -108,9 +108,8 @@ def test_assemble_rhs_equals_the_uv_form(
         CoupledState(Field(U), Field(V), level) for (U, V), level in zip(hist, (n, n - 1))
     )
 
-    sources = tuple(level_source(prob, grid, state) for state in history)
-    levels = tuple(BranchLevel.of(state, ops) for state in history)
-    C = assemble_rhs(levels, sources, ops, step_shift(grid, n, a))
+    levels = tuple(BranchLevel.of(state, ops, prob, grid) for state in history)
+    C = assemble_rhs(levels, ops, step_shift(grid, n, a))
 
     terms1, terms2 = reference_rhs_terms(hist, opset, grid, alpha, prob, n, forcing)
     C1, C2 = sum(terms1), sum(terms2)
@@ -209,9 +208,8 @@ def test_step_residual_equals_the_uv_residual(seed, J, alpha, lam, gamma, c, sin
     expected = residual(uv, (X, Y))
     # the step checks the new level (P, Q) through its image
     Z = np.stack((P, Q))
-    level = BranchLevel(CoupledState(Field(X), Field(Y), 2), Z, ops.image(Z))
     C = np.stack((C_sum, C_diff))
-    got = _step_residual(level, C, np.linalg.norm(C), ops, c)
+    got = _step_residual(Z, ops.image(Z), C, np.linalg.norm(C), ops, c)
     assert abs(got - expected) <= 1e-12 * expected
 
 
@@ -270,7 +268,7 @@ def test_taylor_seeding_equals_the_uv_form(seed, J, lam, gamma, a, t0, sing_poli
     )
     opset = build_operator_set(grid, lam, gamma, sing_policy=sing_policy)
     ops = assemble_step_operators(opset, grid)
-    level0, level1, _ = init_levels(prob, grid, ops)
+    level0, level1 = init_levels(prob, grid, ops)
     s0, s1 = level0.state, level1.state
     expected, scale = reference_taylor_levels(prob, grid, opset, data, forcing)
     assert s0.level == 0 and s1.level == 1

@@ -181,6 +181,26 @@ def test_discrete_errors_degenerate_exact():
     assert rep.er == 0.0 and rep.rel_er == 0.0
 
 
+@pytest.mark.parametrize("component", [0, 1], ids=["u", "v"])
+@pytest.mark.parametrize("bad_level", [0, 2], ids=["first", "last"])
+def test_discrete_errors_non_finite_exact_is_named(component, bad_level):
+    # max(er, nan) keeps er, so a NaN exact value would read as zero error
+    grid = build_grid(GridSpec(L0=-2, L1=2, J=3, n_steps=2))
+    exact = lambda x, y, t: (np.exp(-(x * x + y * y)) * (1 + t), np.cos(x) + t * y)
+    t_bad = grid.time(bad_level)
+
+    def exact_nan(x, y, t):
+        pair = list(exact(x, y, t))
+        if t == t_bad:
+            pair[component] = pair[component] + np.nan
+        return tuple(pair)
+
+    traj = _traj_from(exact, grid, [0, 1, 2])
+    named = rf"^level {bad_level} \(t_{bad_level} = .*\) or its exact solution contains NaN/Inf$"
+    with pytest.raises(InvalidSpecError, match=named):
+        discrete_errors(traj, exact_nan, grid)
+
+
 def test_discrete_errors_scalings():
     grid = build_grid(GridSpec(L0=-2, L1=2, J=2, n_steps=2))
     exact = lambda x, y, t: (np.ones_like(x), np.ones_like(x))

@@ -54,7 +54,7 @@ def seed_states(prob, grid, opset=None):
     if opset is None:
         opset = build_operator_set(grid, prob.lam, prob.gamma)
     ops = assemble_step_operators(opset, grid)
-    level0, level1, _ = init_levels(prob, grid, ops)
+    level0, level1 = init_levels(prob, grid, ops)
     return level0.state, level1.state
 
 
@@ -168,9 +168,8 @@ def test_init_levels_taylor_matches_exact_expansion():
 
 def _rhs(history, ops, prob, grid, n):
     """assemble_rhs for step n, with the images, sources and shift its step computes."""
-    levels = tuple(BranchLevel.of(state, ops) for state in history)
-    sources = tuple(level_source(prob, grid, state) for state in history)
-    return assemble_rhs(levels, sources, ops, step_shift(grid, n, prob.a))
+    levels = tuple(BranchLevel.of(state, ops, prob, grid) for state in history)
+    return assemble_rhs(levels, ops, step_shift(grid, n, prob.a))
 
 
 def _zero_history(grid, n):
@@ -252,13 +251,13 @@ def test_step_zero_state_stays_zero():
     # (n, n-1) gives step n, its shift row n - 1 and the new level n + 1
     for n in (1, 2):
         history = _zero_history(grid, n)
-        levels = tuple(BranchLevel.of(state, ops) for state in history)
-        source_m = level_source(prob, grid, history[1])
-        level, report, source = step(levels, source_m, ops, prob, grid, plan)
+        levels = tuple(BranchLevel.of(state, ops, prob, grid) for state in history)
+        level, report = step(levels, ops, prob, grid, plan)
         state = level.state
         assert np.all(state.U.values == 0.0) and np.all(state.V.values == 0.0)
         assert np.all(level.Z == 0.0) and np.all(level.KZ == 0.0)
-        assert np.all(source == 0.0)
+        # step 2 is the plan's last, so its level 3 carries no source
+        assert np.all(level.source == 0.0) if n == 1 else level.source is None
         assert report.residual_coupled == 0.0
         assert state.level == n + 1
         assert report.n == n
@@ -274,10 +273,9 @@ def test_step_outside_the_plan_is_named():
     plan = plan_solves(ops, grid, prob.a)
     for n in (3, 0):
         history = _zero_history(grid, n)
-        levels = tuple(BranchLevel.of(state, ops) for state in history)
-        source_m = level_source(prob, grid, history[1])
+        levels = tuple(BranchLevel.of(state, ops, prob, grid) for state in history)
         with pytest.raises(InvalidSpecError, match=rf"step {n} is outside the plan's steps 1\.\.2"):
-            step(levels, source_m, ops, prob, grid, plan)
+            step(levels, ops, prob, grid, plan)
 
 
 def test_single_step_reference_error(ref_config, ref_grid24, ref_problem):
@@ -349,11 +347,11 @@ def step_inputs(prob, spec):
 def march_by_hand(prob, spec, solver="sylvester"):
     """Seed with `init_levels`, then call `step` per level: run's loop, with no check of its own."""
     grid, ops, plan = step_inputs(prob, spec)
-    level0, level1, source = init_levels(prob, grid, ops)
+    level0, level1 = init_levels(prob, grid, ops)
     states, reports = [level0.state, level1.state], []
     levels = (level1, level0)
     for _ in range(1, grid.n_steps):
-        level, report, source = step(levels, source, ops, prob, grid, plan, solver=solver)
+        level, report = step(levels, ops, prob, grid, plan, solver=solver)
         states.append(level.state)
         reports.append(report)
         levels = (level, levels[0])
@@ -395,13 +393,13 @@ def test_step_checks_the_level_it_forms(monkeypatch, fault, error, message):
     # not taken for a blow-up, and run and march raise the same error through step
     prob, spec = reference_j9()
     grid, ops, plan = step_inputs(prob, spec)
-    level0, level1, source = init_levels(prob, grid, ops)
+    level0, level1 = init_levels(prob, grid, ops)
     if fault == "cap":
         monkeypatch.setattr(epdsys.stepper, "BLOWUP_CAP", 1e-3)
     else:
         monkeypatch.setattr(epdsys.stepper, "_solve", lambda plan, C, k: np.full_like(C, np.nan))
     with pytest.raises(error, match=message) as by_step:
-        step((level1, level0), source, ops, prob, grid, plan)
+        step((level1, level0), ops, prob, grid, plan)
     with pytest.raises(error, match=message) as by_run:
         run(prob, spec)
     with pytest.raises(error, match=message) as by_march:
@@ -415,10 +413,10 @@ def test_step_names_a_right_hand_side_that_is_not_finite():
     # both sources are finite, so the infinite history level itself is named
     prob, spec = reference_j9()
     grid, ops, plan = step_inputs(prob, spec)
-    level0, level1, source = init_levels(prob, grid, ops)
+    level0, level1 = init_levels(prob, grid, ops)
     level0 = dataclasses.replace(level0, Z=np.full_like(level0.Z, np.inf))
     with pytest.raises(InvalidSpecError, match=r"the right-hand side of step 1 is not finite"):
-        step((level1, level0), source, ops, prob, grid, plan)
+        step((level1, level0), ops, prob, grid, plan)
 
 
 def test_init_levels_checks_the_taylor_level_1_it_computes():
@@ -450,7 +448,7 @@ def test_run_is_init_levels_then_step(solver):
         for ours, theirs in zip(states, levels):
             assert np.array_equal(ours.U.values, theirs.U.values)
             assert np.array_equal(ours.V.values, theirs.V.values)
-    times = ("wall_time", "rhs_time", "solve_time", "residual_time")
+    times = ("wall_time", "rhs_time", "solve_time", "residual_time", "source_time")
     untimed = lambda report: dataclasses.replace(report, **dict.fromkeys(times, 0.0))
     for theirs in (expected, [report for _, report in marched[2:]]):
         assert [untimed(r) for r in reports] == [untimed(r) for r in theirs]
@@ -723,8 +721,8 @@ def test_step_reports_phase_times():
     prob, _ = manufactured_problem(RunConfig(J=9))
     _, reports = run(prob, spec, sing_policy="limit")
     for r in reports:
-        assert min(r.rhs_time, r.solve_time, r.residual_time) >= 0.0
-        assert r.rhs_time + r.solve_time + r.residual_time <= r.wall_time
+        assert min(r.rhs_time, r.solve_time, r.residual_time, r.source_time) >= 0.0
+        assert r.rhs_time + r.solve_time + r.residual_time + r.source_time <= r.wall_time
 
 
 @pytest.mark.parametrize("solver", ["sylvester", "kronecker"])
@@ -844,7 +842,8 @@ def test_flipped_branch_signs_fail_the_kronecker_residual(monkeypatch):
 
 
 def test_non_finite_forcing_names_its_level_before_the_solve(monkeypatch):
-    # level k is first sampled by step k, so steps 1 .. k-1 are solved
+    # step k-1 samples the forcing of level k, the level it forms, so steps
+    # 1 .. k-1 are solved and level k is never yielded
     k = 4
     spec = GridSpec(L0=-10, L1=10, J=9, t0=0.5, n_steps=8, step_rule="independent", l=0.05)
     t_k = build_grid(spec).time(k)
@@ -859,6 +858,11 @@ def test_non_finite_forcing_names_its_level_before_the_solve(monkeypatch):
     with pytest.raises(InvalidSpecError, match=rf"forcing at level {k} \(t_{k} = 0\.7\)"):
         run(prob, spec, sing_policy="limit")
     assert len(solve_calls) == k - 1
+    yielded = []
+    with pytest.raises(InvalidSpecError, match=rf"forcing at level {k} \(t_{k} = 0\.7\)"):
+        for state, _ in march(prob, spec, sing_policy="limit"):
+            yielded.append(state.level)
+    assert yielded == list(range(k))
 
 
 @pytest.mark.parametrize(
@@ -897,6 +901,42 @@ def test_run_seeds_through_init_levels_once(monkeypatch, seed_mode):
     trajectory, _ = run(prob, spec, sing_policy="limit")
     assert len(seed_calls) == 1
     assert len(trajectory) == 6
+
+
+@pytest.mark.parametrize("seed_mode", ["exact", "taylor"])
+def test_init_levels_carry_their_sources(seed_mode):
+    # each seed level carries the source that level_source forms from its
+    # state, bit for bit: Taylor seeding scales the level-0 terms it sampled
+    prob, spec = reference_j9(seed_mode)
+    grid, ops, _ = step_inputs(prob, spec)
+    levels = init_levels(prob, grid, ops)
+    assert [level.state.level for level in levels] == [0, 1]
+    for level in levels:
+        assert np.array_equal(level.source, level_source(prob, grid, level.state))
+
+
+@pytest.mark.parametrize("solver", ["sylvester", "kronecker"])
+def test_only_the_last_level_of_a_march_has_no_source(monkeypatch, solver):
+    # step n forms the source of level n+1 only when the plan has a step n+1,
+    # so level_source runs once for each of levels 0 .. N-1 and never for N
+    prob, spec = reference_j9()
+    grid = build_grid(spec)
+    formed = []
+
+    def recording(*args, original=epdsys.stepper.step, **kwargs):
+        level, report = original(*args, **kwargs)
+        formed.append(level)
+        return level, report
+
+    monkeypatch.setattr(epdsys.stepper, "step", recording)
+    source_calls = _counting(monkeypatch, epdsys.stepper, "level_source")
+    states = [state for state, _ in march(prob, spec, solver=solver)]
+    assert all(level.state is state for level, state in zip(formed, states[2:], strict=True))
+    assert [level.state.level for level in formed] == [2, 3]
+    assert formed[-1].source is None
+    for level in formed[:-1]:
+        assert np.array_equal(level.source, level_source(prob, grid, level.state))
+    assert len(source_calls) == spec.n_steps
 
 
 def test_constant_exact_solution_is_broadcast_to_the_grid():

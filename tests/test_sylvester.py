@@ -215,7 +215,8 @@ def test_decoupling_identity(rng):
 
 def test_residual_sees_a_fault_in_the_decoupling(rng, monkeypatch):
     # residual evaluates the pair's own two equations, not the branches that
-    # solve_coupled decouples it into, so a wrong decoupling shows there
+    # solve_coupled decouples it into, so a wrong decoupling shows there and
+    # solve_coupled, which checks that residual, refuses its solution
     n = 6
     W = np.eye(n) + 0.2 * rng.standard_normal((n, n))
     p = CoupledProblem(
@@ -227,10 +228,21 @@ def test_residual_sees_a_fault_in_the_decoupling(rng, monkeypatch):
         epdsys.sylvester, "_branch_pairs",
         lambda W, R, S, W_right: tuple((W + s * R, W_right - s * S) for s in (1.0, -1.0)),
     )
-    X, Y = solve_coupled(p)
-    X_ref, Y_ref = kronecker_solve(p)
-    assert max(np.abs(X - X_ref).max(), np.abs(Y - Y_ref).max()) > 0.1
-    assert residual(p, (X, Y)) > 0.1
+    with pytest.raises(SolvabilityError, match=r"relative residual \S+ is not <= 1\.0e-08"):
+        solve_coupled(p)
+
+
+@pytest.mark.parametrize("n", [60, 100, 170])
+def test_standalone_solve_refuses_a_residual_above_the_bound(rng, n):
+    # L = tridiag(0.1, 5, 10) is symmetrizable with eigenvalue sums in [6, 14],
+    # but its symmetrizer spans 10^n, so the transforms lose every digit:
+    # the residual is about 1e98 at n = 60, inf at n = 100 and NaN at n = 170
+    L = TriDiagMatrix(sub=np.full(n - 1, 0.1), diag=np.full(n, 5.0), sup=np.full(n - 1, 10.0))
+    p = SylvesterProblem(L, L.T, rng.standard_normal((n, n)))
+    with np.errstate(all="ignore"), pytest.raises(
+        SolvabilityError, match=r"^solve refused: relative residual \S+ is not <= 1\.0e-08$"
+    ):
+        solve_sylvester(p)
 
 
 def test_linearity_of_solutions(rng):
