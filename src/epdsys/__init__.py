@@ -48,6 +48,7 @@ from .stepper import (
     init_levels,
     level_source,
     march,
+    prepare,
     run,
     step,
 )

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 validation failure, 1 error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -21,8 +22,7 @@ from . import bench as bench_mod
 from .exact import frobenius_coefficients, ode_residual, stationary_additive
 from .exceptions import ConfigError, EpdError
 from .grid import build_grid, discrete_errors
-from .operators import assemble_step_operators, build_operator_set
-from .stepper import SOLVER_SYLVESTER, ProblemDef, cfl_guard, march, plan_solves
+from .stepper import SOLVER_SYLVESTER, ProblemDef, cfl_guard, march, prepare
 from .sylvester import CoupledProblem, format_pair, kronecker_solve, solve_coupled
 
 EXIT_OK = 0
@@ -53,9 +53,14 @@ def _parse_J_list(text):
     return tuple(J_list)
 
 
+def _run_solver(config):
+    """The solver that `solve` runs and `validate` plans: config.solver, 'both' as Sylvester."""
+    return SOLVER_SYLVESTER if config.solver == "both" else config.solver
+
+
 def cmd_solve(args):
     config = _load_config(args.config)
-    solver = config.solver if config.solver != "both" else SOLVER_SYLVESTER
+    solver = _run_solver(config)
     grid = build_grid(bench_mod.grid_spec_for(config))
     prob, exact = bench_mod.manufactured_problem(config)
     ok, guard = cfl_guard(grid, prob.lam, prob.gamma)
@@ -67,21 +72,22 @@ def cmd_solve(args):
         # bench and converge refuse such a config; solve runs it, but the
         # forcing does not produce the exact pair that Er is measured against
         print(f"warning: {exc}, so Er is not a discretization error")
-    reports = []
+    max_residual, min_margin = -math.inf, math.inf
 
     def states():
-        # Er is folded level by level; only the step reports are kept
+        # Er, the max residual and the min margin are folded level by level
+        nonlocal max_residual, min_margin
         for state, step_report in march(prob, grid, solver=solver, sing_policy=config.sing_policy):
             if step_report is not None:
-                reports.append(step_report)
+                max_residual = max(max_residual, step_report.residual_coupled)
+                min_margin = min(min_margin, step_report.margin)
             yield state
 
     report = discrete_errors(states(), exact, grid)
     print(f"J={config.J} h={grid.h:.6g} l={grid.l:.6g} steps={grid.n_steps} "
           f"t_end={grid.time(grid.n_steps):.6g} solver={solver}")
     print(f"Er={report.er:.6g} RelEr={report.rel_er:.6g}")
-    print(f"max residual={max(r.residual_coupled for r in reports):.3e} "
-          f"min margin={min(r.margin for r in reports):.3e}")
+    print(f"max residual={max_residual:.3e} min margin={min_margin:.3e}")
     return EXIT_OK
 
 
@@ -132,6 +138,14 @@ def cmd_series(args):
 
 
 def cmd_validate(args):
+    """Run every oracle and the run's setup; exit 2 if any fails.
+
+    The solvability schedule is `stepper.prepare` on the config's grid,
+    manufactured problem, sing_policy and the solver that `solve` runs
+    (`_run_solver`), with no step: validate fails it exactly where `solve`
+    refuses the run before its first step, Method I above the dense guard
+    included, and otherwise prints the plan's smallest margin.
+    """
     config = _load_config(args.config)
     failures = []
 
@@ -175,11 +189,10 @@ def cmd_validate(args):
             raise EpdError(f"solver mismatch {err:.3e}")
 
     def solvability_schedule():
-        # the run's preflight alone: factor once, check every step, no stepping
-        grid = build_grid(bench_mod.grid_spec_for(config))
+        # the setup of the run that `solve` makes, with no stepping
+        spec = bench_mod.grid_spec_for(config)
         prob, _ = bench_mod.manufactured_problem(config)
-        opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy=config.sing_policy)
-        plan = plan_solves(assemble_step_operators(opset, grid), grid, prob.a)
+        _, _, plan = prepare(prob, spec, _run_solver(config), config.sing_policy)
         margin, n, branch, pair = plan.min_margin()
         kernels = ", ".join(f"{p.branch} {p.kernel}" for p in plan.pairs)
         print(

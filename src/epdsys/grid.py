@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -36,8 +37,8 @@ MAX_TRAJECTORY_BYTES = 2**34
 class GridSpec:
     """Mesh parameters.
 
-    step_rule 'coupled' ties the time step to the space step, l = h^(3/2);
-    'independent' uses the explicit value in `l`.
+    step_rule 'coupled' ties the time step to the space step, l = h^(3/2),
+    and takes no `l`; 'independent' uses the explicit value in `l`.
     """
 
     L0: float
@@ -52,14 +53,19 @@ class GridSpec:
     def mesh_steps(self) -> tuple[float, float]:
         """The space and time steps (h, l), after the checks of the spec.
 
-        Raises InvalidSpecError for an invalid spec (alpha < 0 or NaN among
-        them: the scheme's weight is alpha >= 0), for steps that are not
-        positive and finite or a last node L0 + (J+1) h that overflows (a
-        width L1 - L0 near the float range, an l that underflows), and for a
-        trajectory above MAX_TRAJECTORY_BYTES.
+        Raises InvalidSpecError for an invalid spec (among them a t0 or an
+        alpha that is negative or not finite, a J or n_steps that is not an
+        integer, and an l given to the coupled rule, which sets l itself),
+        for steps that are not positive and finite or a last node
+        L0 + (J+1) h that overflows (a width L1 - L0 near the float range,
+        an l that underflows), and for a trajectory above
+        MAX_TRAJECTORY_BYTES.
         """
         if self.L1 <= self.L0:
             raise InvalidSpecError(f"need L1 > L0, got [{self.L0}, {self.L1}]")
+        for name in ("J", "n_steps"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise InvalidSpecError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.J < 1:
             raise InvalidSpecError(f"need J >= 1, got J={self.J}")
         if self.t0 < 0:
@@ -68,10 +74,15 @@ class GridSpec:
             raise InvalidSpecError(f"need n_steps >= 1, got {self.n_steps}")
         if not self.alpha >= 0.0:
             raise InvalidSpecError(f"need alpha >= 0, got alpha={self.alpha}")
+        for name in ("t0", "alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpecError(f"need a finite {name}, got {name}={getattr(self, name)}")
         if self.step_rule not in (COUPLED, INDEPENDENT):
             raise InvalidSpecError(f"unknown step_rule {self.step_rule!r}")
         if self.step_rule == INDEPENDENT and (self.l is None or self.l <= 0):
             raise InvalidSpecError("independent step rule needs an explicit l > 0")
+        if self.step_rule == COUPLED and self.l is not None:
+            raise InvalidSpecError(f"the coupled step rule sets l itself; got l={self.l}")
         h = (self.L1 - self.L0) / (self.J + 1)
         l = h * math.sqrt(h) if self.step_rule == COUPLED else float(self.l)
         if not (h > 0.0 and 0.0 < l < math.inf and math.isfinite(self.L0 + h * (self.J + 1))):

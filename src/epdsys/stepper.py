@@ -16,15 +16,17 @@ variables Z+- = U +- V the pair decouples into the branches
 of the bands (K, K') = (A + s h Theta, A^T + s h Lambda), s = +-1, the one
 stored form of the step operator (`StepOperators.bands`).
 
-`march` builds the step operators and the solve plan once, seeds levels 0
-and 1 through `init_levels` (exact pair or Taylor expansion), and calls
-`step` per level with the last two levels, yielding each level as it is
-formed and keeping only the two that the next step reads; nothing runs
-until its first level is drawn.  `run` is `march` collected into lists.  A
-caller that folds the levels (`bench.run_convergence`, `epdsys solve`,
-validate's zero-trajectory check) draws them from `march`;
-`bench.run_table1` calls `run`, whose reports the table1 benchmark captures
-by wrapping `bench.run`.  The damping shift c_n = l a / (2 t_n) is the only
+`prepare` is the one setup of a run: it checks the solver, builds the grid,
+the step operators and the solve plan once, and refuses before any solve.
+`march` calls it, seeds levels 0 and 1 through `init_levels` (exact pair or
+Taylor expansion), and calls `step` per level with the last two levels,
+yielding each level as it is formed and keeping only the two that the next
+step reads; nothing runs until its first level is drawn.  `run` is `march`
+collected into lists.  A caller that folds the levels
+(`bench.run_convergence`, `epdsys solve`, validate's zero-trajectory check)
+draws them from `march`, validate's solvability schedule is `prepare` alone,
+and `bench.run_table1` calls `run`, whose reports the table1 benchmark
+captures by wrapping `bench.run`.  The damping shift c_n = l a / (2 t_n) is the only
 coefficient that changes from step to step; the plan computes and checks
 all of them once (`sylvester.SolvePlan.shifts`), and step n reads row
 n - 1.  Every callable of the problem (forcing, exact pair, Taylor data) is
@@ -81,6 +83,8 @@ class ProblemDef:
     Each value of a pair may be an array or a constant.
     `nonlinear=False` drops the power-law terms, giving the linear system.
     The weight alpha of the scheme is a mesh parameter (`GridSpec.alpha`).
+    A coefficient a, lam, gamma, p or q that is not finite raises
+    InvalidSpecError naming it, as does p <= 1 or q <= 1.
     """
 
     a: float
@@ -94,6 +98,9 @@ class ProblemDef:
     nonlinear: bool = True
 
     def __post_init__(self):
+        for name in ("a", "lam", "gamma", "p", "q"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpecError(f"{name!r} must be finite, got {getattr(self, name)}")
         if self.p <= 1 or self.q <= 1:
             raise InvalidSpecError(f"need p, q > 1, got p={self.p}, q={self.q}")
         if (self.exact is None) == (self.data is None):
@@ -142,16 +149,22 @@ def plan_solves(ops: StepOperators, grid: Grid, a: float) -> SolvePlan:
     U/V coefficients off the same pairs.  On the reference grid (axis node,
     limit policy) the sum branch takes the diagonal kernel for lam, gamma < 1
     and the difference branch for lam, gamma < 1/2, else the Schur kernel.
-    Raises SolvabilityError naming the first failing step, its branch and
-    its eigenvalue pair before any solve.
+    Raises InvalidSpecError when a step operator or a pair is not finite (a
+    lam, gamma, alpha or sigma so large that it overflows), and
+    SolvabilityError naming the first failing step, its branch and its
+    eigenvalue pair, both before any solve.
     """
     half = TriDiagMatrix.identity(grid.size, 0.5)
     w = ops.implicit_weight
+    pairs = [(half - w * K, half - w * Kr) for K, Kr in ops.bands]
+    bands = [band for pair in pairs for M in pair for band in (M.sub, M.diag, M.sup)]
+    if not (math.isfinite(ops.explicit_weight) and np.isfinite(ops.image_planes).all()
+            and all(np.isfinite(band).all() for band in bands)):
+        raise InvalidSpecError(
+            f"the step operators are not finite (alpha sigma = {w:.3g}, h = {grid.h:.3g})"
+        )
     steps = range(1, grid.n_steps)
-    return _factor(
-        [(half - w * K, half - w * Kr) for K, Kr in ops.bands], tuple(BRANCH_SIGNS),
-        [step_shift(grid, n, a) for n in steps], steps,
-    )
+    return _factor(pairs, tuple(BRANCH_SIGNS), [step_shift(grid, n, a) for n in steps], steps)
 
 
 def init_levels(prob: ProblemDef, grid: Grid, ops: StepOperators):
@@ -267,13 +280,18 @@ def assemble_rhs(
 
     is formed entrywise from the levels' images and sources, with no banded
     product; 2 c_n takes the branch's sign in `BRANCH_SIGNS`.  `levels` holds
-    the levels (n, n-1) and c is the step's shift c_n.
+    the levels (n, n-1) and c is the step's shift c_n.  Levels that are not
+    consecutive, or a level without a source (a run's last level), raise
+    InvalidSpecError naming them.
     """
     level_n, level_m = levels
     if level_m.state.level != level_n.state.level - 1:
         raise InvalidSpecError(
             f"history levels ({level_n.state.level}, {level_m.state.level}) are not consecutive"
         )
+    for level in levels:
+        if level.source is None:
+            raise InvalidSpecError(f"history level {level.state.level} has no source")
     C = ((2.0 * c) * ops.signs - 1.0) * level_m.Z
     C += 2.0 * level_n.Z
     C += ops.explicit_weight * level_n.KZ
@@ -404,30 +422,26 @@ def step(
     )
 
 
-def march(
+def prepare(
     prob: ProblemDef,
     spec: GridSpec | Grid,
     solver: str = SOLVER_SYLVESTER,
     sing_policy: str = SING_LIMIT,
-) -> Iterator[tuple[CoupledState, StepReport | None]]:
-    """Yield the run's levels in order: (state, report) per level, report None for 0 and 1.
+) -> tuple[Grid, StepOperators, SolvePlan]:
+    """The setup of a run, in order: its grid, step operators and solve plan.
 
-    sing_policy selects the axis-node treatment of the gradient operators
-    ('zero' drops the singular coefficient, 'limit' uses its L'Hopital
-    stencil; see operators.build_operator_set).  The step operators are
-    built once; the solve plan factors the branch pairs once and checks
-    every step's margin before the first solve on either solver
-    (SolvabilityError names the step); `init_levels` then seeds levels 0
-    and 1, and `step` forms each further level.  Each level's image and
-    source (nonlinearity and forcing, `level_source`) are formed once, on its
-    `BranchLevel`, and used by every step they enter; the generator threads
-    only the two levels the next step reads.  It only builds, seeds
-    and yields: the function that forms a level checks it (a blow-up is
-    `step`'s BlowUpError).  Nothing is built or checked until the first
-    level is drawn; drawing it raises what the build raises, so an unknown
-    solver is refused with InvalidSpecError, and Method I on a grid above
-    the dense guard with SizeGuardError (`sylvester._check_kronecker_size`,
-    the message `kronecker_solve` raises), before any operator is built.
+    First the checks that need no operator: an unknown solver raises
+    InvalidSpecError, the grid is built from `spec` (or taken as given) with
+    its mesh checks, a run of fewer than two steps raises InvalidSpecError,
+    and Method I on a grid above the dense guard raises SizeGuardError
+    (`sylvester._check_kronecker_size`, the message `kronecker_solve`
+    raises).  Then the step operators are built once, with the axis-node
+    treatment `sing_policy` ('zero' drops the singular coefficient, 'limit'
+    uses its L'Hopital stencil; see operators.build_operator_set), and
+    `plan_solves` factors the branch pairs once and checks every step's
+    margin, raising SolvabilityError naming the step before any solve.
+    `march` calls it on its first draw and `epdsys validate` runs it alone,
+    so both refuse the same runs; a hand loop starts from it.
     """
     _check_solver(solver)
     grid = spec if isinstance(spec, Grid) else build_grid(spec)
@@ -437,7 +451,30 @@ def march(
         _check_kronecker_size(grid.size)
     opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy=sing_policy)
     ops = assemble_step_operators(opset, grid)
-    plan = plan_solves(ops, grid, prob.a)
+    return grid, ops, plan_solves(ops, grid, prob.a)
+
+
+def march(
+    prob: ProblemDef,
+    spec: GridSpec | Grid,
+    solver: str = SOLVER_SYLVESTER,
+    sing_policy: str = SING_LIMIT,
+) -> Iterator[tuple[CoupledState, StepReport | None]]:
+    """Yield the run's levels in order: (state, report) per level, report None for 0 and 1.
+
+    Its setup is `prepare(prob, spec, solver, sing_policy)`: the grid, the
+    step operators and the solve plan, built once and checked before the
+    first solve; `init_levels` then seeds levels 0 and 1, and `step` forms
+    each further level.  Each level's image and source (nonlinearity and
+    forcing, `level_source`) are formed once, on its `BranchLevel`, and used
+    by every step they enter; the generator threads only the two levels the
+    next step reads.  It only sets up, seeds and yields: the function that
+    forms a level checks it (a blow-up is `step`'s BlowUpError).  Nothing is
+    built or checked until the first level is drawn; drawing it raises what
+    `prepare` raises, in its order: an unknown solver, then the mesh and
+    the dense guard, before any operator is built, then SolvabilityError.
+    """
+    grid, ops, plan = prepare(prob, spec, solver, sing_policy)
     level0, level1 = init_levels(prob, grid, ops)
     yield level0.state, None
     yield level1.state, None
@@ -456,9 +493,9 @@ def run(
 ) -> tuple[list[CoupledState], list[StepReport]]:
     """`march` collected: every level's state, levels 0..n_steps, and every step's report.
 
-    `run` draws the first level at once, so it raises what `march` raises,
-    in the same order.  It keeps the whole trajectory, which
-    `grid.MAX_TRAJECTORY_BYTES` bounds; a caller that folds the levels
+    `run` draws the first level at once, so it raises what `march`, and so
+    `prepare`, raises, in the same order.  It keeps the whole trajectory,
+    which `grid.MAX_TRAJECTORY_BYTES` bounds; a caller that folds the levels
     (`bench.run_convergence`, `epdsys solve`, validate's zero-trajectory
     check) draws them from `march` instead.  `bench.run_table1` keeps `run`
     because the table1 benchmark captures its reports by wrapping

@@ -380,7 +380,8 @@ def _margins(pairs, signs, cs, sums, steps=None):
 
     Raises SolvabilityError for the first shift (then the first pair) whose
     margin is below DENOM_RTOL times the norm of its shifted coefficients,
-    naming the pair, the branch and, when `steps` labels the shifts, the step.
+    or is NaN (a shift that is not finite), naming the pair, the branch and,
+    when `steps` labels the shifts, the step.
     """
     margins = np.empty((cs.size, len(pairs)))
     attaining = np.empty((cs.size, len(pairs), 2), dtype=complex)
@@ -394,7 +395,7 @@ def _margins(pairs, signs, cs, sums, steps=None):
             nn + 2.0 * s * tr + n * s * s for nn, tr in map(_norm2_trace, (pair.L, pair.R))
         ))
         floors[:, b] = DENOM_RTOL * np.maximum(np.sqrt(np.maximum(scale2, 0.0)), 1.0)
-    failing = np.argwhere(margins < floors)
+    failing = np.argwhere(~(margins >= floors))  # a NaN margin fails
     if failing.size:
         k, b = failing[0]
         branch = pairs[b].branch

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import epdsys.cli
 import epdsys.stepper
 from epdsys.bench import RunConfig, grid_spec_for, manufactured_problem
 from epdsys.grid import build_grid
@@ -30,7 +29,7 @@ def ref_problem(ref_config):
 
 @pytest.fixture
 def operator_builds(monkeypatch):
-    """The list of build_operator_set calls made by `run` and the CLI."""
+    """The list of build_operator_set calls made by `prepare`, the one setup of every run."""
     calls = []
     real = epdsys.stepper.build_operator_set
 
@@ -38,6 +37,5 @@ def operator_builds(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for module in (epdsys.stepper, epdsys.cli):
-        monkeypatch.setattr(module, "build_operator_set", counting)
+    monkeypatch.setattr(epdsys.stepper, "build_operator_set", counting)
     return calls

@@ -23,8 +23,10 @@ from epdsys.bench import (
     run_convergence,
     run_table1,
 )
+from epdsys.cli import _run_solver
 from epdsys.exceptions import ConfigError, EpdError, InvalidSpecError, ResonanceError
 from epdsys.grid import build_grid
+from epdsys.stepper import prepare
 
 
 def test_parse_config_minimal_defaults():
@@ -130,12 +132,18 @@ def test_run_config_checks_its_values(operator_builds, kwargs, message):
 def _config_values(field):
     """Config-file values for a RunConfig field: J in [-3, 2000] (no large
     grid), any finite float, and for a word its default, or 'turbo' once in
-    four draws."""
+    four draws.  Half the draws of a number come from a small range, J in
+    [-3, 24] and floats in [-20, 20], so that whole configs reach a plan."""
     kind = _FIELD_TYPES[field]
     if kind is int:
-        return st.integers(min_value=-3, max_value=2000).map(str)
+        return st.one_of(
+            st.integers(min_value=-3, max_value=24), st.integers(min_value=-3, max_value=2000)
+        ).map(str)
     if kind is float:
-        return st.floats(allow_nan=False, allow_infinity=False).map(repr)
+        return st.one_of(
+            st.floats(min_value=-20.0, max_value=20.0),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ).map(repr)
     (default,) = (f.default for f in dataclasses.fields(RunConfig) if f.name == field)
     return st.sampled_from([default, default, default, "turbo"])
 
@@ -150,16 +158,27 @@ config_texts = st.fixed_dictionaries(
 @given(text=config_texts)
 @example(text="J = 9\nL0 = -1e308\nL1 = 1e308\n")
 @example(text="J = 2000\nT = 1e308\n")
+@example(text="J = 1\nL0 = -2\nL1 = 3\nalpha = 0\ngamma = 3.6e307\nsing_policy = zero\n")
 def test_accepted_config_text_reaches_a_grid_or_a_named_error(text):
-    # never solves: only the path from text to a validated grid
+    # never solves: the path from text to a validated grid and, on a small
+    # grid, on through the setup of the run that `epdsys solve` makes
     try:
-        spec = grid_spec_for(parse_config(text))
+        config = parse_config(text)
+        spec = grid_spec_for(config)
         grid = build_grid(spec)
     except (ConfigError, InvalidSpecError):
         return
     assert 0.0 < grid.h < math.inf and 0.0 < grid.l < math.inf
     assert np.isfinite(grid.nodes).all()
     assert spec.n_steps >= 2
+    if spec.J > 24 or spec.n_steps > 64:
+        return
+    try:
+        prob, _ = manufactured_problem(config)
+        with np.errstate(all="ignore"):
+            prepare(prob, grid, _run_solver(config), config.sing_policy)
+    except EpdError:
+        pass
 
 
 def test_forcing_certificate(ref_config):

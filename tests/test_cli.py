@@ -101,6 +101,19 @@ def test_validate_failure_exits_2(config_file, capsys):
     assert out.rstrip().endswith("1 validation failure(s)")
 
 
+def test_validate_fails_its_schedule_where_solve_refuses(config_file, capsys):
+    # validate plans the run that solve makes, on the config's solver: Method I
+    # above the dense guard fails the schedule with solve's own message
+    path = config_file("J = 99\nsolver = kronecker\n")
+    assert main(["solve", path]) == EXIT_ERROR
+    refusal = capsys.readouterr().err.removeprefix("error: ").rstrip("\n")
+    assert refusal.startswith("Kronecker path refused: size 101 > guard 76")
+    assert main(["validate", path]) == EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert f"FAIL solvability schedule: {refusal}\n" in out
+    assert out.count("FAIL ") == 1
+
+
 def _nonzero_levels(prob, spec):
     ones = np.ones((3, 3))
     yield CoupledState(Field(ones), Field(ones)), None

@@ -58,6 +58,12 @@ def test_build_grid_nodes_uniform():
         dict(L0=0.0, L1=1.0, J=4, n_steps=0),
         dict(L0=0.0, L1=1.0, J=4, alpha=-1.0),
         dict(L0=0.0, L1=1.0, J=4, alpha=math.nan),  # refused by `not alpha >= 0`
+        dict(L0=0.0, L1=1.0, J=4, t0=math.nan),
+        dict(L0=0.0, L1=1.0, J=4, t0=math.inf),
+        dict(L0=0.0, L1=1.0, J=4, alpha=math.inf),
+        dict(L0=0.0, L1=10.0, J=9.5),  # would build 12 nodes ending past L1
+        dict(L0=0.0, L1=1.0, J=4, n_steps=2.5),
+        dict(L0=0.0, L1=1.0, J=4, l=0.01),  # the coupled rule sets l itself
     ],
 )
 def test_build_grid_invalid_specs(kwargs):

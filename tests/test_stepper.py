@@ -5,12 +5,14 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import epdsys.stepper
 import epdsys.sylvester
 from epdsys.bench import RunConfig, grid_spec_for, manufactured_problem
 from epdsys.exceptions import (
-    BlowUpError, InvalidSpecError, SingularTimeError, SizeGuardError, SolvabilityError,
+    BlowUpError, EpdError, InvalidSpecError, SingularTimeError, SizeGuardError, SolvabilityError,
 )
 from epdsys.grid import CoupledState, Field, GridSpec, build_grid, discrete_errors
 from epdsys.operators import (
@@ -28,6 +30,7 @@ from epdsys.stepper import (
     level_source,
     march,
     plan_solves,
+    prepare,
     run,
     step,
 )
@@ -337,16 +340,9 @@ def reference_j9(seed_mode="exact"):
     return prob, spec
 
 
-def step_inputs(prob, spec):
-    """The grid, step operators and solve plan that `run` builds for `spec`."""
-    grid = build_grid(spec)
-    ops = assemble_step_operators(build_operator_set(grid, prob.lam, prob.gamma), grid)
-    return grid, ops, plan_solves(ops, grid, prob.a)
-
-
 def march_by_hand(prob, spec, solver="sylvester"):
-    """Seed with `init_levels`, then call `step` per level: run's loop, with no check of its own."""
-    grid, ops, plan = step_inputs(prob, spec)
+    """`prepare`, `init_levels`, then `step` per level: run's loop, with no check of its own."""
+    grid, ops, plan = prepare(prob, spec, solver)
     level0, level1 = init_levels(prob, grid, ops)
     states, reports = [level0.state, level1.state], []
     levels = (level1, level0)
@@ -392,7 +388,7 @@ def test_step_checks_the_level_it_forms(monkeypatch, fault, error, message):
     # step 1 forms level 2 and checks it: a level that is not finite is named,
     # not taken for a blow-up, and run and march raise the same error through step
     prob, spec = reference_j9()
-    grid, ops, plan = step_inputs(prob, spec)
+    grid, ops, plan = prepare(prob, spec)
     level0, level1 = init_levels(prob, grid, ops)
     if fault == "cap":
         monkeypatch.setattr(epdsys.stepper, "BLOWUP_CAP", 1e-3)
@@ -412,11 +408,33 @@ def test_step_checks_the_level_it_forms(monkeypatch, fault, error, message):
 def test_step_names_a_right_hand_side_that_is_not_finite():
     # both sources are finite, so the infinite history level itself is named
     prob, spec = reference_j9()
-    grid, ops, plan = step_inputs(prob, spec)
+    grid, ops, plan = prepare(prob, spec)
     level0, level1 = init_levels(prob, grid, ops)
     level0 = dataclasses.replace(level0, Z=np.full_like(level0.Z, np.inf))
     with pytest.raises(InvalidSpecError, match=r"the right-hand side of step 1 is not finite"):
         step((level1, level0), ops, prob, grid, plan)
+
+
+@pytest.mark.parametrize("history", [0, 1])
+def test_step_names_a_history_level_without_source(monkeypatch, history):
+    # a run's last level keeps source None; read as history it is named
+    # before any solve, not met as a bare TypeError in the sum of sources
+    prob, spec = reference_j9()
+    grid, ops, plan = prepare(prob, spec)
+    levels = list(init_levels(prob, grid, ops))[::-1]
+    levels[history] = dataclasses.replace(levels[history], source=None)
+    solves = _counting(monkeypatch, epdsys.stepper, "_solve")
+    with pytest.raises(InvalidSpecError, match=rf"history level {1 - history} has no source"):
+        step(tuple(levels), ops, prob, grid, plan)
+    assert solves == []
+
+
+def test_plan_refuses_a_shift_that_is_not_finite():
+    # a NaN margin is neither above nor below its floor: it fails, naming step 1
+    prob, spec = reference_j9()
+    grid, ops, _ = prepare(prob, spec)
+    with pytest.raises(SolvabilityError, match=r"^step 1: sum branch failed: .* = nan$"):
+        plan_solves(ops, grid, math.nan)
 
 
 def test_init_levels_checks_the_taylor_level_1_it_computes():
@@ -426,7 +444,7 @@ def test_init_levels_checks_the_taylor_level_1_it_computes():
     u0, _, v0, _ = prob.data
     big = lambda x, y: np.full_like(x, 1e308)
     prob = dataclasses.replace(prob, data=(u0, big, v0, big))
-    grid, ops, _ = step_inputs(prob, spec)
+    grid, ops, _ = prepare(prob, spec)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         InvalidSpecError, match=r"field at level 1 contains NaN/Inf"
     ):
@@ -522,6 +540,78 @@ def test_problem_def_validation():
             a=1.0, lam=0.0, gamma=0.0, p=2.0, q=2.0,
             data=(ZERO,) * 4, exact=lambda x, y, t: (x, y),
         )
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["a", "lam", "gamma", "p", "q"])
+def test_problem_def_refuses_non_finite_coefficients(field, value):
+    # NaN passes p, q > 1, and a later check would blame another input
+    coefficients = dict(a=1.0, lam=0.0, gamma=0.0, p=2.0, q=2.0, data=(ZERO,) * 4)
+    with pytest.raises(InvalidSpecError, match=rf"^'{field}' must be finite, got {value}$"):
+        ProblemDef(**{**coefficients, field: value})
+
+
+def _mostly(valid, anything):
+    """Draws of `valid` seven times in eight, else of `anything`, so that a
+    draw with every field valid, which reaches the plan, is common."""
+    return st.integers(min_value=0, max_value=7).flatmap(lambda k: valid if k else anything)
+
+
+# any float (NaN and +-inf included), a numpy integer, a float that is not integral
+_ANY = st.floats()
+_COUNT = st.one_of(
+    st.integers(min_value=-1, max_value=12),
+    st.integers(min_value=-1, max_value=12).map(np.int64),
+    st.floats().filter(lambda v: not v.is_integer()),
+)
+_SPEC_FIELDS = st.fixed_dictionaries({
+    "L0": _mostly(st.floats(min_value=-20.0, max_value=-0.5), _ANY),
+    "L1": _mostly(st.floats(min_value=0.5, max_value=20.0), _ANY),
+    "J": _mostly(st.integers(min_value=1, max_value=12), _COUNT),
+    "t0": _mostly(st.floats(min_value=0.0, max_value=5.0), _ANY),
+    "n_steps": _mostly(st.integers(min_value=2, max_value=6), _COUNT),
+    "alpha": _mostly(st.floats(min_value=0.0, max_value=2.0), _ANY),
+    "step_rule": st.sampled_from(["coupled", "independent"]),
+    "l": _mostly(st.none(), _ANY) | st.floats(min_value=1e-3, max_value=1.0),
+})
+_REFERENCE_SPEC = dict(
+    L0=-10.0, L1=10.0, J=9, t0=1.0, n_steps=3, alpha=0.25, step_rule="independent", l=0.05
+)
+_REFERENCE_COEFFICIENTS = dict(a=2.5, lam=0.25, gamma=0.25, p=1.5, q=4.0 / 3.0)
+_COEFFICIENTS = st.fixed_dictionaries({
+    "a": _mostly(st.floats(min_value=-5.0, max_value=5.0), _ANY),
+    "lam": _mostly(st.floats(min_value=-2.0, max_value=2.0), _ANY),
+    "gamma": _mostly(st.floats(min_value=-2.0, max_value=2.0), _ANY),
+    "p": _mostly(st.floats(min_value=1.01, max_value=4.0), _ANY),
+    "q": _mostly(st.floats(min_value=1.01, max_value=4.0), _ANY),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spec=_SPEC_FIELDS,
+    coefficients=_COEFFICIENTS,
+    solver=st.sampled_from(["sylvester", "kronecker"]),
+    sing_policy=st.sampled_from(["zero", "limit"]),
+)
+@example(  # scipy's Schur raised a bare ValueError on the infinite bands
+    spec={**_REFERENCE_SPEC, "alpha": math.inf}, coefficients=_REFERENCE_COEFFICIENTS,
+    solver="sylvester", sing_policy="limit",
+)
+@example(  # the plan's step range raised a bare TypeError
+    spec={**_REFERENCE_SPEC, "n_steps": 2.5}, coefficients=_REFERENCE_COEFFICIENTS,
+    solver="sylvester", sing_policy="limit",
+)
+def test_prepare_returns_or_raises_a_named_error(spec, coefficients, solver, sing_policy):
+    # no solve: the fields of a problem and a mesh go to a plan or an EpdError
+    try:
+        prob = ProblemDef(**coefficients, exact=lambda x, y, t: (x, y))
+        with np.errstate(all="ignore"):
+            grid, ops, plan = prepare(prob, GridSpec(**spec), solver, sing_policy)
+    except EpdError:
+        return
+    assert plan.shifts.shape == (grid.n_steps - 1,)
+    assert np.isfinite(grid.nodes).all()
 
 
 @pytest.mark.parametrize("seeding", ["exact", "data"])
@@ -908,7 +998,7 @@ def test_init_levels_carry_their_sources(seed_mode):
     # each seed level carries the source that level_source forms from its
     # state, bit for bit: Taylor seeding scales the level-0 terms it sampled
     prob, spec = reference_j9(seed_mode)
-    grid, ops, _ = step_inputs(prob, spec)
+    grid, ops, _ = prepare(prob, spec)
     levels = init_levels(prob, grid, ops)
     assert [level.state.level for level in levels] == [0, 1]
     for level in levels:
