@@ -24,13 +24,12 @@ from .exceptions import DegenerateExactError, InvalidSpecError
 COUPLED = "coupled"          # l = h*sqrt(h)
 INDEPENDENT = "independent"  # l given explicitly
 
-# Byte budget for the U/V trajectory, 16 (n_steps + 1) (J+2)^2 bytes, checked
-# for every run, streamed or not.  It has two reasons: the memory of the list
-# that `stepper.run` keeps (the reference J = 799 needs 2.6e9), and, until a
-# preflight of the run's work exists, the only refusal of a run too long to
-# finish: T = 1e9 at J = 9 (3.5e8 steps) is refused before any operator is
-# built, also when `stepper.march` would stream it.
-MAX_TRAJECTORY_BYTES = 2**34
+# Cap on a run's step count, read at call time.  It refuses a run too long to
+# finish before any operator is built: T = 1e9 at J = 9 asks for 3.5e8 steps,
+# while 2^23 steps at J = 9 take about 16 minutes (113 us per step on a
+# 2-vCPU Xeon VM).  It holds for every run, streamed or not; the memory of a
+# kept trajectory is `stepper.run`'s own budget (`stepper.MAX_TRAJECTORY_BYTES`).
+MAX_STEPS = 2**23
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,8 +57,8 @@ class GridSpec:
         integer, and an l given to the coupled rule, which sets l itself),
         for steps that are not positive and finite or a last node
         L0 + (J+1) h that overflows (a width L1 - L0 near the float range,
-        an l that underflows), and for a trajectory above
-        MAX_TRAJECTORY_BYTES.
+        an l that underflows), and for more steps than MAX_STEPS, naming the
+        count.
         """
         if self.L1 <= self.L0:
             raise InvalidSpecError(f"need L1 > L0, got [{self.L0}, {self.L1}]")
@@ -87,11 +86,9 @@ class GridSpec:
         l = h * math.sqrt(h) if self.step_rule == COUPLED else float(self.l)
         if not (h > 0.0 and 0.0 < l < math.inf and math.isfinite(self.L0 + h * (self.J + 1))):
             raise InvalidSpecError(f"need finite nodes and mesh steps h, l > 0, got h={h}, l={l}")
-        trajectory_bytes = 16 * (self.n_steps + 1) * (self.J + 2) ** 2
-        if trajectory_bytes > MAX_TRAJECTORY_BYTES:
+        if self.n_steps > MAX_STEPS:
             raise InvalidSpecError(
-                f"the trajectory of {self.n_steps} steps at J={self.J} would take "
-                f"{trajectory_bytes:,} bytes, above the budget {MAX_TRAJECTORY_BYTES:,}"
+                f"a run of {self.n_steps} steps is above the cap of {MAX_STEPS:,} steps"
             )
         return h, l
 

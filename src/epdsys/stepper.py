@@ -22,21 +22,24 @@ the step operators and the solve plan once, and refuses before any solve.
 Taylor expansion), and calls `step` per level with the last two levels,
 yielding each level as it is formed and keeping only the two that the next
 step reads; nothing runs until its first level is drawn.  `run` is `march`
-collected into lists.  A caller that folds the levels
-(`bench.run_convergence`, `epdsys solve`, validate's zero-trajectory check)
-draws them from `march`, validate's solvability schedule is `prepare` alone,
-and `bench.run_table1` calls `run`, whose reports the table1 benchmark
-captures by wrapping `bench.run`.  The damping shift c_n = l a / (2 t_n) is the only
-coefficient that changes from step to step; the plan computes and checks
-all of them once (`sylvester.SolvePlan.shifts`), and step n reads row
-n - 1.  Every callable of the problem (forcing, exact pair, Taylor data) is
-sampled by `grid.sample`.  Each level is a `BranchLevel`: the branch
-variables Z+- = U +- V, their banded image K(Z) (`StepOperators.image`) and
-their source (nonlinearity and forcing), all formed once, with the level.
-Every term of a step's right-hand side is a combination of these, so a
-step forms one image and one source, of the level it solves, and no caller
-carries a source beside its level.  The stacked pair (Z+, Z-) is the unit
-of every per-step operation: the right-hand side, the batched branch solve
+collected into lists, and the one function that keeps every level, so the
+one that budgets a trajectory's memory (`MAX_TRAJECTORY_BYTES`); the step
+count of every run is capped by the mesh check (`grid.MAX_STEPS`).  A caller
+that folds the levels (`bench.run_convergence`, `epdsys solve`, validate's
+zero-trajectory check) draws them from `march`, validate's solvability
+schedule is `prepare` alone, and `bench.run_table1` calls `run`, whose
+reports the table1 benchmark captures by wrapping `bench.run`.  The damping
+shift c_n = l a / (2 t_n) is the only coefficient that changes from step to
+step; the plan computes and checks all of them once
+(`sylvester.SolvePlan.shifts`), and step n reads row n - 1.  Every callable
+of the problem (forcing, exact pair, Taylor data) is sampled by
+`grid.sample`.  Each level is a `BranchLevel`: the branch variables
+Z+- = U +- V, their banded image K(Z) (`StepOperators.image`) and their
+source (nonlinearity and forcing), all formed once, with the level.  Every
+term of a step's right-hand side is a combination of these, so a step forms
+one image and one source, of the level it solves, and no caller carries a
+source beside its level.  The stacked pair (Z+, Z-) is the unit of every
+per-step operation: the right-hand side, the batched branch solve
 (`sylvester._solve`), the image, the residual and the reported norm.
 """
 
@@ -63,6 +66,12 @@ SOLVER_SYLVESTER = "sylvester"
 SOLVER_KRONECKER = "kronecker"
 
 BLOWUP_CAP = 1e8
+
+# Byte budget for the U/V trajectory that `run` keeps, 16 (n_steps + 1) (J+2)^2
+# bytes, read at call time (the reference J = 799 needs 2.6e9).  A run that
+# streams its levels through `march` holds two of them and has no such budget;
+# the step count of every run is capped by `grid.MAX_STEPS`.
+MAX_TRAJECTORY_BYTES = 2**34
 
 
 def _check_solver(solver: str):
@@ -150,13 +159,16 @@ def plan_solves(ops: StepOperators, grid: Grid, a: float) -> SolvePlan:
     limit policy) the sum branch takes the diagonal kernel for lam, gamma < 1
     and the difference branch for lam, gamma < 1/2, else the Schur kernel.
     Raises InvalidSpecError when a step operator or a pair is not finite (a
-    lam, gamma, alpha or sigma so large that it overflows), and
-    SolvabilityError naming the first failing step, its branch and its
-    eigenvalue pair, both before any solve.
+    lam, gamma, alpha or sigma so large that it overflows) and, for a finite
+    a, when a shift c_n is not finite (a t_n so small that a / t_n
+    overflows), naming step n and t_n; and SolvabilityError naming the first
+    failing step, its branch and its eigenvalue pair, a NaN margin included
+    (a NaN a); all before any solve.
     """
     half = TriDiagMatrix.identity(grid.size, 0.5)
     w = ops.implicit_weight
-    pairs = [(half - w * K, half - w * Kr) for K, Kr in ops.bands]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        pairs = [(half - w * K, half - w * Kr) for K, Kr in ops.bands]
     bands = [band for pair in pairs for M in pair for band in (M.sub, M.diag, M.sup)]
     if not (math.isfinite(ops.explicit_weight) and np.isfinite(ops.image_planes).all()
             and all(np.isfinite(band).all() for band in bands)):
@@ -164,7 +176,14 @@ def plan_solves(ops: StepOperators, grid: Grid, a: float) -> SolvePlan:
             f"the step operators are not finite (alpha sigma = {w:.3g}, h = {grid.h:.3g})"
         )
     steps = range(1, grid.n_steps)
-    return _factor(pairs, tuple(BRANCH_SIGNS), [step_shift(grid, n, a) for n in steps], steps)
+    shifts = [step_shift(grid, n, a) for n in steps]
+    for n, c in zip(steps, shifts):
+        if math.isfinite(a) and not math.isfinite(c):  # the mesh's fault, not a's
+            raise InvalidSpecError(
+                f"step {n}: the shift c_{n} = l a / (2 t_{n}) = {c} is not finite "
+                f"(t_{n} = {grid.time(n):.6g}, l = {grid.l:.6g})"
+            )
+    return _factor(pairs, tuple(BRANCH_SIGNS), shifts, steps)
 
 
 def init_levels(prob: ProblemDef, grid: Grid, ops: StepOperators):
@@ -449,8 +468,10 @@ def prepare(
         raise InvalidSpecError("run needs n_steps >= 2")
     if solver == SOLVER_KRONECKER:
         _check_kronecker_size(grid.size)
-    opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy=sing_policy)
-    ops = assemble_step_operators(opset, grid)
+    # an operator that overflows is named by `plan_solves`, with no numpy warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy=sing_policy)
+        ops = assemble_step_operators(opset, grid)
     return grid, ops, plan_solves(ops, grid, prob.a)
 
 
@@ -473,6 +494,8 @@ def march(
     built or checked until the first level is drawn; drawing it raises what
     `prepare` raises, in its order: an unknown solver, then the mesh and
     the dense guard, before any operator is built, then SolvabilityError.
+    It keeps two levels and checks no memory budget; the step count is
+    capped by the mesh check (`grid.MAX_STEPS`).
     """
     grid, ops, plan = prepare(prob, spec, solver, sing_policy)
     level0, level1 = init_levels(prob, grid, ops)
@@ -493,15 +516,26 @@ def run(
 ) -> tuple[list[CoupledState], list[StepReport]]:
     """`march` collected: every level's state, levels 0..n_steps, and every step's report.
 
-    `run` draws the first level at once, so it raises what `march`, and so
-    `prepare`, raises, in the same order.  It keeps the whole trajectory,
-    which `grid.MAX_TRAJECTORY_BYTES` bounds; a caller that folds the levels
+    `run` is the one function that keeps the whole trajectory, so it alone
+    budgets its memory: after the solver check and the mesh, a trajectory of
+    16 (n_steps + 1) (J+2)^2 bytes above MAX_TRAJECTORY_BYTES, read at call
+    time, raises InvalidSpecError before any operator is built.  It then
+    draws the first level of `march` on its grid at once, so it raises what
+    `prepare` raises, in the same order.  A caller that folds the levels
     (`bench.run_convergence`, `epdsys solve`, validate's zero-trajectory
     check) draws them from `march` instead.  `bench.run_table1` keeps `run`
     because the table1 benchmark captures its reports by wrapping
     `bench.run`.
     """
-    states, reports = zip(*march(prob, spec, solver=solver, sing_policy=sing_policy))
+    _check_solver(solver)
+    grid = spec if isinstance(spec, Grid) else build_grid(spec)
+    trajectory_bytes = 16 * (grid.n_steps + 1) * grid.size**2
+    if trajectory_bytes > MAX_TRAJECTORY_BYTES:
+        raise InvalidSpecError(
+            f"the trajectory of {grid.n_steps} steps at J={grid.spec.J} would take "
+            f"{trajectory_bytes:,} bytes, above the budget {MAX_TRAJECTORY_BYTES:,}"
+        )
+    states, reports = zip(*march(prob, grid, solver=solver, sing_policy=sing_policy))
     return list(states), list(reports[2:])
 
 

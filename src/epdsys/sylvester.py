@@ -496,13 +496,14 @@ def kronecker_solve(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
     that the oracle does not share the fast path's sign table.  By the
     column-stacking identities vec(L P) = (I kron L) vec(P) and vec(P M) =
     (M.T kron I) vec(P), each branch is the N x N system I kron L + M.T kron
-    I, N = n^2.  It is written into one zeroed Fortran-ordered buffer, one
-    indexed write per term (an assignment for I kron L, then `np.add.at`
-    for M.T kron I, which adds on the diagonal they share), and factored
-    there by LAPACK dgesv (Gaussian elimination with partial pivoting); the
-    second branch reuses the buffer, so no other N x N array and no n^3
-    temporary is made.  A size above KRONECKER_MAX_SIZE, read at call time,
-    raises SizeGuardError (`_check_kronecker_size`).
+    I, N = n^2.  It is written into one zeroed Fortran-ordered buffer: one
+    indexed assignment for I kron L, then M.T added in place into n views,
+    one per i, for M.T kron I, whose targets are distinct and meet I kron L
+    only on the diagonal they share.  It is factored there by LAPACK dgesv
+    (Gaussian elimination with partial pivoting); the second branch reuses
+    the buffer, so no other N x N array and no n^3 temporary is made.  A
+    size above KRONECKER_MAX_SIZE, read at call time, raises SizeGuardError
+    (`_check_kronecker_size`).
     """
     n = p.size
     _check_kronecker_size(n)
@@ -521,7 +522,8 @@ def kronecker_solve(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
         # (L P)[i, j] = sum_k L[i, k] P[k, j]: K4[i, j, k, j] = L[i, k]
         K4[:, a, :, a] = L
         # (P M)[i, j] = sum_m P[i, m] M[m, j]: K4[i, j, i, m] += M[m, j]
-        np.add.at(K4, (a, slice(None), a, slice(None)), M.T)
+        for i in range(n):
+            K4[i, :, i, :] += M.T
         _, _, sol, info = scipy.linalg.lapack.dgesv(
             K, Cb.ravel(order="F"), overwrite_a=True, overwrite_b=True
         )

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -73,8 +74,29 @@ def test_solve_refuses_a_trajectory_above_the_memory_budget(config_file, operato
     # T = 1e9 at J = 9 asks for 3.5e8 steps: refused at once, not run for hours
     assert main(["solve", config_file("J = 9\nT = 1e9\n")]) == EXIT_ERROR
     err = capsys.readouterr().err
-    assert err.startswith("error: the trajectory of 353553391 steps at J=9 would take ")
+    assert err == "error: a run of 353553391 steps is above the cap of 8,388,608 steps\n"
     assert operator_builds == []
+
+
+def test_solve_refuses_operators_that_overflow_before_any_warning(config_file, capsys):
+    # h gamma / y_1 overflows the bands: the run's setup names it before the
+    # stability guard and the forcing certificate, and numpy warns nothing
+    path = config_file("J = 1\nL0 = -2\nL1 = 3\nalpha = 0\ngamma = 3.6e307\nsing_policy = zero\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", path]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the step operators are not finite (alpha sigma = 0, h = 2.5)\n"
+
+
+def test_validate_plans_a_run_whose_trajectory_no_command_keeps(config_file, capsys):
+    # J = 399 to T = 100 takes 8,945 steps: 23 GB as a kept trajectory, but
+    # solve streams it, so validate plans it and passes
+    assert main(["validate", config_file("J = 399\nT = 100\n")]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "     min margin = 1.500e-01 at step 2, diff branch" in out
+    assert out.rstrip().endswith("all validations passed")
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epdsys.grid
+from epdsys.bench import RunConfig, grid_spec_for
 from epdsys.exceptions import DegenerateExactError, InvalidSpecError
 from epdsys.grid import (
+    MAX_STEPS,
     CoupledState,
     Field,
     GridSpec,
@@ -69,6 +72,22 @@ def test_build_grid_nodes_uniform():
 def test_build_grid_invalid_specs(kwargs):
     with pytest.raises(InvalidSpecError):
         build_grid(GridSpec(**kwargs))
+
+
+def test_build_grid_caps_the_step_count(monkeypatch):
+    # the cap refuses a run too long to finish; the memory of a kept
+    # trajectory is not the grid's concern, so the reference J = 1599, which
+    # a streamed run holds in two levels, is a valid mesh
+    assert build_grid(grid_spec_for(RunConfig(J=1599))).n_steps == 716
+    spec = GridSpec(L0=-10, L1=10, J=9, n_steps=MAX_STEPS)
+    assert build_grid(spec).n_steps == MAX_STEPS == 8_388_608
+    with pytest.raises(
+        InvalidSpecError, match=r"^a run of 8388609 steps is above the cap of 8,388,608 steps$"
+    ):
+        build_grid(GridSpec(L0=-10, L1=10, J=9, n_steps=MAX_STEPS + 1))
+    monkeypatch.setattr(epdsys.grid, "MAX_STEPS", 2)  # read at call time
+    with pytest.raises(InvalidSpecError, match=r"^a run of 3 steps is above the cap of 2 steps$"):
+        build_grid(GridSpec(L0=-10, L1=10, J=9, n_steps=3))
 
 
 def test_independent_step_rule():

@@ -662,6 +662,43 @@ def test_run_rejects_an_unknown_solver_before_any_work(monkeypatch, operator_bui
     assert operator_builds == []
 
 
+def test_run_alone_budgets_the_trajectory_it_keeps(monkeypatch, operator_builds):
+    # run keeps every level, so it refuses a trajectory above its byte budget,
+    # read at call time, after the solver check and before any operator; march
+    # holds two levels and runs the same spec
+    prob, spec = reference_j9()
+    trajectory_bytes = 16 * (spec.n_steps + 1) * (spec.J + 2) ** 2
+    monkeypatch.setattr(epdsys.stepper, "MAX_TRAJECTORY_BYTES", trajectory_bytes - 1)
+    with pytest.raises(InvalidSpecError, match="unknown solver 'turbo'"):
+        run(prob, spec, solver="turbo")
+    with pytest.raises(
+        InvalidSpecError,
+        match=rf"^the trajectory of 3 steps at J=9 would take {trajectory_bytes:,} bytes, "
+        rf"above the budget {trajectory_bytes - 1:,}$",
+    ):
+        run(prob, spec)
+    assert operator_builds == []
+    assert [state.level for state, _ in march(prob, spec)] == [0, 1, 2, 3]
+    assert len(operator_builds) == 1
+    monkeypatch.setattr(epdsys.stepper, "MAX_TRAJECTORY_BYTES", trajectory_bytes)
+    states, reports = run(prob, spec)
+    assert [state.level for state in states] == [0, 1, 2, 3] and len(reports) == 2
+
+
+def test_plan_names_a_shift_that_the_mesh_makes_not_finite(monkeypatch):
+    # at t0 = 0 an l that underflows makes c_1 = l a / (2 t_1) NaN for a = 2.5:
+    # the step and t_1 are named before any factorization, not a branch pair
+    prob, _ = manufactured_problem(RunConfig(J=3))
+    spec = GridSpec(L0=-1, L1=1, J=3, t0=0, n_steps=3, step_rule="independent", l=5e-324)
+    factors = _counting(monkeypatch, epdsys.stepper, "_factor")
+    with pytest.raises(
+        InvalidSpecError, match=r"^step 1: the shift c_1 = l a / \(2 t_1\) = nan is not finite "
+        r"\(t_1 = 4\.94066e-324, "
+    ):
+        prepare(prob, spec)
+    assert factors == []
+
+
 def test_run_factors_once_per_run(monkeypatch):
     # one symmetric eigendecomposition per side and branch per run, not per
     # step; at lam = gamma each branch pair is (L, L^T), whose symmetrized
