@@ -21,7 +21,6 @@ from .grid import (
     GridSpec,
     build_grid,
     discrete_errors,
-    l2_norm,
     sample,
 )
 from .operators import (

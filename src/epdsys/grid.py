@@ -6,7 +6,8 @@ spaced nodes on both axes (x_j = y_j = L0 + j*h, h = (L1-L0)/(J+1),
 (J+2) matrices with row index = x node and column index = y node.
 
 `sample` is the one sampler of the problem's callables (forcing, exact
-seeding, Taylor data): a pair f(X, Y, t) into one checked (2, n, n) array.
+seeding, Taylor data, and the exact pair that `discrete_errors` compares
+against): a pair f(X, Y, t) into one checked (2, n, n) array.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ INDEPENDENT = "independent"  # l given explicitly
 # 2-vCPU Xeon VM).  It holds for every run, streamed or not; the memory of a
 # kept trajectory is `stepper.run`'s own budget (`stepper.MAX_TRAJECTORY_BYTES`).
 MAX_STEPS = 2**23
+
+# Cap on a run's work, steps x (J+2)^3 (a step's solve is a few n x n matrix
+# products), read at call time.  It refuses a long run at a large J, which
+# the step cap admits: J = 799 to T = 1e4 is 2,529,823 steps, 1.3e15, about
+# six days at 0.22 s per J = 799 step (2-vCPU Xeon VM).  The reference
+# J = 1599 (2.9e12) and J = 9 at MAX_STEPS (1.1e10) pass.
+MAX_WORK = 2**45
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,8 +65,9 @@ class GridSpec:
         integer, and an l given to the coupled rule, which sets l itself),
         for steps that are not positive and finite or a last node
         L0 + (J+1) h that overflows (a width L1 - L0 near the float range,
-        an l that underflows), and for more steps than MAX_STEPS, naming the
-        count.
+        an l that underflows), for more steps than MAX_STEPS, naming the
+        count, and then for a work steps x (J+2)^3 above MAX_WORK, naming the
+        steps, J and the cap.
         """
         if self.L1 <= self.L0:
             raise InvalidSpecError(f"need L1 > L0, got [{self.L0}, {self.L1}]")
@@ -89,6 +98,12 @@ class GridSpec:
         if self.n_steps > MAX_STEPS:
             raise InvalidSpecError(
                 f"a run of {self.n_steps} steps is above the cap of {MAX_STEPS:,} steps"
+            )
+        work = int(self.n_steps) * (int(self.J) + 2) ** 3
+        if work > MAX_WORK:
+            raise InvalidSpecError(
+                f"a run of {self.n_steps} steps at J={self.J} is above the work cap: "
+                f"steps x (J+2)^3 = {work:.3g} > {MAX_WORK:.3g}"
             )
         return h, l
 
@@ -182,13 +197,7 @@ class CoupledState:
 
     def sup_norm(self):
         """Combined Frobenius norm of the pair."""
-        return math.hypot(l2_norm(self.U), l2_norm(self.V))
-
-
-def l2_norm(X) -> float:
-    """Frobenius norm (sum |X_ij|^2)^(1/2)."""
-    values = X.values if isinstance(X, Field) else np.asarray(X)
-    return float(np.linalg.norm(values))
+        return math.hypot(np.linalg.norm(self.U.values), np.linalg.norm(self.V.values))
 
 
 def sample(f: Callable, grid: Grid, level: int, name: str) -> np.ndarray:
@@ -220,21 +229,12 @@ class ErrorReport(NamedTuple):
     er carries the per-node RMS scaling ||E||_F / (J+2), the scale on which
     the reference table's error values live (a pointwise-O(h^2) field then
     shows order 2).  rel_er is the ratio max_n ||E^n|| / ||x^n|| and does
-    not depend on the scaling.
+    not depend on the scaling.  These are the paper's Er and RelEr, the two
+    numbers its tables print.
     """
 
     er: float
     rel_er: float
-    er_u: float
-    rel_er_u: float
-    er_v: float
-    rel_er_v: float
-
-
-def _grid_values(w, shape) -> np.ndarray:
-    """w as a float array of the grid's shape, broadcast only when it is not."""
-    w = np.asarray(w, dtype=float)
-    return w if w.shape == shape else np.broadcast_to(w, shape)
 
 
 def discrete_errors(
@@ -242,51 +242,42 @@ def discrete_errors(
     exact: Callable,
     grid: Grid,
 ) -> ErrorReport:
-    """Per-component max_n ||X^n - x^n|| and max_n ||X^n - x^n|| / ||x^n||.
+    """Max over levels and components of ||X^n - x^n|| and ||X^n - x^n|| / ||x^n||.
 
     `traj_numeric` may be any iterable of levels, a generator included: the
-    maxima are folded level by level.  `exact` is called as exact(X, Y, t)
-    with coordinate matrices and must return the pair (u, v).  All J+2 nodes
-    per axis enter the norm, boundary included.  Raises InvalidSpecError on
-    no levels or on a level whose error or exact norm is not finite (a NaN
-    would otherwise drop out of the maxima), naming the level and t_n, and
+    maxima are folded level by level.  Each level's exact pair x^n is read
+    through `sample`, exact(X, Y, t_n), so a faulty `exact` raises what it
+    raises in `run`: InvalidSpecError naming the nodes when it raises or
+    does not return a grid-shaped or constant pair, and naming the level
+    and t_n when a value is not finite.  All J+2 nodes per axis enter the
+    norm, boundary included.  Raises InvalidSpecError on no levels or on a
+    level whose error or exact norm is not finite (a NaN would otherwise
+    drop out of the maxima), naming the level and t_n, and
     DegenerateExactError if a nonzero trajectory is compared against an
     exact level of zero norm.
     """
-    X, Y = grid.meshgrid()
     levels = 0
-    fro_u = fro_v = rel_u = rel_v = 0.0
+    fro = rel = 0.0
     for state in traj_numeric:
         levels += 1
-        t = grid.time(state.level)
-        u_ex, v_ex = (_grid_values(w, X.shape) for w in exact(X, Y, t))
-        du = float(np.linalg.norm(state.U.values - u_ex))
-        dv = float(np.linalg.norm(state.V.values - v_ex))
-        nu = float(np.linalg.norm(u_ex))
-        nv = nu if v_ex is u_ex else float(np.linalg.norm(v_ex))
-        if not all(map(math.isfinite, (du, dv, nu, nv))):
+        pair = sample(exact, grid, state.level, "exact solution")
+        norms = [float(np.linalg.norm(w)) for w in pair]
+        np.subtract(state.U.values, pair[0], out=pair[0])
+        np.subtract(state.V.values, pair[1], out=pair[1])
+        errs = [float(np.linalg.norm(e)) for e in pair]
+        if not all(map(math.isfinite, errs + norms)):
             raise InvalidSpecError(
-                f"level {state.level} (t_{state.level} = {t:.6g}) or its exact solution "
+                f"level {state.level} (t_{state.level} = {grid.time(state.level):.6g}) "
                 "contains NaN/Inf"
             )
-        fro_u = max(fro_u, du)
-        fro_v = max(fro_v, dv)
-        if nu == 0.0 or nv == 0.0:
-            if du > 0.0 or dv > 0.0:
+        fro = max(fro, *errs)
+        if 0.0 in norms:
+            if any(errs):
                 raise DegenerateExactError(
                     f"exact solution vanishes identically at level {state.level}"
                 )
             continue  # 0/0 convention: an exactly reproduced zero level
-        rel_u = max(rel_u, du / nu)
-        rel_v = max(rel_v, dv / nv)
+        rel = max(rel, errs[0] / norms[0], errs[1] / norms[1])
     if not levels:
         raise InvalidSpecError("empty trajectory")
-    scale = grid.size
-    return ErrorReport(
-        er=max(fro_u, fro_v) / scale,
-        rel_er=max(rel_u, rel_v),
-        er_u=fro_u / scale,
-        rel_er_u=rel_u,
-        er_v=fro_v / scale,
-        rel_er_v=rel_v,
-    )
+    return ErrorReport(er=fro / grid.size, rel_er=rel)

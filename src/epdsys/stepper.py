@@ -22,9 +22,10 @@ the step operators and the solve plan once, and refuses before any solve.
 Taylor expansion), and calls `step` per level with the last two levels,
 yielding each level as it is formed and keeping only the two that the next
 step reads; nothing runs until its first level is drawn.  `run` is `march`
-collected into lists, and the one function that keeps every level, so the
-one that budgets a trajectory's memory (`MAX_TRAJECTORY_BYTES`); the step
-count of every run is capped by the mesh check (`grid.MAX_STEPS`).  A caller
+collected into one trajectory array, and the one function that keeps every
+level, so the one that budgets a trajectory's memory
+(`MAX_TRAJECTORY_BYTES`); the step count and the work of every run are
+capped by the mesh check (`grid.MAX_STEPS`, `grid.MAX_WORK`).  A caller
 that folds the levels (`bench.run_convergence`, `epdsys solve`, validate's
 zero-trajectory check) draws them from `march`, validate's solvability
 schedule is `prepare` alone, and `bench.run_table1` calls `run`, whose
@@ -46,6 +47,7 @@ per-step operation: the right-hand side, the batched branch solve
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 from typing import Callable, Iterator, Sequence
@@ -70,7 +72,8 @@ BLOWUP_CAP = 1e8
 # Byte budget for the U/V trajectory that `run` keeps, 16 (n_steps + 1) (J+2)^2
 # bytes, read at call time (the reference J = 799 needs 2.6e9).  A run that
 # streams its levels through `march` holds two of them and has no such budget;
-# the step count of every run is capped by `grid.MAX_STEPS`.
+# the step count and work of every run are capped by `grid.MAX_STEPS` and
+# `grid.MAX_WORK`.
 MAX_TRAJECTORY_BYTES = 2**34
 
 
@@ -494,8 +497,8 @@ def march(
     built or checked until the first level is drawn; drawing it raises what
     `prepare` raises, in its order: an unknown solver, then the mesh and
     the dense guard, before any operator is built, then SolvabilityError.
-    It keeps two levels and checks no memory budget; the step count is
-    capped by the mesh check (`grid.MAX_STEPS`).
+    It keeps two levels and checks no memory budget; the step count and the
+    work are capped by the mesh check (`grid.MAX_STEPS`, `grid.MAX_WORK`).
     """
     grid, ops, plan = prepare(prob, spec, solver, sing_policy)
     level0, level1 = init_levels(prob, grid, ops)
@@ -521,9 +524,13 @@ def run(
     16 (n_steps + 1) (J+2)^2 bytes above MAX_TRAJECTORY_BYTES, read at call
     time, raises InvalidSpecError before any operator is built.  It then
     draws the first level of `march` on its grid at once, so it raises what
-    `prepare` raises, in the same order.  A caller that folds the levels
-    (`bench.run_convergence`, `epdsys solve`, validate's zero-trajectory
-    check) draws them from `march` instead.  `bench.run_table1` keeps `run`
+    `prepare` raises, in the same order.  The trajectory is one array of
+    exactly the budgeted bytes, (n_steps + 1, 2, J+2, J+2), allocated once
+    the first level is drawn; each level is copied into it, and the returned
+    states' `Field`s are views of it, so keeping any one state keeps the
+    whole array.  A caller that folds the levels (`bench.run_convergence`,
+    `epdsys solve`, validate's zero-trajectory check) streams them from
+    `march` instead, which holds two.  `bench.run_table1` keeps `run`
     because the table1 benchmark captures its reports by wrapping
     `bench.run`.
     """
@@ -535,8 +542,15 @@ def run(
             f"the trajectory of {grid.n_steps} steps at J={grid.spec.J} would take "
             f"{trajectory_bytes:,} bytes, above the budget {MAX_TRAJECTORY_BYTES:,}"
         )
-    states, reports = zip(*march(prob, grid, solver=solver, sing_policy=sing_policy))
-    return list(states), list(reports[2:])
+    levels = march(prob, grid, solver=solver, sing_policy=sing_policy)
+    first = next(levels)
+    trajectory = np.empty((grid.n_steps + 1, 2, grid.size, grid.size))
+    states, reports = [], []
+    for plane, (state, report) in zip(trajectory, itertools.chain([first], levels)):
+        plane[0], plane[1] = state.U.values, state.V.values
+        states.append(CoupledState(Field(plane[0]), Field(plane[1]), state.level))
+        reports.append(report)
+    return states, reports[2:]
 
 
 def cfl_guard(grid: Grid, lam: float, gamma: float):

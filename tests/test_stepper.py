@@ -685,6 +685,20 @@ def test_run_alone_budgets_the_trajectory_it_keeps(monkeypatch, operator_builds)
     assert [state.level for state in states] == [0, 1, 2, 3] and len(reports) == 2
 
 
+def test_run_keeps_the_trajectory_in_one_array():
+    # the budgeted bytes are one array, and every kept field is a view of it;
+    # the levels are march's, copied
+    prob, spec = reference_j9()
+    states, _ = run(prob, spec)
+    base = states[0].U.values.base
+    assert base.nbytes == 16 * (spec.n_steps + 1) * (spec.J + 2) ** 2
+    assert all(f.values.base is base for state in states for f in (state.U, state.V))
+    for state, (streamed, _) in zip(states, march(prob, spec), strict=True):
+        assert state.level == streamed.level
+        assert np.array_equal(state.U.values, streamed.U.values)
+        assert np.array_equal(state.V.values, streamed.V.values)
+
+
 def test_plan_names_a_shift_that_the_mesh_makes_not_finite(monkeypatch):
     # at t0 = 0 an l that underflows makes c_1 = l a / (2 t_1) NaN for a = 2.5:
     # the step and t_1 are named before any factorization, not a branch pair
