@@ -252,7 +252,9 @@ def discrete_errors(
     and t_n when a value is not finite.  All J+2 nodes per axis enter the
     norm, boundary included.  Raises InvalidSpecError on no levels or on a
     level whose error or exact norm is not finite (a NaN would otherwise
-    drop out of the maxima), naming the level and t_n, and
+    drop out of the maxima), naming the level and t_n and saying whether
+    the level holds NaN/Inf or is finite with a norm that overflows
+    float64; and
     DegenerateExactError if a nonzero trajectory is compared against an
     exact level of zero norm.
     """
@@ -266,10 +268,13 @@ def discrete_errors(
         np.subtract(state.V.values, pair[1], out=pair[1])
         errs = [float(np.linalg.norm(e)) for e in pair]
         if not all(map(math.isfinite, errs + norms)):
-            raise InvalidSpecError(
-                f"level {state.level} (t_{state.level} = {grid.time(state.level):.6g}) "
-                "contains NaN/Inf"
-            )
+            where = f"level {state.level} (t_{state.level} = {grid.time(state.level):.6g})"
+            if all(np.isfinite(f.values).all() for f in (state.U, state.V)):
+                raise InvalidSpecError(
+                    f"{where} and its exact pair are finite, but a norm of them "
+                    "or of their difference overflows float64"
+                )
+            raise InvalidSpecError(f"{where} contains NaN/Inf")
         fro = max(fro, *errs)
         if 0.0 in norms:
             if any(errs):

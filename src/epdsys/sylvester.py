@@ -46,11 +46,15 @@ decouples exactly: P = X+Y solves (W+R) P + P (Wr+S) = C1+C2 and Q = X-Y
 solves (W-R) Q + Q (Wr-S) = C1-C2.
 
 kronecker_solve, Method I in the benchmarks and the brute-force oracle for
-the decoupled path, vectorizes each branch into one dense n^2 system and
-solves it by Gaussian elimination with partial pivoting: two LUs of
-(2/3) n^6 flops, a quarter of the (16/3) n^6 that one 2 n^2 system in
-both unknowns X, Y would take with its cross blocks R, S, which the
-decoupling removes exactly.
+the decoupled path, vectorizes each branch into dense linear systems and
+solves them by Gaussian elimination with partial pivoting.  A general
+branch is one n^2 system, an LU of (2/3) n^6 flops; the two of them take
+a quarter of the (16/3) n^6 that one 2 n^2 system in both unknowns X, Y
+would take with its cross blocks R, S, which the decoupling removes
+exactly.  A branch L P + P L^T = C, as each of the stepper's is when
+lambda = gamma, is a Lyapunov equation: its symmetric and skew parts
+solve apart, half-vectorized, as systems of n(n+1)/2 and n(n-1)/2
+unknowns, LUs of about n^6 / 6 flops together, a quarter again.
 
 The diagonal kernel runs on numpy alone.  `scipy.linalg` is imported on
 first use by the three routines that need it, the Schur factorization, the
@@ -80,10 +84,13 @@ DENOM_RTOL = 1e-12
 # are too ill-conditioned for float64 lands orders of magnitude above it.
 SOLVE_RESIDUAL_MAX = 1e-8
 
-# Byte budget for the dense Kronecker matrix of one branch, 8 (n^2)^2 = 8 n^4
-# bytes, and the largest size within it: 76, i.e. J <= 74.  kronecker_solve
-# fills and factors that one buffer in place for each branch in turn, so the
-# solve's peak is the budget plus O(n^2) vectors.
+# Byte budget for the dense Kronecker matrix of one general branch,
+# 8 (n^2)^2 = 8 n^4 bytes, and the largest size within it: 76, i.e. J <= 74.
+# kronecker_solve fills and factors one buffer in place for each system in
+# turn, so the solve's peak is that buffer plus O(n^3) index and work
+# arrays.  The guard bounds the general system on every call: a call whose
+# branches are all Lyapunov equations (lambda = gamma) needs only the
+# buffer of the symmetric part, 8 (n(n+1)/2)^2 bytes, about a quarter.
 KRONECKER_MAX_BYTES = 2**28
 KRONECKER_MAX_SIZE = math.isqrt(math.isqrt(KRONECKER_MAX_BYTES // 8))
 
@@ -487,53 +494,121 @@ def _check_kronecker_size(n: int):
         )
 
 
+def _dgesv(A, b, branch, part=""):
+    """x solving A x = b by LAPACK dgesv, A factored in place; SolvabilityError
+    naming the branch (and the part of a Lyapunov branch) on a zero pivot."""
+    import scipy.linalg
+
+    _, _, x, info = scipy.linalg.lapack.dgesv(A, b, overwrite_a=True, overwrite_b=True)
+    if info > 0:
+        raise SolvabilityError(
+            f"Kronecker system singular in the {branch} branch{part}: "
+            f"U[{info - 1}, {info - 1}] is zero",
+            branch=branch,
+        )
+    return x
+
+
+def _system(buffer, N):
+    """The zeroed N x N Fortran-ordered view of the head of the flat `buffer`."""
+    A = buffer[: N * N].reshape((N, N), order="F")
+    A.fill(0.0)
+    return A
+
+
+def _kronecker_branch(L, M, C, branch, buffer):
+    """P solving L P + P M = C as the n^2 system I kron L + M.T kron I.
+
+    By vec(L P) = (I kron L) vec(P) and vec(P M) = (M.T kron I) vec(P),
+    column-stacked.  The system is written into the buffer through its 4-D
+    view: one indexed assignment for I kron L, then M.T added in place into
+    n views, one per i, for M.T kron I, whose targets are distinct and meet
+    I kron L only on the diagonal they share, so no n^3 temporary is made.
+    """
+    n = L.shape[0]
+    K = _system(buffer, n * n)
+    # row i + n j, column k + n m -> K4[i, j, k, m]: equation (i, j), unknown (k, m)
+    K4 = K.reshape((n, n, n, n), order="F")
+    a = np.arange(n)
+    # (L P)[i, j] = sum_k L[i, k] P[k, j]: K4[i, j, k, j] = L[i, k]
+    K4[:, a, :, a] = L
+    # (P M)[i, j] = sum_m P[i, m] M[m, j]: K4[i, j, i, m] += M[m, j]
+    for i in range(n):
+        K4[i, :, i, :] += M.T
+    return _dgesv(K, C.ravel(order="F"), branch).reshape((n, n), order="F")
+
+
+def _lyapunov_branch(L, C, branch, buffer):
+    """P solving the Lyapunov equation L P + P L^T = C in half-vectorized form.
+
+    L P + P L^T maps symmetric P to symmetric and skew P to skew, so P is
+    the sum of the symmetric solution for (C + C^T)/2 and the skew solution
+    for (C - C^T)/2, each solved on its own unknowns (vech; Magnus and
+    Neudecker, 1980): P[i, j], i <= j, n(n+1)/2 of them, and i < j, n(n-1)/2
+    of them.  Unknown u[col[a, b]] stands for P[a, b] with the sign
+    sgn[a, b]: 1 on and above the diagonal, +1 (symmetric) or -1 (skew)
+    below it, and 0 on the skew part's diagonal, which is no unknown.  Row
+    (i, j) gets L[i, c] sgn[c, j] at column col[c, j] for (L P)[i, j] and
+    L[j, c] sgn[i, c] at column col[i, c] for (P L^T)[i, j].  Within each
+    of the two terms a row's columns are distinct, so the second is added
+    with one indexed `+=` where it meets the first.  The n = 1 skew part
+    has no unknown.
+    """
+    n = L.shape[0]
+    ones = np.ones((n, n))
+    P = np.zeros((n, n))
+    for part, sign, k in ((" (symmetric part)", 1.0, 0), (" (skew part)", -1.0, 1)):
+        I, J = np.triu_indices(n, k)
+        N = I.size
+        if not N:
+            continue
+        col = np.zeros((n, n), dtype=np.intp)
+        col[I, J] = col[J, I] = np.arange(N)
+        sgn = np.triu(ones, k) + sign * np.tril(ones, -1)
+        A = _system(buffer, N)
+        rows = np.broadcast_to(np.arange(N)[:, None], (N, n))
+        # (L P)[i, j]: row r = (I[r], J[r]) over c, with cols col[c, J[r]]
+        signs = sgn[:, J].T
+        keep = signs != 0.0
+        A[rows[keep], col[:, J].T[keep]] = (L[I] * signs)[keep]
+        # (P L^T)[i, j]: over c, with cols col[I[r], c]
+        signs = sgn[I]
+        keep = signs != 0.0
+        A[rows[keep], col[I][keep]] += (L[J] * signs)[keep]
+        u = _dgesv(A, 0.5 * (C + sign * C.T)[I, J], branch, part)
+        P += sgn * u[col]
+    return P
+
+
 def kronecker_solve(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Method I: vectorize each decoupled branch into one dense n^2 linear system.
+    """Method I: each decoupled branch as dense linear systems, solved by
+    Gaussian elimination with partial pivoting (LAPACK dgesv).
 
     The branches P = X+Y and Q = X-Y solve L P + P M = C1 + C2 with (L, M) =
     (W + R, Wr + S) and L Q + Q M = C1 - C2 with (L, M) = (W - R, Wr - S).
     The signs are written out here rather than read from BRANCH_SIGNS, so
-    that the oracle does not share the fast path's sign table.  By the
-    column-stacking identities vec(L P) = (I kron L) vec(P) and vec(P M) =
-    (M.T kron I) vec(P), each branch is the N x N system I kron L + M.T kron
-    I, N = n^2.  It is written into one zeroed Fortran-ordered buffer: one
-    indexed assignment for I kron L, then M.T added in place into n views,
-    one per i, for M.T kron I, whose targets are distinct and meet I kron L
-    only on the diagonal they share.  It is factored there by LAPACK dgesv
-    (Gaussian elimination with partial pivoting); the second branch reuses
-    the buffer, so no other N x N array and no n^3 temporary is made.  A
-    size above KRONECKER_MAX_SIZE, read at call time, raises SizeGuardError
+    that the oracle does not share the fast path's sign table.  A branch
+    whose M is bitwise L.T, as the stepper's branches are when lambda =
+    gamma, is a Lyapunov equation and takes two systems of n(n+1)/2 and
+    n(n-1)/2 unknowns (`_lyapunov_branch`), a quarter of the flops and
+    memory of the one n^2 system (`_kronecker_branch`) that every other
+    branch takes.  Each system is filled into the head of one flat buffer,
+    sized for the largest, and factored there in place, so no other system
+    matrix, no kron temporary and no copy for LAPACK is made.  A size above
+    KRONECKER_MAX_SIZE, read at call time, raises SizeGuardError
     (`_check_kronecker_size`).
     """
     n = p.size
     _check_kronecker_size(n)
     W, R, S, Wr = (np.asarray(A, dtype=float) for A in (p.W, p.R, p.S, p.W_right))
     branches = (("sum", W + R, Wr + S), ("diff", W - R, Wr - S))
-    K = np.zeros((n * n, n * n), order="F")
-    # row i + n j, column k + n m -> K4[i, j, k, m]: equation (i, j), unknown (k, m)
-    K4 = K.reshape((n, n, n, n), order="F")
-    a = np.arange(n)
-    import scipy.linalg
-
-    solutions = []
-    for (branch, L, M), Cb in zip(branches, _sum_diff((p.C1, p.C2))):
-        if solutions:
-            K.fill(0.0)
-        # (L P)[i, j] = sum_k L[i, k] P[k, j]: K4[i, j, k, j] = L[i, k]
-        K4[:, a, :, a] = L
-        # (P M)[i, j] = sum_m P[i, m] M[m, j]: K4[i, j, i, m] += M[m, j]
-        for i in range(n):
-            K4[i, :, i, :] += M.T
-        _, _, sol, info = scipy.linalg.lapack.dgesv(
-            K, Cb.ravel(order="F"), overwrite_a=True, overwrite_b=True
-        )
-        if info > 0:
-            raise SolvabilityError(
-                f"Kronecker system singular in the {branch} branch: "
-                f"U[{info - 1}, {info - 1}] is zero",
-                branch=branch,
-            )
-        solutions.append(sol.reshape((n, n), order="F"))
+    lyapunov = [np.array_equal(M, L.T) for _, L, M in branches]
+    buffer = np.empty(max(n * (n + 1) // 2 if lyap else n * n for lyap in lyapunov) ** 2)
+    solutions = [
+        _lyapunov_branch(L, Cb, branch, buffer) if lyap
+        else _kronecker_branch(L, M, Cb, branch, buffer)
+        for (branch, L, M), Cb, lyap in zip(branches, _sum_diff((p.C1, p.C2)), lyapunov)
+    ]
     return tuple(_sum_diff(solutions, 0.5))
 
 

@@ -234,6 +234,16 @@ def test_discrete_errors_non_finite_level_is_named(bad_level):
         discrete_errors(traj, exact, grid)
 
 
+def test_discrete_errors_overflowing_norm_is_named():
+    # every value is finite, but the sum of squares of 25 values of 1e160 is not
+    grid = build_grid(GridSpec(L0=-2, L1=2, J=3, n_steps=2))
+    big = lambda x, y, t: (np.full_like(x, 1e160), np.full_like(x, 1e160))
+    traj = _traj_from(big, grid, [0, 1])
+    named = r"^level 0 \(t_0 = 0\) and its exact pair are finite, but a norm .* overflows float64$"
+    with np.errstate(over="ignore"), pytest.raises(InvalidSpecError, match=named):
+        discrete_errors(traj, big, grid)
+
+
 def _raising(x, y, t):
     return 1.0 / 0.0, y
 

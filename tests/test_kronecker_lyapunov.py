@@ -1,0 +1,97 @@
+"""Method I's Lyapunov branches: a branch (L, M) with M = L^T bitwise is
+solved in half-vectorized form, its symmetric and skew parts apart."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from epdsys.bench import RunConfig, grid_spec_for, manufactured_problem
+from epdsys.exceptions import SolvabilityError
+from epdsys.operators import TriDiagMatrix
+from epdsys.stepper import run
+from epdsys.sylvester import CoupledProblem, kronecker_solve, solvability_margin
+
+from kronecker_bounds import agreement_bound, coupled_kronecker_matrix
+
+
+def _transposed_pair(rng, n, banded):
+    """A coupled pair with W_right = W^T and S = R^T: both branches are Lyapunov."""
+    if banded:
+        W = TriDiagMatrix(rng.standard_normal(n - 1), 4.0 + rng.standard_normal(n), rng.standard_normal(n - 1))
+        R = TriDiagMatrix(*(0.4 * rng.standard_normal(k) for k in (n - 1, n, n - 1)))
+    else:
+        W = 4.0 * np.eye(n) + rng.standard_normal((n, n))
+        R = 0.4 * rng.standard_normal((n, n))
+    C1, C2 = rng.standard_normal((2, n, n))
+    return CoupledProblem(W, R, R.T, C1, C2, W_right=W.T)
+
+
+def _recording_dgesv(monkeypatch):
+    """Record the order of every system LAPACK dgesv factors."""
+    sizes = []
+    original = scipy.linalg.lapack.dgesv
+
+    def recorded(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return original(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgesv", recorded)
+    return sizes
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(min_value=1, max_value=8), seed=st.integers(0, 2**32 - 1), banded=st.booleans())
+def test_transposed_pair_matches_the_dense_coupled_solve(n, seed, banded):
+    rng = np.random.default_rng(seed)
+    p = _transposed_pair(rng, n, banded and n > 1)
+    assume(solvability_margin(p.W, p.R, p.S, p.W_right) > 1e-6)
+    X, Y = kronecker_solve(p)
+    b = np.concatenate([p.C1.ravel(order="F"), p.C2.ravel(order="F")])
+    x = np.linalg.solve(coupled_kronecker_matrix(p), b)
+    X_ref, Y_ref = (v.reshape((n, n), order="F") for v in np.split(x, 2))
+    scale = max(np.abs(X_ref).max(), np.abs(Y_ref).max(), 1.0)
+    assert max(np.abs(X - X_ref).max(), np.abs(Y - Y_ref).max()) / scale <= agreement_bound(p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_transposed_pair_factors_the_half_systems(monkeypatch, rng, n):
+    sizes = _recording_dgesv(monkeypatch)
+    kronecker_solve(_transposed_pair(rng, n, banded=False))
+    # per branch: n(n+1)/2 symmetric unknowns, then n(n-1)/2 skew (none at n = 1)
+    half = [n * (n + 1) // 2] + ([n * (n - 1) // 2] if n > 1 else [])
+    assert sizes == 2 * half
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_untransposed_pair_factors_the_full_system(monkeypatch, rng, n):
+    sizes = _recording_dgesv(monkeypatch)
+    p = _transposed_pair(rng, n, banded=False)
+    # W_right off W^T in one entry: no branch is Lyapunov
+    Wr = p.W.T.copy()
+    Wr[0, -1] += 1e-3
+    kronecker_solve(CoupledProblem(p.W, p.R, p.S, p.C1, p.C2, W_right=Wr))
+    assert sizes == [n * n, n * n]
+
+
+@pytest.mark.parametrize(("lam", "gamma", "a", "half"), [(0.25, 0.25, 2.5, True), (0.25, 0.3, 2.6, False)])
+def test_stepper_branches_are_lyapunov_exactly_when_lambda_equals_gamma(monkeypatch, lam, gamma, a, half):
+    config = RunConfig(J=9, lam=lam, gamma=gamma, a=a)
+    prob, _ = manufactured_problem(config)
+    sizes = _recording_dgesv(monkeypatch)
+    _, reports = run(prob, grid_spec_for(config), solver="kronecker", sing_policy="limit")
+    n = 11
+    per_step = [n * (n + 1) // 2, n * (n - 1) // 2] * 2 if half else [n * n] * 2
+    assert sizes == per_step * len(reports)
+    assert max(r.residual_coupled for r in reports) <= 1e-12
+
+
+def test_singular_lyapunov_branch_is_named():
+    # W - R = diag(1, -1, 2): lam_0 + lam_1 = 0 makes the difference branch
+    # singular, on its symmetric part; W + R = diag(5, 7, 4) is not
+    W, R = 3.0 * np.eye(3), np.diag([2.0, 4.0, 1.0])
+    C = np.ones((3, 3))
+    with pytest.raises(SolvabilityError, match=r"singular in the diff branch \(symmetric part\)") as err:
+        kronecker_solve(CoupledProblem(W, R, R.T, C, C, W_right=W.T))
+    assert err.value.branch == "diff"
