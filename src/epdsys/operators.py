@@ -207,9 +207,20 @@ class StepOperators:
         """K(Z) = K Z + Z K' of the stacked branch pair Z = (Z+, Z-).
 
         In the flattened stack the neighbours (i -+ 1, j) and (i, j -+ 1)
-        sit n and 1 places away, so the image is the combined diagonal plane
-        times Z plus four shifted neighbour updates, each over one contiguous
-        run; the planes are zero where a shift would cross a row or a slice.
+        sit n and 1 places away, so each neighbour term is one shifted
+        product over one contiguous run; the planes are zero where a shift
+        would cross a row or a slice.  The terms are summed as
+
+            K(Z) = diag Z + (left Z[i, j-1] + up Z[i-1, j])
+                          + (right Z[i, j+1] + down Z[i+1, j]),
+
+        9 passes in all.  The order is the reason: when K' = K^T bitwise
+        (lambda = gamma), the transpose maps up onto left and down onto
+        right, so each bracket maps onto itself, and the diagonal plane
+        K_ii + K_jj onto K_jj + K_ii; fl(a + b) = fl(b + a), so the image
+        of Z^T is the image of Z transposed, bit for bit, and a symmetric
+        level keeps a symmetric image.  Summed term by term instead, the
+        two images part in the last bits.
         """
         shape = self.image_planes.shape[1:]
         if Z.shape != shape:
@@ -218,10 +229,12 @@ class StepOperators:
         diagonal, up, down, left, right = self.image_planes.reshape(5, -1)
         z = Z.ravel()
         KZ = diagonal * z
-        KZ[n:] += up[n:] * z[:-n]
-        KZ[:-n] += down[:-n] * z[n:]
-        KZ[1:] += left[1:] * z[:-1]
-        KZ[:-1] += right[:-1] * z[1:]
+        side = left[1:] * z[:-1]  # the back pair, at entries 1..
+        side[n - 1 :] += up[n:] * z[:-n]
+        KZ[1:] += side
+        np.multiply(right[:-1], z[1:], out=side)  # the ahead pair, at entries ..-2
+        side[: side.size + 1 - n] += down[:-n] * z[n:]
+        KZ[:-1] += side
         return KZ.reshape(Z.shape)
 
 

@@ -54,7 +54,11 @@ would take with its cross blocks R, S, which the decoupling removes
 exactly.  A branch L P + P L^T = C, as each of the stepper's is when
 lambda = gamma, is a Lyapunov equation: its symmetric and skew parts
 solve apart, half-vectorized, as systems of n(n+1)/2 and n(n-1)/2
-unknowns, LUs of about n^6 / 6 flops together, a quarter again.
+unknowns, LUs of about n^6 / 6 flops together, a quarter again.  The
+image of a step (`StepOperators.image`) keeps a symmetric level's image
+exactly symmetric when lambda = gamma, so every right-hand side of such a
+run is exactly symmetric, its skew part is exactly 0, and only the
+symmetric system, about n^6 / 12 flops, is formed.
 
 The diagonal kernel runs on numpy alone.  `scipy.linalg` is imported on
 first use by the three routines that need it, the Schur factorization, the
@@ -66,6 +70,7 @@ of RSS on a 2-vCPU x86-64 host).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 
@@ -538,45 +543,86 @@ def _kronecker_branch(L, M, C, branch, buffer):
     return _dgesv(K, C.ravel(order="F"), branch).reshape((n, n), order="F")
 
 
-def _lyapunov_branch(L, C, branch, buffer):
+@dataclasses.dataclass(frozen=True)
+class _HalfVec:
+    """The index tables of one part of a half-vectorized Lyapunov system of size n.
+
+    Unknown k stands for P[I[k], J[k]], i <= j for the symmetric part and
+    i < j for the skew part, and P[a, b] = sgn[a, b] u[col[a, b]]: sgn is 1
+    on and above the diagonal, +1 (symmetric) or -1 (skew) below it, and 0
+    on the skew part's diagonal, which is no unknown (col 0 there).  `terms`
+    holds, for (L P) and (P L^T) in turn, (at, negate): the (N, n) flat
+    positions in the system's column-major storage that row k's
+    coefficients over c go to, and where they take the sign -1.  An entry
+    of sign 0 goes to column N, one past the system, so no entry is masked
+    out.  The tables depend on n and the part alone, so `kronecker_solve`
+    builds each part's once per call and both branches share them.
+    """
+
+    part: str
+    I: np.ndarray
+    J: np.ndarray
+    col: np.ndarray
+    sgn: np.ndarray
+    terms: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def _half_vec(n: int, sign: float) -> _HalfVec:
+    """The `_HalfVec` tables of the symmetric (sign +1) or skew (-1) part at size n.
+
+    Row k = (i, j) = (I[k], J[k]) gets L[i, c] sgn[c, j] at column col[c, j]
+    for (L P)[i, j] and L[j, c] sgn[i, c] at column col[i, c] for
+    (P L^T)[i, j], over c.  Within each term a row's columns are distinct,
+    the spare column N included, so each term is one indexed write.
+    """
+    k = 0 if sign > 0 else 1
+    I, J = np.triu_indices(n, k)
+    N = I.size
+    col = np.zeros((n, n), dtype=np.intp)
+    col[I, J] = col[J, I] = np.arange(N)
+    ones = np.ones((n, n))
+    sgn = np.triu(ones, k) + sign * np.tril(ones, -1)
+    columns = np.where(sgn != 0.0, col, N)
+    rows = np.arange(N)[:, None]
+    return _HalfVec(
+        part=" (symmetric part)" if sign > 0 else " (skew part)", I=I, J=J, col=col, sgn=sgn,
+        terms=((rows + N * columns[:, J].T, sgn[:, J].T < 0.0),
+               (rows + N * columns[I], sgn[I] < 0.0)),
+    )
+
+
+def _lyapunov_branch(L, C, branch, buffer, tables):
     """P solving the Lyapunov equation L P + P L^T = C in half-vectorized form.
 
     L P + P L^T maps symmetric P to symmetric and skew P to skew, so P is
     the sum of the symmetric solution for (C + C^T)/2 and the skew solution
     for (C - C^T)/2, each solved on its own unknowns (vech; Magnus and
-    Neudecker, 1980): P[i, j], i <= j, n(n+1)/2 of them, and i < j, n(n-1)/2
-    of them.  Unknown u[col[a, b]] stands for P[a, b] with the sign
-    sgn[a, b]: 1 on and above the diagonal, +1 (symmetric) or -1 (skew)
-    below it, and 0 on the skew part's diagonal, which is no unknown.  Row
-    (i, j) gets L[i, c] sgn[c, j] at column col[c, j] for (L P)[i, j] and
-    L[j, c] sgn[i, c] at column col[i, c] for (P L^T)[i, j].  Within each
-    of the two terms a row's columns are distinct, so the second is added
-    with one indexed `+=` where it meets the first.  The n = 1 skew part
-    has no unknown.
+    Neudecker, 1980), n(n+1)/2 and n(n-1)/2 of them.  `tables(sign)` gives
+    the `_HalfVec` of a part (+1 symmetric, -1 skew), through which each
+    system is written from L in two indexed writes, the second a `+=`.
+
+    A C with np.array_equal(C, C.T), as every right-hand side of a lambda =
+    gamma run is (`StepOperators.image`), has a skew part of exactly 0, so
+    its skew solution is exactly 0 and its system is not formed; P is then
+    the symmetric solution alone, exactly symmetric.  Skipping it changes
+    no refusal: the skew restriction's eigenvalues lam_i + lam_j, i < j,
+    are among the symmetric restriction's, i <= j, so a singular skew part
+    makes the symmetric part, factored first, singular too.
     """
-    n = L.shape[0]
-    ones = np.ones((n, n))
-    P = np.zeros((n, n))
-    for part, sign, k in ((" (symmetric part)", 1.0, 0), (" (skew part)", -1.0, 1)):
-        I, J = np.triu_indices(n, k)
-        N = I.size
-        if not N:
-            continue
-        col = np.zeros((n, n), dtype=np.intp)
-        col[I, J] = col[J, I] = np.arange(N)
-        sgn = np.triu(ones, k) + sign * np.tril(ones, -1)
+    P = np.zeros_like(C)
+    for sign in (1.0,) if np.array_equal(C, C.T) else (1.0, -1.0):
+        t = tables(sign)
+        N = t.I.size
         A = _system(buffer, N)
-        rows = np.broadcast_to(np.arange(N)[:, None], (N, n))
-        # (L P)[i, j]: row r = (I[r], J[r]) over c, with cols col[c, J[r]]
-        signs = sgn[:, J].T
-        keep = signs != 0.0
-        A[rows[keep], col[:, J].T[keep]] = (L[I] * signs)[keep]
-        # (P L^T)[i, j]: over c, with cols col[I[r], c]
-        signs = sgn[I]
-        keep = signs != 0.0
-        A[rows[keep], col[I][keep]] += (L[J] * signs)[keep]
-        u = _dgesv(A, 0.5 * (C + sign * C.T)[I, J], branch, part)
-        P += sgn * u[col]
+        cells = buffer[: N * (N + 1)]  # A column-major, then the spare column
+        # (L P)[i, j] reads row i of L and (P L^T)[i, j] row j
+        (at, negate), (at_t, negate_t) = t.terms
+        LP = L[t.I]
+        cells[at] = np.negative(LP, out=LP, where=negate)
+        PLt = L[t.J]
+        cells[at_t] += np.negative(PLt, out=PLt, where=negate_t)
+        u = _dgesv(A, 0.5 * (C + sign * C.T)[t.I, t.J], branch, t.part)
+        P += t.sgn * u[t.col]
     return P
 
 
@@ -589,10 +635,14 @@ def kronecker_solve(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
     The signs are written out here rather than read from BRANCH_SIGNS, so
     that the oracle does not share the fast path's sign table.  A branch
     whose M is bitwise L.T, as the stepper's branches are when lambda =
-    gamma, is a Lyapunov equation and takes two systems of n(n+1)/2 and
-    n(n-1)/2 unknowns (`_lyapunov_branch`), a quarter of the flops and
-    memory of the one n^2 system (`_kronecker_branch`) that every other
-    branch takes.  Each system is filled into the head of one flat buffer,
+    gamma, is a Lyapunov equation and takes the system of its symmetric
+    part, n(n+1)/2 unknowns, and, unless its right-hand side is exactly
+    symmetric, as it is at every step of a lambda = gamma run, the system of
+    its skew part, n(n-1)/2 unknowns (`_lyapunov_branch`): at most a quarter
+    of the flops and memory of the one n^2 system (`_kronecker_branch`) that
+    every other branch takes.  The index tables of each half-vectorized
+    part are built once per call, on first use, and shared by both
+    branches.  Each system is filled into the head of one flat buffer,
     sized for the largest, and factored there in place, so no other system
     matrix, no kron temporary and no copy for LAPACK is made.  A size above
     KRONECKER_MAX_SIZE, read at call time, raises SizeGuardError
@@ -604,8 +654,9 @@ def kronecker_solve(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
     branches = (("sum", W + R, Wr + S), ("diff", W - R, Wr - S))
     lyapunov = [np.array_equal(M, L.T) for _, L, M in branches]
     buffer = np.empty(max(n * (n + 1) // 2 if lyap else n * n for lyap in lyapunov) ** 2)
+    tables = functools.cache(functools.partial(_half_vec, n))
     solutions = [
-        _lyapunov_branch(L, Cb, branch, buffer) if lyap
+        _lyapunov_branch(L, Cb, branch, buffer, tables) if lyap
         else _kronecker_branch(L, M, Cb, branch, buffer)
         for (branch, L, M), Cb, lyap in zip(branches, _sum_diff((p.C1, p.C2)), lyapunov)
     ]

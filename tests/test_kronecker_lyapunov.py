@@ -1,5 +1,6 @@
 """Method I's Lyapunov branches: a branch (L, M) with M = L^T bitwise is
-solved in half-vectorized form, its symmetric and skew parts apart."""
+solved in half-vectorized form, its symmetric and skew parts apart, and the
+skew part only when the right-hand side is not exactly symmetric."""
 
 import numpy as np
 import pytest
@@ -10,14 +11,17 @@ from hypothesis import strategies as st
 from epdsys.bench import RunConfig, grid_spec_for, manufactured_problem
 from epdsys.exceptions import SolvabilityError
 from epdsys.operators import TriDiagMatrix
-from epdsys.stepper import run
+from epdsys.stepper import march, run
 from epdsys.sylvester import CoupledProblem, kronecker_solve, solvability_margin
 
 from kronecker_bounds import agreement_bound, coupled_kronecker_matrix
 
 
-def _transposed_pair(rng, n, banded):
-    """A coupled pair with W_right = W^T and S = R^T: both branches are Lyapunov."""
+def _transposed_pair(rng, n, banded, symmetric=False):
+    """A coupled pair with W_right = W^T and S = R^T: both branches are Lyapunov.
+
+    With `symmetric`, C1 and C2 are exactly symmetric, as at every step of a
+    lambda = gamma run."""
     if banded:
         W = TriDiagMatrix(rng.standard_normal(n - 1), 4.0 + rng.standard_normal(n), rng.standard_normal(n - 1))
         R = TriDiagMatrix(*(0.4 * rng.standard_normal(k) for k in (n - 1, n, n - 1)))
@@ -25,6 +29,8 @@ def _transposed_pair(rng, n, banded):
         W = 4.0 * np.eye(n) + rng.standard_normal((n, n))
         R = 0.4 * rng.standard_normal((n, n))
     C1, C2 = rng.standard_normal((2, n, n))
+    if symmetric:
+        C1, C2 = C1 + C1.T, C2 + C2.T
     return CoupledProblem(W, R, R.T, C1, C2, W_right=W.T)
 
 
@@ -42,10 +48,13 @@ def _recording_dgesv(monkeypatch):
 
 
 @settings(max_examples=80, deadline=None)
-@given(n=st.integers(min_value=1, max_value=8), seed=st.integers(0, 2**32 - 1), banded=st.booleans())
-def test_transposed_pair_matches_the_dense_coupled_solve(n, seed, banded):
+@given(
+    n=st.integers(min_value=1, max_value=8), seed=st.integers(0, 2**32 - 1), banded=st.booleans(),
+    symmetric=st.booleans(),
+)
+def test_transposed_pair_matches_the_dense_coupled_solve(n, seed, banded, symmetric):
     rng = np.random.default_rng(seed)
-    p = _transposed_pair(rng, n, banded and n > 1)
+    p = _transposed_pair(rng, n, banded and n > 1, symmetric)
     assume(solvability_margin(p.W, p.R, p.S, p.W_right) > 1e-6)
     X, Y = kronecker_solve(p)
     b = np.concatenate([p.C1.ravel(order="F"), p.C2.ravel(order="F")])
@@ -62,6 +71,15 @@ def test_transposed_pair_factors_the_half_systems(monkeypatch, rng, n):
     # per branch: n(n+1)/2 symmetric unknowns, then n(n-1)/2 skew (none at n = 1)
     half = [n * (n + 1) // 2] + ([n * (n - 1) // 2] if n > 1 else [])
     assert sizes == 2 * half
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_symmetric_right_hand_sides_factor_only_the_symmetric_parts(monkeypatch, rng, n):
+    sizes = _recording_dgesv(monkeypatch)
+    X, Y = kronecker_solve(_transposed_pair(rng, n, banded=False, symmetric=True))
+    # per branch: the n(n+1)/2 symmetric unknowns alone; the skew part is exactly 0
+    assert sizes == [n * (n + 1) // 2] * 2
+    assert np.array_equal(X, X.T) and np.array_equal(Y, Y.T)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -82,9 +100,22 @@ def test_stepper_branches_are_lyapunov_exactly_when_lambda_equals_gamma(monkeypa
     sizes = _recording_dgesv(monkeypatch)
     _, reports = run(prob, grid_spec_for(config), solver="kronecker", sing_policy="limit")
     n = 11
-    per_step = [n * (n + 1) // 2, n * (n - 1) // 2] * 2 if half else [n * n] * 2
+    # at lambda = gamma every right-hand side is exactly symmetric: no skew system
+    per_step = [n * (n + 1) // 2] * 2 if half else [n * n] * 2
     assert sizes == per_step * len(reports)
     assert max(r.residual_coupled for r in reports) <= 1e-12
+
+
+@pytest.mark.parametrize("J", [9, 24])
+def test_method_one_levels_are_exactly_symmetric_when_lambda_equals_gamma(J):
+    config = RunConfig(J=J)
+    assert config.lam == config.gamma
+    prob, _ = manufactured_problem(config)
+    levels = list(march(prob, grid_spec_for(config), solver="kronecker"))
+    assert len(levels) > 2
+    for state, _ in levels:
+        U, V = state.U.values, state.V.values
+        assert np.array_equal(U, U.T) and np.array_equal(V, V.T), state.level
 
 
 def test_singular_lyapunov_branch_is_named():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epdsys.exceptions import InvalidSpecError, SingularTimeError
 from epdsys.grid import Field, GridSpec, build_grid, sample
@@ -153,6 +155,45 @@ def test_singular_time_rejected():
 def test_tridiag_rejects_inconsistent_band_lengths(sub, sup):
     with pytest.raises(InvalidSpecError, match="inconsistent band lengths"):
         TriDiagMatrix(sub=np.zeros(sub), diag=np.zeros(4), sup=np.zeros(sup))
+
+
+image_cases = dict(
+    seed=st.integers(0, 2**32 - 1),
+    J=st.integers(min_value=1, max_value=30),
+    lam=st.floats(min_value=-2.0, max_value=2.0),
+    sing_policy=st.sampled_from([SING_ZERO, SING_LIMIT]),
+    # the symmetric grid and an asymmetric one: the transposition needs only
+    # the same nodes on both axes
+    bounds=st.sampled_from([(-10.0, 10.0), (-3.0, 7.0)]),
+)
+
+
+def _random_image_input(seed, J, lam, gamma, sing_policy, bounds):
+    """Step operators at (lam, gamma) on a grid of J, and a random stacked pair Z."""
+    grid = build_grid(GridSpec(L0=bounds[0], L1=bounds[1], J=J))
+    ops = assemble_step_operators(build_operator_set(grid, lam, gamma, sing_policy), grid)
+    return ops, np.random.default_rng(seed).standard_normal((2, grid.size, grid.size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**image_cases)
+def test_image_is_transpose_equivariant_when_lambda_equals_gamma(seed, J, lam, sing_policy, bounds):
+    # K' = K^T bitwise at lambda = gamma, and the image's summation order maps
+    # onto itself under the transpose, so K(Z^T) = K(Z)^T bit for bit
+    ops, Z = _random_image_input(seed, J, lam, lam, sing_policy, bounds)
+    image, image_of_transpose = ops.image(Z), ops.image(Z.swapaxes(1, 2).copy())
+    for b in range(Z.shape[0]):
+        assert np.array_equal(image_of_transpose[b], image[b].T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**image_cases, gamma=st.floats(min_value=-2.0, max_value=2.0))
+def test_image_matches_the_dense_bands(seed, J, lam, gamma, sing_policy, bounds):
+    # the bound of the branch-form identities (test_branch_form.py)
+    ops, Z = _random_image_input(seed, J, lam, gamma, sing_policy, bounds)
+    for Zb, KZb, (K, Kr) in zip(Z, ops.image(Z), ops.bands):
+        dense = K.dense() @ Zb + Zb @ Kr.dense()
+        assert np.linalg.norm(KZb - dense) <= 1e-13 * max(np.linalg.norm(dense), 1.0)
 
 
 def test_image_rejects_a_wrongly_shaped_stack():
