@@ -1,9 +1,20 @@
 """Mesh construction, field sampling, norms and error functionals.
 
 The domain is the square [L0, L1] x [L0, L1] with the same J+2 uniformly
-spaced nodes on both axes (x_j = y_j = L0 + j*h, h = (L1-L0)/(J+1),
-`Grid.nodes`) and uniform time levels t_n = t0 + n*l.  Fields are (J+2) x
-(J+2) matrices with row index = x node and column index = y node.
+spaced nodes on both axes, h = (L1-L0)/(J+1) apart (`Grid.nodes`), and
+uniform time levels t_n = t0 + n*l.  Fields are (J+2) x (J+2) matrices with
+row index = x node and column index = y node.  The nodes are placed about
+the centre of the interval,
+
+    x_j = y_j = (0.5 L0 + 0.5 L1) + h (j - (J+1)/2),    j = 0..J+1,
+
+one formula for every grid (`_node`).  j - (J+1)/2 is exact and changes sign
+under j -> J+1-j, so on a centred grid (L0 = -L1, whose centre is exactly 0)
+the nodes are exactly mirrored, nodes == -nodes[::-1] bit for bit, and an
+odd J puts a node at exactly 0.  The ends lie within a few ulps of L0 and
+L1.  The centre is formed as 0.5 L0 + 0.5 L1, which cannot overflow where
+L0 + L1 would, and `GridSpec.mesh_steps` refuses a grid whose end node
+overflows.
 
 `sample` is the one sampler of the problem's callables (forcing, exact
 seeding, Taylor data, and the exact pair that `discrete_errors` compares
@@ -63,11 +74,11 @@ class GridSpec:
         Raises InvalidSpecError for an invalid spec (among them a t0 or an
         alpha that is negative or not finite, a J or n_steps that is not an
         integer, and an l given to the coupled rule, which sets l itself),
-        for steps that are not positive and finite or a last node
-        L0 + (J+1) h that overflows (a width L1 - L0 near the float range,
-        an l that underflows), for more steps than MAX_STEPS, naming the
-        count, and then for a work steps x (J+2)^3 above MAX_WORK, naming the
-        steps, J and the cap.
+        for steps that are not positive and finite or an end node
+        (`_node` at j = 0 or J+1) that overflows (a width L1 - L0 near the
+        float range, an l that underflows), for more steps than MAX_STEPS,
+        naming the count, and then for a work steps x (J+2)^3 above
+        MAX_WORK, naming the steps, J and the cap.
         """
         if self.L1 <= self.L0:
             raise InvalidSpecError(f"need L1 > L0, got [{self.L0}, {self.L1}]")
@@ -93,7 +104,8 @@ class GridSpec:
             raise InvalidSpecError(f"the coupled step rule sets l itself; got l={self.l}")
         h = (self.L1 - self.L0) / (self.J + 1)
         l = h * math.sqrt(h) if self.step_rule == COUPLED else float(self.l)
-        if not (h > 0.0 and 0.0 < l < math.inf and math.isfinite(self.L0 + h * (self.J + 1))):
+        ends = (_node(self, h, 0), _node(self, h, self.J + 1))
+        if not (h > 0.0 and 0.0 < l < math.inf and all(map(math.isfinite, ends))):
             raise InvalidSpecError(f"need finite nodes and mesh steps h, l > 0, got h={h}, l={l}")
         if self.n_steps > MAX_STEPS:
             raise InvalidSpecError(
@@ -106,6 +118,11 @@ class GridSpec:
                 f"steps x (J+2)^3 = {work:.3g} > {MAX_WORK:.3g}"
             )
         return h, l
+
+
+def _node(spec: GridSpec, h: float, j):
+    """x_j = (0.5 L0 + 0.5 L1) + h (j - (J+1)/2), for an index or an index array j."""
+    return (0.5 * spec.L0 + 0.5 * spec.L1) + h * (j - 0.5 * (spec.J + 1))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,7 +172,7 @@ class Grid:
 def build_grid(spec: GridSpec) -> Grid:
     """Build the uniform mesh, flagging nodes that sit on a coordinate axis."""
     h, l = spec.mesh_steps()
-    nodes = spec.L0 + h * np.arange(spec.J + 2)
+    nodes = _node(spec, h, np.arange(spec.J + 2))
     singular = np.flatnonzero(np.abs(nodes) <= h / 100.0)
     return Grid(spec=spec, nodes=nodes, h=h, l=l, singular=singular)
 

@@ -206,21 +206,26 @@ class StepOperators:
     def image(self, Z: np.ndarray) -> np.ndarray:
         """K(Z) = K Z + Z K' of the stacked branch pair Z = (Z+, Z-).
 
-        In the flattened stack the neighbours (i -+ 1, j) and (i, j -+ 1)
-        sit n and 1 places away, so each neighbour term is one shifted
+        In the flattened stack the neighbours (i, j -+ 1) and (i -+ 1, j)
+        sit 1 and n places away, so each neighbour term is one shifted
         product over one contiguous run; the planes are zero where a shift
         would cross a row or a slice.  The terms are summed as
 
-            K(Z) = diag Z + (left Z[i, j-1] + up Z[i-1, j])
-                          + (right Z[i, j+1] + down Z[i+1, j]),
+            K(Z) = (left Z[i, j-1] + right Z[i, j+1])
+                 + (up Z[i-1, j] + down Z[i+1, j]) + diag Z,
 
-        9 passes in all.  The order is the reason: when K' = K^T bitwise
-        (lambda = gamma), the transpose maps up onto left and down onto
-        right, so each bracket maps onto itself, and the diagonal plane
-        K_ii + K_jj onto K_jj + K_ii; fl(a + b) = fl(b + a), so the image
-        of Z^T is the image of Z transposed, bit for bit, and a symmetric
-        level keeps a symmetric image.  Summed term by term instead, the
-        two images part in the last bits.
+        9 passes in all, the row pair written straight into the output.
+        The order is the reason.  A flip of the rows maps up onto down and
+        leaves the row pair alone, a flip of the columns maps left onto
+        right, and when K' = K^T bitwise (lambda = gamma) the transpose maps
+        the row pair onto the column pair; the diagonal plane K_ii + K'_jj
+        maps onto itself or onto K'_jj + K_ii.  Since fl(a + b) = fl(b + a),
+        the image of a transposed Z is the transposed image, and on a
+        centred grid (`grid.build_grid`), whose bands satisfy K ==
+        K[::-1, ::-1] bitwise, the image of a mirrored Z is the mirrored
+        image, bit for bit.  So a level even in x and y, or symmetric, keeps
+        an image that is too.  Summed term by term instead, the images part
+        in the last bits.
         """
         shape = self.image_planes.shape[1:]
         if Z.shape != shape:
@@ -228,13 +233,16 @@ class StepOperators:
         n = Z.shape[-1]
         diagonal, up, down, left, right = self.image_planes.reshape(5, -1)
         z = Z.ravel()
-        KZ = diagonal * z
-        side = left[1:] * z[:-1]  # the back pair, at entries 1..
-        side[n - 1 :] += up[n:] * z[:-n]
-        KZ[1:] += side
-        np.multiply(right[:-1], z[1:], out=side)  # the ahead pair, at entries ..-2
-        side[: side.size + 1 - n] += down[:-n] * z[n:]
-        KZ[:-1] += side
+        KZ = np.empty_like(z)
+        KZ[0] = 0.0  # left is zero in column 0
+        np.multiply(left[1:], z[:-1], out=KZ[1:])
+        KZ[:-1] += right[:-1] * z[1:]
+        column = np.empty_like(z)
+        column[:n] = 0.0  # up is zero in row 0
+        np.multiply(up[n:], z[:-n], out=column[n:])
+        column[:-n] += down[:-n] * z[n:]
+        KZ += column
+        KZ += diagonal * z
         return KZ.reshape(Z.shape)
 
 

@@ -58,7 +58,12 @@ unknowns, LUs of about n^6 / 6 flops together, a quarter again.  The
 image of a step (`StepOperators.image`) keeps a symmetric level's image
 exactly symmetric when lambda = gamma, so every right-hand side of such a
 run is exactly symmetric, its skew part is exactly 0, and only the
-symmetric system, about n^6 / 12 flops, is formed.
+symmetric system, about n^6 / 12 flops, is formed.  On a centred grid
+(L0 = -L1) the bands commute with the flip of the node order bitwise, the
+image keeps an even level's image exactly even, and every right-hand side
+of a run from even data is even in x and in y; each branch is then solved
+on its quadrant of size ceil(n/2), about 1/64 of the LU flops again, and
+unfolded (`kronecker_solve`).
 
 The diagonal kernel runs on numpy alone.  `scipy.linalg` is imported on
 first use by the three routines that need it, the Schur factorization, the
@@ -95,7 +100,8 @@ SOLVE_RESIDUAL_MAX = 1e-8
 # turn, so the solve's peak is that buffer plus O(n^3) index and work
 # arrays.  The guard bounds the general system on every call: a call whose
 # branches are all Lyapunov equations (lambda = gamma) needs only the
-# buffer of the symmetric part, 8 (n(n+1)/2)^2 bytes, about a quarter.
+# buffer of the symmetric part, 8 (n(n+1)/2)^2 bytes, about a quarter, and
+# a call folded onto its quadrant (`kronecker_solve`) about 1/16 of either.
 KRONECKER_MAX_BYTES = 2**28
 KRONECKER_MAX_SIZE = math.isqrt(math.isqrt(KRONECKER_MAX_BYTES // 8))
 
@@ -626,6 +632,28 @@ def _lyapunov_branch(L, C, branch, buffer, tables):
     return P
 
 
+def _mirrored(A) -> bool:
+    """Whether A == A[::-1, ::-1] bitwise: A commutes with the flip of the index order."""
+    return np.array_equal(A, A[::-1, ::-1])
+
+
+def _even(C) -> bool:
+    """Whether C is bitwise even in its rows and in its columns."""
+    return np.array_equal(C, C[::-1]) and np.array_equal(C, C[:, ::-1])
+
+
+def _fold(L, M, C):
+    """The branch L P + P M = C restricted to P even in rows and columns, on its
+    m x m quadrant, m = ceil(n/2): the columns of L and the rows of M are
+    folded onto the quadrant, the centre of an odd n counted once."""
+    n = L.shape[0]
+    m, k = (n + 1) // 2, n // 2
+    Le, Me = L[:m, :m].copy(), M[:m, :m].copy()
+    Le[:, :k] += L[:m, ::-1][:, :k]
+    Me[:k] += M[::-1, :m][:k]
+    return Le, Me, C[:m, :m]
+
+
 def kronecker_solve(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
     """Method I: each decoupled branch as dense linear systems, solved by
     Gaussian elimination with partial pivoting (LAPACK dgesv).
@@ -633,33 +661,61 @@ def kronecker_solve(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
     The branches P = X+Y and Q = X-Y solve L P + P M = C1 + C2 with (L, M) =
     (W + R, Wr + S) and L Q + Q M = C1 - C2 with (L, M) = (W - R, Wr - S).
     The signs are written out here rather than read from BRANCH_SIGNS, so
-    that the oracle does not share the fast path's sign table.  A branch
-    whose M is bitwise L.T, as the stepper's branches are when lambda =
-    gamma, is a Lyapunov equation and takes the system of its symmetric
-    part, n(n+1)/2 unknowns, and, unless its right-hand side is exactly
-    symmetric, as it is at every step of a lambda = gamma run, the system of
-    its skew part, n(n-1)/2 unknowns (`_lyapunov_branch`): at most a quarter
-    of the flops and memory of the one n^2 system (`_kronecker_branch`) that
-    every other branch takes.  The index tables of each half-vectorized
-    part are built once per call, on first use, and shared by both
-    branches.  Each system is filled into the head of one flat buffer,
-    sized for the largest, and factored there in place, so no other system
-    matrix, no kron temporary and no copy for LAPACK is made.  A size above
-    KRONECKER_MAX_SIZE, read at call time, raises SizeGuardError
-    (`_check_kronecker_size`).
+    that the oracle does not share the fast path's sign table.
+
+    When every branch's L and M commute with the flip of the index order
+    (A == A[::-1, ::-1] bitwise, as the stepper's bands are on a centred
+    grid) and both right-hand sides are bitwise even in rows and columns
+    (as every right-hand side of a run from even data on such a grid is,
+    `StepOperators.image`), the solution is even too, and each branch is
+    solved on its m x m quadrant, m = ceil(n/2) (`_fold`; the
+    symmetry-adapted basis of Fassler and Stiefel, 1992): L's columns j and
+    n-1-j are added, as are M's rows, and the quadrant's solution is
+    unfolded with one gather, P[i, j] = Pe[r(i), r(j)], r(j) = min(j,
+    n-1-j).  The folded system is the restriction of the branch to its
+    modes even in both directions, so a mirrored branch that is singular
+    only in a mode odd in a direction is not refused here: the solve then
+    returns the even solution, whose residual is at rounding level.  A run
+    is not affected, since `stepper.plan_solves` checks the margin of every
+    eigenpair and refuses such a step before any solve.  Any other problem,
+    an asymmetric grid or a single asymmetric bit, is solved at full size.
+
+    A branch whose M is bitwise L.T (after the fold, which keeps it), as
+    the stepper's branches are when lambda = gamma, is a Lyapunov equation
+    and takes the system of its symmetric part, N(N+1)/2 unknowns at size
+    N, and, unless its right-hand side is exactly symmetric, as it is at
+    every step of a lambda = gamma run, the system of its skew part,
+    N(N-1)/2 unknowns (`_lyapunov_branch`): at most a quarter of the flops
+    and memory of the one N^2 system (`_kronecker_branch`) that every other
+    branch takes.  A J = 49 step, n = 51, so solves two systems of 351
+    unknowns at lambda = gamma, in place of 1,326 unfolded.  The index
+    tables of each half-vectorized part are built once per call, on first
+    use, and shared by both branches.  Each system is filled into the head
+    of one flat buffer, sized for the largest, and factored there in place,
+    so no other system matrix, no kron temporary and no copy for LAPACK is
+    made.  A size n above KRONECKER_MAX_SIZE, read at call time, raises
+    SizeGuardError (`_check_kronecker_size`), folded or not.
     """
     n = p.size
     _check_kronecker_size(n)
     W, R, S, Wr = (np.asarray(A, dtype=float) for A in (p.W, p.R, p.S, p.W_right))
-    branches = (("sum", W + R, Wr + S), ("diff", W - R, Wr - S))
-    lyapunov = [np.array_equal(M, L.T) for _, L, M in branches]
-    buffer = np.empty(max(n * (n + 1) // 2 if lyap else n * n for lyap in lyapunov) ** 2)
-    tables = functools.cache(functools.partial(_half_vec, n))
+    C_sum, C_diff = _sum_diff((p.C1, p.C2))
+    branches = [("sum", W + R, Wr + S, C_sum), ("diff", W - R, Wr - S, C_diff)]
+    fold = all(_mirrored(L) and _mirrored(M) and _even(Cb) for _, L, M, Cb in branches)
+    if fold:
+        branches = [(branch, *_fold(L, M, Cb)) for branch, L, M, Cb in branches]
+    N = (n + 1) // 2 if fold else n
+    lyapunov = [np.array_equal(M, L.T) for _, L, M, _ in branches]
+    buffer = np.empty(max(N * (N + 1) // 2 if lyap else N * N for lyap in lyapunov) ** 2)
+    tables = functools.cache(functools.partial(_half_vec, N))
     solutions = [
         _lyapunov_branch(L, Cb, branch, buffer, tables) if lyap
         else _kronecker_branch(L, M, Cb, branch, buffer)
-        for (branch, L, M), Cb, lyap in zip(branches, _sum_diff((p.C1, p.C2)), lyapunov)
+        for (branch, L, M, Cb), lyap in zip(branches, lyapunov)
     ]
+    if fold:
+        r = np.minimum(np.arange(n), np.arange(n)[::-1])
+        solutions = [P[np.ix_(r, r)] for P in solutions]
     return tuple(_sum_diff(solutions, 0.5))
 
 

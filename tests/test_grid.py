@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epdsys.grid
 from epdsys.bench import RunConfig, grid_spec_for
@@ -55,7 +57,7 @@ def test_build_grid_nodes_uniform():
         dict(L0=0.0, L1=1.0, J=4, step_rule="independent"),  # missing l
         dict(L0=0.0, L1=1.0, J=4, step_rule="nope"),
         dict(L0=-1e308, L1=1e308, J=4),  # the width L1 - L0 overflows
-        dict(L0=-1.7e308, L1=0.0, J=1),  # the last node L0 + 2h overflows
+        dict(L0=-1.7e308, L1=0.0, J=1),  # the coupled l = h^(3/2) overflows
         dict(L0=0.0, L1=1.0, J=4, n_steps=0),
         dict(L0=0.0, L1=1.0, J=4, alpha=-1.0),
         dict(L0=0.0, L1=1.0, J=4, alpha=math.nan),  # refused by `not alpha >= 0`
@@ -112,6 +114,63 @@ def test_build_grid_caps_the_work(monkeypatch):
     build_grid(GridSpec(L0=-10, L1=10, J=3, n_steps=2))
     with pytest.raises(InvalidSpecError, match=r"^a run of 3 steps at J=3 is above the work cap"):
         build_grid(GridSpec(L0=-10, L1=10, J=3, n_steps=3))
+
+
+# the grids the tier-1 suite builds, centred and not
+TIER1_GRIDS = [
+    (-10, 10, J) for J in (1, 3, 4, 6, 9, 24, 49, 99, 199, 399, 799)
+] + [
+    (-1, 1, 3), (-1, 1, 5), (-1, 1, 9), (-2, 2, 2), (-2, 2, 3), (-2, 2, 5), (-2, 2, 7),
+    (-3, 7, 9), (-3, 7, 24), (-3.0, 7.0, 17), (0, 1, 1), (0, 1, 3), (0, 2, 1), (0, 3, 2),
+    (0, 5, 9), (1, 8, 6),
+]
+
+
+@pytest.mark.parametrize("L", [1.0, 3.7, 10.0])
+@pytest.mark.parametrize("J", [1, 4, 9, 24, 49, 99, 199])
+def test_centred_nodes_are_exactly_mirrored(J, L):
+    nodes = build_grid(GridSpec(L0=-L, L1=L, J=J)).nodes
+    assert np.array_equal(nodes, -nodes[::-1])
+    if J % 2:
+        assert nodes[(J + 1) // 2] == 0.0
+
+
+@pytest.mark.parametrize(("L0", "L1", "J"), TIER1_GRIDS)
+def test_end_nodes_and_axis_nodes_of_the_tier1_grids(L0, L1, J):
+    grid = build_grid(GridSpec(L0=L0, L1=L1, J=J))
+    ulp = math.ulp(max(abs(L0), abs(L1)))
+    assert abs(grid.nodes[0] - L0) <= 4 * ulp and abs(grid.nodes[-1] - L1) <= 4 * ulp
+    # the axis nodes the grid flagged when its nodes were L0 + j h
+    former = L0 + grid.h * np.arange(J + 2)
+    assert np.array_equal(grid.singular, np.flatnonzero(np.abs(former) <= grid.h / 100.0))
+
+
+def test_grid_near_the_float_range():
+    grid = build_grid(GridSpec(L0=1e308, L1=1.7e308, J=9, step_rule="independent", l=0.01))
+    assert np.isfinite(grid.nodes).all()
+    assert (grid.nodes[0], grid.nodes[-1]) == (1e308, 1.7e308)
+    # the last node rounds past the float range: refused by the mesh check
+    with pytest.raises(InvalidSpecError, match=r"^need finite nodes"):
+        build_grid(GridSpec(L0=1e308, L1=math.nextafter(math.inf, 0.0), J=9,
+                            step_rule="independent", l=0.01))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ends=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2, unique=True
+    ),
+    J=st.integers(1, 60),
+)
+def test_grid_nodes_are_finite_or_the_mesh_is_refused(ends, J):
+    L0, L1 = sorted(ends)
+    try:
+        with np.errstate(over="ignore"):
+            grid = build_grid(GridSpec(L0=L0, L1=L1, J=J, step_rule="independent", l=0.01))
+    except InvalidSpecError as exc:
+        assert str(exc).startswith("need finite nodes")
+        return
+    assert np.isfinite(grid.nodes).all()
 
 
 def test_independent_step_rule():

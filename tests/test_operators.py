@@ -186,6 +186,24 @@ def test_image_is_transpose_equivariant_when_lambda_equals_gamma(seed, J, lam, s
         assert np.array_equal(image_of_transpose[b], image[b].T)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=image_cases["seed"], J=image_cases["J"], lam=image_cases["lam"],
+    gamma=st.floats(min_value=-2.0, max_value=2.0), sing_policy=image_cases["sing_policy"],
+    L=st.floats(min_value=0.1, max_value=100.0),
+)
+def test_image_is_flip_equivariant_on_a_centred_grid(seed, J, lam, gamma, sing_policy, L):
+    # the mirrored nodes make every band commute with the flip bitwise, and
+    # each bracket of the image's sum maps onto itself under a flip of the
+    # rows or of the columns, so K(flip Z) = flip K(Z) bit for bit
+    ops, Z = _random_image_input(seed, J, lam, gamma, sing_policy, (-L, L))
+    for K in (band.dense() for pair in ops.bands for band in pair):
+        assert np.array_equal(K, K[::-1, ::-1])
+    image = ops.image(Z)
+    assert np.array_equal(ops.image(Z[:, ::-1, :].copy()), image[:, ::-1, :])
+    assert np.array_equal(ops.image(Z[:, :, ::-1].copy()), image[:, :, ::-1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(**image_cases, gamma=st.floats(min_value=-2.0, max_value=2.0))
 def test_image_matches_the_dense_bands(seed, J, lam, gamma, sing_policy, bounds):

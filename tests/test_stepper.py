@@ -485,9 +485,9 @@ def test_cfl_guard_alpha_zero(ref_grid24):
 
 def test_cfl_guard_reads_the_grids_alpha(ref_grid24):
     # the value that cfl_guard gave with alpha = 0.5 passed beside this
-    # grid, bit for bit
+    # grid, bit for bit, on the mirrored nodes of `build_grid`
     grid = build_grid(dataclasses.replace(ref_grid24.spec, alpha=0.5))
-    assert cfl_guard(grid, 0.25, 0.25) == (False, 8.000000000000004)
+    assert cfl_guard(grid, 0.25, 0.25) == (False, 7.999999999999998)
 
 
 def test_cfl_guard_small_sigma_passes():
