@@ -102,7 +102,8 @@ class GridSpec:
             raise InvalidSpecError("independent step rule needs an explicit l > 0")
         if self.step_rule == COUPLED and self.l is not None:
             raise InvalidSpecError(f"the coupled step rule sets l itself; got l={self.l}")
-        h = (self.L1 - self.L0) / (self.J + 1)
+        # in Python floats, so a width that overflows gives inf, refused below, and no numpy warning
+        h = (float(self.L1) - float(self.L0)) / (self.J + 1)
         l = h * math.sqrt(h) if self.step_rule == COUPLED else float(self.l)
         ends = (_node(self, h, 0), _node(self, h, self.J + 1))
         if not (h > 0.0 and 0.0 < l < math.inf and all(map(math.isfinite, ends))):

@@ -41,7 +41,13 @@ term of a step's right-hand side is a combination of these, so a step forms
 one image and one source, of the level it solves, and no caller carries a
 source beside its level.  The stacked pair (Z+, Z-) is the unit of every
 per-step operation: the right-hand side, the batched branch solve
-(`sylvester._solve`), the image, the residual and the reported norm.
+(`sylvester._solve`), the image, the residual and the reported norm.  On
+a centred grid the plan of a Method II run long enough to repay it
+(QUADRANT_MIN_WORK) also keeps the branch pairs' mirror quadrant
+(`plan_solves`), and a step whose right-hand side is bitwise even, as every
+one of a run from even data is there, is solved on it; everything else
+about the step stays full size: the right-hand side, the image, the
+residual, which checks every quadrant solve, and the margins.
 """
 
 from __future__ import annotations
@@ -75,6 +81,18 @@ BLOWUP_CAP = 1e8
 # the step count and work of every run are capped by `grid.MAX_STEPS` and
 # `grid.MAX_WORK`.
 MAX_TRAJECTORY_BYTES = 2**34
+
+# Method II's plan keeps the mirror quadrant stack (`plan_solves`) only for a
+# run whose work, steps x (J+2)^3 as `grid.MAX_WORK` counts it, reaches this:
+# what the quadrant costs to build, one `eigh` of size ceil((J+2)/2) per
+# distinct side and about 0.2 ms of Python, is paid back only by what its
+# solves save, 7/8 of the transforms' GEMM flops.  On a 2-vCPU x86-64 host
+# with 1 BLAS thread a quadrant solve saves 30 us at J = 49 (setup repaid
+# after about 11 solves; 16 steps here) and 0.5 ms at J = 99 (2 solves; 3
+# steps here), and nothing at J <= 24, where the evenness check and the
+# unfold cost what the smaller products save (a J = 24 run folds from 120
+# steps on, a few us per solve slower, for its bitwise-even levels).
+QUADRANT_MIN_WORK = 2**21
 
 
 def _check_solver(solver: str):
@@ -152,7 +170,7 @@ def _power(own: np.ndarray, other: np.ndarray, expo: float) -> np.ndarray:
     return np.abs(own) ** (expo - 1.0) * other
 
 
-def plan_solves(ops: StepOperators, grid: Grid, a: float) -> SolvePlan:
+def plan_solves(ops: StepOperators, grid: Grid, a: float, *, fold: bool) -> SolvePlan:
     """The run's `SolvePlan`: the shift-free branch pairs factored once and
     checked at every step's shift c_n, row n - 1 for step n.
 
@@ -161,6 +179,12 @@ def plan_solves(ops: StepOperators, grid: Grid, a: float) -> SolvePlan:
     U/V coefficients off the same pairs.  On the reference grid (axis node,
     limit policy) the sum branch takes the diagonal kernel for lam, gamma < 1
     and the difference branch for lam, gamma < 1/2, else the Schur kernel.
+    With `fold`, when every band is bitwise mirrored, as on a centred grid,
+    the plan also keeps the pairs' quadrant stack of size ceil(n/2)
+    (`SolvePlan.quadrant`), on which `sylvester._solve` solves every
+    bitwise-even right-hand side; the margins stay those of the full pairs.
+    `prepare` decides it: Method II on a run whose work reaches
+    QUADRANT_MIN_WORK.
     Raises InvalidSpecError when a step operator or a pair is not finite (a
     lam, gamma, alpha or sigma so large that it overflows) and, for a finite
     a, when a shift c_n is not finite (a t_n so small that a / t_n
@@ -186,7 +210,7 @@ def plan_solves(ops: StepOperators, grid: Grid, a: float) -> SolvePlan:
                 f"step {n}: the shift c_{n} = l a / (2 t_{n}) = {c} is not finite "
                 f"(t_{n} = {grid.time(n):.6g}, l = {grid.l:.6g})"
             )
-    return _factor(pairs, tuple(BRANCH_SIGNS), shifts, steps)
+    return _factor(pairs, tuple(BRANCH_SIGNS), shifts, steps, fold=fold)
 
 
 def init_levels(prob: ProblemDef, grid: Grid, ops: StepOperators):
@@ -461,9 +485,11 @@ def prepare(
     treatment `sing_policy` ('zero' drops the singular coefficient, 'limit'
     uses its L'Hopital stencil; see operators.build_operator_set), and
     `plan_solves` factors the branch pairs once and checks every step's
-    margin, raising SolvabilityError naming the step before any solve.
-    `march` calls it on its first draw and `epdsys validate` runs it alone,
-    so both refuse the same runs; a hand loop starts from it.
+    margin, raising SolvabilityError naming the step before any solve; for
+    Method II it also folds them onto their mirror quadrant when the run's
+    work, steps x (J+2)^3, reaches QUADRANT_MIN_WORK.  `march` calls it on
+    its first draw and `epdsys validate` runs it alone, so both refuse the
+    same runs; a hand loop starts from it.
     """
     _check_solver(solver)
     grid = spec if isinstance(spec, Grid) else build_grid(spec)
@@ -475,7 +501,9 @@ def prepare(
     with np.errstate(over="ignore", invalid="ignore"):
         opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy=sing_policy)
         ops = assemble_step_operators(opset, grid)
-    return grid, ops, plan_solves(ops, grid, prob.a)
+    # Method I reads only the pairs; a short Method II run would not repay the quadrant
+    fold = solver == SOLVER_SYLVESTER and grid.n_steps * grid.size**3 >= QUADRANT_MIN_WORK
+    return grid, ops, plan_solves(ops, grid, prob.a, fold=fold)
 
 
 def march(

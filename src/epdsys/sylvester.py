@@ -30,6 +30,21 @@ products and one division.  There are two kernels, chosen per pair:
             with 2 x 2 blocks for complex-conjugate pairs) and LAPACK trsyl
             on its own slice.
 
+On a centred grid (L0 = -L1) every band commutes with the flip of the
+node order bitwise, and every right-hand side of a run from even data is
+bitwise even in x and in y (`StepOperators.image`).  The plan of a
+Method II run long enough to repay it (`_factor` with `fold`, which
+`stepper.prepare` passes) then also keeps a quadrant stack: each pair
+restricted to its modes even in both directions, of size m = ceil(n/2)
+(`_fold_pair`, the symmetry-adapted basis of Fassler and Stiefel, 1992),
+factored as any pair is, with one `eigh` of size m per distinct side.
+`_solve` takes it for every C that is bitwise even in its rows and
+columns, at 1/8 of the full stack's GEMM flops, and unfolds the quadrant's
+solution with one `take` per axis (`_unfold`), so every Method II level of
+such a run is bitwise even.  Any other C, an asymmetric grid, a shorter
+run, Method I's plan and the standalone solvers below use the full stack,
+and the margins are always the full pairs'.
+
 The solvability margin min |lam_i + mu_j + 2 s_b| is checked against
 DENOM_RTOL when the plan is made, never in a solve; `_margins` does so for
 every shift at once.  On the diagonal kernel it is the smallest denominator
@@ -219,41 +234,56 @@ class _Pair:
 
 
 @dataclasses.dataclass(frozen=True)
-class SolvePlan:
-    """A factored stack of pairs (L_b, R_b) and the checked shifts it is solved at.
+class _Stack:
+    """The transforms of a factored stack of pairs (L_b, R_b), as `_solve_stack` reads them.
 
-    Row k solves pair b shifted by signs[b] shifts[k] on both sides: +1 for
-    a single equation and for the sum branch, -1 for the difference branch
-    (`BRANCH_SIGNS`).  QL, QR and w are (B, n, n) stacks: each side's
-    orthogonal eigenvectors (or Schur vectors) and the scale plane w_b =
-    d_L[:, None] / d_R[None, :] of the pair's symmetrizers (1 on a Schur
-    pair's slice), so VL^-1 C VR = QL^T (w * C) QR.  QR is QL, the same
-    array, when every pair shares one `eigh` (`_factor_pair`).  `sums`
-    holds lam_i + mu_j of the diagonal pairs (zero on a Schur pair's
-    slice).  `diagonal` indexes the diagonal slices (all of them as one
-    slice when no pair is Schur) and `schur` lists the others.  `margins`
-    (K, B) holds every row's margins, all above the solvability floor (on a
-    diagonal pair, the smallest |sums + 2 s_b| that row k divides by), and
-    `attaining` (K, B, 2) the shifted eigenvalue pairs that attain them.
+    QL, QR and w are (B, n, n) stacks: each side's orthogonal eigenvectors
+    (or Schur vectors) and the scale plane w_b = d_L[:, None] /
+    d_R[None, :] of the pair's symmetrizers (1 on a Schur pair's slice), so
+    VL^-1 C VR = QL^T (w * C) QR.  QR is QL, the same array, when every
+    pair shares one `eigh` (`_factor_pair`).  `sums` holds lam_i + mu_j
+    of the diagonal pairs (zero on a Schur pair's slice).  `diagonal`
+    indexes the diagonal slices (all of them as one slice when no pair is
+    Schur) and `schur` lists the others.
     """
 
     pairs: tuple[_Pair, ...]
-    signs: np.ndarray  # (B, 1, 1), to scale the slices of a stack
     QL: np.ndarray
     QR: np.ndarray
     w: np.ndarray
     sums: np.ndarray
     diagonal: slice | list[int]
     schur: tuple[int, ...]
-    shifts: np.ndarray
-    margins: np.ndarray
-    attaining: np.ndarray
-    factor_time: float
 
     @property
     def kernels(self) -> tuple[str, ...]:
         """The solve kernel of each pair: "diagonal" or "schur"."""
         return tuple(pair.kernel for pair in self.pairs)
+
+
+@dataclasses.dataclass(frozen=True)
+class SolvePlan(_Stack):
+    """A factored stack of pairs (L_b, R_b) and the checked shifts it is solved at.
+
+    Row k solves pair b shifted by signs[b] shifts[k] on both sides: +1 for
+    a single equation and for the sum branch, -1 for the difference branch
+    (`BRANCH_SIGNS`).  The stack's transforms are those of `_Stack`.
+    `margins` (K, B) holds every row's margins, all above the solvability
+    floor (on a diagonal pair, the smallest |sums + 2 s_b| that row k
+    divides by), and `attaining` (K, B, 2) the shifted eigenvalue pairs
+    that attain them.  `quadrant`, when the plan was made with `fold` and
+    every band is bitwise mirrored, is the (B, m, m) stack of the pairs
+    restricted to their modes even in both directions, m = ceil(n/2)
+    (`_fold_pair`); `_solve` takes it for a right-hand side that is bitwise
+    even, and no margin is read from it.
+    """
+
+    signs: np.ndarray  # (B, 1, 1), to scale the slices of a stack
+    shifts: np.ndarray
+    margins: np.ndarray
+    attaining: np.ndarray
+    factor_time: float
+    quadrant: _Stack | None
 
     def min_margin(self) -> tuple[float, int, str, tuple[complex, complex]]:
         """The smallest margin, its step (row + 1), its branch and the shifted
@@ -333,16 +363,48 @@ def _factor_pair(L, R, branch):
     return pair, (QL, QR, np.ones_like(QL))
 
 
-def _factor(pairs, branches=(None,), shifts=(0.0,), steps=None) -> SolvePlan:
-    """Factor the pairs ((L, R), ...) once, as one stack, and check it at
-    every shift of `shifts`.
+def _fold_band(M: TriDiagMatrix, rows: bool) -> TriDiagMatrix:
+    """The band M restricted to vectors even under the flip, on the first m =
+    ceil(n/2) indices: S^T M E with its columns folded (rows False, a left
+    side) or E^T M S with its rows folded (rows True, a right side), where
+    E unfolds, E[j, min(j, n-1-j)] = 1, and S^T keeps the first m entries.
 
-    A named branch is shifted with its sign in `BRANCH_SIGNS`, an unnamed
-    pair (a single equation) by +1.  Raises SolvabilityError (`_margins`)
-    before anything is solved.
+    Only the centre changes.  Folding columns, for an odd n = 2k+1 the
+    centre row's sub[k-1] gains sup[k] (column k+1 is column k-1's
+    mirror), and for an even n = 2k the last diagonal entry gains sup[k-1]
+    (column k is column k-1's mirror).  Folding rows is the same on M^T:
+    sup[k-1] gains sub[k], or the last diagonal entry gains sub[k-1].
     """
-    t_start = time.perf_counter()
-    factored = [_factor_pair(L, R, branch) for (L, R), branch in zip(pairs, branches)]
+    n = M.size
+    m, k = (n + 1) // 2, n // 2
+    near, far = (M.sup, M.sub) if rows else (M.sub, M.sup)  # far crosses the centre
+    diag, folded = M.diag[:m].copy(), near[: m - 1].copy()
+    if n % 2:
+        folded[k - 1] += far[k]
+    else:
+        diag[k - 1] += far[k - 1]
+    lo, hi = (far[: m - 1], folded) if rows else (folded, far[: m - 1])
+    return TriDiagMatrix(sub=lo, diag=diag, sup=hi)
+
+
+def _fold_pair(pair: _Pair):
+    """The pair (L, R) restricted to its modes even in both directions: the
+    `_Pair` of its folded bands (`_fold_band`) and its transforms.
+
+    On that subspace X = E Xe E^T, and L X + X R = C with C even becomes
+    L_e Xe + Xe R_e = C[:m, :m], with L_e = S^T L E and R_e = E^T R S; the
+    eigenvalues of L_e are those of L with an even eigenvector, likewise
+    for R_e.  The folded pair is factored as any pair is (`_factor_pair`),
+    with one `eigh` of size m per side, one for both when the folded pair is
+    transposed.  A mirrored band's products sub * sup are mirrored too, and
+    the fold doubles the centre's sub or moves only a diagonal entry, so a
+    diagonal pair folds to a diagonal pair and a Schur pair to a Schur pair.
+    """
+    return _factor_pair(_fold_band(pair.L, rows=False), _fold_band(pair.R, rows=True), pair.branch)
+
+
+def _stack(factored) -> dict:
+    """The `_Stack` fields of the factored pairs [(pair, (QL, QR, w)), ...]."""
     records = tuple(pair for pair, _ in factored)
     QLs, QRs, ws = zip(*(V for _, V in factored))
     QL, w = np.stack(QLs), np.stack(ws)
@@ -352,15 +414,39 @@ def _factor(pairs, branches=(None,), shifts=(0.0,), steps=None) -> SolvePlan:
         if pair.kernel == "diagonal":
             np.add(pair.lams[:, None], pair.mus[None, :], out=sums[b])
     schur = tuple(b for b, pair in enumerate(records) if pair.kernel == "schur")
+    diagonal = [b for b in range(len(records)) if b not in schur] if schur else slice(None)
+    return dict(pairs=records, QL=QL, QR=QR, w=w, sums=sums, diagonal=diagonal, schur=schur)
+
+
+def _factor(pairs, branches=(None,), shifts=(0.0,), steps=None, fold=False) -> SolvePlan:
+    """Factor the pairs ((L, R), ...) once, as one stack, and check it at
+    every shift of `shifts`.
+
+    A named branch is shifted with its sign in `BRANCH_SIGNS`, an unnamed
+    pair (a single equation) by +1.  Raises SolvabilityError (`_margins`)
+    before anything is solved.  With `fold`, when every side is a
+    TriDiagMatrix of size n >= 2 that is bitwise mirrored (`_mirrored`),
+    the plan also keeps the quadrant stack of the folded pairs
+    (`_fold_pair`), factored after the margins pass; its margins are not
+    checked apart, since its eigenvalues are among the full pairs'.
+    `factor_time` covers both factorizations, not the margins.
+    """
+    t_start = time.perf_counter()
+    stack = _stack([_factor_pair(L, R, branch) for (L, R), branch in zip(pairs, branches)])
     signs = np.array([BRANCH_SIGNS.get(branch, 1.0) for branch in branches])
     factor_time = time.perf_counter() - t_start
     shifts = np.array(shifts, dtype=float)
     shifts.flags.writeable = False  # a solve runs only at the shifts checked here
-    margins, attaining = _margins(records, signs, shifts, sums, steps)
+    margins, attaining = _margins(stack["pairs"], signs, shifts, stack["sums"], steps)
+    t_start = time.perf_counter()
+    quadrant = None
+    if fold and all(
+        isinstance(M, TriDiagMatrix) and M.size >= 2 and _mirrored(M) for pair in pairs for M in pair
+    ):
+        quadrant = _Stack(**_stack([_fold_pair(pair) for pair in stack["pairs"]]))
     return SolvePlan(
-        pairs=records, signs=signs[:, None, None], QL=QL, QR=QR, w=w, sums=sums,
-        diagonal=[b for b in range(len(records)) if b not in schur] if schur else slice(None),
-        schur=schur, shifts=shifts, margins=margins, attaining=attaining, factor_time=factor_time,
+        **stack, signs=signs[:, None, None], shifts=shifts, margins=margins, attaining=attaining,
+        factor_time=factor_time + time.perf_counter() - t_start, quadrant=quadrant,
     )
 
 
@@ -435,21 +521,38 @@ def _solve(plan: SolvePlan, C: np.ndarray, k: int) -> np.ndarray:
     every pair b, with s_b = signs[b] shifts[k], at row k of the plan's
     checked shifts.
 
+    A C that is bitwise even in its rows and columns (`_even`) has an even
+    solution; when the plan keeps a quadrant stack, such a C is solved on
+    its quadrant C[:, :m, :m] (`_solve_stack`, 1/8 of the full stack's GEMM
+    flops) and the solution is unfolded (`_unfold`).  Every other C, and
+    every C of a plan without one, is solved on the full stack.
+    """
+    c = plan.shifts[k]
+    quadrant = plan.quadrant
+    if quadrant is not None and _even(C):
+        m = quadrant.QL.shape[-1]
+        return _unfold(_solve_stack(quadrant, plan.signs, c, C[:, :m, :m]), C.shape[-1])
+    return _solve_stack(plan, plan.signs, c, C)
+
+
+def _solve_stack(stack: _Stack, signs: np.ndarray, c: float, C: np.ndarray) -> np.ndarray:
+    """The stack X solving (L_b + s_b I) X_b + X_b (R_b + s_b I) = C_b for
+    every pair b of `stack`, with s_b = signs[b] c.
+
     With Z = VL^-1 X VR the equations become (TL + s I) Z + Z (TR + s I) =
     VL^-1 C VR = QL^T (w * C) QR: one scale and two batched products each
     way over the stack (the transposes are views), one entrywise division
     by lam_i + mu_j + 2 s_b over the diagonal slices and LAPACK trsyl on a
     Schur pair's slice; X = VL Z VR^-1 = (QL Z QR^T) / w.
     """
-    c = plan.shifts[k]
-    QL, QR, w = plan.QL, plan.QR, plan.w
+    QL, QR, w = stack.QL, stack.QR, stack.w
     Z = QL.swapaxes(1, 2) @ (w * C) @ QR
-    d = plan.diagonal
-    Z[d] /= plan.sums[d] + (2.0 * c) * plan.signs[d]
-    if plan.schur:
+    d = stack.diagonal
+    Z[d] /= stack.sums[d] + (2.0 * c) * signs[d]
+    if stack.schur:
         import scipy.linalg
-    for b in plan.schur:
-        pair, s = plan.pairs[b], c * plan.signs[b, 0, 0]
+    for b in stack.schur:
+        pair, s = stack.pairs[b], c * signs[b, 0, 0]
         TL, TR = pair.TL.copy(order="F"), pair.TR.copy(order="F")
         TL[np.diag_indices_from(TL)] += s
         TR[np.diag_indices_from(TR)] += s
@@ -633,13 +736,24 @@ def _lyapunov_branch(L, C, branch, buffer, tables):
 
 
 def _mirrored(A) -> bool:
-    """Whether A == A[::-1, ::-1] bitwise: A commutes with the flip of the index order."""
+    """Whether A == A[::-1, ::-1] bitwise: A, dense or a TriDiagMatrix,
+    commutes with the flip of the index order."""
+    if isinstance(A, TriDiagMatrix):
+        return bool((A.diag == A.diag[::-1]).all() and (A.sub == A.sup[::-1]).all())
     return np.array_equal(A, A[::-1, ::-1])
 
 
 def _even(C) -> bool:
-    """Whether C is bitwise even in its rows and in its columns."""
-    return np.array_equal(C, C[::-1]) and np.array_equal(C, C[:, ::-1])
+    """Whether C, one matrix or a stack, is bitwise even in its rows and in its columns."""
+    return np.array_equal(C, C[..., ::-1, :]) and np.array_equal(C, C[..., ::-1])
+
+
+def _unfold(P, n: int) -> np.ndarray:
+    """The even n x n matrices (or stack) whose m x m quadrant is P, m =
+    ceil(n/2): X[..., i, j] = P[..., r(i), r(j)], r(j) = min(j, n-1-j).
+    One `take` per axis, so the result is C-contiguous."""
+    r = np.minimum(np.arange(n), np.arange(n)[::-1])
+    return P.take(r, axis=-2).take(r, axis=-1)
 
 
 def _fold(L, M, C):
@@ -671,14 +785,15 @@ def kronecker_solve(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
     solved on its m x m quadrant, m = ceil(n/2) (`_fold`; the
     symmetry-adapted basis of Fassler and Stiefel, 1992): L's columns j and
     n-1-j are added, as are M's rows, and the quadrant's solution is
-    unfolded with one gather, P[i, j] = Pe[r(i), r(j)], r(j) = min(j,
-    n-1-j).  The folded system is the restriction of the branch to its
-    modes even in both directions, so a mirrored branch that is singular
-    only in a mode odd in a direction is not refused here: the solve then
-    returns the even solution, whose residual is at rounding level.  A run
-    is not affected, since `stepper.plan_solves` checks the margin of every
-    eigenpair and refuses such a step before any solve.  Any other problem,
-    an asymmetric grid or a single asymmetric bit, is solved at full size.
+    unfolded (`_unfold`, a `take` per axis), P[i, j] = Pe[r(i), r(j)],
+    r(j) = min(j, n-1-j).  The folded system is the restriction of the
+    branch to its modes even in both directions, so a mirrored branch that
+    is singular only in a mode odd in a direction is not refused here: the
+    solve then returns the even solution, whose residual is at rounding
+    level.  A run is not affected, since `stepper.plan_solves` checks the
+    margin of every eigenpair and refuses such a step before any solve.
+    Any other problem, an asymmetric grid or a single asymmetric bit, is
+    solved at full size.
 
     A branch whose M is bitwise L.T (after the fold, which keeps it), as
     the stepper's branches are when lambda = gamma, is a Lyapunov equation
@@ -714,8 +829,7 @@ def kronecker_solve(p: CoupledProblem) -> tuple[np.ndarray, np.ndarray]:
         for (branch, L, M, Cb), lyap in zip(branches, lyapunov)
     ]
     if fold:
-        r = np.minimum(np.arange(n), np.arange(n)[::-1])
-        solutions = [P[np.ix_(r, r)] for P in solutions]
+        solutions = [_unfold(P, n) for P in solutions]
     return tuple(_sum_diff(solutions, 0.5))
 
 

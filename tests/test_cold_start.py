@@ -41,7 +41,7 @@ def kernels(config):
     grid = build_grid(grid_spec_for(config))
     opset = build_operator_set(grid, config.lam, config.gamma, sing_policy="limit")
     ops = assemble_step_operators(opset, grid)
-    return plan_solves(ops, grid, config.a).kernels
+    return plan_solves(ops, grid, config.a, fold=False).kernels
 
 out = {"after_import": loaded()}
 config = RunConfig(J=24)

@@ -155,6 +155,17 @@ def test_grid_near_the_float_range():
                             step_rule="independent", l=0.01))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("step_rule, l", [("independent", 0.01), ("coupled", None)])
+@pytest.mark.parametrize("ends", [(-1.7e308, 1.7e308), (-1e308, 1.7e308)])
+def test_numpy_ends_whose_width_overflows_are_refused_without_a_warning(ends, step_rule, l):
+    # numpy.float64 ends subtract with numpy's overflow warning; the mesh
+    # check refuses them with its own error and no warning first
+    L0, L1 = map(np.float64, ends)
+    with pytest.raises(InvalidSpecError, match=r"^need finite nodes and mesh steps h, l > 0, got h=inf"):
+        build_grid(GridSpec(L0=L0, L1=L1, J=9, step_rule=step_rule, l=l))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     ends=st.lists(

@@ -100,7 +100,7 @@ def test_axis_node_limit_policy():
 def factored_pairs(grid, lam, a=0.0):
     """The (sum, diff) pairs (L, R) that the plan factors, as TriDiagMatrix objects."""
     ops = assemble_step_operators(build_operator_set(grid, lam, lam), grid)
-    return [(f.L, f.R) for f in plan_solves(ops, grid, a).pairs]
+    return [(f.L, f.R) for f in plan_solves(ops, grid, a, fold=False).pairs]
 
 
 def test_w_alpha_degenerate_alpha_zero():

@@ -249,7 +249,7 @@ def test_step_zero_state_stays_zero():
     prob = ProblemDef(a=1.0, lam=0.25, gamma=0.25, p=2.0, q=2.0, data=(ZERO,) * 4)
     opset = build_operator_set(grid, 0.25, 0.25)
     ops = assemble_step_operators(opset, grid)
-    plan = plan_solves(ops, grid, prob.a)
+    plan = plan_solves(ops, grid, prob.a, fold=False)
     # the step's index is the level of its newer history level: history
     # (n, n-1) gives step n, its shift row n - 1 and the new level n + 1
     for n in (1, 2):
@@ -273,7 +273,7 @@ def test_step_outside_the_plan_is_named():
     grid = build_grid(GridSpec(L0=-1, L1=1, J=3, t0=1.0, n_steps=3))
     prob = ProblemDef(a=1.0, lam=0.25, gamma=0.25, p=2.0, q=2.0, data=(ZERO,) * 4)
     ops = assemble_step_operators(build_operator_set(grid, 0.25, 0.25), grid)
-    plan = plan_solves(ops, grid, prob.a)
+    plan = plan_solves(ops, grid, prob.a, fold=False)
     for n in (3, 0):
         history = _zero_history(grid, n)
         levels = tuple(BranchLevel.of(state, ops, prob, grid) for state in history)
@@ -434,7 +434,7 @@ def test_plan_refuses_a_shift_that_is_not_finite():
     prob, spec = reference_j9()
     grid, ops, _ = prepare(prob, spec)
     with pytest.raises(SolvabilityError, match=r"^step 1: sum branch failed: .* = nan$"):
-        plan_solves(ops, grid, math.nan)
+        plan_solves(ops, grid, math.nan, fold=False)
 
 
 def test_init_levels_checks_the_taylor_level_1_it_computes():
@@ -713,29 +713,40 @@ def test_plan_names_a_shift_that_the_mesh_makes_not_finite(monkeypatch):
     assert factors == []
 
 
-def test_run_factors_once_per_run(monkeypatch):
+def _factors_once(monkeypatch, J, n_steps, folded):
     # one symmetric eigendecomposition per side and branch per run, not per
     # step; at lam = gamma each branch pair is (L, L^T), whose symmetrized
-    # sides are bitwise equal, so one eigh serves both and QR is QL.  The
-    # symmetrizable pairs need no Schur form or trsyl
-    spec = GridSpec(L0=-10, L1=10, J=9, t0=0.5, n_steps=12, step_rule="independent", l=0.05)
-    grid = build_grid(spec)
+    # sides are bitwise equal, so one eigh serves both and QR is QL.  A run
+    # of QUADRANT_MIN_WORK (16 steps at J = 49; 12 at J = 9 is far below)
+    # makes as many again for its mirror quadrant, whose folded sides share
+    # one eigh too.  The symmetrizable pairs need no Schur form or trsyl
+    spec = GridSpec(L0=-10, L1=10, J=J, t0=0.5, n_steps=n_steps, step_rule="independent", l=0.05)
     eigh_calls = _counting(monkeypatch, np.linalg, "eigh")
     schur_calls = _counting(monkeypatch, scipy.linalg, "schur")
     trsyl_calls = _counting(monkeypatch, scipy.linalg.lapack, "dtrsyl")
     for lam, gamma, eighs in [(0.25, 0.25, 2), (0.25, 0.3, 4)]:
         eigh_calls.clear()
-        prob, _ = manufactured_problem(RunConfig(J=9, lam=lam, gamma=gamma))
+        prob, _ = manufactured_problem(RunConfig(J=J, lam=lam, gamma=gamma))
         _, reports = run(prob, spec, sing_policy="limit")
-        assert len(reports) == 11
-        assert len(eigh_calls) == eighs
+        assert len(reports) == n_steps - 1
+        assert len(eigh_calls) == eighs * (1 + folded)
         assert schur_calls == []
         assert trsyl_calls == []
         assert max(r.residual_coupled for r in reports) <= 1e-13
-        opset = build_operator_set(grid, lam, gamma, sing_policy="limit")
-        plan = plan_solves(assemble_step_operators(opset, grid), grid, prob.a)
+        _, _, plan = prepare(prob, spec, sing_policy="limit")
         assert plan.kernels == ("diagonal", "diagonal")
         assert (plan.QR is plan.QL) == (lam == gamma)
+        assert (plan.quadrant is not None) == folded
+        if folded:
+            assert (plan.quadrant.QR is plan.quadrant.QL) == (lam == gamma)
+
+
+def test_run_factors_once_per_run(monkeypatch):
+    _factors_once(monkeypatch, J=9, n_steps=12, folded=False)
+
+
+def test_long_run_factors_its_mirror_quadrant_once(monkeypatch):
+    _factors_once(monkeypatch, J=49, n_steps=16, folded=True)
 
 
 def test_forcing_sampled_once_per_level(monkeypatch):
@@ -873,7 +884,7 @@ def test_reports_carry_the_shift_and_both_margins(solver):
     prob, _ = manufactured_problem(RunConfig(J=9))
     _, reports = run(prob, spec, solver=solver, sing_policy="limit")
     opset = build_operator_set(grid, prob.lam, prob.gamma, sing_policy="limit")
-    plan = plan_solves(assemble_step_operators(opset, grid), grid, prob.a)
+    plan = plan_solves(assemble_step_operators(opset, grid), grid, prob.a, fold=False)
     assert 0.0 < plan.factor_time
     # row n - 1 of the plan's arrays is step n
     assert [r.n for r in reports] == [1, 2, 3, 4, 5]
@@ -901,7 +912,7 @@ def test_min_margin_ties_go_to_the_earliest_step_then_diff():
     margins = np.array([[1.0, 2.0], [0.5, 0.5], [3.0, 1.0], [0.5, 0.5]])
     grid = build_grid(GridSpec(L0=-1, L1=1, J=3, t0=0.5, n_steps=5))
     ops = assemble_step_operators(build_operator_set(grid, 0.25, 0.25), grid)
-    plan = dataclasses.replace(plan_solves(ops, grid, 1.0), margins=margins)
+    plan = dataclasses.replace(plan_solves(ops, grid, 1.0, fold=False), margins=margins)
     assert isinstance(plan, epdsys.stepper.SolvePlan)
     # the returned pair is the plan's attaining pair at that step and branch
     for margins, expected in (
@@ -1124,7 +1135,7 @@ def test_factored_pairs_are_the_identity_minus_the_image():
     # f.L Z + Z f.R = Z - alpha sigma K(Z)
     grid = build_grid(GridSpec(L0=-1, L1=1, J=5, t0=0.5, step_rule="independent", l=0.1))
     ops = assemble_step_operators(build_operator_set(grid, 0.3, -0.2), grid)
-    plan = plan_solves(ops, grid, 1.0)
+    plan = plan_solves(ops, grid, 1.0, fold=False)
     Z = np.random.default_rng(5).standard_normal((2, grid.size, grid.size))
     KZ = ops.image(Z)
     assert tuple(f.branch for f in plan.pairs) == tuple(BRANCH_SIGNS)
