@@ -34,6 +34,8 @@ damping shift c_n I (`step_shift`), with the branch's sign.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 
 import numpy as np
 
@@ -203,47 +205,136 @@ class StepOperators:
             plane[4, :, :-1] = Kr.sub[None, :]
         object.__setattr__(self, "image_planes", planes)
 
+    @property
+    def size(self) -> int:
+        """The grid size n = J+2 of the planes and of a full level."""
+        return self.image_planes.shape[-1]
+
+    @functools.cached_property
+    def _corner_planes(self) -> np.ndarray:
+        """The image planes of the (m+1) x (m+1) corner, m = ceil(n/2), contiguous."""
+        m = (self.size + 1) // 2
+        return np.ascontiguousarray(self.image_planes[:, :, : m + 1, : m + 1])
+
     def image(self, Z: np.ndarray) -> np.ndarray:
-        """K(Z) = K Z + Z K' of the stacked branch pair Z = (Z+, Z-).
+        """K(Z) = K Z + Z K' of the stacked branch pair Z = (Z+, Z-), or its
+        quadrant.
 
-        In the flattened stack the neighbours (i, j -+ 1) and (i -+ 1, j)
-        sit 1 and n places away, so each neighbour term is one shifted
-        product over one contiguous run; the planes are zero where a shift
-        would cross a row or a slice.  The terms are summed as
-
-            K(Z) = (left Z[i, j-1] + right Z[i, j+1])
-                 + (up Z[i-1, j] + down Z[i+1, j]) + diag Z,
-
-        9 passes in all, the row pair written straight into the output.
-        The order is the reason.  A flip of the rows maps up onto down and
-        leaves the row pair alone, a flip of the columns maps left onto
-        right, and when K' = K^T bitwise (lambda = gamma) the transpose maps
-        the row pair onto the column pair; the diagonal plane K_ii + K'_jj
-        maps onto itself or onto K'_jj + K_ii.  Since fl(a + b) = fl(b + a),
-        the image of a transposed Z is the transposed image, and on a
-        centred grid (`grid.build_grid`), whose bands satisfy K ==
-        K[::-1, ::-1] bitwise, the image of a mirrored Z is the mirrored
-        image, bit for bit.  So a level even in x and y, or symmetric, keeps
-        an image that is too.  Summed term by term instead, the images part
-        in the last bits.
+        A full (B, n, n) Z takes the 9-pass kernel (`_image`).  A (B, m, m)
+        Z, m = ceil(n/2), stands for the even level whose quadrant it is
+        (`_unfold`), and its image is that level's image's quadrant: the
+        kernel runs on the level's (m+1) x (m+1) corner, whose row and
+        column m are the mirrors of rows and columns n-1-m, with the
+        corner's planes, and keeps the first m rows and columns.  Each kept
+        entry reads only its neighbours in the corner, with the full
+        planes' coefficients, in the same order, so it equals the full
+        image's entry bit for bit, for an odd and an even n; the ghost row
+        and column, and the row wrap of the flattened corner, reach only
+        the entries that are dropped.  The step of a run carried on the
+        quadrant (`stepper.march`) forms every image so.
         """
-        shape = self.image_planes.shape[1:]
-        if Z.shape != shape:
-            raise InvalidSpecError(f"dimension mismatch: {shape} vs {Z.shape}")
-        n = Z.shape[-1]
-        diagonal, up, down, left, right = self.image_planes.reshape(5, -1)
-        z = Z.ravel()
-        KZ = np.empty_like(z)
-        KZ[0] = 0.0  # left is zero in column 0
-        np.multiply(left[1:], z[:-1], out=KZ[1:])
-        KZ[:-1] += right[:-1] * z[1:]
-        column = np.empty_like(z)
-        column[:n] = 0.0  # up is zero in row 0
-        np.multiply(up[n:], z[:-n], out=column[n:])
-        column[:-n] += down[:-n] * z[n:]
-        KZ += column
-        KZ += diagonal * z
-        return KZ.reshape(Z.shape)
+        planes = self.image_planes
+        if Z.shape == planes.shape[1:]:
+            return _image(planes, Z)
+        n = self.size
+        m = (n + 1) // 2
+        if Z.shape != planes.shape[1:2] + (m, m):
+            raise InvalidSpecError(f"dimension mismatch: {planes.shape[1:]} vs {Z.shape}")
+        g = _mirror(n)[: m + 1]
+        return _image(self._corner_planes, Z.take(g, axis=-2).take(g, axis=-1))[:, :m, :m]
+
+
+def _image(planes: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """The image kernel: sum_t planes[t] * (Z shifted by term t) over a (B, n, n) stack.
+
+    In the flattened stack the neighbours (i, j -+ 1) and (i -+ 1, j) sit 1
+    and n places away, so each neighbour term is one shifted product over
+    one contiguous run; the planes are zero where a shift would cross a row
+    or a slice.  The terms are summed as
+
+        K(Z) = (left Z[i, j-1] + right Z[i, j+1])
+             + (up Z[i-1, j] + down Z[i+1, j]) + diag Z,
+
+    9 passes in all, the row pair written straight into the output.  The
+    order is the reason.  A flip of the rows maps up onto down and leaves
+    the row pair alone, a flip of the columns maps left onto right, and
+    when K' = K^T bitwise (lambda = gamma) the transpose maps the row pair
+    onto the column pair; the diagonal plane K_ii + K'_jj maps onto itself
+    or onto K'_jj + K_ii.  Since fl(a + b) = fl(b + a), the image of a
+    transposed Z is the transposed image, and on a centred grid
+    (`grid.build_grid`), whose bands satisfy K == K[::-1, ::-1] bitwise,
+    the image of a mirrored Z is the mirrored image, bit for bit.  So a
+    level even in x and y, or symmetric, keeps an image that is too.
+    Summed term by term instead, the images part in the last bits.
+    """
+    n = Z.shape[-1]
+    diagonal, up, down, left, right = planes.reshape(5, -1)
+    z = Z.ravel()
+    KZ = np.empty_like(z)
+    KZ[0] = 0.0  # left is zero in column 0
+    np.multiply(left[1:], z[:-1], out=KZ[1:])
+    KZ[:-1] += right[:-1] * z[1:]
+    column = np.empty_like(z)
+    column[:n] = 0.0  # up is zero in row 0
+    np.multiply(up[n:], z[:-n], out=column[n:])
+    column[:-n] += down[:-n] * z[n:]
+    KZ += column
+    KZ += diagonal * z
+    return KZ.reshape(Z.shape)
+
+
+@functools.cache
+def _mirror(n: int) -> np.ndarray:
+    """r(j) = min(j, n-1-j): where entry j of an even vector of size n sits
+    in its first ceil(n/2) entries.  Read-only, one array per n."""
+    r = np.minimum(np.arange(n), np.arange(n)[::-1])
+    r.flags.writeable = False
+    return r
+
+
+def _even(C) -> bool:
+    """Whether C, one matrix or a stack, is bitwise even in its rows and in
+    its columns: its first k = floor(n/2) rows against their mirrors, then,
+    once the rows are even, the first k columns of its first n - k rows
+    against theirs."""
+    n = C.shape[-1]
+    k = n // 2
+    return bool(
+        (C[..., :k, :] == C[..., : -k - 1 : -1, :]).all()
+        and (C[..., : n - k, :k] == C[..., : n - k, : -k - 1 : -1]).all()
+    )
+
+
+def _unfold(P, n: int) -> np.ndarray:
+    """The even n x n matrices (or stack) whose m x m quadrant is P, m =
+    ceil(n/2): X[..., i, j] = P[..., r(i), r(j)], r(j) = min(j, n-1-j).
+    One `take` per axis, so the result is C-contiguous."""
+    r = _mirror(n)
+    return P.take(r, axis=-2).take(r, axis=-1)
+
+
+@functools.cache
+def _multiplicity(n: int) -> np.ndarray:
+    """The (m, m) plane of how many entries of an even n x n matrix each
+    entry of its quadrant stands for, m = ceil(n/2): 2 per axis, 1 on the
+    centre of an odd n, multiplied over the two axes.  Read-only."""
+    w = np.full((n + 1) // 2, 2.0)
+    if n % 2:
+        w[-1] = 1.0
+    W = np.outer(w, w)
+    W.flags.writeable = False
+    return W
+
+
+def _norm(P: np.ndarray, n: int) -> float:
+    """||P||_F of a stack of width n, or of the even stack of width n whose
+    quadrant P is (`_unfold`), as a sum over the quadrant weighted by
+    `_multiplicity`.  The weights are powers of 2, so every weighted square
+    is the full sum's term exactly, and only the order of the sum differs:
+    the two agree within a few ulps."""
+    if P.shape[-1] == n:
+        return float(np.linalg.norm(P))
+    return math.sqrt(float(np.vdot(P, P * _multiplicity(n))))
 
 
 def neumann_second_difference(n: int) -> TriDiagMatrix:

@@ -44,10 +44,15 @@ per-step operation: the right-hand side, the batched branch solve
 (`sylvester._solve`), the image, the residual and the reported norm.  On
 a centred grid the plan of a Method II run long enough to repay it
 (QUADRANT_MIN_WORK) also keeps the branch pairs' mirror quadrant
-(`plan_solves`), and a step whose right-hand side is bitwise even, as every
-one of a run from even data is there, is solved on it; everything else
-about the step stays full size: the right-hand side, the image, the
-residual, which checks every quadrant solve, and the margins.
+(`plan_solves`), and `march` carries such a run on it when its seed levels
+are bitwise even: every level is held as its (2, m, m) quadrant, m =
+ceil(n/2), and the whole step runs there, the right-hand side, the solve,
+the image (`StepOperators.image`), the residual, the norms, weighted by
+multiplicity (`operators._norm`), and the source.  The forcing is still
+sampled at full size, and a sample that is not bitwise even sends the run
+back to full size from that level on, unfolded, never symmetrized.  Only
+the U/V pair that leaves `march` is unfolded.  The margins are always the
+full pairs'.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ import numpy as np
 from .exceptions import BlowUpError, InvalidSpecError, SingularTimeError
 from .grid import CoupledState, Field, Grid, GridSpec, build_grid, sample
 from .operators import (
-    BRANCH_SIGNS, SING_LIMIT, StepOperators, TriDiagMatrix, _sum_diff,
+    BRANCH_SIGNS, SING_LIMIT, StepOperators, TriDiagMatrix, _even, _norm, _sum_diff, _unfold,
     assemble_step_operators, build_operator_set, step_shift,
 )
 from .sylvester import (
@@ -82,16 +87,17 @@ BLOWUP_CAP = 1e8
 # `grid.MAX_WORK`.
 MAX_TRAJECTORY_BYTES = 2**34
 
-# Method II's plan keeps the mirror quadrant stack (`plan_solves`) only for a
-# run whose work, steps x (J+2)^3 as `grid.MAX_WORK` counts it, reaches this:
-# what the quadrant costs to build, one `eigh` of size ceil((J+2)/2) per
-# distinct side and about 0.2 ms of Python, is paid back only by what its
-# solves save, 7/8 of the transforms' GEMM flops.  On a 2-vCPU x86-64 host
-# with 1 BLAS thread a quadrant solve saves 30 us at J = 49 (setup repaid
-# after about 11 solves; 16 steps here) and 0.5 ms at J = 99 (2 solves; 3
-# steps here), and nothing at J <= 24, where the evenness check and the
-# unfold cost what the smaller products save (a J = 24 run folds from 120
-# steps on, a few us per solve slower, for its bitwise-even levels).
+# Method II's plan keeps the mirror quadrant stack (`plan_solves`), and
+# `march` carries the run on it, only for a run whose work, steps x (J+2)^3
+# as `grid.MAX_WORK` counts it, reaches this: the quadrant's setup, one `eigh`
+# of size ceil((J+2)/2) per distinct side and about 0.2 ms of Python, is paid
+# back only by what its steps save.  A carried step runs on a quarter of the
+# entries but makes a few more numpy calls (the corner's and the unfold's
+# `take`s, the forcing's evenness check).  On a 2-vCPU x86-64 host with 1
+# BLAS thread it costs about 20 us more than a full step at J <= 9, the same
+# at J = 24 (a J = 24 run is carried from 120 steps on), and saves about
+# 100 us at J = 49 (setup repaid after a few steps; 16 steps here) and
+# 0.9 ms at J = 99 (3 steps here).
 QUADRANT_MIN_WORK = 2**21
 
 
@@ -149,7 +155,10 @@ class StepReport:
     source_time are its phases: the entrywise right-hand-side assembly, the
     coupled solve, the residual check, which includes the image of the new
     level, and the new level's source (`level_source`), 0.0 on the run's
-    last step, whose level no step reads.
+    last step, whose level no step reads.  `quadrant` says whether the step
+    was carried on the mirror quadrant (`march`); sup_norm and the residual
+    are then sums over the quadrant weighted by multiplicity, equal to the
+    full sums within a few ulps.
     """
 
     n: int
@@ -163,6 +172,7 @@ class StepReport:
     solve_time: float
     residual_time: float
     source_time: float
+    quadrant: bool
 
 
 def _power(own: np.ndarray, other: np.ndarray, expo: float) -> np.ndarray:
@@ -181,8 +191,9 @@ def plan_solves(ops: StepOperators, grid: Grid, a: float, *, fold: bool) -> Solv
     and the difference branch for lam, gamma < 1/2, else the Schur kernel.
     With `fold`, when every band is bitwise mirrored, as on a centred grid,
     the plan also keeps the pairs' quadrant stack of size ceil(n/2)
-    (`SolvePlan.quadrant`), on which `sylvester._solve` solves every
-    bitwise-even right-hand side; the margins stay those of the full pairs.
+    (`SolvePlan.quadrant`), on which `sylvester._solve` solves the
+    right-hand sides of a run carried on the quadrant (`march`); the
+    margins stay those of the full pairs.
     `prepare` decides it: Method II on a run whose work reaches
     QUADRANT_MIN_WORK.
     Raises InvalidSpecError when a step operator or a pair is not finite (a
@@ -243,7 +254,7 @@ def init_levels(prob: ProblemDef, grid: Grid, ops: StepOperators):
     state0 = CoupledState(Field(U0), Field(V0), level=0)
     Z0 = _sum_diff((U0, V0))
     Zt = _sum_diff(sample(lambda X, Y, t: (u1f(X, Y), v1f(X, Y)), grid, 0, "initial velocity"))
-    F = _sum_diff(_explicit_terms(prob, grid, state0))
+    F = _sum_diff(_explicit_terms(prob, _forcing(prob, grid, 0), U0, V0))
     l2 = 0.5 * grid.l * grid.l
     level0 = BranchLevel(state0, Z0, ops.image(Z0), l2 * F)
     rhs = level0.KZ / (grid.h * grid.h) + F
@@ -263,13 +274,16 @@ def init_levels(prob: ProblemDef, grid: Grid, ops: StepOperators):
     return level0, BranchLevel(state1, Z1, ops.image(Z1), level_source(prob, grid, state1))
 
 
-def _explicit_terms(prob: ProblemDef, grid: Grid, state: CoupledState) -> np.ndarray:
-    """(F_u, F_v) = (|U|^(p-1) V + G1, |V|^(q-1) U + G2) at the level of `state`, stacked."""
-    U, V = state.U.values, state.V.values
-    if prob.forcing is None:
-        F = np.zeros((2,) + U.shape)
-    else:
-        F = sample(prob.forcing, grid, state.level, "forcing")
+def _forcing(prob: ProblemDef, grid: Grid, level: int) -> np.ndarray | None:
+    """The forcing sample (G1, G2) of `level`, stacked; None without forcing."""
+    return None if prob.forcing is None else sample(prob.forcing, grid, level, "forcing")
+
+
+def _explicit_terms(prob: ProblemDef, G: np.ndarray | None, U: np.ndarray, V: np.ndarray):
+    """(F_u, F_v) = (|U|^(p-1) V + G1, |V|^(q-1) U + G2), stacked, from a
+    level's U and V and its forcing sample G = (G1, G2) of their shape
+    (None without forcing), which is written into."""
+    F = np.zeros((2,) + U.shape) if G is None else G
     if prob.nonlinear:
         F[0] += _power(U, V, prob.p)
         F[1] += _power(V, U, prob.q)
@@ -284,7 +298,8 @@ def level_source(prob: ProblemDef, grid: Grid, state: CoupledState) -> np.ndarra
     `BranchLevel`.  A forcing sample that is not finite raises
     InvalidSpecError naming the level and t_n.
     """
-    return _sum_diff(_explicit_terms(prob, grid, state), 0.5 * grid.l * grid.l)
+    F = _explicit_terms(prob, _forcing(prob, grid, state.level), state.U.values, state.V.values)
+    return _sum_diff(F, 0.5 * grid.l * grid.l)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -295,7 +310,9 @@ class BranchLevel:
     image (`StepOperators.image`) and `source` its `level_source`.  The step
     that forms the level checks its residual with KZ, and the right-hand
     sides of the next two steps reuse KZ and the source.  The last level of a
-    run, which no step reads, has source None.
+    run, which no step reads, has source None.  A level of a run carried on
+    the mirror quadrant (`march`) holds Z, KZ and the source as their
+    (2, m, m) quadrants, m = ceil(n/2), and its state at full size.
     """
 
     state: CoupledState
@@ -310,6 +327,28 @@ class BranchLevel:
         """The branch pair of `state`, its image and its source."""
         Z = _sum_diff((state.U.values, state.V.values))
         return cls(state, Z, ops.image(Z), level_source(prob, grid, state))
+
+    @property
+    def quadrant(self) -> bool:
+        """Whether the level is carried on its mirror quadrant."""
+        return self.Z.shape[-1] < self.state.U.size
+
+    def folded(self) -> "BranchLevel":
+        """The level carried on its quadrant: Z, KZ and the source cut to
+        their first m rows and columns, which stand for the whole of a
+        bitwise-even level."""
+        m = (self.state.U.size + 1) // 2
+        return self._map(lambda P: P[:, :m, :m].copy())
+
+    def unfolded(self) -> "BranchLevel":
+        """The level at full size: a carried level unfolded (`_unfold`),
+        any other as it is."""
+        n = self.state.U.size
+        return self._map(lambda P: _unfold(P, n)) if self.quadrant else self
+
+    def _map(self, f) -> "BranchLevel":
+        source = None if self.source is None else f(self.source)
+        return BranchLevel(self.state, f(self.Z), f(self.KZ), source)
 
 
 def assemble_rhs(
@@ -358,12 +397,13 @@ def _step_residual(
     r+- = r1 +- r2 of the two U/V equations, and by the parallelogram
     identity ||r+||^2 + ||r-||^2 = 2 (||r1||^2 + ||r2||^2), likewise for C,
     so one norm over the stack gives the ratio of the two U/V equations
-    (`sylvester.residual` evaluates those directly); 0/0 counts as 0.
+    (`sylvester.residual` evaluates those directly); 0/0 counts as 0.  On a
+    carried level's quadrant the norm is the weighted one (`_norm`).
     """
     r = (1.0 + (2.0 * c) * ops.signs) * Z
     r -= ops.implicit_weight * KZ
     r -= C
-    return _ratio(np.linalg.norm(r), C_norm)
+    return _ratio(_norm(r, ops.size), C_norm)
 
 
 def step(
@@ -395,15 +435,26 @@ def step(
     raises BlowUpError with step = n+1; only a level that passes both gets
     its source, so a forcing sample of level n+1 that is not finite is
     named after the solve of step n.
+
+    Levels carried on the mirror quadrant (`BranchLevel.folded`, which
+    `march` decides) are stepped there: the m-wide right-hand side takes
+    the plan's quadrant stack, and the new level comes back carried, its
+    state unfolded.  The new level's forcing sample is taken at full size;
+    when it is not bitwise even the new level is unfolded, and so is level
+    n when step n+1 meets the two widths.  The report says which steps were
+    carried (`StepReport.quadrant`).
     """
     _check_solver(solver)
     t_start = time.perf_counter()
     n = levels[0].state.level
     if not 1 <= n <= plan.shifts.size:
         raise InvalidSpecError(f"step {n} is outside the plan's steps 1..{plan.shifts.size}")
+    if levels[0].quadrant != levels[1].quadrant:  # level n's forcing sample was not even
+        levels = tuple(level.unfolded() for level in levels)
+    size = grid.size
     c = float(plan.shifts[n - 1])
     C = assemble_rhs(levels, ops, c)
-    C_norm = float(np.linalg.norm(C))
+    C_norm = _norm(C, size)
     if not math.isfinite(C_norm):  # name the first level whose source is not finite
         for k, S in ((n - 1, levels[1].source), (n, levels[0].source)):
             if not np.isfinite(S).all():
@@ -415,12 +466,12 @@ def step(
     t_solve = time.perf_counter()
     if solver == SOLVER_SYLVESTER:
         Z = _solve(plan, C, n - 1)
-        X, Y = _sum_diff(Z, 0.5)
+        UV = _sum_diff(Z, 0.5)
     else:
         (Ls, Rs), (Ld, Rd) = ((pair.L, pair.R) for pair in plan.pairs)
-        I_c = TriDiagMatrix.identity(grid.size, c)
+        I_c = TriDiagMatrix.identity(size, c)
         C1, C2 = _sum_diff(C, 0.5)
-        X, Y = kronecker_solve(CoupledProblem(
+        UV = kronecker_solve(CoupledProblem(
             W=0.5 * (Ls + Ld),
             R=I_c + 0.5 * (Ls - Ld),
             S=I_c + 0.5 * (Rs - Rd),
@@ -428,7 +479,9 @@ def step(
             C2=C2,
             W_right=0.5 * (Rs + Rd),
         ))
-        Z = _sum_diff((X, Y))
+        Z = _sum_diff(UV)
+    quadrant = Z.shape[-1] < size
+    X, Y = _unfold(UV, size) if quadrant else UV
     solve_time = time.perf_counter() - t_solve
 
     t_residual = time.perf_counter()
@@ -440,7 +493,7 @@ def step(
     residual_time = time.perf_counter() - t_residual
 
     state = CoupledState(Field(X), Field(Y), level=n + 1)
-    sup_norm = math.sqrt(0.5) * float(np.linalg.norm(Z))
+    sup_norm = math.sqrt(0.5) * _norm(Z, size)
     if not math.isfinite(sup_norm):  # names the level that is not finite
         state.check_finite()
     if sup_norm > BLOWUP_CAP:
@@ -450,7 +503,18 @@ def step(
             sup_norm=sup_norm,
         )
     t_source = time.perf_counter()
-    source = level_source(prob, grid, state) if n < plan.shifts.size else None
+    source = None
+    if n < plan.shifts.size and not quadrant:
+        source = level_source(prob, grid, state)
+    elif n < plan.shifts.size:  # the quadrant's, cut from the full forcing sample
+        G = _forcing(prob, grid, n + 1)
+        if G is not None and not _even(G):
+            # the run leaves the quadrant: this level here, level n in step n + 1
+            Z, KZ, UV = _unfold(Z, size), _unfold(KZ, size), (X, Y)
+        elif G is not None:
+            m = Z.shape[-1]
+            G = G[:, :m, :m]
+        source = _sum_diff(_explicit_terms(prob, G, *UV), 0.5 * grid.l * grid.l)
     source_time = 0.0 if source is None else time.perf_counter() - t_source
     margins = tuple(plan.margins[n - 1].tolist())
     return BranchLevel(state, Z, KZ, source), StepReport(
@@ -465,6 +529,7 @@ def step(
         solve_time=solve_time,
         residual_time=residual_time,
         source_time=source_time,
+        quadrant=quadrant,
     )
 
 
@@ -527,12 +592,20 @@ def march(
     the dense guard, before any operator is built, then SolvabilityError.
     It keeps two levels and checks no memory budget; the step count and the
     work are capped by the mesh check (`grid.MAX_STEPS`, `grid.MAX_WORK`).
+    When the plan keeps a quadrant stack and the seed levels' branch pairs
+    and sources are bitwise even, it carries the run on the quadrant
+    (`BranchLevel.folded`), decided once, here; `step` leaves it for good at
+    the first forcing sample that is not even.
     """
     grid, ops, plan = prepare(prob, spec, solver, sing_policy)
     level0, level1 = init_levels(prob, grid, ops)
     yield level0.state, None
     yield level1.state, None
     levels = (level1, level0)
+    if plan.quadrant is not None and all(
+        _even(P) for level in levels for P in (level.Z, level.source)
+    ):
+        levels = tuple(level.folded() for level in levels)
     for _ in range(1, grid.n_steps):
         level, report = step(levels, ops, prob, grid, plan, solver=solver)
         levels = (level, levels[0])

@@ -38,12 +38,12 @@ Method II run long enough to repay it (`_factor` with `fold`, which
 restricted to its modes even in both directions, of size m = ceil(n/2)
 (`_fold_pair`, the symmetry-adapted basis of Fassler and Stiefel, 1992),
 factored as any pair is, with one `eigh` of size m per distinct side.
-`_solve` takes it for every C that is bitwise even in its rows and
-columns, at 1/8 of the full stack's GEMM flops, and unfolds the quadrant's
-solution with one `take` per axis (`_unfold`), so every Method II level of
-such a run is bitwise even.  Any other C, an asymmetric grid, a shorter
-run, Method I's plan and the standalone solvers below use the full stack,
-and the margins are always the full pairs'.
+Such a run is carried on the quadrant (`stepper.march`): every level is
+held as its (2, m, m) quadrant, and `_solve` takes the quadrant stack for
+an m-wide C, at 1/8 of the full stack's GEMM flops, and returns the
+m-wide solution.  An n-wide C, an asymmetric grid, a shorter run, Method
+I's plan and the standalone solvers below use the full stack, and the
+margins are always the full pairs'.
 
 The solvability margin min |lam_i + mu_j + 2 s_b| is checked against
 DENOM_RTOL when the plan is made, never in a solve; `_margins` does so for
@@ -97,7 +97,7 @@ import time
 import numpy as np
 
 from .exceptions import InvalidSpecError, SizeGuardError, SolvabilityError
-from .operators import BRANCH_SIGNS, TriDiagMatrix, _sum_diff
+from .operators import BRANCH_SIGNS, TriDiagMatrix, _even, _sum_diff, _unfold
 
 # A diagonal denominator |lam_i + mu_j| below DENOM_RTOL * norm(inputs) is
 # treated as a solvability failure rather than allowed to produce garbage.
@@ -274,8 +274,8 @@ class SolvePlan(_Stack):
     that attain them.  `quadrant`, when the plan was made with `fold` and
     every band is bitwise mirrored, is the (B, m, m) stack of the pairs
     restricted to their modes even in both directions, m = ceil(n/2)
-    (`_fold_pair`); `_solve` takes it for a right-hand side that is bitwise
-    even, and no margin is read from it.
+    (`_fold_pair`); `_solve` takes it for an m-wide right-hand side, the
+    quadrant of an even one, and no margin is read from it.
     """
 
     signs: np.ndarray  # (B, 1, 1), to scale the slices of a stack
@@ -521,18 +521,19 @@ def _solve(plan: SolvePlan, C: np.ndarray, k: int) -> np.ndarray:
     every pair b, with s_b = signs[b] shifts[k], at row k of the plan's
     checked shifts.
 
-    A C that is bitwise even in its rows and columns (`_even`) has an even
-    solution; when the plan keeps a quadrant stack, such a C is solved on
-    its quadrant C[:, :m, :m] (`_solve_stack`, 1/8 of the full stack's GEMM
-    flops) and the solution is unfolded (`_unfold`).  Every other C, and
-    every C of a plan without one, is solved on the full stack.
+    The width of C chooses the stack.  An m-wide C, m = ceil(n/2), is the
+    quadrant of an even right-hand side, and is solved on the plan's
+    quadrant stack (`_solve_stack`, 1/8 of the full stack's GEMM flops);
+    the solution is that of the even solution's quadrant, m wide too.  The
+    caller owns the evenness: a run carried on the quadrant
+    (`stepper.march`) checks it once, on its seeds and forcing samples.  An
+    n-wide C is solved on the full stack; an m-wide C and a plan without a
+    quadrant stack raise InvalidSpecError.
     """
-    c = plan.shifts[k]
-    quadrant = plan.quadrant
-    if quadrant is not None and _even(C):
-        m = quadrant.QL.shape[-1]
-        return _unfold(_solve_stack(quadrant, plan.signs, c, C[:, :m, :m]), C.shape[-1])
-    return _solve_stack(plan, plan.signs, c, C)
+    stack = plan.quadrant if C.shape[-1] < plan.QL.shape[-1] else plan
+    if stack is None:
+        raise InvalidSpecError(f"a right-hand side of width {C.shape[-1]} needs a quadrant stack")
+    return _solve_stack(stack, plan.signs, plan.shifts[k], C)
 
 
 def _solve_stack(stack: _Stack, signs: np.ndarray, c: float, C: np.ndarray) -> np.ndarray:
@@ -741,19 +742,6 @@ def _mirrored(A) -> bool:
     if isinstance(A, TriDiagMatrix):
         return bool((A.diag == A.diag[::-1]).all() and (A.sub == A.sup[::-1]).all())
     return np.array_equal(A, A[::-1, ::-1])
-
-
-def _even(C) -> bool:
-    """Whether C, one matrix or a stack, is bitwise even in its rows and in its columns."""
-    return np.array_equal(C, C[..., ::-1, :]) and np.array_equal(C, C[..., ::-1])
-
-
-def _unfold(P, n: int) -> np.ndarray:
-    """The even n x n matrices (or stack) whose m x m quadrant is P, m =
-    ceil(n/2): X[..., i, j] = P[..., r(i), r(j)], r(j) = min(j, n-1-j).
-    One `take` per axis, so the result is C-contiguous."""
-    r = np.minimum(np.arange(n), np.arange(n)[::-1])
-    return P.take(r, axis=-2).take(r, axis=-1)
 
 
 def _fold(L, M, C):
